@@ -9,15 +9,9 @@ from .core import (
     decompose_blocks,
     intermediates,
     min_eigenvalue_hermitian,
-    p_representability_closed_form,
-    p_representability_eig,
     params_from_covariance,
     partial_transpose,
-    physicality_closed_form,
-    physicality_eig,
     schur_complement,
-    separability_closed_form,
-    separability_eig,
 )
 from .symplectic import (
     InvariantFormResult,
@@ -46,18 +40,12 @@ __all__ = [
     "invariants",
     "make_local_symplectic",
     "min_eigenvalue_hermitian",
-    "p_representability_closed_form",
-    "p_representability_eig",
     "params_from_covariance",
     "partial_transpose",
-    "physicality_closed_form",
-    "physicality_eig",
     "random_local_symplectic",
     "random_physical_state",
     "reduce_to_invariant_form",
     "schur_complement",
-    "separability_closed_form",
-    "separability_eig",
 ]
 
 __version__ = "0.1.0"

@@ -15,15 +15,17 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
             the P-fold column is the literal published bound, whose dips
             below the S-fold mark operators that are not physical states.
 
-Exit codes: 0 success, 2 parse error, 3 invalid parameters, 4 domain error,
-5 internal assertion.
+This module only parses, dispatches and serializes: every verdict comes from
+``core.classify`` and every sweep fold from ``core.n2_folds``.
+
+Exit codes: 0 success, 2 parse error, 3 invalid parameters, 4 domain error
+(including numeric overflow), 5 internal assertion.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -34,7 +36,6 @@ import numpy as np
 from . import core, symplectic
 from .core import GaussianParams, Verdict
 from .errors import (
-    DegenerateBoundError,
     DomainError,
     GaussSepError,
     InvalidParameterError,
@@ -61,7 +62,10 @@ def _to_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, list) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        try:
+            return complex(float(value[0]), float(value[1]))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{where}: bad [re, im] pair {value!r}: {exc}") from exc
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
@@ -105,8 +109,11 @@ def load_states(path: str, fmt: str) -> list[tuple[str | None, GaussianParams]]:
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read input {path}: {exc}") from exc
     states = []
     if fmt == "json":
         try:
@@ -157,11 +164,17 @@ def verdict_to_dict(v: Verdict) -> dict:
     }
 
 
+def _check_tol_psd(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParameterError(f"--tol-psd must be finite and >= 0, got {tol}")
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_classify(args) -> int:
+    _check_tol_psd(args.tol_psd)
     states = load_states(args.input, args.format)
     out, close = _open_output(args.output)
     try:
@@ -245,6 +258,7 @@ def cmd_transform(args) -> int:
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
+    _check_tol_psd(args.tol_psd)
     rng = np.random.default_rng(args.seed)
     out, close = _open_output(args.output)
     n_sep = n_ent = n_prep = n_sep_not_prep = 0
@@ -313,48 +327,15 @@ def _parse_axis(spec: str):
     parts = spec.split(":")
     if len(parts) != 4:
         raise ParseError(f"axis spec must be name:min:max:steps, got {spec!r}")
-    name, lo, hi, steps = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    try:
+        name, lo, hi, steps = parts[0], float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError as exc:
+        raise ParseError(f"axis spec {spec!r}: {exc}") from exc
     if name not in SWEEPABLE:
         raise ParseError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
     if steps < 2 or not lo < hi:
         raise ParseError(f"axis spec needs steps >= 2 and min < max, got {spec!r}")
     return name, np.linspace(lo, hi, steps)
-
-
-def literal_prep_fold(p: GaussianParams) -> float:
-    """The published P-fold: s'/d' + |m2 - c'|/d' + 1/2 (kept literal for the
-    fold-comparison figure; its dips below the S-fold are unphysical)."""
-    im = core.intermediates(p)
-    if im.d_p <= core.TOL_SING:
-        # degenerate or negative d': no closed-form fold (the mode-1
-        # condition fails for every n2 when d' < 0)
-        raise DegenerateBoundError(f"d' = {im.d_p:.3e}")
-    return im.s_p / im.d_p + abs(p.m2 - im.c_p) / im.d_p + 0.5
-
-
-def bisect_n2_threshold(p: GaussianParams, criterion: str, hi: float = 64.0) -> float:
-    """Smallest n2 satisfying the eigen-oracle criterion, by bisection."""
-    margin = {
-        "physical": core._physical_margin_eig,
-        "separable": core._separable_margin_eig,
-        "p_representable": core._prep_margin_eig,
-    }[criterion]
-
-    def f(n2: float) -> float:
-        return margin(core.build_covariance(dataclasses.replace(p, n2=n2)))
-
-    lo = 0.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 2**40:
-            return math.inf
-    for _ in range(100):
-        mid = (lo + hi) / 2
-        if f(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def cmd_sweep(args) -> int:
@@ -403,22 +384,7 @@ def cmd_sweep(args) -> int:
                 assignment[name2] = b
             n1 = assignment.pop("n1", args.n1)
             p = GaussianParams(n1=n1, n2=1.0, **assignment)
-            degenerate = False
-            try:
-                phys = core.physicality_bound_n2(p)
-            except DegenerateBoundError:
-                degenerate = True
-                phys = bisect_n2_threshold(p, "physical")
-            try:
-                sep = core.separability_bound_n2(p)
-            except DegenerateBoundError:
-                degenerate = True
-                sep = bisect_n2_threshold(p, "separable")
-            try:
-                prep = literal_prep_fold(p)
-            except DegenerateBoundError:
-                degenerate = True
-                prep = bisect_n2_threshold(p, "p_representable")
+            phys, sep, prep, degenerate = core.n2_folds(p)
             row = [repr(float(a))]
             if name2 is not None:
                 row.append(repr(float(b)))
@@ -437,7 +403,10 @@ def cmd_sweep(args) -> int:
 
 def _default_seed() -> int:
     env = os.environ.get("GAUSSSEP_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ParseError(f"GAUSSSEP_SEED must be an integer, got {env!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,9 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "sample":
-        args.seed = _default_seed()
     try:
+        if getattr(args, "seed", None) is None and args.command == "sample":
+            args.seed = _default_seed()
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -515,6 +484,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except GaussSepError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -15,21 +15,31 @@ minimum-eigenvalue oracle:
 * separability:       T V T + E/2 >= 0   (partial phase-space mirror)
 * P-representability: V - I/2 >= 0
 
-The closed-form n2 bounds used here are the oracle-consistent ones,
+Separability is physicality of the partial transpose (Simon's criterion), so
+it has no closed form of its own: its closed-form margin is the physicality
+code run on the mirrored parameters ``p.mirror()`` with the mirrored
+intermediates (s, conj(c), d).  The closed-form n2 bounds used here are the
+oracle-consistent ones,
 
-    n2 >= s/d + sqrt( (1 -+ delta/d)^2 / 4 + |m2 - c/d|^2 ),
+    n2 >= s/d + sqrt( (1 - delta/d)^2 / 4 + |m2 - c/d|^2 ),
 
-with delta = |mc|^2 - |ms|^2 signed ("-" for physicality, "+" for
-separability), and
+with delta = |mc|^2 - |ms|^2 (the mirror flips its sign and conjugates
+m2 and c), and
 
     n2 >= 1/2 + s'/d' + |m2 - c'/d'|
 
 for P-representability.  These agree with the eigenvalue oracle to machine
 precision; see tests for the cross-validation.
+
+``classify`` is the only verdict API.  The n2 folds of the ``sweep``
+command (closed-form bounds, the literal published P-fold and the
+eigen-oracle bisection at degenerate points) also live here.
 """
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -64,7 +74,7 @@ class GaussianParams:
     """The six scalar parameters of a two-mode covariance matrix.
 
     No physicality is assumed: unphysical parameter sets are representable
-    on purpose, only n1, n2 >= 0 is enforced.
+    on purpose, only finite values and n1, n2 >= 0 are enforced.
     """
 
     n1: float
@@ -79,6 +89,9 @@ class GaussianParams:
         object.__setattr__(self, "n2", float(self.n2))
         for name in ("m1", "m2", "ms", "mc"):
             object.__setattr__(self, name, complex(getattr(self, name)))
+        values = (self.n1, self.n2, self.m1, self.m2, self.ms, self.mc)
+        if not all(cmath.isfinite(v) for v in values):
+            raise InvalidParameterError(f"parameters must be finite, got {self}")
         if self.n1 < 0.0 or self.n2 < 0.0:
             raise InvalidParameterError(
                 f"occupations must be nonnegative, got n1={self.n1}, n2={self.n2}"
@@ -110,6 +123,12 @@ class ClosedFormIntermediates:
     s_p: float
     c_p: complex
     d_p: float
+
+    def mirror(self) -> "ClosedFormIntermediates":
+        """The intermediates of the mirrored parameters: c and c' conjugate,
+        the rest is invariant (bit for bit, by the groupings in
+        ``intermediates``)."""
+        return dataclasses.replace(self, c=self.c.conjugate(), c_p=self.c_p.conjugate())
 
 
 @dataclass(frozen=True)
@@ -245,17 +264,10 @@ def partial_transpose(V: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form n2 bounds
+# Closed-form n2 bounds and margins
 
 
-def physicality_bound_n2(p: GaussianParams) -> float:
-    """Smallest n2 compatible with V + E/2 >= 0, at fixed remaining parameters.
-
-    Requires d = n1^2 - 1/4 - |m1|^2 > 0; degenerate or negative d raises
-    DegenerateBoundError (negative d means the mode-1 condition already
-    fails, so no n2 bound exists).
-    """
-    im = intermediates(p)
+def _physical_bound(p: GaussianParams, im: ClosedFormIntermediates) -> float:
     if im.d <= TOL_SING:
         raise DegenerateBoundError(f"physicality bound degenerate: d = {im.d:.3e}")
     delta = abs(p.mc) ** 2 - abs(p.ms) ** 2
@@ -264,76 +276,59 @@ def physicality_bound_n2(p: GaussianParams) -> float:
     )
 
 
-def separability_bound_n2(p: GaussianParams) -> float:
-    """Smallest n2 with T V T + E/2 >= 0; differs from the physicality bound
-    only by the sign in front of delta/d."""
-    im = intermediates(p)
-    if im.d <= TOL_SING:
-        raise DegenerateBoundError(f"separability bound degenerate: d = {im.d:.3e}")
-    delta = abs(p.mc) ** 2 - abs(p.ms) ** 2
-    return im.s / im.d + math.sqrt(
-        0.25 * (1.0 + delta / im.d) ** 2 + abs(p.m2 - im.c / im.d) ** 2
-    )
-
-
-def prep_bound_n2(p: GaussianParams) -> float:
-    """Smallest n2 with V - I/2 >= 0, at fixed remaining parameters."""
-    im = intermediates(p)
+def _prep_bound(p: GaussianParams, im: ClosedFormIntermediates) -> float:
     if im.d_p <= TOL_SING:
         raise DegenerateBoundError(f"P-representability bound degenerate: d' = {im.d_p:.3e}")
     return 0.5 + im.s_p / im.d_p + abs(p.m2 - im.c_p / im.d_p)
 
 
-def _mode1_margin_physical(p: GaussianParams) -> float:
-    return p.n1 - math.sqrt(abs(p.m1) ** 2 + 0.25)
+def physicality_bound_n2(p: GaussianParams) -> float:
+    """Smallest n2 compatible with V + E/2 >= 0, at fixed remaining parameters.
+
+    Requires d = n1^2 - 1/4 - |m1|^2 > 0; degenerate or negative d raises
+    DegenerateBoundError (negative d means the mode-1 condition already
+    fails, so no n2 bound exists).  The separability bound is this function
+    applied to ``p.mirror()``.
+    """
+    return _physical_bound(p, intermediates(p))
 
 
-def _mode1_margin_prep(p: GaussianParams) -> float:
-    return p.n1 - abs(p.m1) - 0.5
+def prep_bound_n2(p: GaussianParams) -> float:
+    """Smallest n2 with V - I/2 >= 0, at fixed remaining parameters."""
+    return _prep_bound(p, intermediates(p))
+
+
+def _physical_margin_closed(p: GaussianParams, im: ClosedFormIntermediates) -> float:
+    """Closed-form physicality margin of ``p`` from its intermediates ``im``;
+    DegenerateBoundError for |d| <= TOL_SING.  On ``(p.mirror(), im.mirror())``
+    it is the separability margin of ``p``."""
+    m1_margin = p.n1 - math.sqrt(abs(p.m1) ** 2 + 0.25)
+    if im.d < -TOL_SING:
+        # Mode-1 uncertainty already violated; no n2 bound exists.
+        return m1_margin
+    return min(m1_margin, p.n2 - _physical_bound(p, im))
+
+
+def _prep_margin_closed(p: GaussianParams, im: ClosedFormIntermediates) -> float:
+    """Closed-form P-representability margin; DegenerateBoundError for
+    |d'| <= TOL_SING."""
+    m1_margin = p.n1 - abs(p.m1) - 0.5
+    if im.d_p < -TOL_SING:
+        # (n1 - 1/2)^2 < |m1|^2 forces the mode-1 condition to fail.
+        return m1_margin
+    return min(m1_margin, p.n2 - _prep_bound(p, im))
 
 
 # ---------------------------------------------------------------------------
-# Criterion evaluations
-
-
-def _physical_margin_closed(p: GaussianParams) -> float:
-    """Closed-form physicality margin; DegenerateBoundError near d = 0."""
-    im = intermediates(p)
-    if abs(im.d) <= TOL_SING:
-        raise DegenerateBoundError(f"degenerate physicality bound: d = {im.d:.3e}")
-    m1_margin = _mode1_margin_physical(p)
-    if im.d < 0.0:
-        # Mode-1 uncertainty already violated; no n2 bound exists.
-        return m1_margin
-    return min(m1_margin, p.n2 - physicality_bound_n2(p))
-
-
-def _separable_margin_closed(p: GaussianParams) -> float:
-    im = intermediates(p)
-    if abs(im.d) <= TOL_SING:
-        raise DegenerateBoundError(f"degenerate separability bound: d = {im.d:.3e}")
-    m1_margin = _mode1_margin_physical(p)
-    if im.d < 0.0:
-        return m1_margin
-    return min(m1_margin, p.n2 - separability_bound_n2(p))
-
-
-def _prep_margin_closed(p: GaussianParams) -> float:
-    im = intermediates(p)
-    if abs(im.d_p) <= TOL_SING:
-        raise DegenerateBoundError(f"degenerate P-representability bound: d' = {im.d_p:.3e}")
-    m1_margin = _mode1_margin_prep(p)
-    if im.d_p < 0.0:
-        # (n1 - 1/2)^2 < |m1|^2 forces the mode-1 condition to fail.
-        return m1_margin
-    return min(m1_margin, p.n2 - prep_bound_n2(p))
+# Eigen-oracle margins
 
 
 def _physical_margin_eig(V: np.ndarray) -> float:
-    return min(
-        min_eigenvalue_hermitian(V + E / 2),
-        min_eigenvalue_hermitian(V),
-    )
+    # No separate V >= 0 term is needed: V - E/2 is the complex conjugate of
+    # K (V + E/2) K (K swaps the two rows of each mode), so both share one
+    # spectrum, and V is their mean, so by Weyl lambda_min(V) >=
+    # lambda_min(V + E/2).
+    return min_eigenvalue_hermitian(V + E / 2)
 
 
 def _separable_margin_eig(V: np.ndarray) -> float:
@@ -342,108 +337,6 @@ def _separable_margin_eig(V: np.ndarray) -> float:
 
 def _prep_margin_eig(V: np.ndarray) -> float:
     return min_eigenvalue_hermitian(V - I4 / 2)
-
-
-def physicality_closed_form(p: GaussianParams, tol_psd: float = TOL_PSD) -> Verdict:
-    margin = _physical_margin_closed(p)
-    return Verdict(
-        physical=margin >= -tol_psd,
-        separable=None,
-        p_representable=None,
-        margin_physical=margin,
-        margin_separable=math.nan,
-        margin_prep=math.nan,
-        method=METHOD_CLOSED,
-    )
-
-
-def physicality_eig(V: np.ndarray, tol_psd: float = TOL_PSD) -> Verdict:
-    margin = _physical_margin_eig(V)
-    return Verdict(
-        physical=margin >= -tol_psd,
-        separable=None,
-        p_representable=None,
-        margin_physical=margin,
-        margin_separable=math.nan,
-        margin_prep=math.nan,
-        method=METHOD_EIG,
-    )
-
-
-def separability_closed_form(p: GaussianParams, tol_psd: float = TOL_PSD) -> Verdict:
-    margin_phys = _physical_margin_closed(p)
-    physical = margin_phys >= -tol_psd
-    if not physical:
-        return Verdict(
-            physical=False,
-            separable=None,
-            p_representable=None,
-            margin_physical=margin_phys,
-            margin_separable=math.nan,
-            margin_prep=math.nan,
-            method=METHOD_CLOSED,
-        )
-    margin_sep = _separable_margin_closed(p)
-    return Verdict(
-        physical=True,
-        separable=margin_sep >= -tol_psd,
-        p_representable=None,
-        margin_physical=margin_phys,
-        margin_separable=margin_sep,
-        margin_prep=math.nan,
-        method=METHOD_CLOSED,
-    )
-
-
-def separability_eig(V: np.ndarray, tol_psd: float = TOL_PSD) -> Verdict:
-    margin_phys = _physical_margin_eig(V)
-    physical = margin_phys >= -tol_psd
-    if not physical:
-        return Verdict(
-            physical=False,
-            separable=None,
-            p_representable=None,
-            margin_physical=margin_phys,
-            margin_separable=math.nan,
-            margin_prep=math.nan,
-            method=METHOD_EIG,
-        )
-    margin_sep = _separable_margin_eig(V)
-    return Verdict(
-        physical=True,
-        separable=margin_sep >= -tol_psd,
-        p_representable=None,
-        margin_physical=margin_phys,
-        margin_separable=margin_sep,
-        margin_prep=math.nan,
-        method=METHOD_EIG,
-    )
-
-
-def p_representability_closed_form(p: GaussianParams, tol_psd: float = TOL_PSD) -> Verdict:
-    margin_prep = _prep_margin_closed(p)
-    return Verdict(
-        physical=True,
-        separable=None,
-        p_representable=margin_prep >= -tol_psd,
-        margin_physical=math.nan,
-        margin_separable=math.nan,
-        margin_prep=margin_prep,
-        method=METHOD_CLOSED,
-    )
-
-
-def p_representability_eig(V: np.ndarray, tol_psd: float = TOL_PSD) -> Verdict:
-    margin_prep = _prep_margin_eig(V)
-    return Verdict(
-        physical=True,
-        separable=None,
-        p_representable=margin_prep >= -tol_psd,
-        margin_physical=math.nan,
-        margin_separable=math.nan,
-        margin_prep=margin_prep,
-        method=METHOD_EIG,
-    )
 
 
 def classify(p: GaussianParams, method: str = METHOD_CLOSED, tol_psd: float = TOL_PSD) -> Verdict:
@@ -458,40 +351,101 @@ def classify(p: GaussianParams, method: str = METHOD_CLOSED, tol_psd: float = TO
         raise ValueError(f"unknown method {method!r}")
 
     V = build_covariance(p)
+    im = intermediates(p) if method == METHOD_CLOSED else None
     fallbacks: list[str] = []
 
     def margin_of(name: str, closed, eig) -> float:
         if method == METHOD_EIG:
             return eig(V)
         try:
-            return closed(p)
+            return closed()
         except DegenerateBoundError:
             fallbacks.append(name)
             return eig(V)
 
-    margin_phys = margin_of("physical", _physical_margin_closed, _physical_margin_eig)
+    margin_phys = margin_of(
+        "physical", lambda: _physical_margin_closed(p, im), _physical_margin_eig
+    )
     physical = margin_phys >= -tol_psd
-    if not physical:
-        return Verdict(
-            physical=False,
-            separable=None,
-            p_representable=None,
-            margin_physical=margin_phys,
-            margin_separable=math.nan,
-            margin_prep=math.nan,
-            method=METHOD_EIG if (method == METHOD_EIG or fallbacks) else METHOD_CLOSED,
-            fallbacks=tuple(fallbacks),
+    margin_sep = margin_prep = math.nan
+    if physical:
+        margin_sep = margin_of(
+            "separable",
+            lambda: _physical_margin_closed(p.mirror(), im.mirror()),
+            _separable_margin_eig,
         )
-
-    margin_sep = margin_of("separable", _separable_margin_closed, _separable_margin_eig)
-    margin_prep = margin_of("p_representable", _prep_margin_closed, _prep_margin_eig)
+        margin_prep = margin_of(
+            "p_representable", lambda: _prep_margin_closed(p, im), _prep_margin_eig
+        )
     return Verdict(
-        physical=True,
-        separable=margin_sep >= -tol_psd,
-        p_representable=margin_prep >= -tol_psd,
+        physical=physical,
+        separable=margin_sep >= -tol_psd if physical else None,
+        p_representable=margin_prep >= -tol_psd if physical else None,
         margin_physical=margin_phys,
         margin_separable=margin_sep,
         margin_prep=margin_prep,
         method=METHOD_EIG if (method == METHOD_EIG or fallbacks) else METHOD_CLOSED,
         fallbacks=tuple(fallbacks),
     )
+
+
+# ---------------------------------------------------------------------------
+# n2 folds for the sweep
+
+
+def literal_prep_fold(p: GaussianParams) -> float:
+    """The published P-fold: s'/d' + |m2 - c'|/d' + 1/2 (kept literal for the
+    fold-comparison figure; its dips below the S-fold are unphysical)."""
+    im = intermediates(p)
+    if im.d_p <= TOL_SING:
+        # degenerate or negative d': no closed-form fold (the mode-1
+        # condition fails for every n2 when d' < 0)
+        raise DegenerateBoundError(f"d' = {im.d_p:.3e}")
+    return im.s_p / im.d_p + abs(p.m2 - im.c_p) / im.d_p + 0.5
+
+
+def bisect_n2_threshold(p: GaussianParams, criterion: str, hi: float = 64.0) -> float:
+    """Smallest n2 satisfying the eigen-oracle criterion, by bisection."""
+    margin = {
+        "physical": _physical_margin_eig,
+        "separable": _separable_margin_eig,
+        "p_representable": _prep_margin_eig,
+    }[criterion]
+
+    def f(n2: float) -> float:
+        return margin(build_covariance(dataclasses.replace(p, n2=n2)))
+
+    lo = 0.0
+    while f(hi) < 0.0:
+        hi *= 2.0
+        if hi > 2**40:
+            return math.inf
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if f(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
+    """The physicality, separability and literal P n2 folds at the other
+    parameters of ``p``, and whether any of them was degenerate.
+
+    Each fold is its closed form where that exists and the eigen-oracle
+    bisection threshold otherwise.
+    """
+    folds = []
+    degenerate = False
+    for criterion, fold, q in (
+        ("physical", physicality_bound_n2, p),
+        ("separable", physicality_bound_n2, p.mirror()),
+        ("p_representable", literal_prep_fold, p),
+    ):
+        try:
+            folds.append(fold(q))
+        except DegenerateBoundError:
+            degenerate = True
+            folds.append(bisect_n2_threshold(p, criterion))
+    return folds[0], folds[1], folds[2], degenerate

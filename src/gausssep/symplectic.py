@@ -145,7 +145,7 @@ def reduce_to_invariant_form(p: GaussianParams, tol_form: float = TOL_FORM) -> I
     pattern raise PrescriptionInapplicableError carrying the residual.
     """
     V = build_covariance(p)
-    if core.physicality_eig(V).physical is False:
+    if not core._physical_margin_eig(V) >= -core.TOL_PSD:
         raise DomainError("invariant-form reduction requires a physical state")
     S = reduction_transform(p)
     W = apply_local(S, V)
@@ -243,7 +243,7 @@ def random_physical_state(
     if mode == "reject":
         for _ in range(max_draws):
             p = random_params(rng, n_lo=0.5, n_hi=3.0, m_max=1.0)
-            if core.physicality_eig(build_covariance(p)).physical:
+            if core._physical_margin_eig(build_covariance(p)) >= -core.TOL_PSD:
                 return p
         raise SamplingBudgetError(f"no physical state found in {max_draws} draws")
     raise ValueError(f"unknown sampling mode {mode!r}")

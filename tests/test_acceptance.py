@@ -37,15 +37,30 @@ def batch_margins_eig(V):
 
 
 def closed_margins(p):
-    """(physical, separable, prep) closed-form margins; NaN where degenerate."""
+    """(physical, separable, prep) closed-form margins; NaN where degenerate.
+
+    Separability is the physicality margin of the mirrored parameters, from
+    the mirrored intermediates, as in ``core.classify``.
+    """
+    im = core.intermediates(p)
     out = []
-    for fn in (core._physical_margin_closed, core._separable_margin_closed,
-               core._prep_margin_closed):
+    for fn, q, iq in ((core._physical_margin_closed, p, im),
+                      (core._physical_margin_closed, p.mirror(), im.mirror()),
+                      (core._prep_margin_closed, p, im)):
         try:
-            out.append(fn(p))
+            out.append(fn(q, iq))
         except DegenerateBoundError:
             out.append(math.nan)
     return out
+
+
+def eig_verdicts(V):
+    """(physical, separable) from the eigen-oracle margins of a covariance
+    matrix; separable is None for an unphysical matrix."""
+    physical = core._physical_margin_eig(V) >= -core.TOL_PSD
+    if not physical:
+        return False, None
+    return True, core._separable_margin_eig(V) >= -core.TOL_PSD
 
 
 def test_oracle_equivalence_campaign():
@@ -155,22 +170,20 @@ def test_symplectic_invariance():
     for p in states:
         V = build_covariance(p)
         inv0 = symplectic.invariants(V)
-        v0 = core.separability_eig(V)
+        v0 = eig_verdicts(V)
         for S in transforms:
             W = symplectic.apply_local(S, V)
             inv1 = symplectic.invariants(W)
             for a, b in zip((inv0.i1, inv0.i2, inv0.i3, inv0.i4),
                             (inv1.i1, inv1.i2, inv1.i3, inv1.i4)):
                 assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
-            v1 = core.separability_eig(W)
-            assert v1.physical == v0.physical
-            assert v1.separable == v0.separable
+            assert eig_verdicts(W) == v0
 
     # witness: P-representability flips under a hard local squeeze
     V = build_covariance(GaussianParams(1.0, 1.0))
-    assert core.p_representability_eig(V).p_representable
+    assert core._prep_margin_eig(V) >= -core.TOL_PSD
     W = symplectic.apply_local(symplectic.make_local_symplectic(1.5), V)
-    assert core.p_representability_eig(W).p_representable is False
+    assert core._prep_margin_eig(W) < -core.TOL_PSD
     report("symplectic-invariance (100 states x 100 transforms, P-flip witness)")
 
 
@@ -211,26 +224,28 @@ def test_fig1_fold_structure(tmp_path):
         for n2 in (p_fold, (p_fold + s_fold) / 2, s_fold - 1e-6):
             if not p_fold <= n2 < s_fold:
                 continue
-            V = build_covariance(GaussianParams(n1, n2, m1=0.5, m2=1.0))
-            assert not core.physicality_eig(V).physical
+            v = core.classify(GaussianParams(n1, n2, m1=0.5, m2=1.0),
+                              method=core.METHOD_EIG)
+            assert not v.physical
     report(f"fig1-fold-structure ({len(gap_rows)}/{len(rows)} grid rows in the gap)")
 
 
 def test_mirror_identity_campaign():
-    """separability closed form == physicality closed form of the mirrored
-    parameters on 10^5 draws, bit for bit."""
+    """separability closed form (from the intermediates of p) == physicality
+    closed form of the mirrored parameters on 10^5 draws, bit for bit."""
     rng = np.random.default_rng(555)
     n = 100_000
     checked = 0
     for _ in range(n):
         p = symplectic.random_params(rng)
+        q = p.mirror()
         try:
-            sep = core._separable_margin_closed(p)
+            sep = core._physical_margin_closed(q, core.intermediates(p).mirror())
         except DegenerateBoundError:
             with pytest.raises(DegenerateBoundError):
-                core._physical_margin_closed(p.mirror())
+                core._physical_margin_closed(q, core.intermediates(q))
             continue
-        assert sep == core._physical_margin_closed(p.mirror())
+        assert sep == core._physical_margin_closed(q, core.intermediates(q))
         checked += 1
     assert checked > 0.99 * n
     report(f"mirror-identity (n={n}, exact float equality)")

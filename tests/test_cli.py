@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -212,7 +213,6 @@ class TestSweep:
 
         from gausssep import core
         from gausssep.core import GaussianParams
-        from gausssep.cli import bisect_n2_threshold
 
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -220,8 +220,8 @@ class TestSweep:
                 n1=rng.uniform(0.8, 2.5), n2=1.0,
                 m1=rng.uniform(-0.4, 0.4), m2=rng.uniform(-0.8, 0.8),
                 ms=rng.uniform(-0.6, 0.6), mc=rng.uniform(-0.6, 0.6))
-            fold = core.separability_bound_n2(p)
-            assert bisect_n2_threshold(p, "separable") == pytest.approx(fold, abs=1e-8)
+            fold = core.physicality_bound_n2(p.mirror())
+            assert core.bisect_n2_threshold(p, "separable") == pytest.approx(fold, abs=1e-8)
 
     def test_missing_axis_exit_2(self, tmp_path, capsys):
         code, _ = run(["sweep", "--output", str(tmp_path / "x.csv")], capsys)
@@ -243,11 +243,58 @@ class TestSweep:
             "n2_min_prep", "prep_below_sep_flag", "degenerate"}
 
 
+class TestExitCodes:
+    """Failures map to the documented exit codes, never to a traceback."""
+
+    def check(self, argv, code, capsys):
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_numeric_pair_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1, "mc": ["a", 1]}}])
+        self.check(["classify", "--input", str(f)], 2, capsys)
+
+    def test_missing_input_file_exit_2(self, tmp_path, capsys):
+        self.check(["classify", "--input", str(tmp_path / "absent.jsonl")], 2, capsys)
+
+    def test_non_numeric_axis_bound_exit_2(self, tmp_path, capsys):
+        self.check(["sweep", "--axis1", "mc:x:1:3",
+                    "--output", str(tmp_path / "x.csv")], 2, capsys)
+
+    def test_non_numeric_env_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GAUSSSEP_SEED", "abc")
+        self.check(["sample", "--count", "1",
+                    "--output", str(tmp_path / "x.jsonl")], 2, capsys)
+
+    def test_non_finite_parameter_exit_3(self, tmp_path, capsys):
+        f = tmp_path / "in.jsonl"
+        f.write_text('{"params": {"n1": NaN, "n2": 1}}\n')
+        self.check(["classify", "--input", str(f), "--method", "both"], 3, capsys)
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_psd_exit_3(self, tmp_path, capsys, tol):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [VACUUM_REC])
+        self.check(["classify", "--input", str(f), "--tol-psd", tol], 3, capsys)
+        self.check(["sample", "--count", "50", "--tol-psd", tol,
+                    "--output", str(tmp_path / "x.jsonl")], 3, capsys)
+
+    def test_overflow_exit_4(self, tmp_path, capsys):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1e200, "n2": 1, "mc": [1e200, 0]}}])
+        self.check(["classify", "--input", str(f)], 4, capsys)
+
+
 def test_console_entry_point(tmp_path):
     f = tmp_path / "in.jsonl"
     write_jsonl(f, [VACUUM_REC])
+    # The child imports the same package as this suite, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "gausssep.cli", "classify", "--input", str(f)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["physical"]

@@ -68,6 +68,13 @@ class TestBuildCovariance:
         V = build_covariance(p)
         assert np.array_equal(V, V.conj().T)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["n1", "n2", "m1", "m2", "ms", "mc"])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"n1": 1.0, "n2": 1.0, field: value}
+        with pytest.raises(InvalidParameterError):
+            GaussianParams(**kwargs)
+
     def test_negative_occupation_rejected(self):
         with pytest.raises(InvalidParameterError):
             GaussianParams(-0.1, 1.0)
@@ -162,71 +169,71 @@ class TestPartialTranspose:
 
 class TestPhysicality:
     def test_subthermal_unphysical(self):
-        v = core.physicality_closed_form(GaussianParams(0.4, 1.0))
+        v = classify(GaussianParams(0.4, 1.0))
         assert not v.physical
         assert v.margin_physical == pytest.approx(-0.1)
 
     def test_reference_state_physical(self):
         assert core.physicality_bound_n2(REF) == pytest.approx(REF_PHYS_BOUND, abs=1e-12)
-        v = core.physicality_closed_form(REF)
+        v = classify(REF)
         assert v.physical
         V = build_covariance(REF)
         assert min_eigenvalue_hermitian(V + E / 2) >= -core.TOL_PSD
 
     def test_vacuum_routes_to_oracle(self):
         with pytest.raises(DegenerateBoundError):
-            core.physicality_closed_form(VACUUM)
-        v = core.physicality_eig(build_covariance(VACUUM))
+            core._physical_margin_closed(VACUUM, core.intermediates(VACUUM))
+        v = classify(VACUUM, method=core.METHOD_EIG)
         assert v.physical
         assert v.margin_physical == pytest.approx(0.0, abs=1e-14)
 
     def test_form1_existence_condition(self):
         # (n1 - 1/2)(n2 + 1/2) >= |mc|^2 cross-checks the oracle
-        assert core.physicality_eig(build_covariance(GaussianParams(1, 1, mc=0.8))).physical
-        assert not core.physicality_eig(build_covariance(GaussianParams(1, 1, mc=0.9))).physical
+        assert classify(GaussianParams(1, 1, mc=0.8), method=core.METHOD_EIG).physical
+        assert not classify(GaussianParams(1, 1, mc=0.9), method=core.METHOD_EIG).physical
 
 
 class TestSeparability:
     def test_entangled(self):
-        v = core.separability_closed_form(GaussianParams(1, 1, mc=0.6))
+        v = classify(GaussianParams(1, 1, mc=0.6))
         assert v.physical and v.separable is False
-        ve = core.separability_eig(build_covariance(GaussianParams(1, 1, mc=0.6)))
+        ve = classify(GaussianParams(1, 1, mc=0.6), method=core.METHOD_EIG)
         assert ve.separable is False
 
     def test_separable(self):
-        assert core.separability_closed_form(GaussianParams(1, 1, mc=0.4)).separable
-        assert core.separability_eig(build_covariance(GaussianParams(1, 1, mc=0.4))).separable
+        assert classify(GaussianParams(1, 1, mc=0.4)).separable
+        assert classify(GaussianParams(1, 1, mc=0.4), method=core.METHOD_EIG).separable
 
     def test_product_thermal(self):
-        assert core.separability_closed_form(GaussianParams(1, 1)).separable
+        assert classify(GaussianParams(1, 1)).separable
 
     def test_two_mode_squeezed_thermal_boundary(self):
         # n = 1, m = n - 1/2 sits exactly on the separability boundary
-        v = core.separability_eig(build_covariance(GaussianParams(1, 1, mc=0.5)))
+        v = classify(GaussianParams(1, 1, mc=0.5), method=core.METHOD_EIG)
         assert v.separable
         assert abs(v.margin_separable) <= core.TOL_PSD
 
     def test_unphysical_gives_na(self):
-        v = core.separability_closed_form(GaussianParams(0.4, 1.0))
+        v = classify(GaussianParams(0.4, 1.0))
         assert not v.physical
         assert v.separable is None and math.isnan(v.margin_separable)
 
 
 class TestPRepresentability:
     def test_vacuum_boundary(self):
-        v = core.p_representability_eig(build_covariance(VACUUM))
+        v = classify(VACUUM, method=core.METHOD_EIG)
         assert v.p_representable
         assert v.margin_prep == pytest.approx(0.0, abs=1e-14)
 
     def test_thermal_margin(self):
-        v = core.p_representability_eig(build_covariance(GaussianParams(2, 2)))
+        v = classify(GaussianParams(2, 2), method=core.METHOD_EIG)
         assert v.p_representable
         assert v.margin_prep == pytest.approx(1.5, abs=1e-12)
 
     def test_mode1_anomalous_blocks_prep(self):
         # n1 - |m1| - 1/2 = -0.1 < 0
         p = GaussianParams(0.6, 1.0, m1=0.2)
-        v = core.p_representability_closed_form(p)
+        v = classify(p)
         assert v.p_representable is False
         assert v.margin_prep == pytest.approx(-0.1)
         V1 = build_covariance(p)[:2, :2]
@@ -240,9 +247,9 @@ class TestPRepresentability:
             n1 = math.cosh(2 * r) / 2
             m1 = -math.sinh(2 * r) / 2  # saturates the mode-1 uncertainty
             p = GaussianParams(n1, 1.0, m1=m1)
-            V = build_covariance(p)
-            assert core.physicality_eig(V).physical
-            assert core.p_representability_eig(V).p_representable is False
+            v = classify(p, method=core.METHOD_EIG)
+            assert v.physical
+            assert v.p_representable is False
 
 
 class TestClassify:

@@ -33,15 +33,16 @@ def param_sets(draw, n_lo=0.4, n_hi=3.0, m_max=1.0):
 
 @given(param_sets())
 def test_mirror_identity_exact(p):
-    """separability closed form == physicality closed form of the mirrored
-    parameters, bit for bit (the sign swap in front of delta/d)."""
+    """separability closed form (physicality on the mirrored intermediates of
+    p) == physicality closed form of the mirrored parameters, bit for bit."""
+    q = p.mirror()
     try:
-        sep = core._separable_margin_closed(p)
+        sep = core._physical_margin_closed(q, core.intermediates(p).mirror())
     except DegenerateBoundError:
         with pytest.raises(DegenerateBoundError):
-            core._physical_margin_closed(p.mirror())
+            core._physical_margin_closed(q, core.intermediates(q))
         return
-    assert sep == core._physical_margin_closed(p.mirror())
+    assert sep == core._physical_margin_closed(q, core.intermediates(q))
 
 
 @given(param_sets())
@@ -92,22 +93,29 @@ def test_margins_ordered(p):
     assert core._physical_margin_eig(V) >= m_prep - 1e-12
 
 
+@given(param_sets())
+def test_shifted_spectrum_bounds_covariance_spectrum(p):
+    """lambda_min(V) >= lambda_min(V + E/2): why the physicality oracle needs
+    no separate V >= 0 term."""
+    V = build_covariance(p)
+    assert core.min_eigenvalue_hermitian(V) >= (
+        core.min_eigenvalue_hermitian(V + core.E / 2) - 1e-12)
+
+
 @given(st.floats(0.5, 3.0), st.floats(0.5, 3.0), complexes(1.0))
 def test_form1_reduced_criterion(n1, n2, mu):
     """On form 1, separability and P-representability coincide and both
     equal (n1 - 1/2)(n2 - 1/2) >= |mu|^2."""
     p = GaussianParams(n1=n1, n2=n2, mc=mu)
-    V = build_covariance(p)
-    if not core.physicality_eig(V).physical:
+    v = core.classify(p, method=core.METHOD_EIG)
+    if not v.physical:
         return
-    sep = core.separability_eig(V)
-    prep = core.p_representability_eig(V)
     reduced = (n1 - 0.5) * (n2 - 0.5) - abs(mu) ** 2
     if abs(reduced) > 1e-8:
-        assert sep.separable == (reduced >= 0)
-        assert prep.p_representable == (reduced >= 0)
-    if abs(min(sep.margin_separable, prep.margin_prep)) > 1e-8:
-        assert sep.separable == prep.p_representable
+        assert v.separable == (reduced >= 0)
+        assert v.p_representable == (reduced >= 0)
+    if abs(min(v.margin_separable, v.margin_prep)) > 1e-8:
+        assert v.separable == v.p_representable
 
 
 @given(st.floats(0.45, 2.0), st.floats(0.45, 2.0), complexes(1.2), complexes(1.2))

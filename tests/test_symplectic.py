@@ -78,16 +78,15 @@ class TestApplyLocal:
             S = random_local_symplectic(rng)
             V = build_covariance(p)
             W = apply_local(S, V)
-            a, b = core.separability_eig(V), core.separability_eig(W)
-            assert a.physical == b.physical
-            assert a.separable == b.separable
+            for margin in (core._physical_margin_eig, core._separable_margin_eig):
+                assert (margin(V) >= -core.TOL_PSD) == (margin(W) >= -core.TOL_PSD)
 
     def test_prep_not_preserved(self):
         # thermal state is P-representable; a hard local squeeze breaks it
         V = build_covariance(GaussianParams(1.0, 1.0))
-        assert core.p_representability_eig(V).p_representable
+        assert core._prep_margin_eig(V) >= -core.TOL_PSD
         W = apply_local(make_local_symplectic(1.5), V)
-        assert core.p_representability_eig(W).p_representable is False
+        assert core._prep_margin_eig(W) < -core.TOL_PSD
 
 
 class TestInvariants:
@@ -154,7 +153,7 @@ class TestReduceToInvariantForm:
 
     def test_generic_state_inapplicable(self):
         p = GaussianParams(1.4, 1.2, m1=0.3, m2=0.1, ms=0.25, mc=0.4)
-        assert core.physicality_eig(build_covariance(p)).physical
+        assert core.classify(p, method=core.METHOD_EIG).physical
         with pytest.raises(PrescriptionInapplicableError) as exc:
             reduce_to_invariant_form(p)
         assert exc.value.residual > symplectic.TOL_FORM
@@ -194,20 +193,20 @@ class TestRandomGeneration:
     def test_construct_zero_mixing_is_product(self):
         p = random_physical_state(np.random.default_rng(2), theta_max=0.0, r_max=0.0)
         assert p.m1 == 0 and p.m2 == 0 and p.ms == 0 and p.mc == 0
-        assert core.separability_eig(build_covariance(p)).separable
+        assert core.classify(p, method=core.METHOD_EIG).separable
 
     def test_construct_outputs_physical(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
             p = random_physical_state(rng)
-            assert core.physicality_eig(build_covariance(p)).physical
+            assert core.classify(p, method=core.METHOD_EIG).physical
 
     def test_reject_outputs_physical(self):
         rng = np.random.default_rng(17)
         accepted = 0
         for _ in range(50):
             p = random_physical_state(rng, mode="reject")
-            assert core.physicality_eig(build_covariance(p)).physical
+            assert core.classify(p, method=core.METHOD_EIG).physical
             accepted += 1
         assert accepted == 50  # acceptance fraction of the box is positive
 
