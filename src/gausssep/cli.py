@@ -13,7 +13,8 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
             n2_min_prep,prep_below_sep_flag,degenerate).  The physicality
             and separability folds are the oracle-consistent closed forms;
             the P-fold column is the literal published bound, whose dips
-            below the S-fold mark operators that are not physical states.
+            below the S-fold (``core.prep_below_sep``, which ignores
+            rounding-level ties) mark operators that are not physical states.
 
 This module only parses, dispatches and serializes: every verdict comes from
 ``core.classify`` and every sweep fold from ``core.n2_folds``.
@@ -389,7 +390,8 @@ def cmd_sweep(args) -> int:
             if name2 is not None:
                 row.append(repr(float(b)))
             row += [repr(phys), repr(sep), repr(prep),
-                    "1" if prep < sep else "0", "1" if degenerate else "0"]
+                    "1" if core.prep_below_sep(prep, sep) else "0",
+                    "1" if degenerate else "0"]
             writer.writerow(row)
     finally:
         if close:

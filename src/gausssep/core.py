@@ -16,10 +16,11 @@ minimum-eigenvalue oracle:
 * P-representability: V - I/2 >= 0
 
 Separability is physicality of the partial transpose (Simon's criterion), so
-it has no closed form of its own: its closed-form margin is the physicality
-code run on the mirrored parameters ``p.mirror()`` with the mirrored
-intermediates (s, conj(c), d).  The closed-form n2 bounds used here are the
-oracle-consistent ones,
+it has no code of its own: both its margins are the physicality code run on
+the mirrored parameters ``p.mirror()``, the closed form with the mirrored
+intermediates (s, conj(c), d), the oracle on ``build_covariance(p.mirror())``
+(``partial_transpose`` of the covariance; once E/2 is added, bit for bit).
+The closed-form n2 bounds used here are the oracle-consistent ones,
 
     n2 >= s/d + sqrt( (1 - delta/d)^2 / 4 + |m2 - c/d|^2 ),
 
@@ -33,7 +34,10 @@ precision; see tests for the cross-validation.
 
 ``classify`` is the only verdict API.  The n2 folds of the ``sweep``
 command (closed-form bounds, the literal published P-fold and the
-eigen-oracle bisection at degenerate points) also live here.
+eigen-oracle bisection at degenerate points) also live here.  A fold is
+``inf`` when its mode-1 condition fails (d < 0, or V1 - I/2 not >= 0 for P),
+the test the closed margins apply too; ``prep_below_sep`` counts the P-fold
+as below the S-fold only by more than ``FOLD_GAP_RTOL`` * max(1, S-fold).
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ from .errors import (
 TOL_PSD = 1e-10
 TOL_HERM = 1e-12
 TOL_SING = 1e-12
+FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 
 # Canonical constant matrices.
 Z = np.diag([1.0, -1.0])
@@ -169,6 +174,8 @@ def intermediates(p: GaussianParams) -> ClosedFormIntermediates:
         mc**2 * m1.conjugate() + ms.conjugate() ** 2 * m1
     )
     d_p = h**2 - abs(m1) ** 2
+    if not all(cmath.isfinite(v) for v in (s, c, d, s_p, c_p, d_p)):
+        raise OverflowError(f"closed-form intermediates overflow for {p}")
     return ClosedFormIntermediates(s=s, c=c, d=d, s_p=s_p, c_p=c_p, d_p=d_p)
 
 
@@ -277,8 +284,8 @@ def _physical_bound(p: GaussianParams, im: ClosedFormIntermediates) -> float:
 
 
 def _prep_bound(p: GaussianParams, im: ClosedFormIntermediates) -> float:
-    if im.d_p <= TOL_SING:
-        raise DegenerateBoundError(f"P-representability bound degenerate: d' = {im.d_p:.3e}")
+    if im.d_p <= TOL_SING or p.n1 < 0.5:
+        raise DegenerateBoundError(f"no P-representability bound: d' = {im.d_p:.3e}, n1 = {p.n1}")
     return 0.5 + im.s_p / im.d_p + abs(p.m2 - im.c_p / im.d_p)
 
 
@@ -294,8 +301,24 @@ def physicality_bound_n2(p: GaussianParams) -> float:
 
 
 def prep_bound_n2(p: GaussianParams) -> float:
-    """Smallest n2 with V - I/2 >= 0, at fixed remaining parameters."""
+    """Smallest n2 with V - I/2 >= 0, at fixed remaining parameters.
+
+    Degenerate d' raises DegenerateBoundError, and so does any state whose
+    mode-1 condition n1 - 1/2 >= |m1| fails (d' < 0, or n1 < 1/2 with
+    d' > 0), since then no n2 bound exists.
+    """
     return _prep_bound(p, intermediates(p))
+
+
+# Mode-1 rules: if the mode-1 block fails, no n2 meets the criterion (fold inf).
+def _physical_mode1_fails(p: GaussianParams, im: ClosedFormIntermediates) -> bool:
+    return im.d < -TOL_SING  # V1 + Z/2 >= 0 fails
+
+
+def _prep_mode1_fails(p: GaussianParams, im: ClosedFormIntermediates) -> bool:
+    # V1 - I/2 >= 0 fails.  n1 < 1/2 counts only off the degenerate band
+    # |d'| <= TOL_SING, where the eigen-oracle decides.
+    return im.d_p < -TOL_SING or (im.d_p > TOL_SING and p.n1 < 0.5)
 
 
 def _physical_margin_closed(p: GaussianParams, im: ClosedFormIntermediates) -> float:
@@ -303,8 +326,7 @@ def _physical_margin_closed(p: GaussianParams, im: ClosedFormIntermediates) -> f
     DegenerateBoundError for |d| <= TOL_SING.  On ``(p.mirror(), im.mirror())``
     it is the separability margin of ``p``."""
     m1_margin = p.n1 - math.sqrt(abs(p.m1) ** 2 + 0.25)
-    if im.d < -TOL_SING:
-        # Mode-1 uncertainty already violated; no n2 bound exists.
+    if _physical_mode1_fails(p, im):
         return m1_margin
     return min(m1_margin, p.n2 - _physical_bound(p, im))
 
@@ -313,8 +335,7 @@ def _prep_margin_closed(p: GaussianParams, im: ClosedFormIntermediates) -> float
     """Closed-form P-representability margin; DegenerateBoundError for
     |d'| <= TOL_SING."""
     m1_margin = p.n1 - abs(p.m1) - 0.5
-    if im.d_p < -TOL_SING:
-        # (n1 - 1/2)^2 < |m1|^2 forces the mode-1 condition to fail.
+    if _prep_mode1_fails(p, im):
         return m1_margin
     return min(m1_margin, p.n2 - _prep_bound(p, im))
 
@@ -329,10 +350,6 @@ def _physical_margin_eig(V: np.ndarray) -> float:
     # spectrum, and V is their mean, so by Weyl lambda_min(V) >=
     # lambda_min(V + E/2).
     return min_eigenvalue_hermitian(V + E / 2)
-
-
-def _separable_margin_eig(V: np.ndarray) -> float:
-    return min_eigenvalue_hermitian(partial_transpose(V) + E / 2)
 
 
 def _prep_margin_eig(V: np.ndarray) -> float:
@@ -350,33 +367,35 @@ def classify(p: GaussianParams, method: str = METHOD_CLOSED, tol_psd: float = TO
     if method not in (METHOD_CLOSED, METHOD_EIG):
         raise ValueError(f"unknown method {method!r}")
 
-    V = build_covariance(p)
     im = intermediates(p) if method == METHOD_CLOSED else None
     fallbacks: list[str] = []
+    V = None
+
+    def covariance() -> np.ndarray:  # p's covariance, built once, when an oracle needs it
+        nonlocal V
+        if V is None:
+            V = build_covariance(p)
+        return V
 
     def margin_of(name: str, closed, eig) -> float:
-        if method == METHOD_EIG:
-            return eig(V)
-        try:
-            return closed()
-        except DegenerateBoundError:
-            fallbacks.append(name)
-            return eig(V)
+        if method == METHOD_CLOSED:
+            try:
+                return closed()
+            except DegenerateBoundError:
+                fallbacks.append(name)
+        return eig()
 
-    margin_phys = margin_of(
-        "physical", lambda: _physical_margin_closed(p, im), _physical_margin_eig
-    )
+    margin_phys = margin_of("physical", lambda: _physical_margin_closed(p, im),
+                            lambda: _physical_margin_eig(covariance()))
     physical = margin_phys >= -tol_psd
     margin_sep = margin_prep = math.nan
     if physical:
-        margin_sep = margin_of(
-            "separable",
-            lambda: _physical_margin_closed(p.mirror(), im.mirror()),
-            _separable_margin_eig,
-        )
-        margin_prep = margin_of(
-            "p_representable", lambda: _prep_margin_closed(p, im), _prep_margin_eig
-        )
+        # Separability is physicality of the mirror, on both routes.
+        margin_sep = margin_of("separable",
+                               lambda: _physical_margin_closed(p.mirror(), im.mirror()),
+                               lambda: _physical_margin_eig(build_covariance(p.mirror())))
+        margin_prep = margin_of("p_representable", lambda: _prep_margin_closed(p, im),
+                                lambda: _prep_margin_eig(covariance()))
     return Verdict(
         physical=physical,
         separable=margin_sep >= -tol_psd if physical else None,
@@ -397,20 +416,24 @@ def literal_prep_fold(p: GaussianParams) -> float:
     """The published P-fold: s'/d' + |m2 - c'|/d' + 1/2 (kept literal for the
     fold-comparison figure; its dips below the S-fold are unphysical)."""
     im = intermediates(p)
-    if im.d_p <= TOL_SING:
-        # degenerate or negative d': no closed-form fold (the mode-1
-        # condition fails for every n2 when d' < 0)
+    if im.d_p <= TOL_SING:  # degenerate, or no fold at all for d' < 0
         raise DegenerateBoundError(f"d' = {im.d_p:.3e}")
     return im.s_p / im.d_p + abs(p.m2 - im.c_p) / im.d_p + 0.5
 
 
 def bisect_n2_threshold(p: GaussianParams, criterion: str, hi: float = 64.0) -> float:
-    """Smallest n2 satisfying the eigen-oracle criterion, by bisection."""
-    margin = {
-        "physical": _physical_margin_eig,
-        "separable": _separable_margin_eig,
-        "p_representable": _prep_margin_eig,
+    """Smallest n2 satisfying the eigen-oracle criterion, by bisection.
+
+    ``criterion`` is "physical" or "p_representable"; separability's is
+    "physical" on ``p.mirror()``.  ``inf`` without an oracle call when the
+    mode-1 condition fails, or once ``hi`` doubles past 2^40.
+    """
+    margin, mode1_fails = {
+        "physical": (_physical_margin_eig, _physical_mode1_fails),
+        "p_representable": (_prep_margin_eig, _prep_mode1_fails),
     }[criterion]
+    if mode1_fails(p, intermediates(p)):
+        return math.inf
 
     def f(n2: float) -> float:
         return margin(build_covariance(dataclasses.replace(p, n2=n2)))
@@ -429,23 +452,32 @@ def bisect_n2_threshold(p: GaussianParams, criterion: str, hi: float = 64.0) -> 
     return hi
 
 
+def prep_below_sep(prep: float, sep: float) -> bool:
+    """Whether the sweep's P-fold lies below its S-fold by more than
+    ``FOLD_GAP_RTOL`` * max(1, |S-fold|), so that ulp ties do not count.
+    An infinite S-fold counts every finite P-fold as below it."""
+    if math.isinf(sep):
+        return prep < sep
+    return prep < sep - FOLD_GAP_RTOL * max(1.0, abs(sep))
+
+
 def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
     """The physicality, separability and literal P n2 folds at the other
     parameters of ``p``, and whether any of them was degenerate.
 
     Each fold is its closed form where that exists and the eigen-oracle
-    bisection threshold otherwise.
+    bisection threshold (``inf`` if the mode-1 condition fails) otherwise.
     """
     folds = []
     degenerate = False
     for criterion, fold, q in (
         ("physical", physicality_bound_n2, p),
-        ("separable", physicality_bound_n2, p.mirror()),
+        ("physical", physicality_bound_n2, p.mirror()),
         ("p_representable", literal_prep_fold, p),
     ):
         try:
             folds.append(fold(q))
         except DegenerateBoundError:
             degenerate = True
-            folds.append(bisect_n2_threshold(p, criterion))
+            folds.append(bisect_n2_threshold(q, criterion))
     return folds[0], folds[1], folds[2], degenerate

@@ -54,13 +54,18 @@ def closed_margins(p):
     return out
 
 
+def separable_margin_eig(V):
+    """Separability's oracle margin: physicality of the partial transpose."""
+    return core._physical_margin_eig(core.partial_transpose(V))
+
+
 def eig_verdicts(V):
     """(physical, separable) from the eigen-oracle margins of a covariance
     matrix; separable is None for an unphysical matrix."""
     physical = core._physical_margin_eig(V) >= -core.TOL_PSD
     if not physical:
         return False, None
-    return True, core._separable_margin_eig(V) >= -core.TOL_PSD
+    return True, separable_margin_eig(V) >= -core.TOL_PSD
 
 
 def test_oracle_equivalence_campaign():
@@ -136,7 +141,7 @@ def test_invariant_form_equivalence():
         V = build_covariance(p)
         if core._physical_margin_eig(V) < -core.TOL_PSD:
             continue
-        m_sep = core._separable_margin_eig(V)
+        m_sep = separable_margin_eig(V)
         m_prep = core._prep_margin_eig(V)
         if min(abs(m_sep), abs(m_prep)) <= BOUNDARY_BAND:
             continue
@@ -153,7 +158,7 @@ def test_invariant_form_equivalence():
         for _ in range(60):
             mid = (lo + hi) / 2
             V = build_covariance(GaussianParams(n1, n2, mc=mid))
-            if core._separable_margin_eig(V) >= 0:
+            if separable_margin_eig(V) >= 0:
                 lo = mid
             else:
                 hi = mid
@@ -202,7 +207,7 @@ def test_two_mode_squeezed_thermal_boundary():
                     hi = mid
             return lo
 
-        assert bisect(core._separable_margin_eig) == pytest.approx(n - 0.5, abs=1e-10)
+        assert bisect(separable_margin_eig) == pytest.approx(n - 0.5, abs=1e-10)
         assert bisect(core._physical_margin_eig) == pytest.approx(
             math.sqrt((n - 0.5) * (n + 0.5)), abs=1e-10)
     report("two-mode-squeezed-thermal-boundary (n in {0.6, 1, 2, 5})")

@@ -207,6 +207,23 @@ class TestSweep:
         for r in gap_rows:
             assert float(r["n2_min_prep"]) < float(r["n2_min_separable"])
 
+    def test_ulp_ties_are_not_flagged(self, tmp_path):
+        # At m1 = 0 the P- and S-folds coincide analytically; their computed
+        # values differ by a few ulp on some rows, which is no gap.
+        from gausssep import core
+
+        o = tmp_path / "s.csv"
+        assert main(["sweep", "--axis1", "m1:0:1.2:40", "--axis2", "mc:0:1.2:40",
+                     "--n1", "1.0", "--output", str(o)]) == 0
+        rows = self.read(o)
+        assert [r for r in rows if r["prep_below_sep_flag"] == "1"] == []
+        ties = [(float(r["n2_min_prep"]), float(r["n2_min_separable"])) for r in rows
+                if float(r["n2_min_prep"]) < float(r["n2_min_separable"])]
+        assert ties
+        for prep, sep in ties:
+            assert sep - prep < 1e-15 * sep  # a few ulp
+            assert not core.prep_below_sep(prep, sep)
+
     def test_sep_fold_matches_bisection(self):
         # closed-form separability fold vs eigen-oracle bisection on n2
         import numpy as np
@@ -221,7 +238,8 @@ class TestSweep:
                 m1=rng.uniform(-0.4, 0.4), m2=rng.uniform(-0.8, 0.8),
                 ms=rng.uniform(-0.6, 0.6), mc=rng.uniform(-0.6, 0.6))
             fold = core.physicality_bound_n2(p.mirror())
-            assert core.bisect_n2_threshold(p, "separable") == pytest.approx(fold, abs=1e-8)
+            sep = core.bisect_n2_threshold(p.mirror(), "physical")
+            assert sep == pytest.approx(fold, abs=1e-8)
 
     def test_missing_axis_exit_2(self, tmp_path, capsys):
         code, _ = run(["sweep", "--output", str(tmp_path / "x.csv")], capsys)
@@ -284,6 +302,16 @@ class TestExitCodes:
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [{"params": {"n1": 1e200, "n2": 1, "mc": [1e200, 0]}}])
         self.check(["classify", "--input", str(f)], 4, capsys)
+
+    @pytest.mark.parametrize("method", ["closed", "both"])
+    def test_intermediates_overflow_exit_4(self, tmp_path, capsys, method):
+        # n1 |mc|^2 overflows; no verdict with an infinite margin may be written
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1e150, "n2": 1e150, "mc": [1e150, 0]}}])
+        assert main(["classify", "--input", str(f), "--method", method]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "Infinity" not in captured.out
 
 
 def test_console_entry_point(tmp_path):

@@ -35,6 +35,10 @@ REF = GaussianParams(1.0, 1.0, m1=0.0, m2=0.5, ms=0.3, mc=0.3)
 REF_PHYS_BOUND = 0.8035601121442149
 REF_PREP_BOUND = 1.0
 
+# m1 = sqrt(3/4) + eps puts n1 = 1 just past the mode-1 limit: d = -1.7 eps.
+NEAR_D0 = [GaussianParams(1, 1, m1=math.sqrt(0.75) + eps, m2=0.3, ms=0.1, mc=0.4)
+           for eps in (1e-11, 1e-7, 1e-5)]
+
 
 class TestCanonicalMatrices:
     def test_squares(self):
@@ -242,6 +246,34 @@ class TestPRepresentability:
     def test_reference_state_prep_bound(self):
         assert core.prep_bound_n2(REF) == pytest.approx(REF_PREP_BOUND, abs=1e-12)
 
+    def test_no_prep_bound_below_half(self):
+        # n1 - 1/2 - |m1| = -0.3 < 0 although d' = 0.09 > 0: no n2 gives V - I/2 >= 0
+        p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
+        assert core.intermediates(p).d_p > 0
+        with pytest.raises(DegenerateBoundError):
+            core.prep_bound_n2(p)
+        assert core.bisect_n2_threshold(p, "p_representable") == math.inf
+
+    def test_near_vacuum_mode1_falls_back(self):
+        # n1 one ulp below 1/2: |d'| <= TOL_SING, so n1 < 1/2 alone does not
+        # decide the mode-1 rule; the correlations make the state entangled,
+        # hence not P-representable, which only the oracle sees.
+        p = GaussianParams(0.49999999999999994, 0.501, mc=9e-6)
+        assert abs(core.intermediates(p).d_p) <= core.TOL_SING
+        vc = classify(p)
+        ve = classify(p, method=core.METHOD_EIG)
+        assert "p_representable" in vc.fallbacks
+        assert vc.physical and vc.separable is False and vc.p_representable is False
+        assert (vc.physical, vc.separable, vc.p_representable) == (
+            ve.physical, ve.separable, ve.p_representable)
+        assert vc.margin_prep == ve.margin_prep
+
+    def test_prep_below_sep_tolerance(self):
+        assert core.prep_below_sep(1.0, 1.0 + 1e-11)
+        assert not core.prep_below_sep(1.0, 1.0 + 1e-13)
+        assert not core.prep_below_sep(1.0, 1.0)
+        assert core.prep_below_sep(5.0, math.inf)
+
     def test_squeezed_vacuum_never_prep(self):
         for r in (0.1, 0.5, 1.5):
             n1 = math.cosh(2 * r) / 2
@@ -279,6 +311,18 @@ class TestClassify:
         assert "physical" in v.fallbacks
         assert v.physical and v.separable and v.p_representable
 
+    def test_covariance_built_only_for_the_oracle(self, monkeypatch):
+        built = []
+        real = core.build_covariance
+        monkeypatch.setattr(core, "build_covariance", lambda p: built.append(p) or real(p))
+        classify(REF)  # closed form, no fallback
+        assert built == []
+        classify(VACUUM)  # all three fall back: p's covariance once, the mirror's once
+        assert built == [VACUUM, VACUUM.mirror()]
+        built.clear()
+        classify(REF, method=core.METHOD_EIG)
+        assert built == [REF, REF.mirror()]
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             classify(VACUUM, method="guess")
@@ -288,3 +332,17 @@ class TestClassify:
         ve = classify(REF, method=core.METHOD_EIG)
         assert (vc.physical, vc.separable, vc.p_representable) == (
             ve.physical, ve.separable, ve.p_representable)
+
+
+class TestFolds:
+    @pytest.mark.parametrize("p", NEAR_D0)
+    def test_no_fold_when_mode1_fails(self, p):
+        """d < 0 just past the mode-1 limit: no n2 is physical, so every fold
+        is inf, not a large finite number found by bracket doubling."""
+        assert core.intermediates(p).d < -core.TOL_SING
+        assert core.bisect_n2_threshold(p, "physical") == math.inf
+        assert core.n2_folds(p) == (math.inf, math.inf, math.inf, True)
+
+    def test_unknown_criterion(self):
+        with pytest.raises(KeyError):
+            core.bisect_n2_threshold(REF, "separable")

@@ -51,6 +51,18 @@ def test_mirror_involution(p):
 
 
 @given(param_sets())
+def test_mirrored_covariance_is_partial_transpose_bytes(p):
+    """Separability's oracle margin is the physicality oracle on the mirrored
+    covariance.  Its eigen-oracle input equals, bit for bit, that of the
+    partial transpose of the covariance (the matrices themselves may differ
+    in the sign of a zero, which adding E/2 clears)."""
+    Vm = build_covariance(p.mirror())
+    VT = core.partial_transpose(build_covariance(p))
+    assert np.array_equal(Vm, VT)
+    assert (Vm + core.E / 2).tobytes() == (VT + core.E / 2).tobytes()
+
+
+@given(param_sets())
 def test_partial_transpose_involution_and_hermiticity(p):
     V = build_covariance(p)
     W = core.partial_transpose(V)
@@ -89,7 +101,7 @@ def test_margins_ordered(p):
     """Eigen margins satisfy prep <= separable and prep <= physical."""
     V = build_covariance(p)
     m_prep = core._prep_margin_eig(V)
-    assert core._separable_margin_eig(V) >= m_prep - 1e-12
+    assert core._physical_margin_eig(core.partial_transpose(V)) >= m_prep - 1e-12
     assert core._physical_margin_eig(V) >= m_prep - 1e-12
 
 

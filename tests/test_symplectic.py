@@ -78,7 +78,8 @@ class TestApplyLocal:
             S = random_local_symplectic(rng)
             V = build_covariance(p)
             W = apply_local(S, V)
-            for margin in (core._physical_margin_eig, core._separable_margin_eig):
+            for margin in (core._physical_margin_eig,
+                           lambda M: core._physical_margin_eig(core.partial_transpose(M))):
                 assert (margin(V) >= -core.TOL_PSD) == (margin(W) >= -core.TOL_PSD)
 
     def test_prep_not_preserved(self):
