@@ -6,6 +6,7 @@ from .core import (
     Verdict,
     build_covariance,
     classify,
+    classify_batch,
     decompose_blocks,
     intermediates,
     min_eigenvalue_hermitian,
@@ -35,6 +36,7 @@ __all__ = [
     "apply_local",
     "build_covariance",
     "classify",
+    "classify_batch",
     "decompose_blocks",
     "intermediates",
     "invariants",

@@ -16,8 +16,13 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
             below the S-fold (``core.prep_below_sep``, which ignores
             rounding-level ties) mark operators that are not physical states.
 
-This module only parses, dispatches and serializes: every verdict comes from
-``core.classify`` and every sweep fold from ``core.n2_folds``.
+This module only parses, dispatches and serializes.  ``classify`` evaluates
+all of its states with one ``core.classify_batch`` call per route, and
+``sweep`` folds its whole grid with one ``core.n2_folds_batch`` call; both
+evaluate before they open their output, so an evaluation error, like a
+parse error, exits before any record is written.  ``sample`` draws,
+classifies (one call per route) and writes its states in batches of
+``SAMPLE_BATCH``, so its memory does not grow with ``--count``.
 
 Exit codes: 0 success, 2 parse error, 3 invalid parameters, 4 domain error
 (including numeric overflow), 5 internal assertion.
@@ -121,7 +126,7 @@ def load_states(path: str, fmt: str) -> list[tuple[str | None, GaussianParams]]:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "states" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("states"), list):
             raise ParseError(f"{path}: expected an object with a 'states' array")
         for i, record in enumerate(doc["states"]):
             states.append(record_to_params(record, f"{path} states[{i}]"))
@@ -177,18 +182,18 @@ def _check_tol_psd(tol: float) -> None:
 def cmd_classify(args) -> int:
     _check_tol_psd(args.tol_psd)
     states = load_states(args.input, args.format)
+    params = [p for _, p in states]
+    method = core.METHOD_EIG if args.method == "eig" else core.METHOD_CLOSED
+    verdicts = core.classify_batch(params, method=method, tol_psd=args.tol_psd)
+    if args.method == "both":
+        eig = core.classify_batch(params, method=core.METHOD_EIG, tol_psd=args.tol_psd)
     out, close = _open_output(args.output)
     try:
-        for rec_id, p in states:
+        for i, (rec_id, _) in enumerate(states):
             record: dict = {"id": rec_id}
-            if args.method in ("closed", "both"):
-                v = core.classify(p, method=core.METHOD_CLOSED, tol_psd=args.tol_psd)
-                record.update(verdict_to_dict(v))
-            if args.method == "eig":
-                v = core.classify(p, method=core.METHOD_EIG, tol_psd=args.tol_psd)
-                record.update(verdict_to_dict(v))
+            record.update(verdict_to_dict(verdicts[i]))
             if args.method == "both":
-                ve = core.classify(p, method=core.METHOD_EIG, tol_psd=args.tol_psd)
+                ve = eig[i]
                 record["eig"] = verdict_to_dict(ve)
                 record["methods_agree"] = (
                     record["physical"] == ve.physical
@@ -256,6 +261,21 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
+SAMPLE_BATCH = 1024  # states drawn and classified per batch, so memory does not grow with --count
+
+
+def _sampled(rng, mode: str, count: int, tol_psd: float):
+    """(index, state, closed-form verdict, oracle verdict) of ``count``
+    states drawn one after another from ``rng``, classified in batches of
+    ``SAMPLE_BATCH``."""
+    for start in range(0, count, SAMPLE_BATCH):
+        states = [symplectic.random_physical_state(rng, mode=mode)
+                  for _ in range(min(SAMPLE_BATCH, count - start))]
+        closed = core.classify_batch(states, method=core.METHOD_CLOSED, tol_psd=tol_psd)
+        eig = core.classify_batch(states, method=core.METHOD_EIG, tol_psd=tol_psd)
+        yield from zip(range(start, start + len(states)), states, closed, eig)
+
+
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
@@ -267,10 +287,7 @@ def cmd_sample(args) -> int:
     n_disagree = 0
     witness = None
     try:
-        for i in range(args.count):
-            p = symplectic.random_physical_state(rng, mode=args.mode)
-            vc = core.classify(p, method=core.METHOD_CLOSED, tol_psd=args.tol_psd)
-            ve = core.classify(p, method=core.METHOD_EIG, tol_psd=args.tol_psd)
+        for i, p, vc, ve in _sampled(rng, args.mode, args.count, args.tol_psd):
             margins = [ve.margin_physical, ve.margin_separable, ve.margin_prep]
             off_boundary = all(abs(m) > 1e-8 for m in margins if not math.isnan(m))
             agree = (
@@ -341,6 +358,7 @@ def _parse_axis(spec: str):
 
 def cmd_sweep(args) -> int:
     fixed: dict[str, float] = {}
+    named: list[str] = []  # every parameter given by --fixed or an axis
     for item in args.fixed or []:
         if "=" not in item:
             raise ParseError(f"--fixed expects name=value, got {item!r}")
@@ -351,15 +369,9 @@ def cmd_sweep(args) -> int:
             fixed[name] = float(value)
         except ValueError as exc:
             raise ParseError(f"--fixed {item!r}: {exc}") from exc
+        named.append(name)
 
-    if args.fig1:
-        # Fold comparison of the published figure: m1 = 0.5, m2 = 1, no cross
-        # correlations, swept over the mode-1 occupation.
-        fixed.setdefault("m1", 0.5)
-        fixed.setdefault("m2", 1.0)
-        axis1 = args.axis1 or "n1:0.75:4.0:40"
-    else:
-        axis1 = args.axis1
+    axis1 = args.axis1 or ("n1:0.75:4.0:40" if args.fig1 else None)
     if axis1 is None:
         raise ParseError("--axis1 is required (or use --fig1)")
     name1, grid1 = _parse_axis(axis1)
@@ -367,9 +379,32 @@ def cmd_sweep(args) -> int:
         name2, grid2 = _parse_axis(args.axis2)
         points = [(a, b) for a in grid1 for b in grid2]
         header = [name1, name2]
+        named += [name1, name2]
     else:
         name2, points = None, [(a, None) for a in grid1]
         header = [name1]
+        named.append(name1)
+    twice = sorted({name for name in named if named.count(name) > 1})
+    if twice:
+        raise ParseError(f"{', '.join(twice)} named twice across --axis1, --axis2 and --fixed")
+    if args.fig1:
+        # Fold comparison of the published figure: m1 = 0.5, m2 = 1, no cross
+        # correlations, swept over the mode-1 occupation.
+        for name, value in (("m1", 0.5), ("m2", 1.0)):
+            if name not in named:
+                fixed[name] = value
+
+    params = []
+    for a, b in points:
+        assignment = dict(fixed)
+        assignment[name1] = a
+        if name2 is not None:
+            assignment[name2] = b
+        n1 = assignment.pop("n1", args.n1)
+        params.append(GaussianParams(n1=n1, n2=1.0, **assignment))
+    phys, sep, prep, degenerate = core.n2_folds_batch(params)
+    flags = core.prep_below_sep(prep, sep).tolist()
+    phys, sep, prep, degenerate = phys.tolist(), sep.tolist(), prep.tolist(), degenerate.tolist()
 
     out, close = _open_output(args.output)
     try:
@@ -378,20 +413,13 @@ def cmd_sweep(args) -> int:
             "n2_min_physical", "n2_min_separable", "n2_min_prep",
             "prep_below_sep_flag", "degenerate",
         ])
-        for a, b in points:
-            assignment = dict(fixed)
-            assignment[name1] = a
-            if name2 is not None:
-                assignment[name2] = b
-            n1 = assignment.pop("n1", args.n1)
-            p = GaussianParams(n1=n1, n2=1.0, **assignment)
-            phys, sep, prep, degenerate = core.n2_folds(p)
+        for k, (a, b) in enumerate(points):
             row = [repr(float(a))]
             if name2 is not None:
                 row.append(repr(float(b)))
-            row += [repr(phys), repr(sep), repr(prep),
-                    "1" if core.prep_below_sep(prep, sep) else "0",
-                    "1" if degenerate else "0"]
+            row += [repr(phys[k]), repr(sep[k]), repr(prep[k]),
+                    "1" if flags[k] else "0",
+                    "1" if degenerate[k] else "0"]
             writer.writerow(row)
     finally:
         if close:

@@ -15,11 +15,27 @@ minimum-eigenvalue oracle:
 * separability:       T V T + E/2 >= 0   (partial phase-space mirror)
 * P-representability: V - I/2 >= 0
 
+The criteria are array-native: they evaluate N states at once over a
+struct-of-arrays form of the parameters (``_ParamArrays``: float arrays for
+n1, n2 and an (re, im) pair of float arrays for each complex parameter), and
+the eigen-oracle runs one ``eigvalsh`` over the stacked (N, 4, 4) matrices.
+``classify_batch`` and ``n2_folds_batch`` are the batch entry points.  The
+per-state API (``classify``, ``n2_folds``, the n2 bounds and
+``bisect_n2_threshold``) takes a parameter set, evaluated as a one-element
+batch, or a state of a batch (``_Row``), which it reads out of that batch's
+array pass; the batch entry points are these per-state calls over every
+state of one batch, whose array passes each run once (``_Batch``).  Every
+operation is elementwise or per matrix, so a state's result does not depend
+on the other states in its batch, bit for bit.
+
 Separability is physicality of the partial transpose (Simon's criterion), so
 it has no code of its own: both its margins are the physicality code run on
-the mirrored parameters ``p.mirror()``, the closed form with the mirrored
-intermediates (s, conj(c), d), the oracle on ``build_covariance(p.mirror())``
+the mirrored arrays (ms <-> mc swapped, m2 conjugated), the closed form with
+the mirrored intermediates (s, conj(c), d), the oracle on their covariance
 (``partial_transpose`` of the covariance; once E/2 is added, bit for bit).
+Complex products are computed on the (re, im) float pairs, with the
+groupings of ``_intermediates``, so that the mirrored intermediates are the
+exact conjugates; numpy's vectorised complex kernels do not guarantee that.
 The closed-form n2 bounds used here are the oracle-consistent ones,
 
     n2 >= s/d + sqrt( (1 - delta/d)^2 / 4 + |m2 - c/d|^2 ),
@@ -38,14 +54,18 @@ eigen-oracle bisection at degenerate points) also live here.  A fold is
 ``inf`` when its mode-1 condition fails (d < 0, or V1 - I/2 not >= 0 for P),
 the test the closed margins apply too; ``prep_below_sep`` counts the P-fold
 as below the S-fold only by more than ``FOLD_GAP_RTOL`` * max(1, S-fold).
+Non-finite intermediates or bounds raise ``OverflowError`` for the whole
+batch.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,12 +149,6 @@ class ClosedFormIntermediates:
     c_p: complex
     d_p: float
 
-    def mirror(self) -> "ClosedFormIntermediates":
-        """The intermediates of the mirrored parameters: c and c' conjugate,
-        the rest is invariant (bit for bit, by the groupings in
-        ``intermediates``)."""
-        return dataclasses.replace(self, c=self.c.conjugate(), c_p=self.c_p.conjugate())
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -158,25 +172,189 @@ class Verdict:
     fallbacks: tuple[str, ...] = ()
 
 
-def intermediates(p: GaussianParams) -> ClosedFormIntermediates:
-    """Compute (s, c, d) and the primed P-representability family."""
-    n1, m1, ms, mc = p.n1, p.m1, p.ms, p.mc
+# ---------------------------------------------------------------------------
+# Struct-of-arrays parameters
+
+
+def _mul(a, b):
+    """Complex product of (re, im) pairs, as Python's complex product."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _conj(a):
+    return a[0], -a[1]
+
+
+def _abs(a):
+    return np.hypot(a[0], a[1])
+
+
+def _abs2(a):
+    r = _abs(a)
+    return r * r
+
+
+def _sub(a, b):
+    return a[0] - b[0], a[1] - b[1]
+
+
+def _div(a, x):
+    return a[0] / x, a[1] / x
+
+
+class _ParamArrays(NamedTuple):
+    """N parameter sets: n1, n2 as (N,) float arrays and m1, m2, ms, mc as
+    (re, im) pairs of (N,) float arrays."""
+
+    n1: np.ndarray
+    n2: np.ndarray
+    m1: tuple[np.ndarray, np.ndarray]
+    m2: tuple[np.ndarray, np.ndarray]
+    ms: tuple[np.ndarray, np.ndarray]
+    mc: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def of(cls, params: Sequence[GaussianParams]) -> "_ParamArrays":
+        cols = np.array(
+            [(p.n1, p.n2, p.m1.real, p.m1.imag, p.m2.real, p.m2.imag,
+              p.ms.real, p.ms.imag, p.mc.real, p.mc.imag) for p in params],
+            dtype=float,
+        ).reshape(-1, 10).T.copy()
+        n1, n2, *m = cols
+        return cls(n1, n2, (m[0], m[1]), (m[2], m[3]), (m[4], m[5]), (m[6], m[7]))
+
+    def take(self, rows) -> "_ParamArrays":
+        """The parameter sets at ``rows`` (a boolean mask or an index array)."""
+        return _ParamArrays(
+            self.n1[rows], self.n2[rows],
+            *((z[0][rows], z[1][rows]) for z in (self.m1, self.m2, self.ms, self.mc)),
+        )
+
+    def mirror(self) -> "_ParamArrays":
+        """Array-level partial transpose: swap ms <-> mc, conjugate m2."""
+        return self._replace(m2=_conj(self.m2), ms=self.mc, mc=self.ms)
+
+    def covariance(self) -> np.ndarray:
+        """The (N, 4, 4) covariance matrices, each equal to
+        ``build_covariance`` of its parameter set, bit for bit."""
+        zero = np.zeros_like(self.n1)
+        n1, n2, m1, m2, ms, mc = (self.n1, zero), (self.n2, zero), self.m1, self.m2, self.ms, self.mc
+        rows = (
+            (n1, m1, ms, mc),
+            (_conj(m1), n1, _conj(mc), _conj(ms)),
+            (_conj(ms), mc, n2, m2),
+            (_conj(mc), ms, _conj(m2), n2),
+        )
+        V = np.empty((len(self.n1), 4, 4), dtype=complex)
+        re, im = V.real, V.imag
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                re[:, i, j], im[:, i, j] = z
+        return V
+
+
+class _Intermediates(NamedTuple):
+    """``ClosedFormIntermediates`` of N states, c and c_p as (re, im) pairs."""
+
+    s: np.ndarray
+    c: tuple[np.ndarray, np.ndarray]
+    d: np.ndarray
+    s_p: np.ndarray
+    c_p: tuple[np.ndarray, np.ndarray]
+    d_p: np.ndarray
+
+    def mirror(self) -> "_Intermediates":
+        """The intermediates of the mirrored arrays: c and c' conjugate, the
+        rest is invariant (bit for bit, by the groupings in
+        ``_intermediates``)."""
+        return self._replace(c=_conj(self.c), c_p=_conj(self.c_p))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _intermediates(q: _ParamArrays) -> _Intermediates:
+    """(s, c, d) and the primed P-representability family of every row;
+    OverflowError if any of them is not finite."""
+    n1, m1, ms, mc = q.n1, q.m1, q.ms, q.mc
     # Groupings below are chosen so that swapping ms <-> mc yields the exact
     # complex conjugate bit for bit (the mirror identity is tested exactly).
-    s = n1 * (abs(mc) ** 2 + abs(ms) ** 2) - (2.0 * (mc * ms * m1.conjugate()).real)
-    c = (2.0 * n1) * (ms.conjugate() * mc) - (
-        mc**2 * m1.conjugate() + ms.conjugate() ** 2 * m1
-    )
-    d = n1**2 - 0.25 - abs(m1) ** 2
+    cross = _abs2(mc) + _abs2(ms)
+    re3 = 2.0 * _mul(_mul(mc, ms), _conj(m1))[0]
+    ms_mc = _mul(_conj(ms), mc)
+    sq_mc, sq_ms = _mul(_mul(mc, mc), _conj(m1)), _mul(_mul(_conj(ms), _conj(ms)), m1)
+    squares = sq_mc[0] + sq_ms[0], sq_mc[1] + sq_ms[1]
     h = n1 - 0.5
-    s_p = h * (abs(mc) ** 2 + abs(ms) ** 2) - (2.0 * (mc * ms * m1.conjugate()).real)
-    c_p = (2.0 * h) * (ms.conjugate() * mc) - (
-        mc**2 * m1.conjugate() + ms.conjugate() ** 2 * m1
+    im = _Intermediates(
+        s=n1 * cross - re3,
+        c=_sub((2.0 * n1 * ms_mc[0], 2.0 * n1 * ms_mc[1]), squares),
+        d=n1 * n1 - 0.25 - _abs2(m1),
+        s_p=h * cross - re3,
+        c_p=_sub((2.0 * h * ms_mc[0], 2.0 * h * ms_mc[1]), squares),
+        d_p=h * h - _abs2(m1),
     )
-    d_p = h**2 - abs(m1) ** 2
-    if not all(cmath.isfinite(v) for v in (s, c, d, s_p, c_p, d_p)):
-        raise OverflowError(f"closed-form intermediates overflow for {p}")
-    return ClosedFormIntermediates(s=s, c=c, d=d, s_p=s_p, c_p=c_p, d_p=d_p)
+    finite = np.logical_and.reduce(
+        [np.isfinite(x) for x in (im.s, *im.c, im.d, im.s_p, *im.c_p, im.d_p)])
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise OverflowError(f"closed-form intermediates overflow for state {i} of the batch")
+    return im
+
+
+def intermediates(p: GaussianParams) -> ClosedFormIntermediates:
+    """Compute (s, c, d) and the primed P-representability family."""
+    im = _intermediates(_ParamArrays.of([p]))
+    return ClosedFormIntermediates(
+        s=float(im.s[0]), c=complex(im.c[0][0], im.c[1][0]), d=float(im.d[0]),
+        s_p=float(im.s_p[0]), c_p=complex(im.c_p[0][0], im.c_p[1][0]), d_p=float(im.d_p[0]),
+    )
+
+
+class _Batch:
+    """N states as ``_ParamArrays``.  Each array evaluation over them runs
+    once, at its first use, and is kept; the per-state functions read a
+    state of the batch (a ``_Row``) out of these evaluations."""
+
+    def __init__(self, q: _ParamArrays):
+        self.q = q
+        self._values: dict = {}
+
+    @classmethod
+    def of(cls, params: Sequence[GaussianParams]) -> "_Batch":
+        return cls(_ParamArrays.of(params))
+
+    @cached_property
+    def im(self) -> _Intermediates:
+        return _intermediates(self.q)
+
+    @cached_property
+    def mirror(self) -> "_Batch":
+        """The mirrored states, whose intermediates are ``im.mirror()``."""
+        mirrored = _Batch(self.q.mirror())
+        mirrored.im = self.im.mirror()
+        return mirrored
+
+    def evaluated(self, key, compute):
+        """``compute(self)``, run once per ``key``."""
+        if key not in self._values:
+            self._values[key] = compute(self)
+        return self._values[key]
+
+    def rows(self) -> list["_Row"]:
+        return [_Row(self, i) for i in range(len(self.q.n1))]
+
+
+class _Row(NamedTuple):
+    """State ``index`` of ``batch``."""
+
+    batch: _Batch
+    index: int
+
+    def mirror(self) -> "_Row":
+        return _Row(self.batch.mirror, self.index)
+
+
+def _row(p: GaussianParams | _Row) -> _Row:
+    """``p`` if it is a row of a batch, else the one-element batch of ``p``."""
+    return p if isinstance(p, _Row) else _Row(_Batch.of([p]), 0)
 
 
 def build_covariance(p: GaussianParams) -> np.ndarray:
@@ -194,10 +372,12 @@ def build_covariance(p: GaussianParams) -> np.ndarray:
 
 
 def _require_hermitian(M: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+    """``M`` as a complex array, checked to be a Hermitian matrix or a stack
+    of Hermitian matrices."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise StructuralError(f"expected a square matrix, got shape {M.shape}")
-    dev = np.abs(M - M.conj().T).max()
+    dev = np.abs(M - M.conj().swapaxes(-1, -2)).max(initial=0.0)
     if dev > tol:
         raise StructuralError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     return M
@@ -241,10 +421,12 @@ def decompose_blocks(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return V[:2, :2].copy(), V[2:, 2:].copy(), V[:2, 2:].copy()
 
 
-def min_eigenvalue_hermitian(M: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (oracle backend)."""
+def min_eigenvalue_hermitian(M: np.ndarray):
+    """Smallest eigenvalue of a Hermitian matrix, as a float, or of each
+    matrix of an (N, n, n) stack, as an (N,) array (oracle backend)."""
     M = _require_hermitian(M)
-    return float(np.linalg.eigvalsh(M)[0])
+    lam = np.linalg.eigvalsh(M)[..., 0]
+    return float(lam) if M.ndim == 2 else lam
 
 
 def schur_complement(
@@ -271,25 +453,58 @@ def partial_transpose(V: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form n2 bounds and margins
+# Closed-form n2 bounds and margins, per row; NaN where no bound exists
 
 
-def _physical_bound(p: GaussianParams, im: ClosedFormIntermediates) -> float:
-    if im.d <= TOL_SING:
-        raise DegenerateBoundError(f"physicality bound degenerate: d = {im.d:.3e}")
-    delta = abs(p.mc) ** 2 - abs(p.ms) ** 2
-    return im.s / im.d + math.sqrt(
-        0.25 * (1.0 - delta / im.d) ** 2 + abs(p.m2 - im.c / im.d) ** 2
-    )
+def _checked(x: np.ndarray, defined: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x[defined]).all():
+        raise OverflowError(f"{what} overflows")
+    return x
 
 
-def _prep_bound(p: GaussianParams, im: ClosedFormIntermediates) -> float:
-    if im.d_p <= TOL_SING or p.n1 < 0.5:
-        raise DegenerateBoundError(f"no P-representability bound: d' = {im.d_p:.3e}, n1 = {p.n1}")
-    return 0.5 + im.s_p / im.d_p + abs(p.m2 - im.c_p / im.d_p)
+@np.errstate(over="ignore", invalid="ignore")
+def _physical_bound(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
+    """Smallest n2 with V + E/2 >= 0, NaN where d <= TOL_SING.  On
+    ``(q.mirror(), im.mirror())`` it is the separability bound."""
+    defined = im.d > TOL_SING
+    d = np.where(defined, im.d, np.nan)
+    delta = _abs2(q.mc) - _abs2(q.ms)
+    t = 1.0 - delta / d
+    bound = im.s / d + np.sqrt(0.25 * (t * t) + _abs2(_sub(q.m2, _div(im.c, d))))
+    return _checked(bound, defined, "physicality bound")
 
 
-def physicality_bound_n2(p: GaussianParams) -> float:
+@np.errstate(over="ignore", invalid="ignore")
+def _prep_bound(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
+    """Smallest n2 with V - I/2 >= 0, NaN where d' <= TOL_SING or n1 < 1/2."""
+    defined = (im.d_p > TOL_SING) & (q.n1 >= 0.5)
+    d = np.where(defined, im.d_p, np.nan)
+    bound = 0.5 + im.s_p / d + _abs(_sub(q.m2, _div(im.c_p, d)))
+    return _checked(bound, defined, "P-representability bound")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _literal_prep_fold(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
+    """The published P-fold, NaN where d' <= TOL_SING."""
+    defined = im.d_p > TOL_SING
+    d = np.where(defined, im.d_p, np.nan)
+    fold = im.s_p / d + _abs(_sub(q.m2, im.c_p)) / d + 0.5
+    return _checked(fold, defined, "literal P-fold")
+
+
+def _scalar_bound(bound, p: GaussianParams | _Row, what: str) -> float:
+    """``bound`` of the state ``p``, read from one evaluation over its batch;
+    DegenerateBoundError where it has none."""
+    batch, i = _row(p)
+    b = batch.evaluated(bound, lambda bt: bound(bt.q, bt.im).tolist())[i]
+    if math.isnan(b):
+        im = batch.im
+        raise DegenerateBoundError(
+            f"no {what}: d = {im.d[i]:.3e}, d' = {im.d_p[i]:.3e}, n1 = {float(batch.q.n1[i])}")
+    return b
+
+
+def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     """Smallest n2 compatible with V + E/2 >= 0, at fixed remaining parameters.
 
     Requires d = n1^2 - 1/4 - |m1|^2 > 0; degenerate or negative d raises
@@ -297,54 +512,59 @@ def physicality_bound_n2(p: GaussianParams) -> float:
     fails, so no n2 bound exists).  The separability bound is this function
     applied to ``p.mirror()``.
     """
-    return _physical_bound(p, intermediates(p))
+    return _scalar_bound(_physical_bound, p, "physicality bound")
 
 
-def prep_bound_n2(p: GaussianParams) -> float:
+def prep_bound_n2(p: GaussianParams | _Row) -> float:
     """Smallest n2 with V - I/2 >= 0, at fixed remaining parameters.
 
     Degenerate d' raises DegenerateBoundError, and so does any state whose
     mode-1 condition n1 - 1/2 >= |m1| fails (d' < 0, or n1 < 1/2 with
     d' > 0), since then no n2 bound exists.
     """
-    return _prep_bound(p, intermediates(p))
+    return _scalar_bound(_prep_bound, p, "P-representability bound")
 
 
-# Mode-1 rules: if the mode-1 block fails, no n2 meets the criterion (fold inf).
-def _physical_mode1_fails(p: GaussianParams, im: ClosedFormIntermediates) -> bool:
+# Mode-1 rules: where the mode-1 block fails, no n2 meets the criterion (fold inf).
+def _physical_mode1_fails(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
     return im.d < -TOL_SING  # V1 + Z/2 >= 0 fails
 
 
-def _prep_mode1_fails(p: GaussianParams, im: ClosedFormIntermediates) -> bool:
+def _prep_mode1_fails(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
     # V1 - I/2 >= 0 fails.  n1 < 1/2 counts only off the degenerate band
     # |d'| <= TOL_SING, where the eigen-oracle decides.
-    return im.d_p < -TOL_SING or (im.d_p > TOL_SING and p.n1 < 0.5)
+    return (im.d_p < -TOL_SING) | ((im.d_p > TOL_SING) & (q.n1 < 0.5))
 
 
-def _physical_margin_closed(p: GaussianParams, im: ClosedFormIntermediates) -> float:
-    """Closed-form physicality margin of ``p`` from its intermediates ``im``;
-    DegenerateBoundError for |d| <= TOL_SING.  On ``(p.mirror(), im.mirror())``
-    it is the separability margin of ``p``."""
-    m1_margin = p.n1 - math.sqrt(abs(p.m1) ** 2 + 0.25)
-    if _physical_mode1_fails(p, im):
-        return m1_margin
-    return min(m1_margin, p.n2 - _physical_bound(p, im))
+def _physical_margin_closed(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
+    """Closed-form physicality margin of each row of ``q`` from its
+    intermediates ``im``; NaN exactly where |d| <= TOL_SING (degenerate).
+    On ``(q.mirror(), im.mirror())`` it is the separability margin."""
+    m1_margin = q.n1 - np.sqrt(_abs2(q.m1) + 0.25)
+    return np.where(_physical_mode1_fails(q, im), m1_margin,
+                    np.minimum(m1_margin, q.n2 - _physical_bound(q, im)))
 
 
-def _prep_margin_closed(p: GaussianParams, im: ClosedFormIntermediates) -> float:
-    """Closed-form P-representability margin; DegenerateBoundError for
+def _prep_margin_closed(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
+    """Closed-form P-representability margin; NaN exactly where
     |d'| <= TOL_SING."""
-    m1_margin = p.n1 - abs(p.m1) - 0.5
-    if _prep_mode1_fails(p, im):
-        return m1_margin
-    return min(m1_margin, p.n2 - _prep_bound(p, im))
+    m1_margin = q.n1 - _abs(q.m1) - 0.5
+    return np.where(_prep_mode1_fails(q, im), m1_margin,
+                    np.minimum(m1_margin, q.n2 - _prep_bound(q, im)))
+
+
+def _closed_margins(q: _ParamArrays, im: _Intermediates):
+    """(physical, separable, prep) closed-form margins of every row."""
+    return (_physical_margin_closed(q, im),
+            _physical_margin_closed(q.mirror(), im.mirror()),
+            _prep_margin_closed(q, im))
 
 
 # ---------------------------------------------------------------------------
-# Eigen-oracle margins
+# Eigen-oracle margins, of one covariance matrix (float) or a stack (array)
 
 
-def _physical_margin_eig(V: np.ndarray) -> float:
+def _physical_margin_eig(V: np.ndarray):
     # No separate V >= 0 term is needed: V - E/2 is the complex conjugate of
     # K (V + E/2) K (K swaps the two rows of each mode), so both share one
     # spectrum, and V is their mean, so by Weyl lambda_min(V) >=
@@ -352,132 +572,194 @@ def _physical_margin_eig(V: np.ndarray) -> float:
     return min_eigenvalue_hermitian(V + E / 2)
 
 
-def _prep_margin_eig(V: np.ndarray) -> float:
+def _prep_margin_eig(V: np.ndarray):
     return min_eigenvalue_hermitian(V - I4 / 2)
 
 
-def classify(p: GaussianParams, method: str = METHOD_CLOSED, tol_psd: float = TOL_PSD) -> Verdict:
+# Fallback tuple by bit mask: bit k set means criterion _CRITERIA[k] fell back.
+_CRITERIA = ("physical", "separable", "p_representable")
+_FALLBACKS = tuple(tuple(c for k, c in enumerate(_CRITERIA) if code >> k & 1) for code in range(8))
+
+
+def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
+    """The Verdict of every state of ``batch``, in one array pass.  An
+    ``OverflowError`` from any state's closed form is raised for the whole
+    batch."""
+    if method not in (METHOD_CLOSED, METHOD_EIG):
+        raise ValueError(f"unknown method {method!r}")
+    q = batch.q
+    if method == METHOD_CLOSED:
+        phys, sep, prep = _closed_margins(q, batch.im)
+    else:
+        phys, sep, prep = (np.full(len(q.n1), np.nan) for _ in range(3))
+
+    # The eigen-oracle decides the rows where the closed form is degenerate
+    # or not used.  p's covariances are built once, for the rows whose
+    # physicality or P margin may need it (``at`` maps a row to its matrix).
+    need_phys = np.isnan(phys)
+    maybe_p = need_phys | np.isnan(prep)
+    V = q.take(maybe_p).covariance() if maybe_p.any() else None
+    at = np.cumsum(maybe_p) - 1
+    if need_phys.any():
+        phys[need_phys] = _physical_margin_eig(V[at[need_phys]])
+    physical = phys >= -tol_psd
+    need_sep = np.isnan(sep) & physical
+    need_prep = np.isnan(prep) & physical
+    # Separability is physicality of the mirror, on both routes.
+    if need_sep.any():
+        sep[need_sep] = _physical_margin_eig(q.mirror().take(need_sep).covariance())
+    if need_prep.any():
+        prep[need_prep] = _prep_margin_eig(V[at[need_prep]])
+    sep[~physical] = prep[~physical] = np.nan
+
+    if method == METHOD_CLOSED:
+        codes = (need_phys + 2 * need_sep + 4 * need_prep).tolist()
+    else:
+        codes = [0] * len(q.n1)
+    return [
+        Verdict(
+            physical=ph,
+            separable=s >= -tol_psd if ph else None,
+            p_representable=r >= -tol_psd if ph else None,
+            margin_physical=mp,
+            margin_separable=s,
+            margin_prep=r,
+            method=METHOD_EIG if (method == METHOD_EIG or code) else METHOD_CLOSED,
+            fallbacks=_FALLBACKS[code],
+        )
+        for ph, mp, s, r, code in zip(physical.tolist(), phys.tolist(), sep.tolist(),
+                                      prep.tolist(), codes)
+    ]
+
+
+def classify(p: GaussianParams | _Row, method: str = METHOD_CLOSED,
+             tol_psd: float = TOL_PSD) -> Verdict:
     """Full classification: physicality, then separability and P-representability.
 
     ``method`` is "closed-form" or "eigen-oracle".  The closed-form route
     falls back to the eigen-oracle per criterion when its bound is
     degenerate; any fallback is recorded in ``fallbacks`` and flips
-    ``method`` to "eigen-oracle".
+    ``method`` to "eigen-oracle".  ``p`` is a parameter set or a state of
+    the batch ``classify_batch`` evaluates: the Verdict is read from one
+    array pass over the batch, run at the batch's first call with this
+    method and tolerance.
     """
-    if method not in (METHOD_CLOSED, METHOD_EIG):
-        raise ValueError(f"unknown method {method!r}")
+    batch, i = _row(p)
+    return batch.evaluated((method, tol_psd), lambda bt: _verdicts(bt, method, tol_psd))[i]
 
-    im = intermediates(p) if method == METHOD_CLOSED else None
-    fallbacks: list[str] = []
-    V = None
 
-    def covariance() -> np.ndarray:  # p's covariance, built once, when an oracle needs it
-        nonlocal V
-        if V is None:
-            V = build_covariance(p)
-        return V
-
-    def margin_of(name: str, closed, eig) -> float:
-        if method == METHOD_CLOSED:
-            try:
-                return closed()
-            except DegenerateBoundError:
-                fallbacks.append(name)
-        return eig()
-
-    margin_phys = margin_of("physical", lambda: _physical_margin_closed(p, im),
-                            lambda: _physical_margin_eig(covariance()))
-    physical = margin_phys >= -tol_psd
-    margin_sep = margin_prep = math.nan
-    if physical:
-        # Separability is physicality of the mirror, on both routes.
-        margin_sep = margin_of("separable",
-                               lambda: _physical_margin_closed(p.mirror(), im.mirror()),
-                               lambda: _physical_margin_eig(build_covariance(p.mirror())))
-        margin_prep = margin_of("p_representable", lambda: _prep_margin_closed(p, im),
-                                lambda: _prep_margin_eig(covariance()))
-    return Verdict(
-        physical=physical,
-        separable=margin_sep >= -tol_psd if physical else None,
-        p_representable=margin_prep >= -tol_psd if physical else None,
-        margin_physical=margin_phys,
-        margin_separable=margin_sep,
-        margin_prep=margin_prep,
-        method=METHOD_EIG if (method == METHOD_EIG or fallbacks) else METHOD_CLOSED,
-        fallbacks=tuple(fallbacks),
-    )
+def classify_batch(params: Sequence[GaussianParams], method: str = METHOD_CLOSED,
+                   tol_psd: float = TOL_PSD) -> list[Verdict]:
+    """``classify`` of every parameter set in ``params``, all read from one
+    array pass over them.  Each Verdict equals, bit for bit, that of
+    ``classify`` on its state alone."""
+    return [classify(row, method, tol_psd) for row in _Batch.of(params).rows()]
 
 
 # ---------------------------------------------------------------------------
 # n2 folds for the sweep
 
 
-def literal_prep_fold(p: GaussianParams) -> float:
+def literal_prep_fold(p: GaussianParams | _Row) -> float:
     """The published P-fold: s'/d' + |m2 - c'|/d' + 1/2 (kept literal for the
     fold-comparison figure; its dips below the S-fold are unphysical)."""
-    im = intermediates(p)
-    if im.d_p <= TOL_SING:  # degenerate, or no fold at all for d' < 0
-        raise DegenerateBoundError(f"d' = {im.d_p:.3e}")
-    return im.s_p / im.d_p + abs(p.m2 - im.c_p) / im.d_p + 0.5
+    return _scalar_bound(_literal_prep_fold, p, "literal P-fold")
 
 
-def bisect_n2_threshold(p: GaussianParams, criterion: str, hi: float = 64.0) -> float:
+# criterion -> (oracle margin, mode-1 rule)
+_N2_CRITERIA = {
+    "physical": (_physical_margin_eig, _physical_mode1_fails),
+    "p_representable": (_prep_margin_eig, _prep_mode1_fails),
+}
+
+
+def _bisect_n2(q: _ParamArrays, margin, hi: float = 64.0) -> np.ndarray:
+    """Per row, the smallest n2 with ``margin`` of its covariance >= 0, by
+    bisection on [0, hi] after doubling ``hi`` while the margin there is
+    negative; ``inf`` once ``hi`` doubles past 2^40."""
+    V = q.covariance()
+
+    def f(rows, n2):
+        W = V[rows]
+        W[:, 2, 2] = W[:, 3, 3] = n2
+        return margin(W)
+
+    hi = np.full(len(q.n1), float(hi))
+    pending = np.arange(len(q.n1))
+    while pending.size:
+        pending = pending[f(pending, hi[pending]) < 0.0]
+        hi[pending] *= 2.0
+        over = hi[pending] > 2**40
+        hi[pending[over]] = math.inf
+        pending = pending[~over]
+    live = np.flatnonzero(np.isfinite(hi))
+    if live.size:
+        lo, h = np.zeros(live.size), hi[live]
+        for _ in range(100):
+            mid = (lo + h) / 2
+            ok = f(live, mid) >= 0.0
+            h = np.where(ok, mid, h)
+            lo = np.where(ok, lo, mid)
+        hi[live] = h
+    return hi
+
+
+def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str, hi: float = 64.0) -> float:
     """Smallest n2 satisfying the eigen-oracle criterion, by bisection.
 
     ``criterion`` is "physical" or "p_representable"; separability's is
     "physical" on ``p.mirror()``.  ``inf`` without an oracle call when the
-    mode-1 condition fails, or once ``hi`` doubles past 2^40.
+    mode-1 condition fails (read from one evaluation over the batch of
+    ``p``), or once ``hi`` doubles past 2^40.
     """
-    margin, mode1_fails = {
-        "physical": (_physical_margin_eig, _physical_mode1_fails),
-        "p_representable": (_prep_margin_eig, _prep_mode1_fails),
-    }[criterion]
-    if mode1_fails(p, intermediates(p)):
+    margin, mode1_fails = _N2_CRITERIA[criterion]
+    batch, i = _row(p)
+    if batch.evaluated(mode1_fails, lambda bt: mode1_fails(bt.q, bt.im).tolist())[i]:
         return math.inf
-
-    def f(n2: float) -> float:
-        return margin(build_covariance(dataclasses.replace(p, n2=n2)))
-
-    lo = 0.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-        if hi > 2**40:
-            return math.inf
-    for _ in range(100):
-        mid = (lo + hi) / 2
-        if f(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(_bisect_n2(batch.q.take([i]), margin, hi)[0])
 
 
-def prep_below_sep(prep: float, sep: float) -> bool:
+def prep_below_sep(prep, sep):
     """Whether the sweep's P-fold lies below its S-fold by more than
     ``FOLD_GAP_RTOL`` * max(1, |S-fold|), so that ulp ties do not count.
-    An infinite S-fold counts every finite P-fold as below it."""
-    if math.isinf(sep):
-        return prep < sep
-    return prep < sep - FOLD_GAP_RTOL * max(1.0, abs(sep))
+    An infinite S-fold counts every finite P-fold as below it.  Elementwise
+    on arrays."""
+    gap = np.where(np.isinf(sep), 0.0, FOLD_GAP_RTOL * np.maximum(1.0, np.abs(sep)))
+    return prep < sep - gap
 
 
-def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
+def _n2_fold(bound, p: _Row, criterion: str) -> tuple[float, bool]:
+    """(fold, degenerate): ``bound`` of ``p``, or where it has none the
+    eigen-oracle bisection threshold of ``criterion``."""
+    try:
+        return bound(p), False
+    except DegenerateBoundError:
+        return bisect_n2_threshold(p, criterion), True
+
+
+def n2_folds(p: GaussianParams | _Row) -> tuple[float, float, float, bool]:
     """The physicality, separability and literal P n2 folds at the other
     parameters of ``p``, and whether any of them was degenerate.
 
     Each fold is its closed form where that exists and the eigen-oracle
     bisection threshold (``inf`` if the mode-1 condition fails) otherwise.
+    ``p`` is a parameter set or a state of the batch ``n2_folds_batch``
+    evaluates; the closed forms and mode-1 rules are read from one array
+    pass over the batch.
     """
-    folds = []
-    degenerate = False
-    for criterion, fold, q in (
-        ("physical", physicality_bound_n2, p),
-        ("physical", physicality_bound_n2, p.mirror()),
-        ("p_representable", literal_prep_fold, p),
-    ):
-        try:
-            folds.append(fold(q))
-        except DegenerateBoundError:
-            degenerate = True
-            folds.append(bisect_n2_threshold(q, criterion))
-    return folds[0], folds[1], folds[2], degenerate
+    row = _row(p)
+    (phys, d_phys), (sep, d_sep), (prep, d_prep) = (
+        _n2_fold(physicality_bound_n2, row, "physical"),
+        _n2_fold(physicality_bound_n2, row.mirror(), "physical"),
+        _n2_fold(literal_prep_fold, row, "p_representable"),
+    )
+    return phys, sep, prep, d_phys or d_sep or d_prep
+
+
+def n2_folds_batch(params: Sequence[GaussianParams]):
+    """``n2_folds`` of every parameter set in ``params``, as three (N,)
+    fold arrays and an (N,) degenerate mask, read from one array pass over
+    them."""
+    folds = np.array([n2_folds(row) for row in _Batch.of(params).rows()], dtype=float)
+    phys, sep, prep, degenerate = folds.reshape(-1, 4).T
+    return phys, sep, prep, degenerate.astype(bool)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one PASS line printed per test.
 
-Heavy campaigns use the library's scalar closed forms but batch the
-eigenvalue oracle over stacked 4x4 matrices for speed; the batched oracle
-is spot-checked against the scalar library path.
+Heavy campaigns evaluate the library's array core in one batch and check
+it against the suite's own batched eigenvalue oracle over stacked 4x4
+matrices (``batch_margins_eig``), which is spot-checked against the scalar
+library path.
 """
 
 import csv
@@ -15,7 +16,6 @@ import pytest
 
 from gausssep import cli, core, symplectic
 from gausssep.core import E, GaussianParams, I4, build_covariance
-from gausssep.errors import DegenerateBoundError
 
 BOUNDARY_BAND = 1e-8
 PT_PERM = [0, 1, 3, 2]  # index permutation realizing V -> T V T
@@ -34,24 +34,6 @@ def batch_margins_eig(V):
     sep = np.linalg.eigvalsh(V[:, PT_PERM][:, :, PT_PERM] + E / 2)[:, 0]
     prep = np.linalg.eigvalsh(V - I4 / 2)[:, 0]
     return phys, sep, prep
-
-
-def closed_margins(p):
-    """(physical, separable, prep) closed-form margins; NaN where degenerate.
-
-    Separability is the physicality margin of the mirrored parameters, from
-    the mirrored intermediates, as in ``core.classify``.
-    """
-    im = core.intermediates(p)
-    out = []
-    for fn, q, iq in ((core._physical_margin_closed, p, im),
-                      (core._physical_margin_closed, p.mirror(), im.mirror()),
-                      (core._prep_margin_closed, p, im)):
-        try:
-            out.append(fn(q, iq))
-        except DegenerateBoundError:
-            out.append(math.nan)
-    return out
 
 
 def separable_margin_eig(V):
@@ -77,18 +59,14 @@ def test_oracle_equivalence_campaign():
     params = [symplectic.random_params(rng) for _ in range(n)]
     V = np.stack([build_covariance(p) for p in params])
     eig = np.column_stack(batch_margins_eig(V))
-    closed = np.array([closed_margins(p) for p in params])
+    # The library's closed-form (physical, separable, prep) margins in one
+    # batch, NaN where degenerate: the closed-form path is not defined there.
+    q = core._ParamArrays.of(params)
+    closed = np.column_stack(core._closed_margins(q, core._intermediates(q)))
 
-    disagreements = 0
-    for i in range(n):
-        off_boundary = np.all(np.abs(eig[i]) > BOUNDARY_BAND)
-        if not off_boundary:
-            continue
-        for k in range(3):
-            if math.isnan(closed[i, k]):
-                continue  # degenerate: the closed-form path is not defined
-            if (closed[i, k] >= -core.TOL_PSD) != (eig[i, k] >= -core.TOL_PSD):
-                disagreements += 1
+    off_boundary = np.all(np.abs(eig) > BOUNDARY_BAND, axis=1)
+    differ = (closed >= -core.TOL_PSD) != (eig >= -core.TOL_PSD)
+    disagreements = np.count_nonzero(differ & ~np.isnan(closed) & off_boundary[:, None])
     elapsed = time.time() - t0
     assert disagreements == 0
     assert elapsed < 60.0
@@ -237,20 +215,14 @@ def test_fig1_fold_structure(tmp_path):
 
 def test_mirror_identity_campaign():
     """separability closed form (from the intermediates of p) == physicality
-    closed form of the mirrored parameters on 10^5 draws, bit for bit."""
+    closed form of the mirrored parameters on 10^5 draws, bit for bit, in
+    one batch of the array core; both are NaN exactly where degenerate."""
     rng = np.random.default_rng(555)
     n = 100_000
-    checked = 0
-    for _ in range(n):
-        p = symplectic.random_params(rng)
-        q = p.mirror()
-        try:
-            sep = core._physical_margin_closed(q, core.intermediates(p).mirror())
-        except DegenerateBoundError:
-            with pytest.raises(DegenerateBoundError):
-                core._physical_margin_closed(q, core.intermediates(q))
-            continue
-        assert sep == core._physical_margin_closed(q, core.intermediates(q))
-        checked += 1
+    a = core._ParamArrays.of([symplectic.random_params(rng) for _ in range(n)])
+    q = a.mirror()
+    sep = core._physical_margin_closed(q, core._intermediates(a).mirror())
+    assert sep.tobytes() == core._physical_margin_closed(q, core._intermediates(q)).tobytes()
+    checked = np.count_nonzero(~np.isnan(sep))
     assert checked > 0.99 * n
     report(f"mirror-identity (n={n}, exact float equality)")

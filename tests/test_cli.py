@@ -90,6 +90,30 @@ class TestClassify:
         code, _ = run(["classify", "--input", str(f)], capsys)
         assert code == 3
 
+    def test_batch_equals_concatenated_single_runs(self, tmp_path):
+        """An N-record file gives the bytes of the N one-record runs in a row:
+        a record's output does not depend on the other records."""
+        records = [VACUUM_REC, ENTANGLED_REC,
+                   {"id": "unphys", "params": {"n1": 0.4, "n2": 1}},
+                   {"id": "d0", "params": {"n1": 0.5, "n2": 0.8, "ms": [0.1, 0.2]}},
+                   {"id": "dp0", "params": {"n1": 0.75, "n2": 1.2, "m1": [0, 0.25],
+                                            "m2": [0.3, -0.1], "mc": [0.2, 0]}},
+                   {"id": "gen", "params": {"n1": 1.4, "n2": 1.2, "m1": [0.3, 0.1],
+                                            "m2": [0.1, 0], "ms": [0.25, 0], "mc": [0.4, 0]}}]
+        f = tmp_path / "all.jsonl"
+        write_jsonl(f, records)
+        assert main(["classify", "--input", str(f), "--method", "both",
+                     "--output", str(tmp_path / "all.out")]) == 0
+        singles = b""
+        for k, rec in enumerate(records):
+            g = tmp_path / f"one{k}.jsonl"
+            write_jsonl(g, [rec])
+            o = tmp_path / f"one{k}.out"
+            assert main(["classify", "--input", str(g), "--method", "both",
+                         "--output", str(o)]) == 0
+            singles += o.read_bytes()
+        assert (tmp_path / "all.out").read_bytes() == singles
+
     def test_output_file_deterministic(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [VACUUM_REC, ENTANGLED_REC])
@@ -165,6 +189,19 @@ class TestSample:
         summary = json.loads(o.read_text().splitlines()[-1])["summary"]
         assert summary["prep_and_entangled"] == 0
         assert summary["method_disagreements_off_boundary"] == 0
+
+    def test_output_independent_of_batch_size(self, tmp_path, monkeypatch):
+        """sample draws and classifies in batches of SAMPLE_BATCH; the
+        states, verdicts and summary must not depend on where they split."""
+        outputs = []
+        for size in (cli.SAMPLE_BATCH, 7, 1):
+            monkeypatch.setattr(cli, "SAMPLE_BATCH", size)
+            o = tmp_path / f"s{size}.jsonl"
+            assert main(["sample", "--count", "20", "--seed", "5", "--mode", "reject",
+                         "--output", str(o)]) == 0
+            outputs.append(o.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0].splitlines()) == 21
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         o1, o2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -250,6 +287,19 @@ class TestSweep:
                        "--output", str(tmp_path / "x.csv")], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--axis1", "mc:0:1:3", "--axis2", "mc:0:1:3"],
+        ["--axis1", "mc:0:1:3", "--fixed", "mc=0.5"],
+        ["--axis1", "m1:0:1:3", "--axis2", "ms:0:1:3", "--fixed", "ms=0.1"],
+        ["--axis1", "m1:0:1:3", "--fixed", "m2=0.1", "--fixed", "m2=0.2"],
+    ])
+    def test_parameter_named_twice_exit_2(self, tmp_path, capsys, argv):
+        # the later assignment would overwrite the earlier one in every row
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 2
+        assert "named twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_axes(self, tmp_path):
         o = tmp_path / "s.csv"
         assert main(["sweep", "--axis1", "mc:0:0.5:3", "--axis2", "ms:0:0.5:3",
@@ -272,6 +322,11 @@ class TestExitCodes:
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [{"params": {"n1": 1, "n2": 1, "mc": ["a", 1]}}])
         self.check(["classify", "--input", str(f)], 2, capsys)
+
+    def test_states_not_a_list_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({"states": 5}))
+        self.check(["classify", "--input", str(f), "--format", "json"], 2, capsys)
 
     def test_missing_input_file_exit_2(self, tmp_path, capsys):
         self.check(["classify", "--input", str(tmp_path / "absent.jsonl")], 2, capsys)
@@ -312,6 +367,17 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err
         assert "Infinity" not in captured.out
+
+    def test_overflow_after_valid_record_writes_nothing(self, tmp_path, capsys):
+        # the whole file is evaluated before the first record is written
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [VACUUM_REC,
+                        {"params": {"n1": 1e150, "n2": 1e150, "mc": [1e150, 0]}}])
+        assert main(["classify", "--input", str(f), "--method", "both"]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert "Infinity" not in captured.out
+        assert captured.out == ""
 
 
 def test_console_entry_point(tmp_path):

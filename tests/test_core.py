@@ -185,8 +185,8 @@ class TestPhysicality:
         assert min_eigenvalue_hermitian(V + E / 2) >= -core.TOL_PSD
 
     def test_vacuum_routes_to_oracle(self):
-        with pytest.raises(DegenerateBoundError):
-            core._physical_margin_closed(VACUUM, core.intermediates(VACUUM))
+        q = core._ParamArrays.of([VACUUM])
+        assert np.isnan(core._physical_margin_closed(q, core._intermediates(q))[0])
         v = classify(VACUUM, method=core.METHOD_EIG)
         assert v.physical
         assert v.margin_physical == pytest.approx(0.0, abs=1e-14)
@@ -313,15 +313,42 @@ class TestClassify:
 
     def test_covariance_built_only_for_the_oracle(self, monkeypatch):
         built = []
-        real = core.build_covariance
-        monkeypatch.setattr(core, "build_covariance", lambda p: built.append(p) or real(p))
+        real = core._ParamArrays.covariance
+        monkeypatch.setattr(core._ParamArrays, "covariance",
+                            lambda q: built.append(real(q)) or built[-1])
+
+        def expect(*states):
+            return [build_covariance(p)[None].tobytes() for p in states]
+
         classify(REF)  # closed form, no fallback
         assert built == []
         classify(VACUUM)  # all three fall back: p's covariance once, the mirror's once
-        assert built == [VACUUM, VACUUM.mirror()]
+        assert [V.tobytes() for V in built] == expect(VACUUM, VACUUM.mirror())
         built.clear()
         classify(REF, method=core.METHOD_EIG)
-        assert built == [REF, REF.mirror()]
+        assert [V.tobytes() for V in built] == expect(REF, REF.mirror())
+        built.clear()
+        core.classify_batch([REF, VACUUM], method=core.METHOD_EIG)  # one stack each per batch
+        assert [V.tobytes() for V in built] == [
+            np.stack([build_covariance(p) for p in states]).tobytes()
+            for states in ([REF, VACUUM], [REF.mirror(), VACUUM.mirror()])]
+        built.clear()
+        classify(GaussianParams(0.4, 1.0), method=core.METHOD_EIG)  # unphysical: one oracle
+        assert len(built) == 1
+
+    def test_batch_evaluates_once(self, monkeypatch):
+        """The batch entry points read every state out of one array pass:
+        the intermediates are computed once per batch, and the sweep's
+        mirrored states conjugate them instead of computing their own."""
+        sizes = []
+        real = core._intermediates
+        monkeypatch.setattr(core, "_intermediates", lambda q: sizes.append(len(q.n1)) or real(q))
+        states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.4, 1.0)]
+        core.classify_batch(states)
+        assert sizes == [len(states)]
+        sizes.clear()
+        core.n2_folds_batch(states)
+        assert sizes == [len(states)]
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

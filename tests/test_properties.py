@@ -1,14 +1,13 @@
 """Property-based cross-validation of the closed forms against the oracle."""
 
 import math
+import struct
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from gausssep import core
 from gausssep.core import GaussianParams, build_covariance
-from gausssep.errors import DegenerateBoundError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -34,15 +33,67 @@ def param_sets(draw, n_lo=0.4, n_hi=3.0, m_max=1.0):
 @given(param_sets())
 def test_mirror_identity_exact(p):
     """separability closed form (physicality on the mirrored intermediates of
-    p) == physicality closed form of the mirrored parameters, bit for bit."""
-    q = p.mirror()
-    try:
-        sep = core._physical_margin_closed(q, core.intermediates(p).mirror())
-    except DegenerateBoundError:
-        with pytest.raises(DegenerateBoundError):
-            core._physical_margin_closed(q, core.intermediates(q))
-        return
-    assert sep == core._physical_margin_closed(q, core.intermediates(q))
+    p) == physicality closed form of the mirrored parameters, bit for bit,
+    in the array core; both are NaN where degenerate."""
+    a = core._ParamArrays.of([p])
+    q = a.mirror()
+    sep = core._physical_margin_closed(q, core._intermediates(a).mirror())
+    assert np.array_equal(sep, core._physical_margin_closed(q, core._intermediates(q)),
+                          equal_nan=True)
+
+
+@st.composite
+def edge_sets(draw):
+    """d = d' = 0 (n1 = 1/2, m1 = 0), d' = 0 with d > 0 (n1 - 1/2 = |m1|
+    exactly), or a near-vacuum mode 1 with a small cross correlation."""
+    kind = draw(st.sampled_from(["d0", "dp0", "near_vacuum"]))
+    n2 = draw(st.floats(0.4, 3.0))
+    m2, ms, mc = draw(complexes(1.0)), draw(complexes(1.0)), draw(complexes(1.0))
+    if kind == "d0":
+        quiet = draw(st.booleans())
+        return GaussianParams(0.5, n2, m2=m2, ms=0 if quiet else ms, mc=0 if quiet else mc)
+    if kind == "dp0":
+        k = draw(st.integers(1, 128)) / 64
+        unit = draw(st.sampled_from([1, -1, 1j, -1j]))
+        return GaussianParams(0.5 + k, n2, m1=k * unit, m2=m2, ms=ms, mc=mc)
+    n1 = draw(st.sampled_from([0.5, math.nextafter(0.5, 0), math.nextafter(0.5, 1)]))
+    return GaussianParams(n1, draw(st.floats(0.5, 0.6)), mc=draw(complexes(1e-5)))
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+@given(st.lists(st.one_of(param_sets(), edge_sets()), min_size=1, max_size=20))
+def test_batch_equals_one_element_views(params):
+    """A state's Verdict and covariance do not depend on the other states in
+    its batch: classify_batch equals per-state classify field by field, bit
+    for bit, on mixed unphysical, d = 0, d' = 0 and near-vacuum states."""
+    for method in (core.METHOD_CLOSED, core.METHOD_EIG):
+        batch = core.classify_batch(params, method=method)
+        assert len(batch) == len(params)
+        for p, v in zip(params, batch):
+            w = core.classify(p, method=method)
+            assert (v.physical, v.separable, v.p_representable, v.method, v.fallbacks) == (
+                w.physical, w.separable, w.p_representable, w.method, w.fallbacks)
+            for a, b in ((v.margin_physical, w.margin_physical),
+                         (v.margin_separable, w.margin_separable),
+                         (v.margin_prep, w.margin_prep)):
+                assert bits(a) == bits(b)
+    V = core._ParamArrays.of(params).covariance()
+    for p, Vp in zip(params, V):
+        assert Vp.tobytes() == build_covariance(p).tobytes()
+
+
+@given(st.lists(st.one_of(param_sets(), edge_sets()), min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_batch_folds_equal_one_element_views(params):
+    """n2_folds_batch equals per-state n2_folds bit for bit, bisections included."""
+    phys, sep, prep, degenerate = core.n2_folds_batch(params)
+    for i, p in enumerate(params):
+        one = core.n2_folds(p)
+        assert [bits(x) for x in one[:3]] == [bits(x) for x in (phys[i], sep[i], prep[i])]
+        assert one[3] == degenerate[i]
 
 
 @given(param_sets())
