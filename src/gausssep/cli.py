@@ -64,21 +64,30 @@ class ParseError(Exception):
 # Input handling
 
 
+def _to_float(value, where: str) -> float:
+    """``value`` if it is a JSON number, which ``json`` parses to an int or a
+    float (a bool is neither here)."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ParseError(f"{where}: expected a number, got {value!r}")
+
+
 def _to_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+    """A JSON number or an [re, im] pair of JSON numbers."""
     if isinstance(value, list) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: bad [re, im] pair {value!r}: {exc}") from exc
-    raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
+        return complex(_to_float(value[0], where), _to_float(value[1], where))
+    return complex(_to_float(value, where))
 
 
 def record_to_params(record: dict, where: str) -> tuple[str | None, GaussianParams]:
     if not isinstance(record, dict):
         raise ParseError(f"{where}: expected an object")
     rec_id = record.get("id")
+    if not isinstance(rec_id, (str, type(None))):
+        try:
+            json.dumps(rec_id, allow_nan=False)  # it is echoed, and NaN is not JSON
+        except ValueError as exc:
+            raise ParseError(f"{where}: bad id: {exc}") from exc
     has_params = "params" in record
     has_matrix = "matrix" in record
     if has_params == has_matrix:
@@ -87,11 +96,8 @@ def record_to_params(record: dict, where: str) -> tuple[str | None, GaussianPara
         raw = record["params"]
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: 'params' must be an object")
-        try:
-            n1 = float(raw["n1"])
-            n2 = float(raw["n2"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{where}: bad or missing n1/n2: {exc}") from exc
+        n1 = _to_float(raw.get("n1"), f"{where}.n1")
+        n2 = _to_float(raw.get("n2"), f"{where}.n2")
         kwargs = {}
         for name in ("m1", "m2", "ms", "mc"):
             if name in raw:
@@ -124,7 +130,7 @@ def load_states(path: str, fmt: str) -> list[tuple[str | None, GaussianParams]]:
     if fmt == "json":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict) or not isinstance(doc.get("states"), list):
             raise ParseError(f"{path}: expected an object with a 'states' array")
@@ -136,7 +142,7 @@ def load_states(path: str, fmt: str) -> list[tuple[str | None, GaussianParams]]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             states.append(record_to_params(record, f"{path}:{lineno}"))
     return states
@@ -351,8 +357,8 @@ def _parse_axis(spec: str):
         raise ParseError(f"axis spec {spec!r}: {exc}") from exc
     if name not in SWEEPABLE:
         raise ParseError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
-    if steps < 2 or not lo < hi:
-        raise ParseError(f"axis spec needs steps >= 2 and min < max, got {spec!r}")
+    if steps < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ParseError(f"axis spec needs steps >= 2 and finite min < max, got {spec!r}")
     return name, np.linspace(lo, hi, steps)
 
 

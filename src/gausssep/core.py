@@ -80,6 +80,7 @@ from .errors import (
 TOL_PSD = 1e-10
 TOL_HERM = 1e-12
 TOL_SING = 1e-12
+TOL_PATTERN = 1e-9  # entrywise, a matrix against the rebuild of its parameters
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 
 # Canonical constant matrices.
@@ -371,48 +372,42 @@ def build_covariance(p: GaussianParams) -> np.ndarray:
     )
 
 
-def _require_hermitian(M: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def _require_hermitian(M: np.ndarray) -> np.ndarray:
     """``M`` as a complex array, checked to be a Hermitian matrix or a stack
-    of Hermitian matrices."""
+    of Hermitian matrices (a NaN entry fails)."""
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise StructuralError(f"expected a square matrix, got shape {M.shape}")
     dev = np.abs(M - M.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if dev > tol:
+    if not dev <= TOL_HERM:
         raise StructuralError(f"matrix is not Hermitian: max deviation {dev:.3e}")
     return M
 
 
-def params_from_covariance(V: np.ndarray, tol: float = 1e-9) -> GaussianParams:
-    """Read the six parameters off a structured 4x4 covariance matrix.
+def _rebuild_residual(V: np.ndarray, p: GaussianParams) -> tuple[float, bool]:
+    """(max |V - build_covariance(p)| over all 16 entries, whether it is at
+    most TOL_PATTERN); a NaN entry of V fails."""
+    residual = float(np.abs(V - build_covariance(p)).max())
+    return residual, residual <= TOL_PATTERN
 
-    Rejects matrices that are not Hermitian or do not carry the required
-    conjugation pattern between the two rows of each mode.
+
+def params_from_covariance(V: np.ndarray) -> GaussianParams:
+    """Read the six parameters off a two-mode covariance matrix.
+
+    V is accepted iff it rebuilds from the parameters read off it, which
+    covers Hermiticity and the conjugation pattern between the two rows of
+    each mode (``_rebuild_residual``); otherwise StructuralError.
     """
-    V = _require_hermitian(V, tol)
+    V = np.asarray(V, dtype=complex)
     if V.shape != (4, 4):
         raise StructuralError(f"expected a 4x4 matrix, got shape {V.shape}")
-    checks = [
-        abs(V[0, 0] - V[1, 1]),
-        abs(V[2, 2] - V[3, 3]),
-        abs(V[0, 0].imag),
-        abs(V[2, 2].imag),
-        abs(V[0, 2] - V[1, 3].conjugate()),
-        abs(V[0, 3] - V[1, 2].conjugate()),
-    ]
-    if max(checks) > tol:
+    p = GaussianParams(n1=V[0, 0].real, n2=V[2, 2].real, m1=V[0, 1], m2=V[2, 3],
+                       ms=V[0, 2], mc=V[0, 3])
+    residual, ok = _rebuild_residual(V, p)
+    if not ok:
         raise StructuralError(
-            "matrix does not have the two-mode covariance pattern "
-            f"(max deviation {max(checks):.3e})"
-        )
-    return GaussianParams(
-        n1=V[0, 0].real,
-        n2=V[2, 2].real,
-        m1=V[0, 1],
-        m2=V[2, 3],
-        ms=V[0, 2],
-        mc=V[0, 3],
-    )
+            f"matrix does not have the two-mode covariance pattern (max deviation {residual:.3e})")
+    return p
 
 
 def decompose_blocks(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -423,9 +418,12 @@ def decompose_blocks(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def min_eigenvalue_hermitian(M: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix, as a float, or of each
-    matrix of an (N, n, n) stack, as an (N,) array (oracle backend)."""
+    matrix of an (N, n, n) stack, as an (N,) array (oracle backend);
+    OverflowError if one is not finite."""
     M = _require_hermitian(M)
     lam = np.linalg.eigvalsh(M)[..., 0]
+    if not (math.isfinite(lam) if M.ndim == 2 else np.isfinite(lam).all()):
+        raise OverflowError("eigen-oracle overflows")
     return float(lam) if M.ndim == 2 else lam
 
 
@@ -436,7 +434,8 @@ def schur_complement(
     shift1: np.ndarray,
     shift2: np.ndarray,
 ) -> np.ndarray:
-    """(V2 + shift2) - C+ (V1 + shift1)^-1 C, for the block positivity test."""
+    """(V2 + shift2) - C+ (V1 + shift1)^-1 C: the independent block positivity
+    test that the closed-form bounds are checked against in ``test_core.py``."""
     A = np.asarray(V1, dtype=complex) + np.asarray(shift1, dtype=complex)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     if abs(det) <= TOL_SING:

@@ -20,7 +20,7 @@ from . import core
 from .core import GaussianParams, Z, build_covariance, params_from_covariance
 from .errors import DomainError, PrescriptionInapplicableError, SamplingBudgetError
 
-TOL_FORM = 1e-9
+TOL_FORM = core.TOL_PATTERN  # the target form is checked by the structural rule
 
 FORM1 = "form1"
 FORM2 = "form2"
@@ -71,13 +71,18 @@ def make_local_symplectic(
     return LocalSymplectic(theta1, phi1, vphi1, theta2, phi2, vphi2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply_local(S: LocalSymplectic, V: np.ndarray) -> np.ndarray:
-    """Transformed covariance S+ V S (blockwise V_i -> S_i+ V_i S_i, C -> S1+ C S2)."""
+    """Transformed covariance S+ V S (blockwise V_i -> S_i+ V_i S_i, C -> S1+ C S2);
+    OverflowError if an entry is not finite."""
     M = S.realized
     V = np.asarray(V, dtype=complex)
     W = M.conj().T @ V @ M
     # Symmetrize away the last-bit Hermiticity loss of the two products.
-    return (W + W.conj().T) / 2
+    W = (W + W.conj().T) / 2
+    if not np.isfinite(W).all():
+        raise OverflowError("local symplectic transform overflows")
+    return W
 
 
 @dataclass(frozen=True)
@@ -91,12 +96,16 @@ class SymplecticInvariants:
     i4: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def invariants(V: np.ndarray) -> SymplecticInvariants:
+    """I1..I4 of V; OverflowError if any of them is not finite."""
     V1, V2, C = core.decompose_blocks(V)
     i1 = np.linalg.det(V1).real
     i2 = np.linalg.det(V2).real
     i3 = np.linalg.det(C).real
     i4 = np.trace(V1 @ Z @ C @ Z @ V2 @ Z @ C.conj().T @ Z).real
+    if not all(map(math.isfinite, (i1, i2, i3, i4))):
+        raise OverflowError("symplectic invariants overflow")
     return SymplecticInvariants(i1=float(i1), i2=float(i2), i3=float(i3), i4=float(i4))
 
 
@@ -112,9 +121,13 @@ class InvariantFormResult:
     residual: float
 
     def reduced_params(self) -> GaussianParams:
-        if self.form == FORM1:
-            return GaussianParams(n1=self.nu1, n2=self.nu2, mc=self.mu)
-        return GaussianParams(n1=self.nu1, n2=self.nu2, ms=self.mu)
+        return _form_params(self.form, self.nu1, self.nu2, self.mu)
+
+
+def _form_params(form: str, nu1: float, nu2: float, mu: complex) -> GaussianParams:
+    """Invariant form ``form``: V1 = nu1 I, V2 = nu2 I and the one cross
+    correlation mu, mc in form 1 and ms in form 2."""
+    return GaussianParams(n1=nu1, n2=nu2, **{"mc" if form == FORM1 else "ms": mu})
 
 
 def _squeeze_angles(m: complex, n: float) -> tuple[float, float]:
@@ -137,12 +150,14 @@ def reduction_transform(p: GaussianParams) -> LocalSymplectic:
     return LocalSymplectic(theta1, phi1, 0.0, theta2, phi2, 0.0)
 
 
-def reduce_to_invariant_form(p: GaussianParams, tol_form: float = TOL_FORM) -> InvariantFormResult:
+def reduce_to_invariant_form(p: GaussianParams) -> InvariantFormResult:
     """Apply the squeeze-and-phase prescription and verify the target pattern.
 
     The prescription fixes each mode's squeeze from its own local anomalous
-    term only; inputs whose cross block is incompatible with the target
-    pattern raise PrescriptionInapplicableError carrying the residual.
+    term only; inputs whose transformed matrix does not rebuild from the
+    target form's parameters (the structural rule of
+    ``core.params_from_covariance``) raise PrescriptionInapplicableError
+    carrying the residual.
     """
     V = build_covariance(p)
     if not core._physical_margin_eig(V) >= -core.TOL_PSD:
@@ -154,37 +169,15 @@ def reduce_to_invariant_form(p: GaussianParams, tol_form: float = TOL_FORM) -> I
     nu1 = float((W[0, 0].real + W[1, 1].real) / 2)
     nu2 = float((W[2, 2].real + W[3, 3].real) / 2)
     mu = complex(W[0, 3]) if form == FORM1 else complex(W[0, 2])
-    ideal_params = (
-        GaussianParams(n1=nu1, n2=nu2, mc=mu)
-        if form == FORM1
-        else GaussianParams(n1=nu1, n2=nu2, ms=mu)
-    )
-    residual = float(np.abs(W - build_covariance(ideal_params)).max())
-    if residual > tol_form:
+    residual, ok = core._rebuild_residual(W, _form_params(form, nu1, nu2, mu))
+    if not ok:
         raise PrescriptionInapplicableError(
-            f"reduction to {form} failed: residual {residual:.3e} exceeds {tol_form:.1e}",
+            f"reduction to {form} failed: residual {residual:.3e} exceeds {TOL_FORM:.1e}",
             residual,
         )
     return InvariantFormResult(
         form=form, nu1=nu1, nu2=nu2, mu=mu, transform=S, residual=residual
     )
-
-
-def predicted_reduced_correlation(p: GaussianParams) -> complex:
-    """Closed-form value of the surviving cross correlation after reduction.
-
-    The magnitude sqrt(||mc|^2 - |ms|^2|) is the invariant content; the
-    phase depends on the residual-rotation convention and need not match
-    the measured transformed matrix.
-    """
-    S = reduction_transform(p)
-    if abs(p.mc) >= abs(p.ms):
-        if abs(p.mc) == 0.0:
-            return 0.0
-        phase = np.exp(-1j * (S.phi1 + S.phi2)) * (p.mc / abs(p.mc))
-        return complex(phase * math.sqrt(abs(p.mc) ** 2 - abs(p.ms) ** 2))
-    phase = np.exp(-1j * (S.phi1 - S.phi2)) * (p.ms / abs(p.ms))
-    return complex(phase * math.sqrt(abs(p.ms) ** 2 - abs(p.mc) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gausssep import cli
+from gausssep import cli, core
 from gausssep.cli import main
+from gausssep.core import GaussianParams
 
 
 def run(args, capsys):
@@ -311,12 +316,24 @@ class TestSweep:
             "n2_min_prep", "prep_below_sep_flag", "degenerate"}
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(line):
+    """``line`` parsed as standard JSON: NaN and Infinity are rejected."""
+    return json.loads(line, parse_constant=_no_constant)
+
+
 class TestExitCodes:
     """Failures map to the documented exit codes, never to a traceback."""
 
     def check(self, argv, code, capsys):
         assert main(argv) == code
-        assert "Traceback" not in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and "RuntimeWarning" not in captured.err
+        for line in captured.out.splitlines():
+            strict_json(line)
 
     def test_non_numeric_pair_exit_2(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
@@ -339,6 +356,56 @@ class TestExitCodes:
         monkeypatch.setenv("GAUSSSEP_SEED", "abc")
         self.check(["sample", "--count", "1",
                     "--output", str(tmp_path / "x.jsonl")], 2, capsys)
+
+    @pytest.mark.parametrize("params", [
+        {"n1": True, "n2": 1}, {"n1": "1", "n2": 1}, {"n1": 1, "n2": None},
+        {"n1": 1, "n2": 1, "mc": True}, {"n1": 1, "n2": 1, "m1": ["1", 0]},
+        {"n1": 1, "n2": 1, "ms": [0, False]},
+    ])
+    def test_non_number_exit_2(self, tmp_path, capsys, params):
+        # only JSON numbers are numbers: no bools, no numeric strings
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": params}])
+        self.check(["classify", "--input", str(f)], 2, capsys)
+
+    def test_non_finite_id_exit_2(self, tmp_path, capsys):
+        # the id is echoed, and NaN is not JSON
+        f = tmp_path / "in.jsonl"
+        f.write_text('{"id": [1, NaN], "params": {"n1": 1, "n2": 1}}\n')
+        self.check(["classify", "--input", str(f)], 2, capsys)
+
+    def test_json_past_parser_limits(self, tmp_path, capsys):
+        f = tmp_path / "in.jsonl"
+        f.write_text("[" * 100000 + "\n")
+        self.check(["classify", "--input", str(f)], 2, capsys)
+        # Python 3.11+ refuses to parse so long an int (exit 2); older ones
+        # parse it and cannot make it a float (exit 4)
+        f.write_text('{"params": {"n1": %s, "n2": 1}}\n' % ("1" * 5000))
+        assert main(["classify", "--input", str(f)]) in (2, 4)
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["m1:0:inf:3", "m1:-inf:0:3", "m1:nan:1:3"])
+    def test_non_finite_axis_bound_exit_2(self, tmp_path, capsys, axis):
+        self.check(["sweep", "--axis1", axis, "--output", str(tmp_path / "x.csv")], 2, capsys)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(4)])
+    def test_non_finite_matrix_entry_exit_3(self, tmp_path, capsys, i, j, value):
+        # the identity with NaN at [1][0] was once classified physical
+        m = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+        m[i][j][0] = value
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"matrix": m}])
+        self.check(["classify", "--input", str(f), "--method", "both"], 3, capsys)
+
+    @pytest.mark.parametrize("argv, params", [
+        (["invariants"], {"n1": 1e160, "n2": 1, "mc": [1e155, 0]}),
+        (["transform", "--theta1", "400"], {"n1": 1, "n2": 1}),
+    ])
+    def test_symplectic_overflow_exit_4(self, tmp_path, capsys, argv, params):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": params}])
+        self.check([*argv, "--input", str(f)], 4, capsys)
 
     def test_non_finite_parameter_exit_3(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
@@ -368,6 +435,14 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "Infinity" not in captured.out
 
+    @pytest.mark.parametrize("method", ["eig", "both"])
+    def test_oracle_overflow_exit_4(self, tmp_path, capsys, method):
+        # the oracle's smallest eigenvalue overflows to -inf; no margin may be -Infinity
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 0, "n2": 0, "m1": [0, 1.5], "m2": 1.7976931348623157e308,
+                                    "ms": [0, 1], "mc": [0, 1.4375]}}])
+        self.check(["classify", "--input", str(f), "--method", method], 4, capsys)
+
     def test_overflow_after_valid_record_writes_nothing(self, tmp_path, capsys):
         # the whole file is evaluated before the first record is written
         f = tmp_path / "in.jsonl"
@@ -392,3 +467,64 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["physical"]
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any record gives a documented exit code and strict JSON output
+
+_numbers = st.one_of(
+    st.floats(),  # NaN, infinities, subnormals and extremes included
+    st.sampled_from([1e155, 1e160, 1e300, 1.7976931348623157e308, 5e-324]),
+    st.integers(-10**400, 10**400),
+)
+_values = st.one_of(
+    _numbers, st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(_numbers, max_size=3), st.dictionaries(st.text(max_size=2), _numbers, max_size=2),
+)
+_PARAMS = ("n1", "n2", "m1", "m2", "ms", "mc")
+
+
+@st.composite
+def _records(draw):
+    """A params or matrix record of a box draw (physical or not), half of
+    them with one value replaced from ``_values``, or a malformed record."""
+    n = st.floats(0.0, 3.0)
+    z = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)).map(list)
+    params = {"n1": draw(n), "n2": draw(n), **{k: draw(z) for k in _PARAMS[2:]}}
+    kind = draw(st.sampled_from(["params", "matrix", "malformed"]))
+    if kind == "params":
+        if draw(st.booleans()):
+            params[draw(st.sampled_from(_PARAMS))] = draw(_values)
+        record = {"params": params}
+    elif kind == "matrix":
+        V = core.build_covariance(GaussianParams(**{k: complex(*v) if isinstance(v, list) else v
+                                                    for k, v in params.items()}))
+        m = [[[c.real, c.imag] for c in row] for row in V.tolist()]
+        if draw(st.booleans()):
+            i, j, k = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 1))
+            m[i][j][k] = draw(_values)
+        record = {"matrix": m}
+    else:
+        record = draw(st.one_of(_values, st.fixed_dictionaries(
+            {}, optional={"params": _values, "matrix": _values})))
+    if isinstance(record, dict) and draw(st.booleans()):
+        record["id"] = draw(st.one_of(st.text(max_size=3), _values))
+    return record
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_records(), min_size=1, max_size=2))
+def test_cli_fuzz(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "in.jsonl")
+        with open(f, "w") as fh:
+            fh.write("".join(json.dumps(r) + "\n" for r in records))
+        for argv in (["classify", "--method", "both"], ["invariants"],
+                     ["transform", "--reduce"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--input", f])
+            assert code in (0, 2, 3, 4, 5)
+            assert "Traceback" not in err.getvalue()
+            for line in out.getvalue().splitlines():
+                strict_json(line)

@@ -5,6 +5,7 @@ import pytest
 
 from gausssep import core
 from gausssep.core import (
+    TOL_PATTERN,
     E,
     GaussianParams,
     I2,
@@ -90,6 +91,48 @@ class TestBuildCovariance:
         assert params_from_covariance(build_covariance(p)) == p
 
 
+GENERIC = GaussianParams(1.2, 0.9, m1=0.1 + 0.2j, m2=-0.3j, ms=0.4 - 0.1j, mc=0.2j)
+
+
+class TestStructuralRule:
+    """A matrix is accepted iff it rebuilds from the parameters read off it,
+    within TOL_PATTERN in every entry."""
+
+    @pytest.mark.parametrize("edits", [
+        {(1, 1): 0.1},                         # V11 != V00
+        {(3, 3): -0.1},                        # V33 != V22
+        {(2, 2): 0.1j},                        # non-real diagonal
+        {(1, 3): 0.1, (3, 1): 0.1},            # V13 != conj V02, still Hermitian
+        {(1, 2): 0.1j, (2, 1): -0.1j},         # V12 != conj V03, still Hermitian
+        {(3, 0): 0.1},                         # lower triangle != conj of upper
+        {(1, 0): 2 * TOL_PATTERN},             # just past the tolerance
+    ])
+    def test_broken_relation_rejected(self, edits):
+        V = build_covariance(GENERIC)
+        for ij, dv in edits.items():
+            V[ij] += dv
+        with pytest.raises(StructuralError):
+            params_from_covariance(V)
+
+    def test_within_tolerance_accepted(self):
+        V = build_covariance(GENERIC)
+        V[1, 2] += TOL_PATTERN / 2
+        assert params_from_covariance(V) == GENERIC
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, math.nan)])
+    @pytest.mark.parametrize("ij", [(i, j) for i in range(4) for j in range(4)])
+    def test_non_finite_entry_rejected(self, ij, value):
+        V = build_covariance(GENERIC)
+        V[ij] = value
+        with pytest.raises((StructuralError, InvalidParameterError)):
+            params_from_covariance(V)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (4, 4, 1), (2, 4, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(StructuralError):
+            params_from_covariance(np.ones(shape))
+
+
 class TestDecomposeBlocks:
     def test_vacuum(self):
         V1, V2, C = decompose_blocks(build_covariance(VACUUM))
@@ -111,6 +154,12 @@ class TestDecomposeBlocks:
     def test_non_hermitian_rejected(self):
         M = np.eye(4, dtype=complex)
         M[0, 1] = 1.0
+        with pytest.raises(StructuralError):
+            decompose_blocks(M)
+
+    def test_nan_entry_rejected(self):
+        M = np.eye(4, dtype=complex)
+        M[1, 0] = math.nan
         with pytest.raises(StructuralError):
             decompose_blocks(M)
 
