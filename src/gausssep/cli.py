@@ -16,13 +16,15 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
             below the S-fold (``core.prep_below_sep``, which ignores
             rounding-level ties) mark operators that are not physical states.
 
-This module only parses, dispatches and serializes.  ``classify`` evaluates
-all of its states with one ``core.classify_batch`` call per route, and
-``sweep`` folds its whole grid with one ``core.n2_folds_batch`` call; both
-evaluate before they open their output, so an evaluation error, like a
-parse error, exits before any record is written.  ``sample`` draws,
-classifies (one call per route) and writes its states in batches of
-``SAMPLE_BATCH``, so its memory does not grow with ``--count``.
+Every subcommand parses its arguments and input, evaluates its states and
+hands complete output lines to one writer (``_write_output``), the only
+code that opens and closes an output.  Every command except ``sample``
+evaluates all of its states before it opens its output, so an evaluation
+error, like a parse error, exits before any record is written: ``classify``
+makes one ``core.classify_batch`` call per route and ``sweep`` one
+``core.n2_folds_batch`` call.  ``sample`` draws, classifies (one call per
+route) and writes its states per batch of ``SAMPLE_BATCH`` (1024), so its
+memory does not grow with ``--count``.
 
 Exit codes: 0 success, 2 parse error, 3 invalid parameters, 4 domain error
 (including numeric overflow), 5 internal assertion.
@@ -31,7 +33,7 @@ Exit codes: 0 success, 2 parse error, 3 invalid parameters, 4 domain error
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import os
@@ -157,6 +159,18 @@ def _open_output(path: str | None):
         raise ParseError(f"cannot open output {path}: {exc}") from exc
 
 
+def _write_output(path: str | None, lines) -> None:
+    """Write ``lines``, an iterable of complete lines, to ``path`` (stdout for
+    None or '-'): the one place an output is opened and closed."""
+    out, close = _open_output(path)
+    try:
+        for line in lines:
+            out.write(line)
+    finally:
+        if close:
+            out.close()
+
+
 def _jsonable(x):
     if isinstance(x, float) and math.isnan(x):
         return None
@@ -181,6 +195,11 @@ def _check_tol_psd(tol: float) -> None:
         raise InvalidParameterError(f"--tol-psd must be finite and >= 0, got {tol}")
 
 
+def _agree(a: Verdict, b: Verdict) -> bool:
+    """Whether two verdicts on one state give the same three answers."""
+    return (a.physical, a.separable, a.p_representable) == (b.physical, b.separable, b.p_representable)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -193,38 +212,25 @@ def cmd_classify(args) -> int:
     verdicts = core.classify_batch(params, method=method, tol_psd=args.tol_psd)
     if args.method == "both":
         eig = core.classify_batch(params, method=core.METHOD_EIG, tol_psd=args.tol_psd)
-    out, close = _open_output(args.output)
-    try:
-        for i, (rec_id, _) in enumerate(states):
-            record: dict = {"id": rec_id}
-            record.update(verdict_to_dict(verdicts[i]))
-            if args.method == "both":
-                ve = eig[i]
-                record["eig"] = verdict_to_dict(ve)
-                record["methods_agree"] = (
-                    record["physical"] == ve.physical
-                    and record["separable"] == ve.separable
-                    and record["p_representable"] == ve.p_representable
-                )
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if close:
-            out.close()
+    lines = []
+    for i, (rec_id, _) in enumerate(states):
+        record = {"id": rec_id, **verdict_to_dict(verdicts[i])}
+        if args.method == "both":
+            record["eig"] = verdict_to_dict(eig[i])
+            record["methods_agree"] = _agree(verdicts[i], eig[i])
+        lines.append(json.dumps(record) + "\n")
+    _write_output(args.output, lines)
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
-    states = load_states(args.input, args.format)
-    out, close = _open_output(args.output)
-    try:
-        for rec_id, p in states:
-            inv = symplectic.invariants(core.build_covariance(p))
-            out.write(json.dumps({
-                "id": rec_id, "i1": inv.i1, "i2": inv.i2, "i3": inv.i3, "i4": inv.i4,
-            }) + "\n")
-    finally:
-        if close:
-            out.close()
+    lines = []
+    for rec_id, p in load_states(args.input, args.format):
+        inv = symplectic.invariants(core.build_covariance(p))
+        lines.append(json.dumps({
+            "id": rec_id, "i1": inv.i1, "i2": inv.i2, "i3": inv.i3, "i4": inv.i4,
+        }) + "\n")
+    _write_output(args.output, lines)
     return EXIT_OK
 
 
@@ -241,29 +247,26 @@ def cmd_transform(args) -> int:
     S = symplectic.make_local_symplectic(
         args.theta1, args.phi1, args.vphi1, args.theta2, args.phi2, args.vphi2
     )
-    out, close = _open_output(args.output)
-    try:
-        for rec_id, p in states:
-            W = symplectic.apply_local(S, core.build_covariance(p))
-            record = {"id": rec_id, "transformed_params": _params_to_dict(core.params_from_covariance(W))}
-            if args.reduce:
-                try:
-                    res = symplectic.reduce_to_invariant_form(p)
-                except PrescriptionInapplicableError as exc:
-                    record["reduction"] = {"applicable": False, "residual": exc.residual}
-                else:
-                    record["reduction"] = {
-                        "applicable": True,
-                        "form": res.form,
-                        "nu1": res.nu1,
-                        "nu2": res.nu2,
-                        "mu": [res.mu.real, res.mu.imag],
-                        "residual": res.residual,
-                    }
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if close:
-            out.close()
+    lines = []
+    for rec_id, p in states:
+        W = symplectic.apply_local(S, core.build_covariance(p))
+        record = {"id": rec_id, "transformed_params": _params_to_dict(core.params_from_covariance(W))}
+        if args.reduce:
+            try:
+                res = symplectic.reduce_to_invariant_form(p)
+            except PrescriptionInapplicableError as exc:
+                record["reduction"] = {"applicable": False, "residual": exc.residual}
+            else:
+                record["reduction"] = {
+                    "applicable": True,
+                    "form": res.form,
+                    "nu1": res.nu1,
+                    "nu2": res.nu2,
+                    "mu": [res.mu.real, res.mu.imag],
+                    "residual": res.residual,
+                }
+        lines.append(json.dumps(record) + "\n")
+    _write_output(args.output, lines)
     return EXIT_OK
 
 
@@ -282,64 +285,63 @@ def _sampled(rng, mode: str, count: int, tol_psd: float):
         yield from zip(range(start, start + len(states)), states, closed, eig)
 
 
+def _seed(seed: int | None) -> int:
+    """``--seed``, else ``GAUSSSEP_SEED``, else 0; numpy seeds are non-negative."""
+    if seed is None:
+        env = os.environ.get("GAUSSSEP_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError as exc:
+            raise ParseError(f"GAUSSSEP_SEED must be an integer, got {env!r}") from exc
+    if seed < 0:
+        raise ParseError(f"the seed (--seed or GAUSSSEP_SEED) must be >= 0, got {seed}")
+    return seed
+
+
 def cmd_sample(args) -> int:
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
     _check_tol_psd(args.tol_psd)
-    rng = np.random.default_rng(args.seed)
-    out, close = _open_output(args.output)
-    n_sep = n_ent = n_prep = n_sep_not_prep = 0
-    n_prep_and_entangled = 0
-    n_disagree = 0
-    witness = None
-    try:
+    seed = _seed(args.seed)
+    rng = np.random.default_rng(seed)
+    summary = {
+        "count": args.count, "seed": seed, "mode": args.mode,
+        "separable": 0, "entangled": 0, "p_representable": 0,
+        "separable_not_prep": 0, "prep_and_entangled": 0,
+        "method_disagreements_off_boundary": 0, "separable_not_prep_witness": None,
+    }
+
+    def lines():
+        """Each state's record line, tallied into ``summary``, then the summary line."""
         for i, p, vc, ve in _sampled(rng, args.mode, args.count, args.tol_psd):
             margins = [ve.margin_physical, ve.margin_separable, ve.margin_prep]
             off_boundary = all(abs(m) > 1e-8 for m in margins if not math.isnan(m))
-            agree = (
-                vc.physical == ve.physical
-                and vc.separable == ve.separable
-                and vc.p_representable == ve.p_representable
-            )
+            agree = _agree(vc, ve)
             if off_boundary and not agree and not vc.fallbacks:
-                n_disagree += 1
+                summary["method_disagreements_off_boundary"] += 1
             if ve.separable:
-                n_sep += 1
+                summary["separable"] += 1
             elif ve.separable is False:
-                n_ent += 1
+                summary["entangled"] += 1
             if ve.p_representable:
-                n_prep += 1
+                summary["p_representable"] += 1
             if ve.separable and ve.p_representable is False:
-                n_sep_not_prep += 1
-                if witness is None:
-                    witness = _params_to_dict(p)
+                summary["separable_not_prep"] += 1
+                if summary["separable_not_prep_witness"] is None:
+                    summary["separable_not_prep_witness"] = _params_to_dict(p)
             if ve.p_representable and ve.separable is False:
-                n_prep_and_entangled += 1
-            out.write(json.dumps({
+                summary["prep_and_entangled"] += 1
+            yield json.dumps({
                 "index": i,
                 "params": _params_to_dict(p),
                 "closed": verdict_to_dict(vc),
                 "eig": verdict_to_dict(ve),
                 "agree": agree,
-            }) + "\n")
-        out.write(json.dumps({
-            "summary": {
-                "count": args.count,
-                "seed": args.seed,
-                "mode": args.mode,
-                "separable": n_sep,
-                "entangled": n_ent,
-                "p_representable": n_prep,
-                "separable_not_prep": n_sep_not_prep,
-                "prep_and_entangled": n_prep_and_entangled,
-                "method_disagreements_off_boundary": n_disagree,
-                "separable_not_prep_witness": witness,
-            }
-        }) + "\n")
-    finally:
-        if close:
-            out.close()
-    if n_prep_and_entangled or n_disagree:
+            }) + "\n"
+        yield json.dumps({"summary": summary}) + "\n"
+
+    _write_output(args.output, lines())
+    if summary["prep_and_entangled"] or summary["method_disagreements_off_boundary"]:
         return EXIT_INTERNAL
     return EXIT_OK
 
@@ -362,9 +364,14 @@ def _parse_axis(spec: str):
     return name, np.linspace(lo, hi, steps)
 
 
+def _csv_line(fields: list[str]) -> str:
+    """One CSV row, as ``csv.writer`` writes fields that need no quoting."""
+    return ",".join(fields) + "\r\n"
+
+
 def cmd_sweep(args) -> int:
-    fixed: dict[str, float] = {}
-    named: list[str] = []  # every parameter given by --fixed or an axis
+    names: list[str] = []  # every parameter given by --fixed or an axis, in order
+    assignment: dict[str, float] = {"n1": args.n1, "n2": 1.0}
     for item in args.fixed or []:
         if "=" not in item:
             raise ParseError(f"--fixed expects name=value, got {item!r}")
@@ -372,77 +379,42 @@ def cmd_sweep(args) -> int:
         if name not in SWEEPABLE:
             raise ParseError(f"cannot fix {name!r}; choose one of {SWEEPABLE}")
         try:
-            fixed[name] = float(value)
+            assignment[name] = float(value)
         except ValueError as exc:
             raise ParseError(f"--fixed {item!r}: {exc}") from exc
-        named.append(name)
-
+        names.append(name)
     axis1 = args.axis1 or ("n1:0.75:4.0:40" if args.fig1 else None)
     if axis1 is None:
         raise ParseError("--axis1 is required (or use --fig1)")
-    name1, grid1 = _parse_axis(axis1)
-    if args.axis2 is not None:
-        name2, grid2 = _parse_axis(args.axis2)
-        points = [(a, b) for a in grid1 for b in grid2]
-        header = [name1, name2]
-        named += [name1, name2]
-    else:
-        name2, points = None, [(a, None) for a in grid1]
-        header = [name1]
-        named.append(name1)
-    twice = sorted({name for name in named if named.count(name) > 1})
+    axes = [_parse_axis(spec) for spec in (axis1, args.axis2) if spec is not None]
+    axis_names = [name for name, _ in axes]
+    names += axis_names
+    twice = sorted({name for name in names if names.count(name) > 1})
     if twice:
         raise ParseError(f"{', '.join(twice)} named twice across --axis1, --axis2 and --fixed")
     if args.fig1:
         # Fold comparison of the published figure: m1 = 0.5, m2 = 1, no cross
         # correlations, swept over the mode-1 occupation.
-        for name, value in (("m1", 0.5), ("m2", 1.0)):
-            if name not in named:
-                fixed[name] = value
+        assignment = {"m1": 0.5, "m2": 1.0, **assignment}
 
-    params = []
-    for a, b in points:
-        assignment = dict(fixed)
-        assignment[name1] = a
-        if name2 is not None:
-            assignment[name2] = b
-        n1 = assignment.pop("n1", args.n1)
-        params.append(GaussianParams(n1=n1, n2=1.0, **assignment))
+    points = list(itertools.product(*(grid for _, grid in axes)))
+    params = [GaussianParams(**{**assignment, **dict(zip(axis_names, point))}) for point in points]
     phys, sep, prep, degenerate = core.n2_folds_batch(params)
-    flags = core.prep_below_sep(prep, sep).tolist()
-    phys, sep, prep, degenerate = phys.tolist(), sep.tolist(), prep.tolist(), degenerate.tolist()
-
-    out, close = _open_output(args.output)
-    try:
-        writer = csv.writer(out)
-        writer.writerow(header + [
-            "n2_min_physical", "n2_min_separable", "n2_min_prep",
-            "prep_below_sep_flag", "degenerate",
-        ])
-        for k, (a, b) in enumerate(points):
-            row = [repr(float(a))]
-            if name2 is not None:
-                row.append(repr(float(b)))
-            row += [repr(phys[k]), repr(sep[k]), repr(prep[k]),
-                    "1" if flags[k] else "0",
-                    "1" if degenerate[k] else "0"]
-            writer.writerow(row)
-    finally:
-        if close:
-            out.close()
+    rows = zip(points, phys.tolist(), sep.tolist(), prep.tolist(),
+               core.prep_below_sep(prep, sep).tolist(), degenerate.tolist())
+    lines = [_csv_line(axis_names + [
+        "n2_min_physical", "n2_min_separable", "n2_min_prep", "prep_below_sep_flag", "degenerate",
+    ])]
+    for point, f_phys, f_sep, f_prep, flag, degen in rows:
+        lines.append(_csv_line([repr(float(x)) for x in point] + [
+            repr(f_phys), repr(f_sep), repr(f_prep), "1" if flag else "0", "1" if degen else "0",
+        ]))
+    _write_output(args.output, lines)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
-
-
-def _default_seed() -> int:
-    env = os.environ.get("GAUSSSEP_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError as exc:
-        raise ParseError(f"GAUSSSEP_SEED must be an integer, got {env!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -509,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is None and args.command == "sample":
-            args.seed = _default_seed()
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,15 +71,20 @@ def make_local_symplectic(
     return LocalSymplectic(theta1, phi1, vphi1, theta2, phi2, vphi2)
 
 
+def _conjugate(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M+ V M, symmetrized as W/2 + W+/2 against the last-bit Hermiticity loss
+    of the two products; halving before adding keeps entries near the float
+    limit finite, where (W + W+)/2 would overflow."""
+    W = M.conj().T @ V @ M
+    W *= 0.5
+    return W + W.conj().T
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def apply_local(S: LocalSymplectic, V: np.ndarray) -> np.ndarray:
     """Transformed covariance S+ V S (blockwise V_i -> S_i+ V_i S_i, C -> S1+ C S2);
     OverflowError if an entry is not finite."""
-    M = S.realized
-    V = np.asarray(V, dtype=complex)
-    W = M.conj().T @ V @ M
-    # Symmetrize away the last-bit Hermiticity loss of the two products.
-    W = (W + W.conj().T) / 2
+    W = _conjugate(S.realized, np.asarray(V, dtype=complex))
     if not np.isfinite(W).all():
         raise OverflowError("local symplectic transform overflows")
     return W
@@ -230,9 +235,7 @@ def random_physical_state(
         S = random_local_symplectic(rng, theta_max=theta_max)
         V = apply_local(S, V)
         M = two_mode_mixer(rng.uniform(0.0, r_max), rng.uniform(0.0, 2 * math.pi))
-        V = M.conj().T @ V @ M
-        V = (V + V.conj().T) / 2
-        return params_from_covariance(V)
+        return params_from_covariance(_conjugate(M, V))
     if mode == "reject":
         for _ in range(max_draws):
             p = random_params(rng, n_lo=0.5, n_hi=3.0, m_max=1.0)

@@ -167,6 +167,14 @@ class TestTransform:
         red = json.loads(out)["reduction"]
         assert red["applicable"] is False and red["residual"] > 1e-9
 
+    def test_identity_near_float_limit(self, tmp_path, capsys):
+        # the output equals the input; symmetrizing must not overflow on the way
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1.5e308, "n2": 1}}])
+        code, out = run(["transform", "--input", str(f)], capsys)
+        assert code == 0
+        assert json.loads(out)["transformed_params"]["n1"] == 1.5e308
+
     def test_domain_error_exit_4(self, tmp_path, capsys):
         # unphysical input cannot be reduced
         f = tmp_path / "in.jsonl"
@@ -357,6 +365,14 @@ class TestExitCodes:
         self.check(["sample", "--count", "1",
                     "--output", str(tmp_path / "x.jsonl")], 2, capsys)
 
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, capsys):
+        # numpy seeds are non-negative; -1 once raised a numpy traceback
+        out = tmp_path / "x.jsonl"
+        self.check(["sample", "--count", "2", "--seed", "-1", "--output", str(out)], 2, capsys)
+        monkeypatch.setenv("GAUSSSEP_SEED", "-1")
+        self.check(["sample", "--count", "2", "--output", str(out)], 2, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("params", [
         {"n1": True, "n2": 1}, {"n1": "1", "n2": 1}, {"n1": 1, "n2": None},
         {"n1": 1, "n2": 1, "mc": True}, {"n1": 1, "n2": 1, "m1": ["1", 0]},
@@ -454,6 +470,19 @@ class TestExitCodes:
         assert "Infinity" not in captured.out
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [["invariants"], ["transform", "--reduce"]])
+    def test_error_in_second_record_writes_nothing(self, tmp_path, capsys, argv):
+        # the first record is valid; the second overflows the invariants and
+        # is too correlated to be physical, so it cannot be reduced
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1}},
+                        {"params": {"n1": 1e160, "n2": 1, "mc": [1e155, 0]}}])
+        assert main([*argv, "--input", str(f)]) == 4
+        assert capsys.readouterr().out == ""
+        out = tmp_path / "out.jsonl"
+        self.check([*argv, "--input", str(f), "--output", str(out)], 4, capsys)
+        assert not out.exists()
+
 
 def test_console_entry_point(tmp_path):
     f = tmp_path / "in.jsonl"
@@ -526,5 +555,7 @@ def test_cli_fuzz(records):
                 code = main([*argv, "--input", f])
             assert code in (0, 2, 3, 4, 5)
             assert "Traceback" not in err.getvalue()
+            if code != 0:  # a failed command writes nothing
+                assert out.getvalue() == ""
             for line in out.getvalue().splitlines():
                 strict_json(line)

@@ -60,6 +60,11 @@ class TestApplyLocal:
         W = apply_local(make_local_symplectic(0.0), V)
         assert np.allclose(W, V, atol=0)
 
+    def test_identity_near_float_limit(self):
+        # W + W+ would overflow here; the result is finite and equals V
+        V = build_covariance(GaussianParams(1.5e308, 1.0))
+        assert np.array_equal(apply_local(make_local_symplectic(0.0), V), V)
+
     def test_blockwise_action(self):
         rng = np.random.default_rng(3)
         S = random_local_symplectic(rng)
