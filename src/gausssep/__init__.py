@@ -1,14 +1,12 @@
 """Separability and P-representability of bipartite Gaussian states."""
 
 from .core import (
-    ClosedFormIntermediates,
     GaussianParams,
     Verdict,
     build_covariance,
     classify,
     classify_batch,
     decompose_blocks,
-    intermediates,
     min_eigenvalue_hermitian,
     params_from_covariance,
     partial_transpose,
@@ -27,7 +25,6 @@ from .symplectic import (
 )
 
 __all__ = [
-    "ClosedFormIntermediates",
     "GaussianParams",
     "InvariantFormResult",
     "LocalSymplectic",
@@ -38,7 +35,6 @@ __all__ = [
     "classify",
     "classify_batch",
     "decompose_blocks",
-    "intermediates",
     "invariants",
     "make_local_symplectic",
     "min_eigenvalue_hermitian",

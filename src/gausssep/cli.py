@@ -26,8 +26,10 @@ makes one ``core.classify_batch`` call per route and ``sweep`` one
 route) and writes its states per batch of ``SAMPLE_BATCH`` (1024), so its
 memory does not grow with ``--count``.
 
-Exit codes: 0 success, 2 parse error, 3 invalid parameters, 4 domain error
-(including numeric overflow), 5 internal assertion.
+Exit codes: 0 success, else the ``exit_code`` of the package error raised
+(``errors``): 2 unreadable, malformed or unwritable input or output
+(``ParseError``), 3 invalid parameters, 4 domain error, 5 internal
+assertion.  A numeric ``OverflowError`` exits 4, as a domain error.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -47,19 +50,12 @@ from .errors import (
     DomainError,
     GaussSepError,
     InvalidParameterError,
+    ParseError,
     PrescriptionInapplicableError,
-    StructuralError,
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_INVALID = 3
-EXIT_DOMAIN = 4
-EXIT_INTERNAL = 5
-
-
-class ParseError(Exception):
-    pass
+EXIT_INTERNAL = GaussSepError.exit_code
 
 
 # ---------------------------------------------------------------------------
@@ -119,35 +115,33 @@ def record_to_params(record: dict, where: str) -> tuple[str | None, GaussianPara
     return rec_id, core.params_from_covariance(M)
 
 
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
+        raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+
+
 def load_states(path: str, fmt: str) -> list[tuple[str | None, GaussianParams]]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read input {path}: {exc}") from exc
-    states = []
+    """(id, parameters) of every record of ``path`` in ``fmt`` ("json" or
+    "jsonl").  JSONL lines are parsed lazily, each just before its record
+    is read, so the first bad line or record is the one reported."""
+    try:
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read input {path}: {exc}") from exc
+    if "\r" in text:  # universal newlines, as text mode reads them, keep JSON error positions
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if fmt == "json":
-        try:
-            doc = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+        doc = _parse_json(text, path)
         if not isinstance(doc, dict) or not isinstance(doc.get("states"), list):
             raise ParseError(f"{path}: expected an object with a 'states' array")
-        for i, record in enumerate(doc["states"]):
-            states.append(record_to_params(record, f"{path} states[{i}]"))
+        records = ((f"{path} states[{i}]", record) for i, record in enumerate(doc["states"]))
     else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            states.append(record_to_params(record, f"{path}:{lineno}"))
-    return states
+        records = ((f"{path}:{n}", _parse_json(line, f"{path}:{n}"))
+                   for n, line in enumerate(text.splitlines(), start=1) if line.strip())
+    return [record_to_params(record, where) for where, record in records]
 
 
 def _open_output(path: str | None):
@@ -161,14 +155,26 @@ def _open_output(path: str | None):
 
 def _write_output(path: str | None, lines) -> None:
     """Write ``lines``, an iterable of complete lines, to ``path`` (stdout for
-    None or '-'): the one place an output is opened and closed."""
+    None or '-') and flush them: the one place an output is opened and
+    closed.  A failed write, flush or close (a full disk, a closed pipe) is
+    a ParseError."""
     out, close = _open_output(path)
     try:
-        for line in lines:
-            out.write(line)
-    finally:
-        if close:
-            out.close()
+        try:
+            for line in lines:
+                out.write(line)
+            out.flush()
+        finally:
+            if close:
+                out.close()
+    except OSError as exc:
+        if out is sys.__stdout__:  # not an in-process stream, which may have no fileno()
+            # what stdout still buffers goes to os.devnull at exit, not to an
+            # "Exception ignored" line from the interpreter's final flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        raise ParseError(f"cannot write output {path or '-'}: {exc}") from exc
 
 
 def _jsonable(x):
@@ -482,21 +488,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InvalidParameterError, StructuralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return DomainError.exit_code
     except GaussSepError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        label = "internal error" if exc.exit_code == EXIT_INTERNAL else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

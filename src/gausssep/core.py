@@ -82,6 +82,7 @@ TOL_HERM = 1e-12
 TOL_SING = 1e-12
 TOL_PATTERN = 1e-9  # entrywise, a matrix against the rebuild of its parameters
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
+BISECT_HI = 64.0  # first upper end of the sweep's n2 bisection bracket
 
 # Canonical constant matrices.
 Z = np.diag([1.0, -1.0])
@@ -133,22 +134,6 @@ class GaussianParams:
             ms=self.mc,
             mc=self.ms,
         )
-
-
-@dataclass(frozen=True)
-class ClosedFormIntermediates:
-    """Scalar intermediates of the closed-form bounds.
-
-    (s, c, d) belong to the physicality/separability family, (s_p, c_p, d_p)
-    to the P-representability family.
-    """
-
-    s: float
-    c: complex
-    d: float
-    s_p: float
-    c_p: complex
-    d_p: float
 
 
 @dataclass(frozen=True)
@@ -255,7 +240,9 @@ class _ParamArrays(NamedTuple):
 
 
 class _Intermediates(NamedTuple):
-    """``ClosedFormIntermediates`` of N states, c and c_p as (re, im) pairs."""
+    """The intermediates of the closed-form bounds of N states: (s, c, d) of
+    the physicality/separability family and (s_p, c_p, d_p) of the
+    P-representability family, c and c_p as (re, im) pairs."""
 
     s: np.ndarray
     c: tuple[np.ndarray, np.ndarray]
@@ -298,15 +285,6 @@ def _intermediates(q: _ParamArrays) -> _Intermediates:
         i = int(np.argmin(finite))
         raise OverflowError(f"closed-form intermediates overflow for state {i} of the batch")
     return im
-
-
-def intermediates(p: GaussianParams) -> ClosedFormIntermediates:
-    """Compute (s, c, d) and the primed P-representability family."""
-    im = _intermediates(_ParamArrays.of([p]))
-    return ClosedFormIntermediates(
-        s=float(im.s[0]), c=complex(im.c[0][0], im.c[1][0]), d=float(im.d[0]),
-        s_p=float(im.s_p[0]), c_p=complex(im.c_p[0][0], im.c_p[1][0]), d_p=float(im.d_p[0]),
-    )
 
 
 class _Batch:
@@ -672,10 +650,10 @@ _N2_CRITERIA = {
 }
 
 
-def _bisect_n2(q: _ParamArrays, margin, hi: float = 64.0) -> np.ndarray:
+def _bisect_n2(q: _ParamArrays, margin) -> np.ndarray:
     """Per row, the smallest n2 with ``margin`` of its covariance >= 0, by
-    bisection on [0, hi] after doubling ``hi`` while the margin there is
-    negative; ``inf`` once ``hi`` doubles past 2^40."""
+    bisection on [0, hi] after doubling ``hi`` (from ``BISECT_HI``) while
+    the margin there is negative; ``inf`` once ``hi`` doubles past 2^40."""
     V = q.covariance()
 
     def f(rows, n2):
@@ -683,7 +661,7 @@ def _bisect_n2(q: _ParamArrays, margin, hi: float = 64.0) -> np.ndarray:
         W[:, 2, 2] = W[:, 3, 3] = n2
         return margin(W)
 
-    hi = np.full(len(q.n1), float(hi))
+    hi = np.full(len(q.n1), BISECT_HI)
     pending = np.arange(len(q.n1))
     while pending.size:
         pending = pending[f(pending, hi[pending]) < 0.0]
@@ -703,19 +681,19 @@ def _bisect_n2(q: _ParamArrays, margin, hi: float = 64.0) -> np.ndarray:
     return hi
 
 
-def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str, hi: float = 64.0) -> float:
+def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
     """Smallest n2 satisfying the eigen-oracle criterion, by bisection.
 
     ``criterion`` is "physical" or "p_representable"; separability's is
     "physical" on ``p.mirror()``.  ``inf`` without an oracle call when the
     mode-1 condition fails (read from one evaluation over the batch of
-    ``p``), or once ``hi`` doubles past 2^40.
+    ``p``), or once the bracket doubles past 2^40.
     """
     margin, mode1_fails = _N2_CRITERIA[criterion]
     batch, i = _row(p)
     if batch.evaluated(mode1_fails, lambda bt: mode1_fails(bt.q, bt.im).tolist())[i]:
         return math.inf
-    return float(_bisect_n2(batch.q.take([i]), margin, hi)[0])
+    return float(_bisect_n2(batch.q.take([i]), margin)[0])
 
 
 def prep_below_sep(prep, sep):

@@ -20,8 +20,6 @@ from . import core
 from .core import GaussianParams, Z, build_covariance, params_from_covariance
 from .errors import DomainError, PrescriptionInapplicableError, SamplingBudgetError
 
-TOL_FORM = core.TOL_PATTERN  # the target form is checked by the structural rule
-
 FORM1 = "form1"
 FORM2 = "form2"
 
@@ -177,7 +175,7 @@ def reduce_to_invariant_form(p: GaussianParams) -> InvariantFormResult:
     residual, ok = core._rebuild_residual(W, _form_params(form, nu1, nu2, mu))
     if not ok:
         raise PrescriptionInapplicableError(
-            f"reduction to {form} failed: residual {residual:.3e} exceeds {TOL_FORM:.1e}",
+            f"reduction to {form} failed: residual {residual:.3e} exceeds {core.TOL_PATTERN:.1e}",
             residual,
         )
     return InvariantFormResult(
@@ -214,34 +212,35 @@ def two_mode_mixer(r: float, gamma: float) -> np.ndarray:
     )
 
 
-def random_physical_state(
-    rng: np.random.Generator,
-    mode: str = "construct",
-    nu_max: float = 5.0,
-    theta_max: float = 1.0,
-    r_max: float = 1.0,
-    max_draws: int = 10**6,
-) -> GaussianParams:
+# The draws of random_physical_state.
+NU_MAX = 5.0  # construct: thermal occupations in [0.5, NU_MAX]
+THETA_MAX = 1.0  # construct: local squeezes in [0, THETA_MAX]
+R_MAX = 1.0  # construct: two-mode squeeze in [0, R_MAX]
+MAX_DRAWS = 10**6  # reject: draw budget
+
+
+def random_physical_state(rng: np.random.Generator, mode: str = "construct") -> GaussianParams:
     """Draw a parameter set that passes the physicality eigen-check.
 
     ``construct``: conjugate a diagonal thermal matrix by a random local
     symplectic and a random two-mode mixer (physical by construction).
     ``reject``: draw all six parameters from boxes (n_i in [0.5, 3],
-    |m| <= 1) and accept iff the eigen-oracle says physical.
+    |m| <= 1) and accept iff the eigen-oracle says physical, within
+    ``MAX_DRAWS`` draws.
     """
     if mode == "construct":
-        nu1, nu2 = rng.uniform(0.5, nu_max, size=2)
+        nu1, nu2 = rng.uniform(0.5, NU_MAX, size=2)
         V = np.diag([nu1, nu1, nu2, nu2]).astype(complex)
-        S = random_local_symplectic(rng, theta_max=theta_max)
+        S = random_local_symplectic(rng, theta_max=THETA_MAX)
         V = apply_local(S, V)
-        M = two_mode_mixer(rng.uniform(0.0, r_max), rng.uniform(0.0, 2 * math.pi))
+        M = two_mode_mixer(rng.uniform(0.0, R_MAX), rng.uniform(0.0, 2 * math.pi))
         return params_from_covariance(_conjugate(M, V))
     if mode == "reject":
-        for _ in range(max_draws):
+        for _ in range(MAX_DRAWS):
             p = random_params(rng, n_lo=0.5, n_hi=3.0, m_max=1.0)
             if core._physical_margin_eig(build_covariance(p)) >= -core.TOL_PSD:
                 return p
-        raise SamplingBudgetError(f"no physical state found in {max_draws} draws")
+        raise SamplingBudgetError(f"no physical state found in {MAX_DRAWS} draws")
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 

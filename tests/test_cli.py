@@ -11,7 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gausssep import cli, core
+from gausssep import cli, core, errors, symplectic
 from gausssep.cli import main
 from gausssep.core import GaussianParams
 
@@ -20,6 +20,15 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def cli_child(argv):
+    """``subprocess`` arguments that run the CLI on ``argv`` in a child
+    process that imports the same package as this suite, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {"args": [sys.executable, "-m", "gausssep.cli", *argv], "env": env}
 
 
 def write_jsonl(path, records):
@@ -390,6 +399,34 @@ class TestExitCodes:
         f.write_text('{"id": [1, NaN], "params": {"n1": 1, "n2": 1}}\n')
         self.check(["classify", "--input", str(f)], 2, capsys)
 
+    def test_non_utf8_input_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "in.jsonl"
+        f.write_bytes(b"\xff\xfe" + json.dumps(VACUUM_REC).encode() + b"\n")
+        assert main(["classify", "--input", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read input" in err and "Traceback" not in err
+
+    def test_non_utf8_stdin_exit_2(self):
+        # through the interpreter's real stdin, whose text layer is bypassed
+        proc = subprocess.run(**cli_child(["classify", "--input", "-"]), capture_output=True,
+                              input=b"\xff\xfe" + json.dumps(VACUUM_REC).encode() + b"\n")
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert "cannot read input -" in err and "Traceback" not in err
+
+    def test_internal_error_exit_5(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(symplectic, "MAX_DRAWS", 0)
+        assert main(["sample", "--count", "1", "--mode", "reject",
+                     "--output", str(tmp_path / "x.jsonl")]) == 5
+        assert capsys.readouterr().err == "internal error: no physical state found in 0 draws\n"
+
+    def test_error_classes_carry_exit_codes(self):
+        assert issubclass(errors.ParseError, errors.GaussSepError)
+        classes = (errors.GaussSepError, errors.ParseError, errors.InvalidParameterError,
+                   errors.StructuralError, errors.DomainError,
+                   errors.PrescriptionInapplicableError, errors.SamplingBudgetError)
+        assert [c.exit_code for c in classes] == [5, 2, 3, 3, 4, 4, 5]
+
     def test_json_past_parser_limits(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
         f.write_text("[" * 100000 + "\n")
@@ -487,15 +524,49 @@ class TestExitCodes:
 def test_console_entry_point(tmp_path):
     f = tmp_path / "in.jsonl"
     write_jsonl(f, [VACUUM_REC])
-    # The child imports the same package as this suite, installed or not.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "gausssep.cli", "classify", "--input", str(f)],
-        capture_output=True, text=True, env=env)
+    proc = subprocess.run(**cli_child(["classify", "--input", str(f)]),
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["physical"]
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestWriteFailures:
+    """A failed write exits 2 with a message: no traceback, and no
+    ``Exception ignored`` from the interpreter's final flush of stdout."""
+
+    def check(self, returncode, err):
+        assert returncode == 2
+        assert "cannot write output" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    @needs_dev_full
+    def test_full_output_file(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [VACUUM_REC])
+        proc = subprocess.run(**cli_child(["classify", "--input", str(f), "--output", "/dev/full"]),
+                              capture_output=True, text=True)
+        self.check(proc.returncode, proc.stderr)
+
+    @needs_dev_full
+    def test_full_stdout(self, tmp_path):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [VACUUM_REC])
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(**cli_child(["classify", "--input", str(f)]),
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        self.check(proc.returncode, proc.stderr)
+
+    def test_closed_pipe(self):
+        # as `gausssep sample ... | head -c 10`
+        proc = subprocess.Popen(**cli_child(["sample", "--count", "3000", "--seed", "1"]),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        self.check(proc.returncode, err.decode())
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class TestPRepresentability:
     def test_no_prep_bound_below_half(self):
         # n1 - 1/2 - |m1| = -0.3 < 0 although d' = 0.09 > 0: no n2 gives V - I/2 >= 0
         p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
-        assert core.intermediates(p).d_p > 0
+        assert core._intermediates(core._ParamArrays.of([p])).d_p[0] > 0
         with pytest.raises(DegenerateBoundError):
             core.prep_bound_n2(p)
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
@@ -308,7 +308,7 @@ class TestPRepresentability:
         # decide the mode-1 rule; the correlations make the state entangled,
         # hence not P-representable, which only the oracle sees.
         p = GaussianParams(0.49999999999999994, 0.501, mc=9e-6)
-        assert abs(core.intermediates(p).d_p) <= core.TOL_SING
+        assert abs(core._intermediates(core._ParamArrays.of([p])).d_p[0]) <= core.TOL_SING
         vc = classify(p)
         ve = classify(p, method=core.METHOD_EIG)
         assert "p_representable" in vc.fallbacks
@@ -415,7 +415,7 @@ class TestFolds:
     def test_no_fold_when_mode1_fails(self, p):
         """d < 0 just past the mode-1 limit: no n2 is physical, so every fold
         is inf, not a large finite number found by bracket doubling."""
-        assert core.intermediates(p).d < -core.TOL_SING
+        assert core._intermediates(core._ParamArrays.of([p])).d[0] < -core.TOL_SING
         assert core.bisect_n2_threshold(p, "physical") == math.inf
         assert core.n2_folds(p) == (math.inf, math.inf, math.inf, True)
 

@@ -142,7 +142,7 @@ class TestReduceToInvariantForm:
         p = params_from_covariance(apply_local(S, build_covariance(p0)))
         assert abs(p.m1) > 1e-3 and abs(p.m2) > 1e-3
         res = reduce_to_invariant_form(p)
-        assert res.residual <= symplectic.TOL_FORM
+        assert res.residual <= core.TOL_PATTERN
         assert res.nu1 == pytest.approx(math.sqrt(p.n1**2 - abs(p.m1) ** 2), abs=1e-10)
         assert res.nu2 == pytest.approx(math.sqrt(p.n2**2 - abs(p.m2) ** 2), abs=1e-10)
         # the surviving correlation magnitude is sqrt(|mc|^2 - |ms|^2) (its
@@ -160,7 +160,7 @@ class TestReduceToInvariantForm:
         assert core.classify(p, method=core.METHOD_EIG).physical
         with pytest.raises(PrescriptionInapplicableError) as exc:
             reduce_to_invariant_form(p)
-        assert exc.value.residual > symplectic.TOL_FORM
+        assert exc.value.residual > core.TOL_PATTERN
 
     def test_unphysical_rejected(self):
         with pytest.raises(DomainError):
@@ -194,8 +194,10 @@ class TestRandomGeneration:
             M = two_mode_mixer(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
             assert symplectic_defect(M) < 1e-12
 
-    def test_construct_zero_mixing_is_product(self):
-        p = random_physical_state(np.random.default_rng(2), theta_max=0.0, r_max=0.0)
+    def test_construct_zero_mixing_is_product(self, monkeypatch):
+        monkeypatch.setattr(symplectic, "THETA_MAX", 0.0)
+        monkeypatch.setattr(symplectic, "R_MAX", 0.0)
+        p = random_physical_state(np.random.default_rng(2))
         assert p.m1 == 0 and p.m2 == 0 and p.ms == 0 and p.mc == 0
         assert core.classify(p, method=core.METHOD_EIG).separable
 
@@ -214,9 +216,10 @@ class TestRandomGeneration:
             accepted += 1
         assert accepted == 50  # acceptance fraction of the box is positive
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(symplectic, "MAX_DRAWS", 0)
         with pytest.raises(SamplingBudgetError):
-            random_physical_state(np.random.default_rng(1), mode="reject", max_draws=0)
+            random_physical_state(np.random.default_rng(1), mode="reject")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
