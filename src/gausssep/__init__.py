@@ -21,6 +21,7 @@ from .symplectic import (
     make_local_symplectic,
     random_local_symplectic,
     random_physical_state,
+    random_physical_states,
     reduce_to_invariant_form,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
     "partial_transpose",
     "random_local_symplectic",
     "random_physical_state",
+    "random_physical_states",
     "reduce_to_invariant_form",
     "schur_complement",
 ]

@@ -22,7 +22,8 @@ code that opens and closes an output.  Every command except ``sample``
 evaluates all of its states before it opens its output, so an evaluation
 error, like a parse error, exits before any record is written: ``classify``
 makes one ``core.classify_batch`` call per route and ``sweep`` one
-``core.n2_folds_batch`` call.  ``sample`` draws, classifies (one call per
+``core.n2_folds_batch`` call.  ``sample`` draws (one
+``symplectic.random_physical_states`` call), classifies (one call per
 route) and writes its states per batch of ``SAMPLE_BATCH`` (1024), so its
 memory does not grow with ``--count``.
 
@@ -281,11 +282,11 @@ SAMPLE_BATCH = 1024  # states drawn and classified per batch, so memory does not
 
 def _sampled(rng, mode: str, count: int, tol_psd: float):
     """(index, state, closed-form verdict, oracle verdict) of ``count``
-    states drawn one after another from ``rng``, classified in batches of
-    ``SAMPLE_BATCH``."""
+    states drawn from ``rng`` and classified in batches of ``SAMPLE_BATCH``,
+    each drawn in one array pass; the states are those of one-at-a-time
+    draws, whatever the batch size."""
     for start in range(0, count, SAMPLE_BATCH):
-        states = [symplectic.random_physical_state(rng, mode=mode)
-                  for _ in range(min(SAMPLE_BATCH, count - start))]
+        states = symplectic.random_physical_states(rng, min(SAMPLE_BATCH, count - start), mode)
         closed = core.classify_batch(states, method=core.METHOD_CLOSED, tol_psd=tol_psd)
         eig = core.classify_batch(states, method=core.METHOD_EIG, tol_psd=tol_psd)
         yield from zip(range(start, start + len(states)), states, closed, eig)

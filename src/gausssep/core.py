@@ -209,6 +209,29 @@ class _ParamArrays(NamedTuple):
         n1, n2, *m = cols
         return cls(n1, n2, (m[0], m[1]), (m[2], m[3]), (m[4], m[5]), (m[6], m[7]))
 
+    @classmethod
+    def from_covariance(cls, V: np.ndarray) -> "_ParamArrays":
+        """The parameters read off an (N, 4, 4) stack of covariance matrices
+        by the structural rule of ``params_from_covariance``: every matrix
+        must rebuild from its own parameters within TOL_PATTERN, else
+        StructuralError."""
+        q = cls(V[:, 0, 0].real.copy(), V[:, 2, 2].real.copy(),
+                *((V[:, i, j].real.copy(), V[:, i, j].imag.copy())
+                  for i, j in ((0, 1), (2, 3), (0, 2), (0, 3))))
+        residual = np.abs(V - q.covariance()).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(~(residual <= TOL_PATTERN))
+        if bad.size:
+            raise StructuralError(
+                f"matrix {bad[0]} of the stack does not have the two-mode covariance pattern"
+                f" (max deviation {residual[bad[0]]:.3e})")
+        return q
+
+    def params(self) -> list[GaussianParams]:
+        """The N parameter sets, each as a ``GaussianParams``."""
+        cols = (self.n1, self.n2, *self.m1, *self.m2, *self.ms, *self.mc)
+        return [GaussianParams(n1, n2, complex(a, b), complex(c, d), complex(e, f), complex(g, h))
+                for n1, n2, a, b, c, d, e, f, g, h in zip(*(x.tolist() for x in cols))]
+
     def take(self, rows) -> "_ParamArrays":
         """The parameter sets at ``rows`` (a boolean mask or an index array)."""
         return _ParamArrays(

@@ -7,6 +7,13 @@ not P-representability, which is the whole point of the invariant-form
 analysis: only on the two invariant forms (V1, V2 proportional to the
 identity, cross block carrying a single correlation) do separability and
 P-representability coincide.
+
+The random-state samplers draw a batch of N states in one array pass (the
+reject sampler one per block of candidates): the uniforms in one generator
+call, the symplectics, covariances and eigen-oracle margins as (N, 4, 4)
+stacks.  The states and the generator's end state are those of N
+one-at-a-time draws, bit for bit, so they do not depend on how the draws
+are split into batches; a single draw is a one-element batch.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .core import GaussianParams, Z, build_covariance, params_from_covariance
+from .core import GaussianParams, Z, build_covariance
 from .errors import DomainError, PrescriptionInapplicableError, SamplingBudgetError
 
 FORM1 = "form1"
@@ -38,21 +45,20 @@ class LocalSymplectic:
     realized: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        S = np.zeros((4, 4), dtype=complex)
-        S[:2, :2] = _single_mode_block(self.theta1, self.phi1, self.vphi1)
-        S[2:, 2:] = _single_mode_block(self.theta2, self.phi2, self.vphi2)
-        object.__setattr__(self, "realized", S)
+        object.__setattr__(self, "realized", _local_matrix(
+            self.theta1, self.phi1, self.vphi1, self.theta2, self.phi2, self.vphi2))
 
 
-def _single_mode_block(theta: float, phi: float, vphi: float) -> np.ndarray:
-    ch, sh = math.cosh(theta), math.sinh(theta)
-    return np.array(
-        [
-            [np.exp(1j * phi) * ch, np.exp(1j * vphi) * sh],
-            [np.exp(-1j * vphi) * sh, np.exp(-1j * phi) * ch],
-        ],
-        dtype=complex,
-    )
+def _local_matrix(theta1, phi1, vphi1, theta2, phi2, vphi2) -> np.ndarray:
+    """S1 (+) S2: (4, 4) for scalar angles, (N, 4, 4) for (N,) arrays."""
+    S = np.zeros(np.shape(theta1) + (4, 4), dtype=complex)
+    for i, theta, phi, vphi in ((0, theta1, phi1, vphi1), (2, theta2, phi2, vphi2)):
+        ch, sh = np.cosh(theta), np.sinh(theta)
+        S[..., i, i] = np.exp(1j * phi) * ch
+        S[..., i, i + 1] = np.exp(1j * vphi) * sh
+        S[..., i + 1, i] = np.exp(-1j * vphi) * sh
+        S[..., i + 1, i + 1] = np.exp(-1j * phi) * ch
+    return S
 
 
 def make_local_symplectic(
@@ -70,12 +76,13 @@ def make_local_symplectic(
 
 
 def _conjugate(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M+ V M, symmetrized as W/2 + W+/2 against the last-bit Hermiticity loss
-    of the two products; halving before adding keeps entries near the float
-    limit finite, where (W + W+)/2 would overflow."""
-    W = M.conj().T @ V @ M
+    """M+ V M of a matrix or of each matrix of an (N, 4, 4) stack,
+    symmetrized as W/2 + W+/2 against the last-bit Hermiticity loss of the
+    two products; halving before adding keeps entries near the float limit
+    finite, where (W + W+)/2 would overflow."""
+    W = M.conj().swapaxes(-1, -2) @ V @ M
     W *= 0.5
-    return W + W.conj().T
+    return W + W.conj().swapaxes(-1, -2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -193,55 +200,123 @@ def random_local_symplectic(rng: np.random.Generator, theta_max: float = 1.5) ->
     return LocalSymplectic(theta1, phi1, vphi1, theta2, phi2, vphi2)
 
 
-def two_mode_mixer(r: float, gamma: float) -> np.ndarray:
-    """Symplectic 4x4 two-mode-squeezing matrix coupling the modes.
+def two_mode_mixer(r, gamma) -> np.ndarray:
+    """Symplectic 4x4 two-mode-squeezing matrix coupling the modes, or an
+    (N, 4, 4) stack of them for (N,) arrays ``r`` and ``gamma``.
 
     Satisfies M+ E M = E, so conjugation V -> M+ V M preserves physicality
     while generating cross correlations.
     """
-    ch, sh = math.cosh(r), math.sinh(r)
+    ch, sh = np.cosh(r), np.sinh(r)
     ep, em = np.exp(1j * gamma), np.exp(-1j * gamma)
-    return np.array(
-        [
-            [ch, 0, 0, em * sh],
-            [0, ch, ep * sh, 0],
-            [0, em * sh, ch, 0],
-            [ep * sh, 0, 0, ch],
-        ],
-        dtype=complex,
-    )
+    M = np.zeros(np.shape(r) + (4, 4), dtype=complex)
+    for k in range(4):
+        M[..., k, k] = ch
+    M[..., 0, 3] = M[..., 2, 1] = em * sh
+    M[..., 1, 2] = M[..., 3, 0] = ep * sh
+    return M
 
 
-# The draws of random_physical_state.
+# The draws of random_physical_states.
 NU_MAX = 5.0  # construct: thermal occupations in [0.5, NU_MAX]
 THETA_MAX = 1.0  # construct: local squeezes in [0, THETA_MAX]
 R_MAX = 1.0  # construct: two-mode squeeze in [0, R_MAX]
-MAX_DRAWS = 10**6  # reject: draw budget
+REJECT_BOX = (0.5, 3.0, 1.0)  # reject: n_i in [0.5, 3], |m| <= 1
+MAX_DRAWS = 10**6  # reject: draw budget per accepted state
+REJECT_BLOCK = 4096  # reject: most candidates drawn and checked in one array pass
+
+
+def _uniform_columns(rng: np.random.Generator, n: int, bounds) -> np.ndarray:
+    """n rows of uniforms from one generator call, as a (k, n) array of
+    columns; ``bounds`` holds the k (low, high) pairs.  Row i is what k
+    one-at-a-time ``rng.uniform(low, high)`` calls would draw next, in
+    order, scaled by numpy's own routine."""
+    low, high = np.array(bounds, dtype=float).T
+    return rng.uniform(low, high, size=(n, len(bounds))).T.copy()
+
+
+def _random_box(rng: np.random.Generator, n: int, n_lo: float = 0.4, n_hi: float = 3.0,
+                m_max: float = 1.0) -> core._ParamArrays:
+    """n unconstrained box draws (physical or not) as arrays, each the
+    stream of one ``random_params`` call (its one-element view)."""
+    n1, n2, *u = _uniform_columns(
+        rng, n, [(n_lo, n_hi)] * 2 + [(0.0, m_max)] * 4 + [(0.0, 2 * math.pi)] * 4)
+    m = np.array(u[:4]) * np.exp(1j * np.array(u[4:]))  # moduli times phases
+    return core._ParamArrays(n1, n2, *((z.real.copy(), z.imag.copy()) for z in m))
+
+
+def _construct(rng: np.random.Generator, n: int) -> core._ParamArrays:
+    """n thermal states conjugated by a random local symplectic and a random
+    two-mode mixer, read off by the structural rule."""
+    two_pi = 2 * math.pi
+    nu1, nu2, theta1, theta2, phi1, vphi1, phi2, vphi2, r, gamma = _uniform_columns(
+        rng, n, [(0.5, NU_MAX)] * 2 + [(0.0, THETA_MAX)] * 2 + [(0.0, two_pi)] * 4
+        + [(0.0, R_MAX), (0.0, two_pi)])
+    V = np.zeros((n, 4, 4), dtype=complex)
+    V[:, 0, 0] = V[:, 1, 1] = nu1
+    V[:, 2, 2] = V[:, 3, 3] = nu2
+    V = _conjugate(_local_matrix(theta1, phi1, vphi1, theta2, phi2, vphi2), V)
+    return core._ParamArrays.from_covariance(_conjugate(two_mode_mixer(r, gamma), V))
+
+
+def _reject(rng: np.random.Generator, n: int) -> list[GaussianParams]:
+    """The first n draws from ``REJECT_BOX`` that the eigen-oracle calls
+    physical.
+
+    Candidates are drawn and checked in blocks of at most ``REJECT_BLOCK``
+    (one eigen-oracle call each), never past the ``MAX_DRAWS`` budget of
+    the state being drawn.  A block that holds the n-th accept is drawn
+    again up to it from the generator state saved before it, so the
+    generator ends where one-at-a-time draws leave it.
+    """
+    states: list[GaussianParams] = []
+    since = 0  # draws since the last accepted one
+    while len(states) < n:
+        need = n - len(states)
+        # About 1.9 draws per accept: most batches end in their first block.
+        size = min(REJECT_BLOCK, 2 * need + 16, MAX_DRAWS - since)
+        if size <= 0:
+            raise SamplingBudgetError(f"no physical state found in {MAX_DRAWS} draws")
+        start = rng.bit_generator.state
+        q = _random_box(rng, size, *REJECT_BOX)
+        hits = np.flatnonzero(core._physical_margin_eig(q.covariance()) >= -core.TOL_PSD)
+        if hits.size >= need:
+            hits = hits[:need]
+            rng.bit_generator.state = start
+            _random_box(rng, hits[-1] + 1, *REJECT_BOX)
+        since = size - 1 - hits[-1] if hits.size else since + size
+        states += q.take(hits).params()
+    return states
+
+
+def random_physical_states(rng: np.random.Generator, n: int,
+                           mode: str = "construct") -> list[GaussianParams]:
+    """Draw n parameter sets that pass the physicality eigen-check, as
+    array passes over all of them; the states and the generator's end state
+    are those of n one-at-a-time draws, bit for bit, so they do not depend
+    on how a stream of draws is split into calls.
+
+    ``construct``: conjugate a diagonal thermal matrix by a random local
+    symplectic and a random two-mode mixer (physical by construction), in
+    one pass; each state takes one row of ten uniforms (nu1, nu2, theta1,
+    theta2, phi1, vphi1, phi2, vphi2, r, gamma).
+    ``reject``: draw the ten uniforms of all six parameters from
+    ``REJECT_BOX`` (n_i in [0.5, 3], |m| <= 1; see ``random_params``) and
+    accept iff the eigen-oracle says physical, within ``MAX_DRAWS`` draws
+    per state (else SamplingBudgetError), one pass per block of candidates.
+    """
+    if n < 0:
+        raise ValueError(f"cannot draw {n} states")
+    if mode == "construct":
+        return _construct(rng, n).params()
+    if mode == "reject":
+        return _reject(rng, n)
+    raise ValueError(f"unknown sampling mode {mode!r}")
 
 
 def random_physical_state(rng: np.random.Generator, mode: str = "construct") -> GaussianParams:
-    """Draw a parameter set that passes the physicality eigen-check.
-
-    ``construct``: conjugate a diagonal thermal matrix by a random local
-    symplectic and a random two-mode mixer (physical by construction).
-    ``reject``: draw all six parameters from boxes (n_i in [0.5, 3],
-    |m| <= 1) and accept iff the eigen-oracle says physical, within
-    ``MAX_DRAWS`` draws.
-    """
-    if mode == "construct":
-        nu1, nu2 = rng.uniform(0.5, NU_MAX, size=2)
-        V = np.diag([nu1, nu1, nu2, nu2]).astype(complex)
-        S = random_local_symplectic(rng, theta_max=THETA_MAX)
-        V = apply_local(S, V)
-        M = two_mode_mixer(rng.uniform(0.0, R_MAX), rng.uniform(0.0, 2 * math.pi))
-        return params_from_covariance(_conjugate(M, V))
-    if mode == "reject":
-        for _ in range(MAX_DRAWS):
-            p = random_params(rng, n_lo=0.5, n_hi=3.0, m_max=1.0)
-            if core._physical_margin_eig(build_covariance(p)) >= -core.TOL_PSD:
-                return p
-        raise SamplingBudgetError(f"no physical state found in {MAX_DRAWS} draws")
-    raise ValueError(f"unknown sampling mode {mode!r}")
+    """One draw of ``random_physical_states``."""
+    return random_physical_states(rng, 1, mode)[0]
 
 
 def random_params(
@@ -250,9 +325,7 @@ def random_params(
     n_hi: float = 3.0,
     m_max: float = 1.0,
 ) -> GaussianParams:
-    """Unconstrained box draw (physical or not), for oracle cross-validation."""
-    n1, n2 = rng.uniform(n_lo, n_hi, size=2)
-    mods = rng.uniform(0.0, m_max, size=4)
-    args = rng.uniform(0.0, 2 * math.pi, size=4)
-    m1, m2, ms, mc = (mod * np.exp(1j * a) for mod, a in zip(mods, args))
-    return GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=mc)
+    """Unconstrained box draw (physical or not), for oracle cross-validation:
+    n1, n2 in [n_lo, n_hi], then m1, m2, ms, mc with moduli in [0, m_max]
+    and uniform phases.  A one-element ``_random_box``."""
+    return _random_box(rng, 1, n_lo, n_hi, m_max).params()[0]

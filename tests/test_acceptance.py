@@ -56,12 +56,12 @@ def test_oracle_equivalence_campaign():
     t0 = time.time()
     rng = np.random.default_rng(20260823)
     n = 100_000
-    params = [symplectic.random_params(rng) for _ in range(n)]
-    V = np.stack([build_covariance(p) for p in params])
+    # the states of n random_params calls, drawn in one batch
+    q = symplectic._random_box(rng, n)
+    V = q.covariance()
     eig = np.column_stack(batch_margins_eig(V))
     # The library's closed-form (physical, separable, prep) margins in one
     # batch, NaN where degenerate: the closed-form path is not defined there.
-    q = core._ParamArrays.of(params)
     closed = np.column_stack(core._closed_margins(q, core._intermediates(q)))
 
     off_boundary = np.all(np.abs(eig) > BOUNDARY_BAND, axis=1)
@@ -73,7 +73,7 @@ def test_oracle_equivalence_campaign():
 
     # honesty check: batched oracle == scalar library path on a subsample
     for i in rng.choice(n, size=200, replace=False):
-        v = core.classify(params[i], method=core.METHOD_EIG)
+        v = core.classify(q.take([i]).params()[0], method=core.METHOD_EIG)
         assert v.margin_physical == pytest.approx(eig[i, 0], abs=1e-12)
         if v.physical:
             assert v.margin_separable == pytest.approx(eig[i, 1], abs=1e-12)
@@ -86,9 +86,7 @@ def test_subset_theorem_campaign():
     separable-but-not-P states exist; pinned regression witness."""
     rng = np.random.default_rng(4171)
     n = 100_000
-    V = np.stack([
-        build_covariance(symplectic.random_physical_state(rng)) for _ in range(n)
-    ])
+    V = core._ParamArrays.of(symplectic.random_physical_states(rng, n)).covariance()
     phys, sep, prep = batch_margins_eig(V)
     assert np.all(phys >= -core.TOL_PSD)
     p_rep = prep >= -core.TOL_PSD
@@ -219,7 +217,7 @@ def test_mirror_identity_campaign():
     one batch of the array core; both are NaN exactly where degenerate."""
     rng = np.random.default_rng(555)
     n = 100_000
-    a = core._ParamArrays.of([symplectic.random_params(rng) for _ in range(n)])
+    a = symplectic._random_box(rng, n)  # the states of n random_params calls
     q = a.mirror()
     sep = core._physical_margin_closed(q, core._intermediates(a).mirror())
     assert sep.tobytes() == core._physical_margin_closed(q, core._intermediates(q)).tobytes()

@@ -212,14 +212,15 @@ class TestSample:
         assert summary["prep_and_entangled"] == 0
         assert summary["method_disagreements_off_boundary"] == 0
 
-    def test_output_independent_of_batch_size(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["reject", "construct"])
+    def test_output_independent_of_batch_size(self, tmp_path, monkeypatch, mode):
         """sample draws and classifies in batches of SAMPLE_BATCH; the
         states, verdicts and summary must not depend on where they split."""
         outputs = []
         for size in (cli.SAMPLE_BATCH, 7, 1):
             monkeypatch.setattr(cli, "SAMPLE_BATCH", size)
             o = tmp_path / f"s{size}.jsonl"
-            assert main(["sample", "--count", "20", "--seed", "5", "--mode", "reject",
+            assert main(["sample", "--count", "20", "--seed", "5", "--mode", mode,
                          "--output", str(o)]) == 0
             outputs.append(o.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]

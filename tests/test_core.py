@@ -94,25 +94,42 @@ class TestBuildCovariance:
 GENERIC = GaussianParams(1.2, 0.9, m1=0.1 + 0.2j, m2=-0.3j, ms=0.4 - 0.1j, mc=0.2j)
 
 
+BROKEN_RELATIONS = [
+    {(1, 1): 0.1},                         # V11 != V00
+    {(3, 3): -0.1},                        # V33 != V22
+    {(2, 2): 0.1j},                        # non-real diagonal
+    {(1, 3): 0.1, (3, 1): 0.1},            # V13 != conj V02, still Hermitian
+    {(1, 2): 0.1j, (2, 1): -0.1j},         # V12 != conj V03, still Hermitian
+    {(3, 0): 0.1},                         # lower triangle != conj of upper
+    {(1, 0): 2 * TOL_PATTERN},             # just past the tolerance
+    {(1, 0): math.nan},                    # NaN fails every comparison
+]
+
+
 class TestStructuralRule:
     """A matrix is accepted iff it rebuilds from the parameters read off it,
     within TOL_PATTERN in every entry."""
 
-    @pytest.mark.parametrize("edits", [
-        {(1, 1): 0.1},                         # V11 != V00
-        {(3, 3): -0.1},                        # V33 != V22
-        {(2, 2): 0.1j},                        # non-real diagonal
-        {(1, 3): 0.1, (3, 1): 0.1},            # V13 != conj V02, still Hermitian
-        {(1, 2): 0.1j, (2, 1): -0.1j},         # V12 != conj V03, still Hermitian
-        {(3, 0): 0.1},                         # lower triangle != conj of upper
-        {(1, 0): 2 * TOL_PATTERN},             # just past the tolerance
-    ])
+    @pytest.mark.parametrize("edits", BROKEN_RELATIONS)
     def test_broken_relation_rejected(self, edits):
         V = build_covariance(GENERIC)
         for ij, dv in edits.items():
             V[ij] += dv
         with pytest.raises(StructuralError):
             params_from_covariance(V)
+
+    @pytest.mark.parametrize("edits", BROKEN_RELATIONS)
+    def test_stack_reader_applies_the_same_rule(self, edits):
+        """Each matrix of a stack is read and checked as one matrix is; the
+        first that fails is named."""
+        good = build_covariance(GENERIC)
+        bad = good.copy()
+        for ij, dv in edits.items():
+            bad[ij] += dv
+        with pytest.raises(StructuralError, match="matrix 1 of the stack"):
+            core._ParamArrays.from_covariance(np.stack([good, bad, bad]))
+        q = core._ParamArrays.from_covariance(np.stack([good, build_covariance(REF)]))
+        assert q.params() == [GENERIC, REF] == [params_from_covariance(good), REF]
 
     def test_within_tolerance_accepted(self):
         V = build_covariance(GENERIC)

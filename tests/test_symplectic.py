@@ -14,9 +14,40 @@ from gausssep.symplectic import (
     make_local_symplectic,
     random_local_symplectic,
     random_physical_state,
+    random_physical_states,
     reduce_to_invariant_form,
     two_mode_mixer,
 )
+
+
+def bits(states) -> bytes:
+    """The bytes of every float of ``states``, so -0.0 and 0.0 differ."""
+    return np.array([(p.n1, p.n2, p.m1.real, p.m1.imag, p.m2.real, p.m2.imag,
+                      p.ms.real, p.ms.imag, p.mc.real, p.mc.imag) for p in states]).tobytes()
+
+
+def one_at_a_time_box(rng, n_lo, n_hi, m_max):
+    """A box draw as separate scalar ``rng.uniform`` calls: the stream the
+    batch draws must reproduce."""
+    n1, n2 = rng.uniform(n_lo, n_hi, size=2)
+    mods = rng.uniform(0.0, m_max, size=4)
+    args = rng.uniform(0.0, 2 * math.pi, size=4)
+    m1, m2, ms, mc = (mod * np.exp(1j * a) for mod, a in zip(mods, args))
+    return GaussianParams(n1=n1, n2=n2, m1=m1, m2=m2, ms=ms, mc=mc)
+
+
+def one_at_a_time_reject(rng, n):
+    """Box candidates one at a time, each checked by the scalar eigen-oracle."""
+    states = []
+    for _ in range(n):
+        for _ in range(symplectic.MAX_DRAWS):
+            p = one_at_a_time_box(rng, 0.5, 3.0, 1.0)
+            if core._physical_margin_eig(build_covariance(p)) >= -core.TOL_PSD:
+                states.append(p)
+                break
+        else:
+            raise SamplingBudgetError("budget")
+    return states
 
 
 def symplectic_defect(S: np.ndarray) -> float:
@@ -224,3 +255,103 @@ class TestRandomGeneration:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             random_physical_state(np.random.default_rng(1), mode="magic")
+
+
+class TestBatchSampling:
+    """A batch of draws is the stream of one-at-a-time draws, bit for bit,
+    and leaves the generator where they leave it."""
+
+    SPLITS = [(37,), (1,) * 37, (5, 11, 21), (20, 0, 17)]
+
+    @pytest.mark.parametrize("mode, block", [
+        ("construct", symplectic.REJECT_BLOCK),
+        ("reject", symplectic.REJECT_BLOCK),
+        ("reject", 3),  # many blocks per call
+    ])
+    @pytest.mark.parametrize("seed", [0, 41])
+    def test_any_split_gives_the_same_states(self, mode, block, seed, monkeypatch):
+        monkeypatch.setattr(symplectic, "REJECT_BLOCK", block)
+        results = []
+        for split in self.SPLITS:
+            rng = np.random.default_rng(seed)
+            states = [p for k in split for p in random_physical_states(rng, k, mode)]
+            assert len(states) == 37
+            results.append((bits(states), rng.bit_generator.state))
+        rng = np.random.default_rng(seed)
+        single = [random_physical_state(rng, mode) for _ in range(37)]
+        results.append((bits(single), rng.bit_generator.state))
+        assert all(r == results[0] for r in results)
+
+    @pytest.mark.parametrize("block", [symplectic.REJECT_BLOCK, 3])
+    def test_reject_is_the_one_at_a_time_stream(self, block, monkeypatch):
+        monkeypatch.setattr(symplectic, "REJECT_BLOCK", block)
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        assert bits(random_physical_states(a, 60, "reject")) == bits(one_at_a_time_reject(b, 60))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_construct_is_the_one_at_a_time_construction(self):
+        """Against the scalar construction from the same ten draws per state;
+        the products may round differently in the last bits."""
+        a, b = np.random.default_rng(12), np.random.default_rng(12)
+        batch = random_physical_states(a, 50, "construct")
+        for p in batch:
+            nu1, nu2 = b.uniform(0.5, symplectic.NU_MAX, size=2)
+            S = random_local_symplectic(b, theta_max=symplectic.THETA_MAX)
+            V = apply_local(S, np.diag([nu1, nu1, nu2, nu2]).astype(complex))
+            M = two_mode_mixer(b.uniform(0.0, symplectic.R_MAX), b.uniform(0.0, 2 * math.pi))
+            ref = build_covariance(params_from_covariance(M.conj().T @ V @ M))
+            assert np.abs(build_covariance(p) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_box_batch_is_the_one_at_a_time_stream(self):
+        a, b, c = (np.random.default_rng(21) for _ in range(3))
+        batch = symplectic._random_box(a, 40, 0.4, 3.0, 1.0).params()
+        assert bits(batch) == bits([symplectic.random_params(b) for _ in range(40)])
+        assert bits(batch) == bits([one_at_a_time_box(c, 0.4, 3.0, 1.0) for _ in range(40)])
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+
+    def test_budget_is_exact_across_blocks(self, monkeypatch):
+        """With no physical candidate the budget of the first state runs out
+        after exactly MAX_DRAWS draws, over blocks of 4, 4 and 2."""
+        monkeypatch.setattr(symplectic, "REJECT_BLOCK", 4)
+        monkeypatch.setattr(symplectic, "MAX_DRAWS", 10)
+        checked = []
+
+        def never_physical(V):
+            checked.append(len(V))
+            return np.full(len(V), -1.0)
+
+        monkeypatch.setattr(core, "_physical_margin_eig", never_physical)
+        rng = np.random.default_rng(3)
+        with pytest.raises(SamplingBudgetError, match="no physical state found in 10 draws"):
+            random_physical_states(rng, 5, "reject")
+        assert checked == [4, 4, 2]
+        ref = np.random.default_rng(3)
+        ref.random(10 * 10)  # ten draws of ten uniforms
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_budget_is_per_accepted_state(self, monkeypatch):
+        """Where the one-at-a-time stream runs out of budget on a later state,
+        so does the batch, at the same draw."""
+        monkeypatch.setattr(symplectic, "REJECT_BLOCK", 3)
+        monkeypatch.setattr(symplectic, "MAX_DRAWS", 2)
+        ends = []
+        for draw in (lambda rng: random_physical_states(rng, 200, "reject"),
+                     lambda rng: one_at_a_time_reject(rng, 200)):
+            rng = np.random.default_rng(4)
+            with pytest.raises(SamplingBudgetError):
+                draw(rng)
+            ends.append(rng.bit_generator.state)
+        assert ends[0] == ends[1]
+
+    @pytest.mark.parametrize("mode", ["construct", "reject"])
+    def test_negative_count_rejected(self, mode):
+        with pytest.raises(ValueError):
+            random_physical_states(np.random.default_rng(1), -1, mode)
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert random_physical_states(rng, 0, "construct") == []
+        assert random_physical_states(rng, 0, "reject") == []
+        assert rng.bit_generator.state == state
