@@ -212,10 +212,15 @@ class TestSample:
         assert summary["prep_and_entangled"] == 0
         assert summary["method_disagreements_off_boundary"] == 0
 
-    @pytest.mark.parametrize("mode", ["reject", "construct"])
-    def test_output_independent_of_batch_size(self, tmp_path, monkeypatch, mode):
+    def test_output_independent_of_batch_size(self, tmp_path, monkeypatch):
         """sample draws and classifies in batches of SAMPLE_BATCH; the
         states, verdicts and summary must not depend on where they split."""
+        self.check_batch_independence(tmp_path, monkeypatch, "reject")
+
+    def test_output_independent_of_batch_size_construct(self, tmp_path, monkeypatch):
+        self.check_batch_independence(tmp_path, monkeypatch, "construct")
+
+    def check_batch_independence(self, tmp_path, monkeypatch, mode):
         outputs = []
         for size in (cli.SAMPLE_BATCH, 7, 1):
             monkeypatch.setattr(cli, "SAMPLE_BATCH", size)
