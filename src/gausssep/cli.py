@@ -22,7 +22,15 @@ code that opens and closes an output.  Every command except ``sample``
 evaluates all of its states before it opens its output, so an evaluation
 error, like a parse error, exits before any record is written: ``classify``
 makes one ``core.classify_batch`` call per route and ``sweep`` one
-``core.n2_folds_batch`` call.  ``sample`` draws (one
+``core.n2_folds_batch`` call.  ``invariants`` makes one
+``symplectic.invariants`` call over the stack of the file's covariance
+matrices, and ``transform`` one ``symplectic.apply_local`` call (its
+parameters read by ``core._ParamArrays.from_covariance``) and, with
+``--reduce``, one array pass of the reduction, out of which
+``symplectic.reduce_to_invariant_form`` reads each record's state.  A
+failing file reports the error of its first failing record, in the order
+of one record's checks: the transform, the read of its parameters, the
+reduction.  ``sample`` draws (one
 ``symplectic.random_physical_states`` call), classifies (one call per
 route) and writes its states per batch of ``SAMPLE_BATCH`` (1024), so its
 memory does not grow with ``--count``.
@@ -53,6 +61,7 @@ from .errors import (
     InvalidParameterError,
     ParseError,
     PrescriptionInapplicableError,
+    StructuralError,
 )
 
 EXIT_OK = 0
@@ -231,12 +240,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    lines = []
-    for rec_id, p in load_states(args.input, args.format):
-        inv = symplectic.invariants(core.build_covariance(p))
-        lines.append(json.dumps({
-            "id": rec_id, "i1": inv.i1, "i2": inv.i2, "i3": inv.i3, "i4": inv.i4,
-        }) + "\n")
+    states = load_states(args.input, args.format)
+    inv = symplectic.invariants(core._ParamArrays.of([p for _, p in states]).covariance())
+    lines = [
+        json.dumps({"id": rec_id, "i1": i1, "i2": i2, "i3": i3, "i4": i4}) + "\n"
+        for (rec_id, _), i1, i2, i3, i4 in zip(
+            states, inv.i1.tolist(), inv.i2.tolist(), inv.i3.tolist(), inv.i4.tolist())
+    ]
     _write_output(args.output, lines)
     return EXIT_OK
 
@@ -254,13 +264,20 @@ def cmd_transform(args) -> int:
     S = symplectic.make_local_symplectic(
         args.theta1, args.phi1, args.vphi1, args.theta2, args.phi2, args.vphi2
     )
+    batch = core._Batch.of([p for _, p in states])
+    V = batch.q.covariance()
+    try:
+        transformed = core._ParamArrays.from_covariance(symplectic.apply_local(S, V)).params()
+    except (OverflowError, StructuralError, InvalidParameterError):
+        # A record fails: transform each record on its own as the loop reaches
+        # it, so that the first failing record reports its own error.
+        transformed = (core.params_from_covariance(symplectic.apply_local(S, M)) for M in V)
     lines = []
-    for rec_id, p in states:
-        W = symplectic.apply_local(S, core.build_covariance(p))
-        record = {"id": rec_id, "transformed_params": _params_to_dict(core.params_from_covariance(W))}
+    for (rec_id, _), t, row in zip(states, transformed, batch.rows()):
+        record = {"id": rec_id, "transformed_params": _params_to_dict(t)}
         if args.reduce:
             try:
-                res = symplectic.reduce_to_invariant_form(p)
+                res = symplectic.reduce_to_invariant_form(row)
             except PrescriptionInapplicableError as exc:
                 record["reduction"] = {"applicable": False, "residual": exc.residual}
             else:

@@ -76,11 +76,12 @@ from .errors import (
     StructuralError,
 )
 
-# Absolute tolerances; all matrices handled here are 4x4 and O(1).
+# Absolute tolerances on 4x4 matrices, but for TOL_PATTERN, which scales with the matrix.
 TOL_PSD = 1e-10
 TOL_HERM = 1e-12
 TOL_SING = 1e-12
-TOL_PATTERN = 1e-9  # entrywise, a matrix against the rebuild of its parameters
+TOL_PATTERN = 1e-9  # entrywise, a matrix against the rebuild of its parameters,
+                    # relative to max(1, largest entry of the rebuild)
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 BISECT_HI = 64.0  # first upper end of the sweep's n2 bisection bracket
 
@@ -213,13 +214,13 @@ class _ParamArrays(NamedTuple):
     def from_covariance(cls, V: np.ndarray) -> "_ParamArrays":
         """The parameters read off an (N, 4, 4) stack of covariance matrices
         by the structural rule of ``params_from_covariance``: every matrix
-        must rebuild from its own parameters within TOL_PATTERN, else
+        must rebuild from its own parameters (``_rebuild_residual``), else
         StructuralError."""
         q = cls(V[:, 0, 0].real.copy(), V[:, 2, 2].real.copy(),
                 *((V[:, i, j].real.copy(), V[:, i, j].imag.copy())
                   for i, j in ((0, 1), (2, 3), (0, 2), (0, 3))))
-        residual = np.abs(V - q.covariance()).max(axis=(1, 2), initial=0.0)
-        bad = np.flatnonzero(~(residual <= TOL_PATTERN))
+        residual, ok = _rebuild_residual(V, q.covariance())
+        bad = np.flatnonzero(~ok)
         if bad.size:
             raise StructuralError(
                 f"matrix {bad[0]} of the stack does not have the two-mode covariance pattern"
@@ -385,11 +386,19 @@ def _require_hermitian(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _rebuild_residual(V: np.ndarray, p: GaussianParams) -> tuple[float, bool]:
-    """(max |V - build_covariance(p)| over all 16 entries, whether it is at
-    most TOL_PATTERN); a NaN entry of V fails."""
-    residual = float(np.abs(V - build_covariance(p)).max())
-    return residual, residual <= TOL_PATTERN
+def _rebuild_residual(V: np.ndarray, B: np.ndarray):
+    """(max |V - B| over all 16 entries, whether it is at most TOL_PATTERN *
+    max(1, max |B|)) for a matrix V and its rebuild B, as a float and a
+    bool, or per matrix of (N, 4, 4) stacks, as (N,) arrays.
+
+    The tolerance scales with the matrix, so that a rounding-level residual
+    of a large state passes; the scale is the rebuild's, which the matrix
+    matches within the tolerance when it passes, so an infinite entry of V
+    is never its own excuse.  A NaN entry of V fails.
+    """
+    residual = np.abs(V - B).max(axis=(-2, -1), initial=0.0)
+    ok = residual <= TOL_PATTERN * np.abs(B).max(axis=(-2, -1), initial=1.0)
+    return (float(residual), bool(ok)) if V.ndim == 2 else (residual, ok)
 
 
 def params_from_covariance(V: np.ndarray) -> GaussianParams:
@@ -404,7 +413,7 @@ def params_from_covariance(V: np.ndarray) -> GaussianParams:
         raise StructuralError(f"expected a 4x4 matrix, got shape {V.shape}")
     p = GaussianParams(n1=V[0, 0].real, n2=V[2, 2].real, m1=V[0, 1], m2=V[2, 3],
                        ms=V[0, 2], mc=V[0, 3])
-    residual, ok = _rebuild_residual(V, p)
+    residual, ok = _rebuild_residual(V, build_covariance(p))
     if not ok:
         raise StructuralError(
             f"matrix does not have the two-mode covariance pattern (max deviation {residual:.3e})")
@@ -412,9 +421,10 @@ def params_from_covariance(V: np.ndarray) -> GaussianParams:
 
 
 def decompose_blocks(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split V into the local blocks V1, V2 and the cross-correlation block C."""
+    """Split V into the local blocks V1, V2 and the cross-correlation block C,
+    or each matrix of an (N, 4, 4) stack into (N, 2, 2) stacks of them."""
     V = _require_hermitian(V)
-    return V[:2, :2].copy(), V[2:, 2:].copy(), V[:2, 2:].copy()
+    return V[..., :2, :2].copy(), V[..., 2:, 2:].copy(), V[..., :2, 2:].copy()
 
 
 def min_eigenvalue_hermitian(M: np.ndarray):

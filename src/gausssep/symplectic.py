@@ -8,6 +8,12 @@ analysis: only on the two invariant forms (V1, V2 proportional to the
 identity, cross block carrying a single correlation) do separability and
 P-representability coincide.
 
+The invariants, ``apply_local`` and the reduction work on (N, 4, 4) stacks
+as on one matrix, with the same stacked operations, so a state's result
+does not depend on its stack.  ``reduce_to_invariant_form`` reads a state
+of a batch (``core._Row``) out of one array pass of the reduction over the
+batch; a lone parameter set is a one-element batch.
+
 The random-state samplers draw a batch of N states in one array pass (the
 reject sampler one per block of candidates): the uniforms in one generator
 call, the symplectics, covariances and eigen-oracle margins as (N, 4, 4)
@@ -19,12 +25,13 @@ are split into batches; a single draw is a one-element batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import core
-from .core import GaussianParams, Z, build_covariance
+from .core import GaussianParams, Z
 from .errors import DomainError, PrescriptionInapplicableError, SamplingBudgetError
 
 FORM1 = "form1"
@@ -34,7 +41,8 @@ FORM2 = "form2"
 @dataclass(frozen=True, eq=False)
 class LocalSymplectic:
     """S = S1 (+) S2 with S_i = [[e^{i phi} ch, e^{i vphi} sh],
-    [e^{-i vphi} sh, e^{-i phi} ch]] (ch = cosh theta, sh = sinh theta)."""
+    [e^{-i vphi} sh, e^{-i phi} ch]] (ch = cosh theta, sh = sinh theta).
+    With (N,) angle arrays it is a stack of N transforms."""
 
     theta1: float
     phi1: float
@@ -42,11 +50,11 @@ class LocalSymplectic:
     theta2: float
     phi2: float
     vphi2: float
-    realized: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "realized", _local_matrix(
-            self.theta1, self.phi1, self.vphi1, self.theta2, self.phi2, self.vphi2))
+    @cached_property
+    def realized(self) -> np.ndarray:
+        """The 4x4 matrix S, built at its first use."""
+        return _local_matrix(self.theta1, self.phi1, self.vphi1, self.theta2, self.phi2, self.vphi2)
 
 
 def _local_matrix(theta1, phi1, vphi1, theta2, phi2, vphi2) -> np.ndarray:
@@ -87,8 +95,9 @@ def _conjugate(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def apply_local(S: LocalSymplectic, V: np.ndarray) -> np.ndarray:
-    """Transformed covariance S+ V S (blockwise V_i -> S_i+ V_i S_i, C -> S1+ C S2);
-    OverflowError if an entry is not finite."""
+    """Transformed covariance S+ V S (blockwise V_i -> S_i+ V_i S_i, C -> S1+ C S2)
+    of a matrix, or of each matrix of an (N, 4, 4) stack; OverflowError if
+    an entry is not finite."""
     W = _conjugate(S.realized, np.asarray(V, dtype=complex))
     if not np.isfinite(W).all():
         raise OverflowError("local symplectic transform overflows")
@@ -98,7 +107,8 @@ def apply_local(S: LocalSymplectic, V: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SymplecticInvariants:
     """det V1, det V2, det C and Tr[V1 Z C Z V2 Z C+ Z]; all real and fixed
-    under local symplectic conjugation."""
+    under local symplectic conjugation.  Floats for one matrix, (N,) arrays
+    for a stack."""
 
     i1: float
     i2: float
@@ -108,15 +118,20 @@ class SymplecticInvariants:
 
 @np.errstate(over="ignore", invalid="ignore")
 def invariants(V: np.ndarray) -> SymplecticInvariants:
-    """I1..I4 of V; OverflowError if any of them is not finite."""
+    """I1..I4 of a matrix, as floats, or of each matrix of an (N, 4, 4)
+    stack, as (N,) arrays, by the same stacked operations; OverflowError if
+    any of them is not finite."""
     V1, V2, C = core.decompose_blocks(V)
     i1 = np.linalg.det(V1).real
     i2 = np.linalg.det(V2).real
     i3 = np.linalg.det(C).real
-    i4 = np.trace(V1 @ Z @ C @ Z @ V2 @ Z @ C.conj().T @ Z).real
-    if not all(map(math.isfinite, (i1, i2, i3, i4))):
+    chain = V1 @ Z @ C @ Z @ V2 @ Z @ C.conj().swapaxes(-1, -2) @ Z
+    i4 = np.trace(chain, axis1=-2, axis2=-1).real
+    if not np.isfinite([i1, i2, i3, i4]).all():
         raise OverflowError("symplectic invariants overflow")
-    return SymplecticInvariants(i1=float(i1), i2=float(i2), i3=float(i3), i4=float(i4))
+    if V1.ndim == 2:
+        return SymplecticInvariants(float(i1), float(i2), float(i3), float(i4))
+    return SymplecticInvariants(i1, i2, i3, i4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,34 +175,81 @@ def reduction_transform(p: GaussianParams) -> LocalSymplectic:
     return LocalSymplectic(theta1, phi1, 0.0, theta2, phi2, 0.0)
 
 
-def reduce_to_invariant_form(p: GaussianParams) -> InvariantFormResult:
+@np.errstate(over="ignore", invalid="ignore")
+def _reductions(batch: core._Batch) -> list[tuple]:
+    """One array pass of the reduction over every state of ``batch``: per
+    state, its physicality oracle margin, squeeze angles (theta1, phi1,
+    theta2, phi2) or their DomainError, whether its transformed matrix is
+    finite, whether it goes to form 1, nu1, nu2, mu, the residual and
+    whether that passes the structural rule.
+
+    Nothing is raised here: ``reduce_to_invariant_form`` raises each
+    state's errors in order.  The angles come from ``_squeeze_angles`` per
+    state; a state without them is transformed with the no-squeeze angles.
+    """
+    q = batch.q
+    V = q.covariance()
+    # The physicality oracle of ``core._physical_margin_eig``, per state.
+    margin = np.linalg.eigvalsh(V + core.E / 2)[:, 0]
+    angles = []
+    for n1, a, b, n2, c, d in zip(*(x.tolist() for x in (q.n1, *q.m1, q.n2, *q.m2))):
+        try:
+            angles.append(_squeeze_angles(complex(a, b), n1) + _squeeze_angles(complex(c, d), n2))
+        except DomainError as exc:
+            angles.append(exc)
+    theta1, phi1, theta2, phi2 = np.array(
+        [(0.0, math.pi) * 2 if isinstance(x, DomainError) else x for x in angles],
+        dtype=float).reshape(-1, 4).T
+    W = _conjugate(_local_matrix(theta1, phi1, 0.0, theta2, phi2, 0.0), V)
+
+    form1 = core._abs(q.mc) >= core._abs(q.ms)
+    nu1 = (W[:, 0, 0].real + W[:, 1, 1].real) / 2
+    nu2 = (W[:, 2, 2].real + W[:, 3, 3].real) / 2
+    mu = np.where(form1, W[:, 0, 3], W[:, 0, 2])
+    zero = np.zeros_like(nu1)
+    as_mc = tuple(np.where(form1, x, zero) for x in (mu.real, mu.imag))  # form 1
+    as_ms = tuple(np.where(form1, zero, x) for x in (mu.real, mu.imag))  # form 2
+    target = core._ParamArrays(nu1, nu2, (zero, zero), (zero, zero), as_ms, as_mc)
+    residual, ok = core._rebuild_residual(W, target.covariance())
+    return list(zip(margin.tolist(), angles, np.isfinite(W).all(axis=(1, 2)).tolist(),
+                    form1.tolist(), nu1.tolist(), nu2.tolist(), mu.tolist(),
+                    residual.tolist(), ok.tolist()))
+
+
+def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResult:
     """Apply the squeeze-and-phase prescription and verify the target pattern.
 
     The prescription fixes each mode's squeeze from its own local anomalous
     term only; inputs whose transformed matrix does not rebuild from the
     target form's parameters (the structural rule of
     ``core.params_from_covariance``) raise PrescriptionInapplicableError
-    carrying the residual.
+    carrying the residual.  ``p`` is a parameter set or a state of a batch
+    (``core._Row``), read out of one array pass over the batch, run at the
+    batch's first call.
     """
-    V = build_covariance(p)
-    if not core._physical_margin_eig(V) >= -core.TOL_PSD:
+    batch, i = core._row(p)
+    margin, angles, finite, form1, nu1, nu2, mu, residual, ok = (
+        batch.evaluated(_reductions, _reductions)[i])
+    if not math.isfinite(margin):
+        raise OverflowError("eigen-oracle overflows")
+    if not margin >= -core.TOL_PSD:
         raise DomainError("invariant-form reduction requires a physical state")
-    S = reduction_transform(p)
-    W = apply_local(S, V)
-
-    form = FORM1 if abs(p.mc) >= abs(p.ms) else FORM2
-    nu1 = float((W[0, 0].real + W[1, 1].real) / 2)
-    nu2 = float((W[2, 2].real + W[3, 3].real) / 2)
-    mu = complex(W[0, 3]) if form == FORM1 else complex(W[0, 2])
-    residual, ok = core._rebuild_residual(W, _form_params(form, nu1, nu2, mu))
+    if isinstance(angles, DomainError):
+        raise angles
+    if not finite:
+        raise OverflowError("local symplectic transform overflows")
+    form = FORM1 if form1 else FORM2
+    if not (0.0 <= nu1 < math.inf and 0.0 <= nu2 < math.inf):  # the sums in nu can overflow
+        _form_params(form, nu1, nu2, mu)  # raises, as it does for any invalid parameter set
     if not ok:
         raise PrescriptionInapplicableError(
-            f"reduction to {form} failed: residual {residual:.3e} exceeds {core.TOL_PATTERN:.1e}",
+            f"reduction to {form} failed: residual {residual:.3e} exceeds"
+            f" {core.TOL_PATTERN:.1e} x max(1, largest entry)",
             residual,
         )
-    return InvariantFormResult(
-        form=form, nu1=nu1, nu2=nu2, mu=mu, transform=S, residual=residual
-    )
+    theta1, phi1, theta2, phi2 = angles
+    return InvariantFormResult(form=form, nu1=nu1, nu2=nu2, mu=mu, residual=residual,
+                               transform=LocalSymplectic(theta1, phi1, 0.0, theta2, phi2, 0.0))
 
 
 # ---------------------------------------------------------------------------

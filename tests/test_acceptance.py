@@ -43,11 +43,12 @@ def separable_margin_eig(V):
 
 def eig_verdicts(V):
     """(physical, separable) from the eigen-oracle margins of a covariance
-    matrix; separable is None for an unphysical matrix."""
-    physical = core._physical_margin_eig(V) >= -core.TOL_PSD
-    if not physical:
-        return False, None
-    return True, separable_margin_eig(V) >= -core.TOL_PSD
+    matrix, or a list of them for the matrices of a stack; separable is
+    None for an unphysical matrix."""
+    physical = np.atleast_1d(core._physical_margin_eig(V) >= -core.TOL_PSD).tolist()
+    separable = np.atleast_1d(separable_margin_eig(V) >= -core.TOL_PSD).tolist()
+    verdicts = [(ph, s if ph else None) for ph, s in zip(physical, separable)]
+    return verdicts if V.ndim == 3 else verdicts[0]
 
 
 def test_oracle_equivalence_campaign():
@@ -148,17 +149,21 @@ def test_symplectic_invariance():
     rng = np.random.default_rng(2718)
     states = [symplectic.random_physical_state(rng) for _ in range(100)]
     transforms = [symplectic.random_local_symplectic(rng) for _ in range(100)]
+    # the 100 transforms as one LocalSymplectic of angle arrays: each state's
+    # 100 conjugations are one (100, 4, 4) stack
+    angles = ("theta1", "phi1", "vphi1", "theta2", "phi2", "vphi2")
+    stacked = symplectic.LocalSymplectic(
+        *(np.array([getattr(S, name) for S in transforms]) for name in angles))
     for p in states:
         V = build_covariance(p)
         inv0 = symplectic.invariants(V)
         v0 = eig_verdicts(V)
-        for S in transforms:
-            W = symplectic.apply_local(S, V)
-            inv1 = symplectic.invariants(W)
-            for a, b in zip((inv0.i1, inv0.i2, inv0.i3, inv0.i4),
-                            (inv1.i1, inv1.i2, inv1.i3, inv1.i4)):
-                assert b == pytest.approx(a, rel=1e-9, abs=1e-9)
-            assert eig_verdicts(W) == v0
+        W = symplectic.apply_local(stacked, V)
+        inv1 = symplectic.invariants(W)
+        for a, b in zip((inv0.i1, inv0.i2, inv0.i3, inv0.i4),
+                        (inv1.i1, inv1.i2, inv1.i3, inv1.i4)):
+            assert b == pytest.approx(np.full(len(transforms), a), rel=1e-9, abs=1e-9)
+        assert eig_verdicts(W) == [v0] * len(transforms)
 
     # witness: P-representability flips under a hard local squeeze
     V = build_covariance(GaussianParams(1.0, 1.0))

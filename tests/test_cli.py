@@ -39,6 +39,22 @@ VACUUM_REC = {"id": "vacuum", "params": {"n1": 0.5, "n2": 0.5}}
 ENTANGLED_REC = {"id": "ent", "params": {"n1": 1, "n2": 1, "mc": [0.6, 0]}}
 
 
+def assert_batch_equals_singles(tmp_path, argv, records):
+    """``argv`` on a file of ``records`` writes the bytes of its one-record
+    runs in a row: a record's output does not depend on the other records."""
+    f = tmp_path / "all.jsonl"
+    write_jsonl(f, records)
+    assert main([*argv, "--input", str(f), "--output", str(tmp_path / "all.out")]) == 0
+    singles = b""
+    for k, rec in enumerate(records):
+        g = tmp_path / f"one{k}.jsonl"
+        write_jsonl(g, [rec])
+        o = tmp_path / f"one{k}.out"
+        assert main([*argv, "--input", str(g), "--output", str(o)]) == 0
+        singles += o.read_bytes()
+    assert (tmp_path / "all.out").read_bytes() == singles
+
+
 class TestClassify:
     def test_vacuum(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
@@ -114,19 +130,7 @@ class TestClassify:
                                             "m2": [0.3, -0.1], "mc": [0.2, 0]}},
                    {"id": "gen", "params": {"n1": 1.4, "n2": 1.2, "m1": [0.3, 0.1],
                                             "m2": [0.1, 0], "ms": [0.25, 0], "mc": [0.4, 0]}}]
-        f = tmp_path / "all.jsonl"
-        write_jsonl(f, records)
-        assert main(["classify", "--input", str(f), "--method", "both",
-                     "--output", str(tmp_path / "all.out")]) == 0
-        singles = b""
-        for k, rec in enumerate(records):
-            g = tmp_path / f"one{k}.jsonl"
-            write_jsonl(g, [rec])
-            o = tmp_path / f"one{k}.out"
-            assert main(["classify", "--input", str(g), "--method", "both",
-                         "--output", str(o)]) == 0
-            singles += o.read_bytes()
-        assert (tmp_path / "all.out").read_bytes() == singles
+        assert_batch_equals_singles(tmp_path, ["classify", "--method", "both"], records)
 
     def test_output_file_deterministic(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
@@ -137,7 +141,33 @@ class TestClassify:
         assert o1.read_bytes() == o2.read_bytes()
 
 
+def squeezed_form_rec(rec_id, form_params, *angles):
+    """A record of ``form_params`` under the local symplectic of ``angles``."""
+    S = symplectic.make_local_symplectic(*angles)
+    p = core.params_from_covariance(symplectic.apply_local(S, core.build_covariance(form_params)))
+    return {"id": rec_id, "params": cli._params_to_dict(p)}
+
+
+# Squeezed invariant forms (the reduction applies; vphi = 0), generic states
+# (it does not), and states with m1 = 0 or m2 = 0 (a mode needs no squeeze).
+FORMS_RECS = [
+    VACUUM_REC,
+    ENTANGLED_REC,
+    squeezed_form_rec("sq1", GaussianParams(1.1, 1.3, mc=0.35), 0.4, 0.7, 0.0, 0.25, 2.0, 0.0),
+    squeezed_form_rec("sq2", GaussianParams(1.6, 0.9, ms=0.3 + 0.2j), 0.8, 1.9, 0.0, 0.5, 4.0, 0.0),
+    squeezed_form_rec("m1zero", GaussianParams(1.2, 1.4, mc=0.5j), 0.0, 0.0, 0.0, 0.6, 1.0, 0.0),
+    squeezed_form_rec("m2zero", GaussianParams(2.0, 1.0, ms=0.4), 1.1, 3.0, 0.0, 0.0, 0.0, 0.0),
+    {"id": "gen", "params": {"n1": 1.4, "n2": 1.2, "m1": [0.3, 0.1],
+                             "m2": [0.1, 0], "ms": [0.25, 0], "mc": [0.4, 0]}},
+    {"id": "gen2", "params": {"n1": 2.5, "n2": 1.7, "m1": [0, -0.4],
+                              "ms": [0.3, 0.3], "mc": [0.2, -0.6]}},
+]
+
+
 class TestInvariants:
+    def test_batch_equals_concatenated_single_runs(self, tmp_path):
+        assert_batch_equals_singles(tmp_path, ["invariants"], FORMS_RECS)
+
     def test_vacuum(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [VACUUM_REC])
@@ -190,6 +220,60 @@ class TestTransform:
         write_jsonl(f, [{"params": {"n1": 0.4, "n2": 1}}])
         code, _ = run(["transform", "--input", str(f), "--reduce"], capsys)
         assert code == 4
+
+    def test_reduce_batch_equals_concatenated_single_runs(self, tmp_path):
+        argv = ["transform", "--theta1", "0.4", "--phi2", "0.3", "--reduce"]
+        assert_batch_equals_singles(tmp_path, argv, FORMS_RECS)
+        lines = (tmp_path / "all.out").read_text().splitlines()
+        applicable = {rec["id"]: json.loads(line)["reduction"]["applicable"]
+                      for rec, line in zip(FORMS_RECS, lines)}
+        assert applicable == {"vacuum": True, "ent": True, "sq1": True, "sq2": True,
+                              "m1zero": True, "m2zero": True, "gen": False, "gen2": False}
+
+    def test_first_failing_record_reports_its_error(self, tmp_path, capsys):
+        # record 1 transforms but cannot be reduced (unphysical, exit 4);
+        # record 2 already fails its transform (negative n1 after it, exit 3)
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1, "mc": [5, 0]}},
+                        {"params": {"n1": 0.1, "n2": 1, "m1": [-5, 0]}}])
+        assert main(["transform", "--input", str(f), "--theta1", "0.4", "--reduce"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invariant-form reduction requires a physical state\n"
+        assert main(["transform", "--input", str(f), "--theta1", "0.4"]) == 3
+        assert "occupations must be nonnegative" in capsys.readouterr().err
+
+    def test_large_state_keeps_its_pattern(self, tmp_path, capsys):
+        # the transformed matrix deviates from its rebuild by rounding at the
+        # scale of 1e12, not by a broken pattern
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1e12, "n2": 1, "m1": [3e11, 1e11]}}])
+        code, out = run(["transform", "--input", str(f), "--theta1", "0.4", "--phi2", "0.3"],
+                        capsys)
+        assert code == 0
+        t = json.loads(out)["transformed_params"]
+        assert t["n1"] == pytest.approx(1.6038667409611e12, rel=1e-9)
+        assert t["n2"] == 1.0 and t["mc"] == [0.0, 0.0]
+
+    def test_reduce_large_squeezed_thermal_state(self, tmp_path, capsys):
+        # a one-ulp residual of a state of scale 1e8 does not make it inapplicable
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1e8, "n2": 1, "m1": [3e7, 1e7]}}])
+        code, out = run(["transform", "--input", str(f), "--reduce"], capsys)
+        assert code == 0
+        red = json.loads(out)["reduction"]
+        assert red["applicable"] and red["form"] == "form1"
+        assert red["nu1"] == pytest.approx(math.sqrt(1e16 - 1e15), rel=1e-12)
+        assert 0.0 < red["residual"] < 1e-7  # reported as it is, not scaled
+
+    @pytest.mark.parametrize("argv", [["invariants"], ["transform", "--reduce"]])
+    def test_empty_input_writes_nothing(self, tmp_path, capsys, argv):
+        f = tmp_path / "in.jsonl"
+        f.write_text("")
+        assert run([*argv, "--input", str(f)], capsys) == (0, "")
+        g = tmp_path / "in.json"
+        g.write_text('{"states": []}')
+        assert run([*argv, "--input", str(g), "--format", "json"], capsys) == (0, "")
 
 
 class TestSample:

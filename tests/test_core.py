@@ -108,7 +108,7 @@ BROKEN_RELATIONS = [
 
 class TestStructuralRule:
     """A matrix is accepted iff it rebuilds from the parameters read off it,
-    within TOL_PATTERN in every entry."""
+    within TOL_PATTERN * max(1, largest entry) in every entry."""
 
     @pytest.mark.parametrize("edits", BROKEN_RELATIONS)
     def test_broken_relation_rejected(self, edits):
@@ -135,6 +135,24 @@ class TestStructuralRule:
         V = build_covariance(GENERIC)
         V[1, 2] += TOL_PATTERN / 2
         assert params_from_covariance(V) == GENERIC
+
+    def test_tolerance_scales_with_the_matrix(self):
+        """At the scale of 1e12 an ulp-sized deviation is rounding, not a
+        broken pattern; 2 TOL_PATTERN of the scale is, and an infinite
+        entry is never within the tolerance."""
+        p = GaussianParams(1e12, 1.0, m1=3e11 + 1e11j)
+        V = build_covariance(p)
+        V[1, 0] += 2.5e-4  # two ulps of 1e12, 2.5e5 TOL_PATTERN
+        assert params_from_covariance(V) == p
+        assert core._ParamArrays.from_covariance(np.stack([V, V])).params() == [p, p]
+        broken, infinite = V.copy(), V.copy()
+        broken[1, 0] += 2 * TOL_PATTERN * 1e12
+        infinite[3, 2] = math.inf
+        for W in (broken, infinite):
+            with pytest.raises(StructuralError):
+                params_from_covariance(W)
+            with pytest.raises(StructuralError, match="matrix 1 of the stack"):
+                core._ParamArrays.from_covariance(np.stack([V, W]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, math.nan)])
     @pytest.mark.parametrize("ij", [(i, j) for i in range(4) for j in range(4)])

@@ -136,6 +136,22 @@ class TestInvariants:
         inv = invariants(build_covariance(GaussianParams(0.5, 0.5)))
         assert inv.i1 == pytest.approx(0.25) and inv.i2 == pytest.approx(0.25)
 
+    def test_stack_equals_each_matrix(self):
+        """A stack's invariants are those of each of its matrices, bit for
+        bit; an empty stack has none, and one overflowing matrix fails it."""
+        rng = np.random.default_rng(31)
+        V = np.stack([build_covariance(p) for p in random_physical_states(rng, 20)])
+        inv = invariants(V)
+        for k, M in enumerate(V):
+            one = invariants(M)
+            assert isinstance(one.i4, float)
+            assert (one.i1, one.i2, one.i3, one.i4) == (
+                inv.i1[k], inv.i2[k], inv.i3[k], inv.i4[k])
+        assert invariants(V[:0]).i4.shape == (0,)
+        V[3] = build_covariance(GaussianParams(1e160, 1.0, mc=1e155))
+        with pytest.raises(OverflowError):
+            invariants(V)
+
     def test_invariance_under_conjugation(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -192,6 +208,36 @@ class TestReduceToInvariantForm:
         with pytest.raises(PrescriptionInapplicableError) as exc:
             reduce_to_invariant_form(p)
         assert exc.value.residual > core.TOL_PATTERN
+
+    def test_rows_of_a_batch_reduce_as_lone_states(self):
+        """Each state of a batch reduces, or fails, as it does alone, read
+        out of one array pass over the batch; its transform's matrix is
+        built only when it is used."""
+        squeezed = params_from_covariance(apply_local(
+            make_local_symplectic(0.4, 0.7, 0.0, 0.25, 2.0, 0.0),
+            build_covariance(GaussianParams(1.1, 1.3, mc=0.35))))
+        states = [
+            GaussianParams(1.0, 1.0, mc=0.4), GaussianParams(1.0, 1.2, ms=0.3j), squeezed,
+            GaussianParams(1.4, 1.2, m1=0.3, m2=0.1, ms=0.25, mc=0.4),  # inapplicable
+            GaussianParams(0.4, 1.0),  # unphysical
+            GaussianParams(1.5, 2.0, m2=0.7 - 0.2j), GaussianParams(1e8, 1.0, m1=3e7 + 1e7j),
+            GaussianParams(2e9, 1.0, m1=2e9),  # no squeeze angle, if the oracle calls it physical
+        ]
+
+        def outcome(p):
+            try:
+                res = reduce_to_invariant_form(p)
+            except (DomainError, PrescriptionInapplicableError) as exc:  # the same, alone or not
+                return type(exc), str(exc)
+            assert "realized" not in vars(res.transform)
+            S = res.transform
+            return (res.form, res.nu1, res.nu2, res.mu, res.residual,
+                    S.theta1, S.phi1, S.theta2, S.phi2, S.realized.tobytes())
+
+        alone = [outcome(p) for p in states]
+        assert alone == [outcome(row) for row in core._Batch.of(states).rows()]
+        assert [a[0] for a in alone] == [FORM1, FORM2, FORM1, PrescriptionInapplicableError,
+                                         DomainError, FORM1, FORM1, DomainError]
 
     def test_unphysical_rejected(self):
         with pytest.raises(DomainError):
