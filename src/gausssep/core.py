@@ -76,12 +76,12 @@ from .errors import (
     StructuralError,
 )
 
-# Absolute tolerances on 4x4 matrices, but for TOL_PATTERN, which scales with the matrix.
+# Absolute tolerances on 4x4 matrices, but for TOL_PATTERN, which scales per entry.
 TOL_PSD = 1e-10
 TOL_HERM = 1e-12
 TOL_SING = 1e-12
-TOL_PATTERN = 1e-9  # entrywise, a matrix against the rebuild of its parameters,
-                    # relative to max(1, largest entry of the rebuild)
+TOL_PATTERN = 1e-9  # entry (i, j) of a matrix against the rebuild B of its parameters,
+                    # relative to max(1, sqrt(|B_ii| |B_jj|))
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 BISECT_HI = 64.0  # first upper end of the sweep's n2 bisection bracket
 
@@ -386,18 +386,25 @@ def _require_hermitian(M: np.ndarray) -> np.ndarray:
     return M
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _rebuild_residual(V: np.ndarray, B: np.ndarray):
-    """(max |V - B| over all 16 entries, whether it is at most TOL_PATTERN *
-    max(1, max |B|)) for a matrix V and its rebuild B, as a float and a
-    bool, or per matrix of (N, 4, 4) stacks, as (N,) arrays.
+    """(max |V - B| over all 16 entries, whether every entry (i, j) is
+    within TOL_PATTERN * max(1, sqrt(|B_ii| |B_jj|))) for a matrix V and its
+    rebuild B, as a float and a bool, or per matrix of (N, 4, 4) stacks, as
+    (N,) arrays.
 
-    The tolerance scales with the matrix, so that a rounding-level residual
-    of a large state passes; the scale is the rebuild's, which the matrix
-    matches within the tolerance when it passes, so an infinite entry of V
-    is never its own excuse.  A NaN entry of V fails.
+    The tolerance of an entry scales with the two diagonal entries it
+    couples, so a rounding-level residual in the block of a large mode
+    passes, while the block of a small mode and the cross block keep the
+    tolerance of their own scale.  The scale is the rebuild's, whose
+    diagonal the matrix matches within the tolerance when it passes, so an
+    infinite entry of V is never its own excuse.  A NaN entry of V fails.
     """
-    residual = np.abs(V - B).max(axis=(-2, -1), initial=0.0)
-    ok = residual <= TOL_PATTERN * np.abs(B).max(axis=(-2, -1), initial=1.0)
+    scale = np.sqrt(np.abs(np.diagonal(B, axis1=-2, axis2=-1)))
+    tol = TOL_PATTERN * np.maximum(1.0, scale[..., :, None] * scale[..., None, :])
+    dev = np.abs(V - B)
+    residual = dev.max(axis=(-2, -1), initial=0.0)
+    ok = (dev <= tol).all(axis=(-2, -1))
     return (float(residual), bool(ok)) if V.ndim == 2 else (residual, ok)
 
 

@@ -168,35 +168,41 @@ def _squeeze_angles(m: complex, n: float) -> tuple[float, float]:
     return theta, -mu + math.pi
 
 
-def reduction_transform(p: GaussianParams) -> LocalSymplectic:
-    """The prescribed local symplectic for reducing ``p`` to an invariant form."""
-    theta1, phi1 = _squeeze_angles(p.m1, p.n1)
-    theta2, phi2 = _squeeze_angles(p.m2, p.n2)
-    return LocalSymplectic(theta1, phi1, 0.0, theta2, phi2, 0.0)
+def _each(f, *columns, errors):
+    """``f`` of each row of ``columns``, or the exception of type ``errors``
+    it raises on that row."""
+    out = []
+    for args in zip(*columns):
+        try:
+            out.append(f(*args))
+        except errors as exc:
+            out.append(exc)
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reductions(batch: core._Batch) -> list[tuple]:
     """One array pass of the reduction over every state of ``batch``: per
-    state, its physicality oracle margin, squeeze angles (theta1, phi1,
-    theta2, phi2) or their DomainError, whether its transformed matrix is
-    finite, whether it goes to form 1, nu1, nu2, mu, the residual and
-    whether that passes the structural rule.
+    state, its physicality oracle margin or its OverflowError, squeeze
+    angles (theta1, phi1, theta2, phi2) or their DomainError, whether its
+    transformed matrix is finite, whether it goes to form 1, nu1, nu2, mu,
+    the residual and whether that passes the structural rule.
 
     Nothing is raised here: ``reduce_to_invariant_form`` raises each
-    state's errors in order.  The angles come from ``_squeeze_angles`` per
-    state; a state without them is transformed with the no-squeeze angles.
+    state's errors in order.  The oracle runs on each state on its own only
+    if it overflows on the stack.  The angles come from ``_squeeze_angles``
+    per state; a state without them is transformed with the no-squeeze
+    angles.
     """
     q = batch.q
     V = q.covariance()
-    # The physicality oracle of ``core._physical_margin_eig``, per state.
-    margin = np.linalg.eigvalsh(V + core.E / 2)[:, 0]
-    angles = []
-    for n1, a, b, n2, c, d in zip(*(x.tolist() for x in (q.n1, *q.m1, q.n2, *q.m2))):
-        try:
-            angles.append(_squeeze_angles(complex(a, b), n1) + _squeeze_angles(complex(c, d), n2))
-        except DomainError as exc:
-            angles.append(exc)
+    try:
+        margins = core._physical_margin_eig(V).tolist()
+    except OverflowError:
+        margins = _each(core._physical_margin_eig, V, errors=OverflowError)
+    angles = _each(lambda n1, a, b, n2, c, d: (_squeeze_angles(complex(a, b), n1)
+                                               + _squeeze_angles(complex(c, d), n2)),
+                   *(x.tolist() for x in (q.n1, *q.m1, q.n2, *q.m2)), errors=DomainError)
     theta1, phi1, theta2, phi2 = np.array(
         [(0.0, math.pi) * 2 if isinstance(x, DomainError) else x for x in angles],
         dtype=float).reshape(-1, 4).T
@@ -211,7 +217,7 @@ def _reductions(batch: core._Batch) -> list[tuple]:
     as_ms = tuple(np.where(form1, zero, x) for x in (mu.real, mu.imag))  # form 2
     target = core._ParamArrays(nu1, nu2, (zero, zero), (zero, zero), as_ms, as_mc)
     residual, ok = core._rebuild_residual(W, target.covariance())
-    return list(zip(margin.tolist(), angles, np.isfinite(W).all(axis=(1, 2)).tolist(),
+    return list(zip(margins, angles, np.isfinite(W).all(axis=(1, 2)).tolist(),
                     form1.tolist(), nu1.tolist(), nu2.tolist(), mu.tolist(),
                     residual.tolist(), ok.tolist()))
 
@@ -230,8 +236,8 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
     batch, i = core._row(p)
     margin, angles, finite, form1, nu1, nu2, mu, residual, ok = (
         batch.evaluated(_reductions, _reductions)[i])
-    if not math.isfinite(margin):
-        raise OverflowError("eigen-oracle overflows")
+    if isinstance(margin, OverflowError):
+        raise margin
     if not margin >= -core.TOL_PSD:
         raise DomainError("invariant-form reduction requires a physical state")
     if isinstance(angles, DomainError):
@@ -239,12 +245,11 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
     if not finite:
         raise OverflowError("local symplectic transform overflows")
     form = FORM1 if form1 else FORM2
-    if not (0.0 <= nu1 < math.inf and 0.0 <= nu2 < math.inf):  # the sums in nu can overflow
-        _form_params(form, nu1, nu2, mu)  # raises, as it does for any invalid parameter set
+    _form_params(form, nu1, nu2, mu)  # raises InvalidParameterError for an invalid nu
     if not ok:
         raise PrescriptionInapplicableError(
             f"reduction to {form} failed: residual {residual:.3e} exceeds"
-            f" {core.TOL_PATTERN:.1e} x max(1, largest entry)",
+            f" {core.TOL_PATTERN:.1e} x max(1, sqrt(|B_ii| |B_jj|))",
             residual,
         )
     theta1, phi1, theta2, phi2 = angles

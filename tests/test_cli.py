@@ -266,6 +266,17 @@ class TestTransform:
         assert red["nu1"] == pytest.approx(math.sqrt(1e16 - 1e15), rel=1e-12)
         assert 0.0 < red["residual"] < 1e-7  # reported as it is, not scaled
 
+    def test_reduce_large_mode1_keeps_the_cross_tolerance(self, tmp_path, capsys):
+        # m1 = m2 = 0: the transform is phases only, and form 1 would drop
+        # ms = 0.05, which is no rounding error next to sqrt(n1 n2) = 1e4
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1e8, "n2": 1, "ms": [0.05, 0], "mc": [0.4, 0]}}])
+        code, out = run(["transform", "--input", str(f), "--reduce"], capsys)
+        assert code == 0
+        red = json.loads(out)["reduction"]
+        assert not red["applicable"]
+        assert red["residual"] == pytest.approx(0.05, rel=1e-12)
+
     @pytest.mark.parametrize("argv", [["invariants"], ["transform", "--reduce"]])
     def test_empty_input_writes_nothing(self, tmp_path, capsys, argv):
         f = tmp_path / "in.jsonl"

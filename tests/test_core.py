@@ -107,8 +107,9 @@ BROKEN_RELATIONS = [
 
 
 class TestStructuralRule:
-    """A matrix is accepted iff it rebuilds from the parameters read off it,
-    within TOL_PATTERN * max(1, largest entry) in every entry."""
+    """A matrix is accepted iff it rebuilds from the parameters read off it:
+    entry (i, j) within TOL_PATTERN * max(1, sqrt(|B_ii| |B_jj|)) of the
+    rebuild B."""
 
     @pytest.mark.parametrize("edits", BROKEN_RELATIONS)
     def test_broken_relation_rejected(self, edits):
@@ -153,6 +154,22 @@ class TestStructuralRule:
                 params_from_covariance(W)
             with pytest.raises(StructuralError, match="matrix 1 of the stack"):
                 core._ParamArrays.from_covariance(np.stack([V, W]))
+
+    @pytest.mark.parametrize(
+        "edits", [e for e in BROKEN_RELATIONS if any(max(ij) >= 2 for ij in e)])
+    def test_large_mode1_does_not_widen_the_other_blocks(self, edits):
+        """A broken relation in the mode-2 or the cross block is rejected
+        when mode 1 is of scale 1e12: those blocks keep the tolerance of
+        their own scale."""
+        V = build_covariance(GaussianParams(1e12, 0.9, m1=3e11 + 1e11j, m2=-0.3j,
+                                            ms=0.4 - 0.1j, mc=0.2j))
+        bad = V.copy()
+        for ij, dv in edits.items():
+            bad[ij] += dv
+        with pytest.raises(StructuralError):
+            params_from_covariance(bad)
+        with pytest.raises(StructuralError, match="matrix 1 of the stack"):
+            core._ParamArrays.from_covariance(np.stack([V, bad]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, math.nan)])
     @pytest.mark.parametrize("ij", [(i, j) for i in range(4) for j in range(4)])

@@ -245,7 +245,7 @@ class TestReduceToInvariantForm:
 
     def test_overcorrelated_mode_rejected(self):
         with pytest.raises(DomainError):
-            symplectic.reduction_transform(GaussianParams(1.0, 1.0, m1=1.1))
+            symplectic._squeeze_angles(1.1, 1.0)
 
     def test_form_connection_by_phases(self):
         # theta = 0, phases only: form 1 maps to the form-2 pattern
