@@ -20,7 +20,6 @@ from .symplectic import (
     invariants,
     make_local_symplectic,
     random_local_symplectic,
-    random_physical_state,
     random_physical_states,
     reduce_to_invariant_form,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "params_from_covariance",
     "partial_transpose",
     "random_local_symplectic",
-    "random_physical_state",
     "random_physical_states",
     "reduce_to_invariant_form",
     "schur_complement",

@@ -110,6 +110,9 @@ def record_to_params(record: dict, where: str) -> tuple[str | None, GaussianPara
         for name in ("m1", "m2", "ms", "mc"):
             if name in raw:
                 kwargs[name] = _to_complex(raw[name], f"{where}.{name}")
+        if len(raw) > 2 + len(kwargs):  # n1 and n2 are required: any other key is unknown
+            unknown = ", ".join(map(repr, sorted(raw.keys() - {"n1", "n2", *kwargs})))
+            raise ParseError(f"{where}: unknown key(s) in 'params': {unknown}")
         return rec_id, GaussianParams(n1=n1, n2=n2, **kwargs)
     raw = record["matrix"]
     try:
@@ -265,7 +268,7 @@ def cmd_transform(args) -> int:
         args.theta1, args.phi1, args.vphi1, args.theta2, args.phi2, args.vphi2
     )
     batch = core._Batch.of([p for _, p in states])
-    V = batch.q.covariance()
+    V = batch.covariance
     try:
         transformed = core._ParamArrays.from_covariance(symplectic.apply_local(S, V)).params()
     except (OverflowError, StructuralError, InvalidParameterError):
@@ -339,7 +342,7 @@ def cmd_sample(args) -> int:
         """Each state's record line, tallied into ``summary``, then the summary line."""
         for i, p, vc, ve in _sampled(rng, args.mode, args.count, args.tol_psd):
             margins = [ve.margin_physical, ve.margin_separable, ve.margin_prep]
-            off_boundary = all(abs(m) > 1e-8 for m in margins if not math.isnan(m))
+            off_boundary = all(abs(m) > core.BOUNDARY_BAND for m in margins if not math.isnan(m))
             agree = _agree(vc, ve)
             if off_boundary and not agree and not vc.fallbacks:
                 summary["method_disagreements_off_boundary"] += 1

@@ -24,9 +24,12 @@ per-state API (``classify``, ``n2_folds``, the n2 bounds and
 ``bisect_n2_threshold``) takes a parameter set, evaluated as a one-element
 batch, or a state of a batch (``_Row``), which it reads out of that batch's
 array pass; the batch entry points are these per-state calls over every
-state of one batch, whose array passes each run once (``_Batch``).  Every
-operation is elementwise or per matrix, so a state's result does not depend
-on the other states in its batch, bit for bit.
+state of one batch, whose array passes each run once (``_Batch``).  A batch
+builds its (N, 4, 4) covariance stack once, read-only, at its first use;
+the oracle rows, the n2 bisection and the invariant-form reduction of
+``symplectic`` index that one stack.  Every operation is elementwise or per
+matrix, so a state's result does not depend on the other states in its
+batch, bit for bit.
 
 Separability is physicality of the partial transpose (Simon's criterion), so
 it has no code of its own: both its margins are the physicality code run on
@@ -82,6 +85,7 @@ TOL_HERM = 1e-12
 TOL_SING = 1e-12
 TOL_PATTERN = 1e-9  # entry (i, j) of a matrix against the rebuild B of its parameters,
                     # relative to max(1, sqrt(|B_ii| |B_jj|))
+BOUNDARY_BAND = 1e-8  # |oracle margin| at or below this lies on a decision boundary
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 BISECT_HI = 64.0  # first upper end of the sweep's n2 bisection bracket
 
@@ -312,9 +316,10 @@ def _intermediates(q: _ParamArrays) -> _Intermediates:
 
 
 class _Batch:
-    """N states as ``_ParamArrays``.  Each array evaluation over them runs
-    once, at its first use, and is kept; the per-state functions read a
-    state of the batch (a ``_Row``) out of these evaluations."""
+    """N states as ``_ParamArrays``.  Each array evaluation over them, and
+    their covariance stack, is built once, at its first use, and kept; the
+    per-state functions read a state of the batch (a ``_Row``) out of these
+    evaluations."""
 
     def __init__(self, q: _ParamArrays):
         self.q = q
@@ -327,6 +332,14 @@ class _Batch:
     @cached_property
     def im(self) -> _Intermediates:
         return _intermediates(self.q)
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """The (N, 4, 4) covariance matrices, read-only: every consumer of
+        the batch's matrices indexes this one stack."""
+        V = self.q.covariance()
+        V.flags.writeable = False
+        return V
 
     @cached_property
     def mirror(self) -> "_Batch":
@@ -611,22 +624,20 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
         phys, sep, prep = (np.full(len(q.n1), np.nan) for _ in range(3))
 
     # The eigen-oracle decides the rows where the closed form is degenerate
-    # or not used.  p's covariances are built once, for the rows whose
-    # physicality or P margin may need it (``at`` maps a row to its matrix).
+    # or not used, on rows of the batch's covariance stack.
     need_phys = np.isnan(phys)
-    maybe_p = need_phys | np.isnan(prep)
-    V = q.take(maybe_p).covariance() if maybe_p.any() else None
-    at = np.cumsum(maybe_p) - 1
     if need_phys.any():
-        phys[need_phys] = _physical_margin_eig(V[at[need_phys]])
+        phys[need_phys] = _physical_margin_eig(batch.covariance[need_phys])
     physical = phys >= -tol_psd
     need_sep = np.isnan(sep) & physical
     need_prep = np.isnan(prep) & physical
-    # Separability is physicality of the mirror, on both routes.
+    # Separability is physicality of the mirror, on both routes.  Its rows
+    # build their own stack: ``batch.mirror`` would compute the closed-form
+    # intermediates, which the oracle route never needs.
     if need_sep.any():
         sep[need_sep] = _physical_margin_eig(q.mirror().take(need_sep).covariance())
     if need_prep.any():
-        prep[need_prep] = _prep_margin_eig(V[at[need_prep]])
+        prep[need_prep] = _prep_margin_eig(batch.covariance[need_prep])
     sep[~physical] = prep[~physical] = np.nan
 
     if method == METHOD_CLOSED:
@@ -690,19 +701,17 @@ _N2_CRITERIA = {
 }
 
 
-def _bisect_n2(q: _ParamArrays, margin) -> np.ndarray:
-    """Per row, the smallest n2 with ``margin`` of its covariance >= 0, by
-    bisection on [0, hi] after doubling ``hi`` (from ``BISECT_HI``) while
+def _bisect_n2(V: np.ndarray, margin) -> np.ndarray:
+    """Per matrix of the stack ``V``, the smallest n2 with ``margin`` >= 0,
+    by bisection on [0, hi] after doubling ``hi`` (from ``BISECT_HI``) while
     the margin there is negative; ``inf`` once ``hi`` doubles past 2^40."""
-    V = q.covariance()
-
     def f(rows, n2):
         W = V[rows]
         W[:, 2, 2] = W[:, 3, 3] = n2
         return margin(W)
 
-    hi = np.full(len(q.n1), BISECT_HI)
-    pending = np.arange(len(q.n1))
+    hi = np.full(len(V), BISECT_HI)
+    pending = np.arange(len(V))
     while pending.size:
         pending = pending[f(pending, hi[pending]) < 0.0]
         hi[pending] *= 2.0
@@ -733,7 +742,7 @@ def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
     batch, i = _row(p)
     if batch.evaluated(mode1_fails, lambda bt: mode1_fails(bt.q, bt.im).tolist())[i]:
         return math.inf
-    return float(_bisect_n2(batch.q.take([i]), margin)[0])
+    return float(_bisect_n2(batch.covariance[i:i + 1], margin)[0])
 
 
 def prep_below_sep(prep, sep):

@@ -12,14 +12,16 @@ The invariants, ``apply_local`` and the reduction work on (N, 4, 4) stacks
 as on one matrix, with the same stacked operations, so a state's result
 does not depend on its stack.  ``reduce_to_invariant_form`` reads a state
 of a batch (``core._Row``) out of one array pass of the reduction over the
-batch; a lone parameter set is a one-element batch.
+batch's covariance stack (``core._Batch.covariance``); a lone parameter set
+is a one-element batch.
 
-The random-state samplers draw a batch of N states in one array pass (the
-reject sampler one per block of candidates): the uniforms in one generator
-call, the symplectics, covariances and eigen-oracle margins as (N, 4, 4)
-stacks.  The states and the generator's end state are those of N
-one-at-a-time draws, bit for bit, so they do not depend on how the draws
-are split into batches; a single draw is a one-element batch.
+``random_physical_states`` is the one sampler entry point.  It draws a
+batch of N states in one array pass (the reject sampler one per block of
+candidates): the uniforms in one generator call, the symplectics,
+covariances and eigen-oracle margins as (N, 4, 4) stacks.  The states and
+the generator's end state are those of N one-at-a-time draws, bit for bit,
+so they do not depend on how the draws are split into calls; one state is
+``random_physical_states(rng, 1, mode)[0]``.
 """
 
 from __future__ import annotations
@@ -194,8 +196,7 @@ def _reductions(batch: core._Batch) -> list[tuple]:
     per state; a state without them is transformed with the no-squeeze
     angles.
     """
-    q = batch.q
-    V = q.covariance()
+    q, V = batch.q, batch.covariance
     try:
         margins = core._physical_margin_eig(V).tolist()
     except OverflowError:
@@ -304,8 +305,9 @@ def _uniform_columns(rng: np.random.Generator, n: int, bounds) -> np.ndarray:
 
 def _random_box(rng: np.random.Generator, n: int, n_lo: float = 0.4, n_hi: float = 3.0,
                 m_max: float = 1.0) -> core._ParamArrays:
-    """n unconstrained box draws (physical or not) as arrays, each the
-    stream of one ``random_params`` call (its one-element view)."""
+    """n unconstrained box draws (physical or not) as arrays: n1, n2 in
+    [n_lo, n_hi], then m1, m2, ms, mc with moduli in [0, m_max] and uniform
+    phases, each state from one row of ten uniforms."""
     n1, n2, *u = _uniform_columns(
         rng, n, [(n_lo, n_hi)] * 2 + [(0.0, m_max)] * 4 + [(0.0, 2 * math.pi)] * 4)
     m = np.array(u[:4]) * np.exp(1j * np.array(u[4:]))  # moduli times phases
@@ -368,7 +370,7 @@ def random_physical_states(rng: np.random.Generator, n: int,
     one pass; each state takes one row of ten uniforms (nu1, nu2, theta1,
     theta2, phi1, vphi1, phi2, vphi2, r, gamma).
     ``reject``: draw the ten uniforms of all six parameters from
-    ``REJECT_BOX`` (n_i in [0.5, 3], |m| <= 1; see ``random_params``) and
+    ``REJECT_BOX`` (n_i in [0.5, 3], |m| <= 1; see ``_random_box``) and
     accept iff the eigen-oracle says physical, within ``MAX_DRAWS`` draws
     per state (else SamplingBudgetError), one pass per block of candidates.
     """
@@ -379,20 +381,3 @@ def random_physical_states(rng: np.random.Generator, n: int,
     if mode == "reject":
         return _reject(rng, n)
     raise ValueError(f"unknown sampling mode {mode!r}")
-
-
-def random_physical_state(rng: np.random.Generator, mode: str = "construct") -> GaussianParams:
-    """One draw of ``random_physical_states``."""
-    return random_physical_states(rng, 1, mode)[0]
-
-
-def random_params(
-    rng: np.random.Generator,
-    n_lo: float = 0.4,
-    n_hi: float = 3.0,
-    m_max: float = 1.0,
-) -> GaussianParams:
-    """Unconstrained box draw (physical or not), for oracle cross-validation:
-    n1, n2 in [n_lo, n_hi], then m1, m2, ms, mc with moduli in [0, m_max]
-    and uniform phases.  A one-element ``_random_box``."""
-    return _random_box(rng, 1, n_lo, n_hi, m_max).params()[0]

@@ -17,7 +17,6 @@ import pytest
 from gausssep import cli, core, symplectic
 from gausssep.core import E, GaussianParams, I4, build_covariance
 
-BOUNDARY_BAND = 1e-8
 PT_PERM = [0, 1, 3, 2]  # index permutation realizing V -> T V T
 
 
@@ -57,7 +56,7 @@ def test_oracle_equivalence_campaign():
     t0 = time.time()
     rng = np.random.default_rng(20260823)
     n = 100_000
-    # the states of n random_params calls, drawn in one batch
+    # n box draws (physical or not) in one batch
     q = symplectic._random_box(rng, n)
     V = q.covariance()
     eig = np.column_stack(batch_margins_eig(V))
@@ -65,7 +64,7 @@ def test_oracle_equivalence_campaign():
     # batch, NaN where degenerate: the closed-form path is not defined there.
     closed = np.column_stack(core._closed_margins(q, core._intermediates(q)))
 
-    off_boundary = np.all(np.abs(eig) > BOUNDARY_BAND, axis=1)
+    off_boundary = np.all(np.abs(eig) > core.BOUNDARY_BAND, axis=1)
     differ = (closed >= -core.TOL_PSD) != (eig >= -core.TOL_PSD)
     disagreements = np.count_nonzero(differ & ~np.isnan(closed) & off_boundary[:, None])
     elapsed = time.time() - t0
@@ -120,7 +119,7 @@ def test_invariant_form_equivalence():
             continue
         m_sep = separable_margin_eig(V)
         m_prep = core._prep_margin_eig(V)
-        if min(abs(m_sep), abs(m_prep)) <= BOUNDARY_BAND:
+        if min(abs(m_sep), abs(m_prep)) <= core.BOUNDARY_BAND:
             continue
         if (m_sep >= 0) != (m_prep >= 0):
             exceptions += 1
@@ -147,7 +146,7 @@ def test_symplectic_invariance():
     """I1..I4 and the physicality/separability verdicts survive 100x100
     random local conjugations; a P-representability flip is exhibited."""
     rng = np.random.default_rng(2718)
-    states = [symplectic.random_physical_state(rng) for _ in range(100)]
+    states = symplectic.random_physical_states(rng, 100)
     transforms = [symplectic.random_local_symplectic(rng) for _ in range(100)]
     # the 100 transforms as one LocalSymplectic of angle arrays: each state's
     # 100 conjugations are one (100, 4, 4) stack
@@ -222,7 +221,7 @@ def test_mirror_identity_campaign():
     one batch of the array core; both are NaN exactly where degenerate."""
     rng = np.random.default_rng(555)
     n = 100_000
-    a = symplectic._random_box(rng, n)  # the states of n random_params calls
+    a = symplectic._random_box(rng, n)  # n box draws (physical or not)
     q = a.mirror()
     sep = core._physical_margin_closed(q, core._intermediates(a).mirror())
     assert sep.tobytes() == core._physical_margin_closed(q, core._intermediates(q)).tobytes()

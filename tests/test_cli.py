@@ -277,6 +277,20 @@ class TestTransform:
         assert not red["applicable"]
         assert red["residual"] == pytest.approx(0.05, rel=1e-12)
 
+    def test_reduce_builds_the_input_stack_once(self, tmp_path, monkeypatch):
+        # the transform and the reduction index one covariance stack of the file
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, FORMS_RECS)
+        real = core._ParamArrays.covariance
+        states = [p for _, p in cli.load_states(str(f), "jsonl")]
+        inputs = real(core._ParamArrays.of(states)).tobytes()
+        built = []
+        monkeypatch.setattr(core._ParamArrays, "covariance",
+                            lambda q: built.append(real(q)) or built[-1])
+        argv = ["transform", "--theta1", "0.4", "--reduce", "--input", str(f)]
+        assert main([*argv, "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert [V.tobytes() for V in built].count(inputs) == 1
+
     @pytest.mark.parametrize("argv", [["invariants"], ["transform", "--reduce"]])
     def test_empty_input_writes_nothing(self, tmp_path, capsys, argv):
         f = tmp_path / "in.jsonl"
@@ -493,6 +507,15 @@ class TestExitCodes:
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [{"params": params}])
         self.check(["classify", "--input", str(f)], 2, capsys)
+
+    def test_unknown_params_key_exit_2(self, tmp_path, capsys):
+        # a typo is not dropped: without its "mc" this record reads as separable
+        f, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1, "MC": [0.6, 0]}}])
+        assert main(["classify", "--input", str(f), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown key(s) in 'params': 'MC'" in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_non_finite_id_exit_2(self, tmp_path, capsys):
         # the id is echoed, and NaN is not JSON

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gausssep
 from gausssep import core
 from gausssep.core import (
     TOL_PATTERN,
@@ -450,6 +451,9 @@ class TestClassify:
         sizes.clear()
         core.n2_folds_batch(states)
         assert sizes == [len(states)]
+        sizes.clear()
+        core.classify_batch(states, method=core.METHOD_EIG)  # the oracle route needs none
+        assert sizes == []
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -474,3 +478,11 @@ class TestFolds:
     def test_unknown_criterion(self):
         with pytest.raises(KeyError):
             core.bisect_n2_threshold(REF, "separable")
+
+
+def test_public_surface():
+    """Every exported name resolves on the package, so a stale export fails
+    here; the one-state sampler view is gone."""
+    missing = [name for name in gausssep.__all__ if not hasattr(gausssep, name)]
+    assert missing == []
+    assert "random_physical_state" not in gausssep.__all__

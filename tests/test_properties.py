@@ -135,7 +135,7 @@ def test_closed_form_matches_oracle(p):
         (ve.margin_separable, vc.separable, ve.separable),
         (ve.margin_prep, vc.p_representable, ve.p_representable),
     ):
-        if not math.isnan(eig_margin) and abs(eig_margin) > 1e-8:
+        if not math.isnan(eig_margin) and abs(eig_margin) > core.BOUNDARY_BAND:
             assert closed_flag == eig_flag
 
 
@@ -174,10 +174,10 @@ def test_form1_reduced_criterion(n1, n2, mu):
     if not v.physical:
         return
     reduced = (n1 - 0.5) * (n2 - 0.5) - abs(mu) ** 2
-    if abs(reduced) > 1e-8:
+    if abs(reduced) > core.BOUNDARY_BAND:
         assert v.separable == (reduced >= 0)
         assert v.p_representable == (reduced >= 0)
-    if abs(min(v.margin_separable, v.margin_prep)) > 1e-8:
+    if abs(min(v.margin_separable, v.margin_prep)) > core.BOUNDARY_BAND:
         assert v.separable == v.p_representable
 
 

@@ -13,7 +13,6 @@ from gausssep.symplectic import (
     invariants,
     make_local_symplectic,
     random_local_symplectic,
-    random_physical_state,
     random_physical_states,
     reduce_to_invariant_form,
     two_mode_mixer,
@@ -110,7 +109,7 @@ class TestApplyLocal:
     def test_preserves_physicality_and_separability(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            p = random_physical_state(rng)
+            p = random_physical_states(rng, 1)[0]
             S = random_local_symplectic(rng)
             V = build_covariance(p)
             W = apply_local(S, V)
@@ -155,7 +154,7 @@ class TestInvariants:
     def test_invariance_under_conjugation(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            p = random_physical_state(rng)
+            p = random_physical_states(rng, 1)[0]
             S = random_local_symplectic(rng)
             a = invariants(build_covariance(p))
             b = invariants(apply_local(S, build_covariance(p)))
@@ -261,8 +260,8 @@ class TestRandomGeneration:
         a = random_local_symplectic(np.random.default_rng(5))
         b = random_local_symplectic(np.random.default_rng(5))
         assert np.array_equal(a.realized, b.realized)
-        pa = random_physical_state(np.random.default_rng(5))
-        pb = random_physical_state(np.random.default_rng(5))
+        pa = random_physical_states(np.random.default_rng(5), 1)
+        pb = random_physical_states(np.random.default_rng(5), 1)
         assert pa == pb
 
     def test_mixer_symplectic(self):
@@ -274,33 +273,30 @@ class TestRandomGeneration:
     def test_construct_zero_mixing_is_product(self, monkeypatch):
         monkeypatch.setattr(symplectic, "THETA_MAX", 0.0)
         monkeypatch.setattr(symplectic, "R_MAX", 0.0)
-        p = random_physical_state(np.random.default_rng(2))
+        p = random_physical_states(np.random.default_rng(2), 1)[0]
         assert p.m1 == 0 and p.m2 == 0 and p.ms == 0 and p.mc == 0
         assert core.classify(p, method=core.METHOD_EIG).separable
 
     def test_construct_outputs_physical(self):
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            p = random_physical_state(rng)
+        for p in random_physical_states(rng, 100):
             assert core.classify(p, method=core.METHOD_EIG).physical
 
     def test_reject_outputs_physical(self):
         rng = np.random.default_rng(17)
-        accepted = 0
-        for _ in range(50):
-            p = random_physical_state(rng, mode="reject")
+        states = random_physical_states(rng, 50, mode="reject")
+        assert len(states) == 50  # acceptance fraction of the box is positive
+        for p in states:
             assert core.classify(p, method=core.METHOD_EIG).physical
-            accepted += 1
-        assert accepted == 50  # acceptance fraction of the box is positive
 
     def test_budget_error(self, monkeypatch):
         monkeypatch.setattr(symplectic, "MAX_DRAWS", 0)
         with pytest.raises(SamplingBudgetError):
-            random_physical_state(np.random.default_rng(1), mode="reject")
+            random_physical_states(np.random.default_rng(1), 1, mode="reject")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            random_physical_state(np.random.default_rng(1), mode="magic")
+            random_physical_states(np.random.default_rng(1), 1, mode="magic")
 
 
 class TestBatchSampling:
@@ -323,9 +319,6 @@ class TestBatchSampling:
             states = [p for k in split for p in random_physical_states(rng, k, mode)]
             assert len(states) == 37
             results.append((bits(states), rng.bit_generator.state))
-        rng = np.random.default_rng(seed)
-        single = [random_physical_state(rng, mode) for _ in range(37)]
-        results.append((bits(single), rng.bit_generator.state))
         assert all(r == results[0] for r in results)
 
     @pytest.mark.parametrize("block", [symplectic.REJECT_BLOCK, 3])
@@ -352,7 +345,7 @@ class TestBatchSampling:
     def test_box_batch_is_the_one_at_a_time_stream(self):
         a, b, c = (np.random.default_rng(21) for _ in range(3))
         batch = symplectic._random_box(a, 40, 0.4, 3.0, 1.0).params()
-        assert bits(batch) == bits([symplectic.random_params(b) for _ in range(40)])
+        assert bits(batch) == bits([symplectic._random_box(b, 1).params()[0] for _ in range(40)])
         assert bits(batch) == bits([one_at_a_time_box(c, 0.4, 3.0, 1.0) for _ in range(40)])
         assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
 
