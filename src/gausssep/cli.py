@@ -18,22 +18,33 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
 
 Every subcommand parses its arguments and input, evaluates its states and
 hands complete output lines to one writer (``_write_output``), the only
-code that opens and closes an output.  Every command except ``sample``
-evaluates all of its states before it opens its output, so an evaluation
-error, like a parse error, exits before any record is written: ``classify``
-makes one ``core.classify_batch`` call per route and ``sweep`` one
-``core.n2_folds_batch`` call.  ``invariants`` makes one
-``symplectic.invariants`` call over the stack of the file's covariance
-matrices, and ``transform`` one ``symplectic.apply_local`` call (its
-parameters read by ``core._ParamArrays.from_covariance``) and, with
-``--reduce``, one array pass of the reduction, out of which
-``symplectic.reduce_to_invariant_form`` reads each record's state.  A
-failing file reports the error of its first failing record, in the order
-of one record's checks: the transform, the read of its parameters, the
-reduction.  ``sample`` draws (one
-``symplectic.random_physical_states`` call), classifies (one call per
-route) and writes its states per batch of ``SAMPLE_BATCH`` (1024), so its
-memory does not grow with ``--count``.
+code that opens and closes an output.  ``load_states`` reads an input file
+into columns: the ids, and the states as one ``core._ParamArrays``.  It
+checks each record's layout and numbers as it reads it
+(``record_to_params``), then the finiteness and occupations of all of them
+on their (N, 10) array and the structural rule in one pass over the stack
+of their matrices; a failing file reports its first failing record, named
+by its location.  Every command except ``sample`` evaluates all of its
+states before it opens its output, so an evaluation error, like a parse
+error, exits before any record is written: ``classify`` classifies by each
+route on one ``core._Batch`` of the file, whose covariance stack both
+routes share, and ``sweep`` makes one ``core.n2_folds_batch`` call.
+``invariants`` makes one ``symplectic.invariants`` call over the stack of
+the file's covariance matrices, and ``transform`` one
+``symplectic.apply_local`` call (its parameters read by
+``core._ParamArrays.from_covariance``) and, with ``--reduce``, one array
+pass of the reduction, out of which ``symplectic.reduce_to_invariant_form``
+reads each record's state.  A failing file reports the error of its first
+failing record, in the order of one record's checks: the transform, the
+read of its parameters, the reduction.  ``sample`` draws (one
+``symplectic.random_physical_states`` call), classifies (both routes on
+one batch) and writes its states per batch of ``SAMPLE_BATCH`` (1024), so
+its memory does not grow with ``--count``.
+
+The JSON records are formatted directly from the verdicts and parameter
+columns, one f-string per record (``_classify_line``, ``_verdict_fields``,
+``_params_json``), with the bytes ``json.dumps`` would write for the same
+values as a dict: floats by ``float.__repr__``, a NaN margin as null.
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
@@ -44,6 +55,7 @@ assertion.  A numeric ``OverflowError`` exits 4, as a domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -80,14 +92,20 @@ def _to_float(value, where: str) -> float:
     raise ParseError(f"{where}: expected a number, got {value!r}")
 
 
-def _to_complex(value, where: str) -> complex:
-    """A JSON number or an [re, im] pair of JSON numbers."""
+def _to_pair(value, where: str) -> tuple[float, float]:
+    """(re, im) of a JSON number or an [re, im] pair of JSON numbers."""
     if isinstance(value, list) and len(value) == 2:
-        return complex(_to_float(value[0], where), _to_float(value[1], where))
-    return complex(_to_float(value, where))
+        return _to_float(value[0], where), _to_float(value[1], where)
+    return _to_float(value, where), 0.0
 
 
-def record_to_params(record: dict, where: str) -> tuple[str | None, GaussianParams]:
+def record_to_params(record: dict, where: str):
+    """(id, values) of one record: the ten floats of a "params" record in the
+    order of ``core._ParamArrays.columns``, or the 4x4 complex matrix of a
+    "matrix" record.  Only what the record shows by itself is checked here:
+    its layout, ids and numbers, and a matrix's shape.  ``load_states``
+    checks finiteness, occupations and matrix structure on the file's
+    columns."""
     if not isinstance(record, dict):
         raise ParseError(f"{where}: expected an object")
     rec_id = record.get("id")
@@ -104,20 +122,23 @@ def record_to_params(record: dict, where: str) -> tuple[str | None, GaussianPara
         raw = record["params"]
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: 'params' must be an object")
-        n1 = _to_float(raw.get("n1"), f"{where}.n1")
-        n2 = _to_float(raw.get("n2"), f"{where}.n2")
-        kwargs = {}
+        values = (_to_float(raw.get("n1"), f"{where}.n1"), _to_float(raw.get("n2"), f"{where}.n2"))
+        known = 2
         for name in ("m1", "m2", "ms", "mc"):
             if name in raw:
-                kwargs[name] = _to_complex(raw[name], f"{where}.{name}")
-        if len(raw) > 2 + len(kwargs):  # n1 and n2 are required: any other key is unknown
-            unknown = ", ".join(map(repr, sorted(raw.keys() - {"n1", "n2", *kwargs})))
-            raise ParseError(f"{where}: unknown key(s) in 'params': {unknown}")
-        return rec_id, GaussianParams(n1=n1, n2=n2, **kwargs)
+                values += _to_pair(raw[name], f"{where}.{name}")
+                known += 1
+            else:
+                values += (0.0, 0.0)
+        if len(raw) > known:  # n1 and n2 are required: any other key is unknown
+            unknown = raw.keys() - {"n1", "n2", "m1", "m2", "ms", "mc"}
+            raise ParseError(f"{where}: unknown key(s) in 'params': "
+                             + ", ".join(map(repr, sorted(unknown))))
+        return rec_id, values
     raw = record["matrix"]
     try:
         M = np.array(
-            [[_to_complex(cell, f"{where}[{i}][{j}]") for j, cell in enumerate(row)]
+            [[complex(*_to_pair(cell, f"{where}[{i}][{j}]")) for j, cell in enumerate(row)]
              for i, row in enumerate(raw)],
             dtype=complex,
         )
@@ -125,7 +146,7 @@ def record_to_params(record: dict, where: str) -> tuple[str | None, GaussianPara
         raise ParseError(f"{where}: bad matrix: {exc}") from exc
     if M.shape != (4, 4):
         raise ParseError(f"{where}: matrix must be 4x4, got shape {M.shape}")
-    return rec_id, core.params_from_covariance(M)
+    return rec_id, M
 
 
 def _parse_json(text: str, where: str):
@@ -135,10 +156,33 @@ def _parse_json(text: str, where: str):
         raise ParseError(f"{where}: invalid JSON: {exc}") from exc
 
 
-def load_states(path: str, fmt: str) -> list[tuple[str | None, GaussianParams]]:
-    """(id, parameters) of every record of ``path`` in ``fmt`` ("json" or
-    "jsonl").  JSONL lines are parsed lazily, each just before its record
-    is read, so the first bad line or record is the one reported."""
+def _record_error(where: str, values) -> GaussSepError:
+    """The error of a record that fails a column check, as the public
+    constructors raise it, prefixed with the record's ``where``."""
+    try:
+        if isinstance(values, np.ndarray):
+            core.params_from_covariance(values)
+        else:
+            n1, n2, *m = values
+            GaussianParams(n1, n2, *(complex(re, im) for re, im in zip(m[::2], m[1::2])))
+    except (InvalidParameterError, StructuralError) as exc:
+        return type(exc)(f"{where}: {exc}")
+    return GaussSepError(f"{where}: a column check and the record's own checks disagree")
+
+
+def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
+    """The ids and the parameters, as columns, of every record of ``path`` in
+    ``fmt`` ("json" or "jsonl").
+
+    Each record is read by ``record_to_params``; JSONL lines are parsed
+    lazily, each just before its record is read.  The first record that
+    fails to parse or read (a ParseError or OverflowError) ends the reading.
+    Finiteness and occupations are then checked on the (N, 10) array of the
+    records read, and the structural rule in one pass over the stack of
+    their matrices.  The earliest record that fails anything is the one
+    reported: its column-check error is the one its constructor
+    (``GaussianParams`` or ``params_from_covariance``) raises, prefixed
+    with its location."""
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
         text = data.decode("utf-8")
@@ -154,7 +198,39 @@ def load_states(path: str, fmt: str) -> list[tuple[str | None, GaussianParams]]:
     else:
         records = ((f"{path}:{n}", _parse_json(line, f"{path}:{n}"))
                    for n, line in enumerate(text.splitlines(), start=1) if line.strip())
-    return [record_to_params(record, where) for where, record in records]
+    ids, wheres, rows, matrices, matrix_at = [], [], [], [], []
+    held = None
+    try:
+        for where, record in records:
+            rec_id, values = record_to_params(record, where)
+            if type(values) is tuple:
+                rows.append(values)
+            else:
+                matrix_at.append(len(rows))
+                rows.append(_MATRIX_ROW)
+                matrices.append(values)
+            ids.append(rec_id)
+            wheres.append(where)
+    except (ParseError, OverflowError) as exc:
+        held = exc
+    cols = np.array(rows, dtype=float).reshape(-1, 10)
+    structural = np.ones(len(cols), dtype=bool)
+    if matrices:
+        qm, _, ok = core._ParamArrays.read_stack(np.array(matrices))
+        cols[matrix_at] = np.column_stack(qm.columns())
+        structural[matrix_at] = ok
+    q = core._ParamArrays.from_rows(cols)
+    failed = np.flatnonzero(q.invalid() | ~structural)
+    if failed.size:
+        k = int(failed[0])
+        values = matrices[matrix_at.index(k)] if k in matrix_at else rows[k]
+        raise _record_error(wheres[k], values)
+    if held is not None:
+        raise held
+    return ids, q
+
+
+_MATRIX_ROW = (0.0,) * 10  # a matrix record's row until the stack pass reads it
 
 
 def _open_output(path: str | None):
@@ -190,23 +266,53 @@ def _write_output(path: str | None, lines) -> None:
         raise ParseError(f"cannot write output {path or '-'}: {exc}") from exc
 
 
-def _jsonable(x):
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    return x
+# ---------------------------------------------------------------------------
+# Output records, formatted as ``json.dumps`` writes them
 
 
-def verdict_to_dict(v: Verdict) -> dict:
-    return {
-        "physical": v.physical,
-        "separable": v.separable,
-        "p_representable": v.p_representable,
-        "margin_physical": _jsonable(v.margin_physical),
-        "margin_separable": _jsonable(v.margin_separable),
-        "margin_prep": _jsonable(v.margin_prep),
-        "method": v.method,
-        "fallbacks": list(v.fallbacks),
-    }
+_BOOL = {True: "true", False: "false", None: "null"}
+
+
+def _number(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _margin(x: float) -> str:
+    """A margin; NaN (not applicable) is null."""
+    return "null" if x != x else _number(x)
+
+
+@functools.cache
+def _constant(value) -> str:
+    """``json.dumps`` of a Verdict's method or fallback tuple, once per value."""
+    return json.dumps(value)
+
+
+def _verdict_fields(v: Verdict) -> str:
+    """The members of a Verdict's JSON object, without the braces."""
+    return (f'"physical": {_BOOL[v.physical]}, "separable": {_BOOL[v.separable]}, '
+            f'"p_representable": {_BOOL[v.p_representable]}, '
+            f'"margin_physical": {_margin(v.margin_physical)}, '
+            f'"margin_separable": {_margin(v.margin_separable)}, '
+            f'"margin_prep": {_margin(v.margin_prep)}, '
+            f'"method": {_constant(v.method)}, "fallbacks": {_constant(v.fallbacks)}')
+
+
+def _classify_line(rec_id, v: Verdict, eig: Verdict | None = None) -> str:
+    """``classify``'s line for one record; with ``eig``, that of ``--method
+    both``, whose closed-form verdict is ``v``."""
+    if eig is None:
+        return f'{{"id": {json.dumps(rec_id)}, {_verdict_fields(v)}}}\n'
+    return (f'{{"id": {json.dumps(rec_id)}, {_verdict_fields(v)}, '
+            f'"eig": {{{_verdict_fields(eig)}}}, "methods_agree": {_BOOL[_agree(v, eig)]}}}\n')
+
+
+def _params_json(n1, n2, *m) -> str:
+    """A parameter set, given as the ten floats of ``core._ParamArrays.columns``,
+    as the JSON object {"n1": .., "n2": .., "m1": [re, im], .., "mc": [re, im]}."""
+    x = [_number(v) for v in (n1, n2, *m)]
+    return (f'{{"n1": {x[0]}, "n2": {x[1]}, "m1": [{x[2]}, {x[3]}], "m2": [{x[4]}, {x[5]}], '
+            f'"ms": [{x[6]}, {x[7]}], "mc": [{x[8]}, {x[9]}]}}')
 
 
 def _check_tol_psd(tol: float) -> None:
@@ -225,74 +331,69 @@ def _agree(a: Verdict, b: Verdict) -> bool:
 
 def cmd_classify(args) -> int:
     _check_tol_psd(args.tol_psd)
-    states = load_states(args.input, args.format)
-    params = [p for _, p in states]
+    ids, q = load_states(args.input, args.format)
+    batch = core._Batch(q)
     method = core.METHOD_EIG if args.method == "eig" else core.METHOD_CLOSED
-    verdicts = core.classify_batch(params, method=method, tol_psd=args.tol_psd)
+    verdicts = core._classified(batch, method, args.tol_psd)
     if args.method == "both":
-        eig = core.classify_batch(params, method=core.METHOD_EIG, tol_psd=args.tol_psd)
-    lines = []
-    for i, (rec_id, _) in enumerate(states):
-        record = {"id": rec_id, **verdict_to_dict(verdicts[i])}
-        if args.method == "both":
-            record["eig"] = verdict_to_dict(eig[i])
-            record["methods_agree"] = _agree(verdicts[i], eig[i])
-        lines.append(json.dumps(record) + "\n")
+        eig = core._classified(batch, core.METHOD_EIG, args.tol_psd)
+        lines = list(map(_classify_line, ids, verdicts, eig))
+    else:
+        lines = list(map(_classify_line, ids, verdicts))
     _write_output(args.output, lines)
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
-    states = load_states(args.input, args.format)
-    inv = symplectic.invariants(core._ParamArrays.of([p for _, p in states]).covariance())
+    ids, q = load_states(args.input, args.format)
+    inv = symplectic.invariants(q.covariance())
     lines = [
-        json.dumps({"id": rec_id, "i1": i1, "i2": i2, "i3": i3, "i4": i4}) + "\n"
-        for (rec_id, _), i1, i2, i3, i4 in zip(
-            states, inv.i1.tolist(), inv.i2.tolist(), inv.i3.tolist(), inv.i4.tolist())
+        f'{{"id": {json.dumps(rec_id)}, "i1": {_number(i1)}, "i2": {_number(i2)}, '
+        f'"i3": {_number(i3)}, "i4": {_number(i4)}}}\n'
+        for rec_id, i1, i2, i3, i4 in zip(
+            ids, inv.i1.tolist(), inv.i2.tolist(), inv.i3.tolist(), inv.i4.tolist())
     ]
     _write_output(args.output, lines)
     return EXIT_OK
 
 
-def _params_to_dict(p: GaussianParams) -> dict:
-    return {
-        "n1": p.n1, "n2": p.n2,
-        "m1": [p.m1.real, p.m1.imag], "m2": [p.m2.real, p.m2.imag],
-        "ms": [p.ms.real, p.ms.imag], "mc": [p.mc.real, p.mc.imag],
-    }
-
-
 def cmd_transform(args) -> int:
-    states = load_states(args.input, args.format)
+    ids, q = load_states(args.input, args.format)
     S = symplectic.make_local_symplectic(
         args.theta1, args.phi1, args.vphi1, args.theta2, args.phi2, args.vphi2
     )
-    batch = core._Batch.of([p for _, p in states])
+    batch = core._Batch(q)
     V = batch.covariance
     try:
-        transformed = core._ParamArrays.from_covariance(symplectic.apply_local(S, V)).params()
+        t = core._ParamArrays.from_covariance(symplectic.apply_local(S, V))
+        if t.invalid().any():
+            raise InvalidParameterError("a transformed state is invalid")
+        transformed = zip(*(x.tolist() for x in t.columns()))
     except (OverflowError, StructuralError, InvalidParameterError):
         # A record fails: transform each record on its own as the loop reaches
         # it, so that the first failing record reports its own error.
-        transformed = (core.params_from_covariance(symplectic.apply_local(S, M)) for M in V)
+        transformed = (core._values(core.params_from_covariance(symplectic.apply_local(S, M)))
+                       for M in V)
     lines = []
-    for (rec_id, _), t, row in zip(states, transformed, batch.rows()):
-        record = {"id": rec_id, "transformed_params": _params_to_dict(t)}
-        if args.reduce:
-            try:
-                res = symplectic.reduce_to_invariant_form(row)
-            except PrescriptionInapplicableError as exc:
-                record["reduction"] = {"applicable": False, "residual": exc.residual}
-            else:
-                record["reduction"] = {
-                    "applicable": True,
-                    "form": res.form,
-                    "nu1": res.nu1,
-                    "nu2": res.nu2,
-                    "mu": [res.mu.real, res.mu.imag],
-                    "residual": res.residual,
-                }
-        lines.append(json.dumps(record) + "\n")
+    for rec_id, t, row in zip(ids, transformed, batch.rows()):
+        head = f'{{"id": {json.dumps(rec_id)}, "transformed_params": {_params_json(*t)}'
+        if not args.reduce:
+            lines.append(head + "}\n")
+            continue
+        try:
+            res = symplectic.reduce_to_invariant_form(row)
+        except PrescriptionInapplicableError as exc:
+            reduction = {"applicable": False, "residual": exc.residual}
+        else:
+            reduction = {
+                "applicable": True,
+                "form": res.form,
+                "nu1": res.nu1,
+                "nu2": res.nu2,
+                "mu": [res.mu.real, res.mu.imag],
+                "residual": res.residual,
+            }
+        lines.append(f'{head}, "reduction": {json.dumps(reduction)}}}\n')
     _write_output(args.output, lines)
     return EXIT_OK
 
@@ -301,15 +402,18 @@ SAMPLE_BATCH = 1024  # states drawn and classified per batch, so memory does not
 
 
 def _sampled(rng, mode: str, count: int, tol_psd: float):
-    """(index, state, closed-form verdict, oracle verdict) of ``count``
-    states drawn from ``rng`` and classified in batches of ``SAMPLE_BATCH``,
-    each drawn in one array pass; the states are those of one-at-a-time
-    draws, whatever the batch size."""
+    """(index, parameters as the ten floats of ``core._ParamArrays.columns``,
+    closed-form verdict, oracle verdict) of ``count`` states drawn from
+    ``rng`` and classified in batches of ``SAMPLE_BATCH``, each drawn in one
+    array pass and classified by both routes on one ``core._Batch``; the
+    states are those of one-at-a-time draws, whatever the batch size."""
     for start in range(0, count, SAMPLE_BATCH):
-        states = symplectic.random_physical_states(rng, min(SAMPLE_BATCH, count - start), mode)
-        closed = core.classify_batch(states, method=core.METHOD_CLOSED, tol_psd=tol_psd)
-        eig = core.classify_batch(states, method=core.METHOD_EIG, tol_psd=tol_psd)
-        yield from zip(range(start, start + len(states)), states, closed, eig)
+        batch = core._Batch.of(
+            symplectic.random_physical_states(rng, min(SAMPLE_BATCH, count - start), mode))
+        closed = core._classified(batch, core.METHOD_CLOSED, tol_psd)
+        eig = core._classified(batch, core.METHOD_EIG, tol_psd)
+        rows = zip(*(x.tolist() for x in batch.q.columns()))
+        yield from zip(itertools.count(start), rows, closed, eig)
 
 
 def _seed(seed: int | None) -> int:
@@ -340,7 +444,8 @@ def cmd_sample(args) -> int:
 
     def lines():
         """Each state's record line, tallied into ``summary``, then the summary line."""
-        for i, p, vc, ve in _sampled(rng, args.mode, args.count, args.tol_psd):
+        for i, row, vc, ve in _sampled(rng, args.mode, args.count, args.tol_psd):
+            params = _params_json(*row)
             margins = [ve.margin_physical, ve.margin_separable, ve.margin_prep]
             off_boundary = all(abs(m) > core.BOUNDARY_BAND for m in margins if not math.isnan(m))
             agree = _agree(vc, ve)
@@ -355,16 +460,11 @@ def cmd_sample(args) -> int:
             if ve.separable and ve.p_representable is False:
                 summary["separable_not_prep"] += 1
                 if summary["separable_not_prep_witness"] is None:
-                    summary["separable_not_prep_witness"] = _params_to_dict(p)
+                    summary["separable_not_prep_witness"] = json.loads(params)
             if ve.p_representable and ve.separable is False:
                 summary["prep_and_entangled"] += 1
-            yield json.dumps({
-                "index": i,
-                "params": _params_to_dict(p),
-                "closed": verdict_to_dict(vc),
-                "eig": verdict_to_dict(ve),
-                "agree": agree,
-            }) + "\n"
+            yield (f'{{"index": {i}, "params": {params}, "closed": {{{_verdict_fields(vc)}}}, '
+                   f'"eig": {{{_verdict_fields(ve)}}}, "agree": {_BOOL[agree]}}}\n')
         yield json.dumps({"summary": summary}) + "\n"
 
     _write_output(args.output, lines())

@@ -193,6 +193,12 @@ def _div(a, x):
     return a[0] / x, a[1] / x
 
 
+def _values(p: GaussianParams) -> tuple[float, ...]:
+    """The ten floats of ``p`` in the order of ``_ParamArrays.columns``."""
+    return (p.n1, p.n2, p.m1.real, p.m1.imag, p.m2.real, p.m2.imag,
+            p.ms.real, p.ms.imag, p.mc.real, p.mc.imag)
+
+
 class _ParamArrays(NamedTuple):
     """N parameter sets: n1, n2 as (N,) float arrays and m1, m2, ms, mc as
     (re, im) pairs of (N,) float arrays."""
@@ -206,13 +212,25 @@ class _ParamArrays(NamedTuple):
 
     @classmethod
     def of(cls, params: Sequence[GaussianParams]) -> "_ParamArrays":
-        cols = np.array(
-            [(p.n1, p.n2, p.m1.real, p.m1.imag, p.m2.real, p.m2.imag,
-              p.ms.real, p.ms.imag, p.mc.real, p.mc.imag) for p in params],
-            dtype=float,
-        ).reshape(-1, 10).T.copy()
-        n1, n2, *m = cols
+        return cls.from_rows([_values(p) for p in params])
+
+    @classmethod
+    def from_rows(cls, rows) -> "_ParamArrays":
+        """N parameter sets from an (N, 10) array of rows in the order of
+        ``columns``."""
+        n1, n2, *m = np.array(rows, dtype=float).reshape(-1, 10).T.copy()
         return cls(n1, n2, (m[0], m[1]), (m[2], m[3]), (m[4], m[5]), (m[6], m[7]))
+
+    @classmethod
+    def read_stack(cls, V: np.ndarray):
+        """(parameters, residual, ok): the parameters read off each matrix of
+        an (N, 4, 4) stack as ``params_from_covariance`` reads them, and per
+        matrix the ``_rebuild_residual`` of the structural rule and whether
+        it passes.  Nothing is checked here."""
+        q = cls(V[:, 0, 0].real.copy(), V[:, 2, 2].real.copy(),
+                *((V[:, i, j].real.copy(), V[:, i, j].imag.copy())
+                  for i, j in ((0, 1), (2, 3), (0, 2), (0, 3))))
+        return (q, *_rebuild_residual(V, q.covariance()))
 
     @classmethod
     def from_covariance(cls, V: np.ndarray) -> "_ParamArrays":
@@ -220,10 +238,7 @@ class _ParamArrays(NamedTuple):
         by the structural rule of ``params_from_covariance``: every matrix
         must rebuild from its own parameters (``_rebuild_residual``), else
         StructuralError."""
-        q = cls(V[:, 0, 0].real.copy(), V[:, 2, 2].real.copy(),
-                *((V[:, i, j].real.copy(), V[:, i, j].imag.copy())
-                  for i, j in ((0, 1), (2, 3), (0, 2), (0, 3))))
-        residual, ok = _rebuild_residual(V, q.covariance())
+        q, residual, ok = cls.read_stack(V)
         bad = np.flatnonzero(~ok)
         if bad.size:
             raise StructuralError(
@@ -231,11 +246,20 @@ class _ParamArrays(NamedTuple):
                 f" (max deviation {residual[bad[0]]:.3e})")
         return q
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The ten (N,) columns: n1, n2, then re and im of m1, m2, ms, mc."""
+        return (self.n1, self.n2, *self.m1, *self.m2, *self.ms, *self.mc)
+
+    def invalid(self) -> np.ndarray:
+        """Per parameter set, whether ``GaussianParams`` rejects it: a value
+        that is not finite or a negative occupation."""
+        finite = np.logical_and.reduce([np.isfinite(x) for x in self.columns()])
+        return ~finite | (self.n1 < 0.0) | (self.n2 < 0.0)
+
     def params(self) -> list[GaussianParams]:
         """The N parameter sets, each as a ``GaussianParams``."""
-        cols = (self.n1, self.n2, *self.m1, *self.m2, *self.ms, *self.mc)
         return [GaussianParams(n1, n2, complex(a, b), complex(c, d), complex(e, f), complex(g, h))
-                for n1, n2, a, b, c, d, e, f, g, h in zip(*(x.tolist() for x in cols))]
+                for n1, n2, a, b, c, d, e, f, g, h in zip(*(x.tolist() for x in self.columns()))]
 
     def take(self, rows) -> "_ParamArrays":
         """The parameter sets at ``rows`` (a boolean mask or an index array)."""
@@ -681,7 +705,13 @@ def classify_batch(params: Sequence[GaussianParams], method: str = METHOD_CLOSED
     """``classify`` of every parameter set in ``params``, all read from one
     array pass over them.  Each Verdict equals, bit for bit, that of
     ``classify`` on its state alone."""
-    return [classify(row, method, tol_psd) for row in _Batch.of(params).rows()]
+    return _classified(_Batch.of(params), method, tol_psd)
+
+
+def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
+    """``classify`` of every state of ``batch``: the routes classified on
+    one batch share its covariance stack."""
+    return [classify(row, method, tol_psd) for row in batch.rows()]
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ class SymplecticInvariants:
     i4: float
 
 
-@np.errstate(over="ignore", invalid="ignore")
+# det divides by zero on a subnormal pivot; its NaN raises OverflowError below
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def invariants(V: np.ndarray) -> SymplecticInvariants:
     """I1..I4 of a matrix, as floats, or of each matrix of an (N, 4, 4)
     stack, as (N,) arrays, by the same stacked operations; OverflowError if
@@ -188,7 +189,8 @@ def _reductions(batch: core._Batch) -> list[tuple]:
     state, its physicality oracle margin or its OverflowError, squeeze
     angles (theta1, phi1, theta2, phi2) or their DomainError, whether its
     transformed matrix is finite, whether it goes to form 1, nu1, nu2, mu,
-    the residual and whether that passes the structural rule.
+    whether its form's parameters are valid (``GaussianParams`` accepts
+    them), the residual and whether that passes the structural rule.
 
     Nothing is raised here: ``reduce_to_invariant_form`` raises each
     state's errors in order.  The oracle runs on each state on its own only
@@ -220,7 +222,7 @@ def _reductions(batch: core._Batch) -> list[tuple]:
     residual, ok = core._rebuild_residual(W, target.covariance())
     return list(zip(margins, angles, np.isfinite(W).all(axis=(1, 2)).tolist(),
                     form1.tolist(), nu1.tolist(), nu2.tolist(), mu.tolist(),
-                    residual.tolist(), ok.tolist()))
+                    (~target.invalid()).tolist(), residual.tolist(), ok.tolist()))
 
 
 def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResult:
@@ -235,7 +237,7 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
     batch's first call.
     """
     batch, i = core._row(p)
-    margin, angles, finite, form1, nu1, nu2, mu, residual, ok = (
+    margin, angles, finite, form1, nu1, nu2, mu, valid, residual, ok = (
         batch.evaluated(_reductions, _reductions)[i])
     if isinstance(margin, OverflowError):
         raise margin
@@ -246,7 +248,8 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
     if not finite:
         raise OverflowError("local symplectic transform overflows")
     form = FORM1 if form1 else FORM2
-    _form_params(form, nu1, nu2, mu)  # raises InvalidParameterError for an invalid nu
+    if not valid:
+        _form_params(form, nu1, nu2, mu)  # raises its InvalidParameterError
     if not ok:
         raise PrescriptionInapplicableError(
             f"reduction to {form} failed: residual {residual:.3e} exceeds"

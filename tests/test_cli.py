@@ -132,6 +132,29 @@ class TestClassify:
                                             "m2": [0.1, 0], "ms": [0.25, 0], "mc": [0.4, 0]}}]
         assert_batch_equals_singles(tmp_path, ["classify", "--method", "both"], records)
 
+    def test_both_routes_share_one_batch(self, tmp_path, monkeypatch):
+        # one read of the file's columns, one batch and one input stack for
+        # both routes (the exact-d0 record makes the closed route need it)
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [*FORMS_RECS, {"id": "d0", "params": {"n1": 0.5, "n2": 0.8, "ms": [0.1, 0.2]}},
+                        {"id": "vac", "matrix": [[[float(r == c) / 2, 0.0] for c in range(4)]
+                                                 for r in range(4)]}])
+        _, q = cli.load_states(str(f), "jsonl")
+        inputs = q.covariance().tobytes()
+        calls, built = [], []
+        real_cov, real_rows, real_init = (core._ParamArrays.covariance,
+                                          core._ParamArrays.from_rows.__func__, core._Batch.__init__)
+        monkeypatch.setattr(core._ParamArrays, "covariance",
+                            lambda q: built.append(real_cov(q)) or built[-1])
+        monkeypatch.setattr(core._ParamArrays, "from_rows",
+                            classmethod(lambda cls, rows: calls.append("columns") or real_rows(cls, rows)))
+        monkeypatch.setattr(core._Batch, "__init__",
+                            lambda batch, q: calls.append("batch") or real_init(batch, q))
+        argv = ["classify", "--method", "both", "--input", str(f)]
+        assert main([*argv, "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert sorted(calls) == ["batch", "columns"]
+        assert [V.tobytes() for V in built].count(inputs) == 1
+
     def test_output_file_deterministic(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [VACUUM_REC, ENTANGLED_REC])
@@ -145,7 +168,7 @@ def squeezed_form_rec(rec_id, form_params, *angles):
     """A record of ``form_params`` under the local symplectic of ``angles``."""
     S = symplectic.make_local_symplectic(*angles)
     p = core.params_from_covariance(symplectic.apply_local(S, core.build_covariance(form_params)))
-    return {"id": rec_id, "params": cli._params_to_dict(p)}
+    return {"id": rec_id, "params": json.loads(cli._params_json(*core._values(p)))}
 
 
 # Squeezed invariant forms (the reduction applies; vphi = 0), generic states
@@ -282,8 +305,8 @@ class TestTransform:
         f = tmp_path / "in.jsonl"
         write_jsonl(f, FORMS_RECS)
         real = core._ParamArrays.covariance
-        states = [p for _, p in cli.load_states(str(f), "jsonl")]
-        inputs = real(core._ParamArrays.of(states)).tobytes()
+        _, q = cli.load_states(str(f), "jsonl")
+        inputs = real(q).tobytes()
         built = []
         monkeypatch.setattr(core._ParamArrays, "covariance",
                             lambda q: built.append(real(q)) or built[-1])
@@ -317,9 +340,12 @@ class TestSample:
         o = tmp_path / "c.jsonl"
         assert main(["sample", "--count", "300", "--seed", "7",
                      "--output", str(o)]) == 0
-        summary = json.loads(o.read_text().splitlines()[-1])["summary"]
+        lines = o.read_text().splitlines(keepends=True)
+        summary = json.loads(lines[-1])["summary"]
         assert summary["prep_and_entangled"] == 0
         assert summary["method_disagreements_off_boundary"] == 0
+        for line in lines:  # written as json.dumps writes them
+            assert json.dumps(strict_json(line)) + "\n" == line
 
     def test_output_independent_of_batch_size(self, tmp_path, monkeypatch):
         """sample draws and classifies in batches of SAMPLE_BATCH; the
@@ -457,6 +483,10 @@ def strict_json(line):
     return json.loads(line, parse_constant=_no_constant)
 
 
+BROKEN_MATRIX = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+BROKEN_MATRIX[0][1] = [1.0, 0.0]  # its conjugate partner [1][0] stays 0
+
+
 class TestExitCodes:
     """Failures map to the documented exit codes, never to a traceback."""
 
@@ -516,6 +546,37 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "unknown key(s) in 'params': 'MC'" in captured.err
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "json"])
+    @pytest.mark.parametrize("record, message", [
+        ({"params": {"n1": -1, "n2": 1}}, "occupations must be nonnegative, got n1=-1.0, n2=1.0"),
+        ({"matrix": BROKEN_MATRIX},
+         "matrix does not have the two-mode covariance pattern (max deviation 1.000e+00)"),
+    ])
+    def test_invalid_record_is_located_exit_3(self, tmp_path, capsys, fmt, record, message):
+        records = [VACUUM_REC] * 6 + [record, ENTANGLED_REC]
+        f = tmp_path / f"in.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(f, records)
+            where = f"{f}:7"
+        else:
+            f.write_text(json.dumps({"states": records}))
+            where = f"{f} states[6]"
+        assert main(["classify", "--input", str(f), "--format", fmt]) == 3
+        assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+    @pytest.mark.parametrize("lines, code, message", [
+        # a record that fails its column checks comes before a later parse error
+        (['{"params": {"n1": -1, "n2": 1}}', "{broken"], 3, "1: occupations must be nonnegative"),
+        (["{broken", '{"params": {"n1": -1, "n2": 1}}'], 2, "1: invalid JSON"),
+        ([json.dumps({"matrix": BROKEN_MATRIX}), '{"params": {"n1": %s, "n2": 1}}' % ("1" * 400)],
+         3, "1: matrix does not have the two-mode covariance pattern"),
+    ])
+    def test_first_failing_record_is_reported(self, tmp_path, capsys, lines, code, message):
+        f = tmp_path / "in.jsonl"
+        f.write_text("\n".join(lines) + "\n")
+        assert main(["classify", "--input", str(f)]) == code
+        assert capsys.readouterr().err.startswith(f"error: {f}:{message}")
 
     def test_non_finite_id_exit_2(self, tmp_path, capsys):
         # the id is echoed, and NaN is not JSON
@@ -736,21 +797,101 @@ def _records(draw):
     return record
 
 
+def _main(argv):
+    """(exit code, stdout, stderr) of the CLI run in-process on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_records(), min_size=1, max_size=2))
+@given(st.lists(_records(), min_size=1, max_size=4))
 def test_cli_fuzz(records):
+    """Any file gives a documented exit code, and a failed command writes
+    nothing.  A file that fails to load fails as its first record that
+    fails to load on its own, at the same line (blank lines are counted
+    and skipped).  Every line written is strict JSON as ``json.dumps``
+    writes it."""
+    lines = [json.dumps(r) + "\n" for r in records]
     with tempfile.TemporaryDirectory() as tmp:
         f = os.path.join(tmp, "in.jsonl")
+        alone = None
+        for k, line in enumerate(lines):
+            with open(f, "w") as fh:
+                fh.write("\n" * k + line)
+            try:
+                cli.load_states(f, "jsonl")
+            except (errors.GaussSepError, OverflowError):
+                alone = _main(["classify", "--input", f])
+                break
         with open(f, "w") as fh:
-            fh.write("".join(json.dumps(r) + "\n" for r in records))
+            fh.write("".join(lines))
         for argv in (["classify", "--method", "both"], ["invariants"],
                      ["transform", "--reduce"]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([*argv, "--input", f])
+            code, out, err = _main([*argv, "--input", f])
             assert code in (0, 2, 3, 4, 5)
-            assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err
             if code != 0:  # a failed command writes nothing
-                assert out.getvalue() == ""
-            for line in out.getvalue().splitlines():
-                strict_json(line)
+                assert out == ""
+            if alone is not None:
+                assert (code, "", err) == alone
+            for line in out.splitlines(keepends=True):
+                assert json.dumps(strict_json(line)) + "\n" == line
+
+
+# ---------------------------------------------------------------------------
+# Output records: the formatter writes the bytes of ``json.dumps``
+
+
+def dict_form(v: core.Verdict) -> dict:
+    """A Verdict as the dict whose ``json.dumps`` the records carry."""
+    def margin(x):
+        return None if math.isnan(x) else x
+
+    return {
+        "physical": v.physical,
+        "separable": v.separable,
+        "p_representable": v.p_representable,
+        "margin_physical": margin(v.margin_physical),
+        "margin_separable": margin(v.margin_separable),
+        "margin_prep": margin(v.margin_prep),
+        "method": v.method,
+        "fallbacks": list(v.fallbacks),
+    }
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.nan]
+_margins = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_verdicts = st.builds(
+    core.Verdict, physical=st.booleans(), separable=st.sampled_from([True, False, None]),
+    p_representable=st.sampled_from([True, False, None]), margin_physical=_margins,
+    margin_separable=_margins, margin_prep=_margins,
+    method=st.sampled_from([core.METHOD_CLOSED, core.METHOD_EIG]),
+    fallbacks=st.sampled_from(core._FALLBACKS))
+_ids = st.one_of(
+    st.none(), st.text(), st.text(st.characters(max_codepoint=0x1f)), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=3))
+
+
+@given(_ids, _verdicts, _verdicts)
+def test_classify_lines_are_json_dumps(rec_id, v, e):
+    assert cli._classify_line(rec_id, v) == json.dumps({"id": rec_id, **dict_form(v)}) + "\n"
+    both = {"id": rec_id, **dict_form(v), "eig": dict_form(e), "methods_agree": cli._agree(v, e)}
+    assert cli._classify_line(rec_id, v, e) == json.dumps(both) + "\n"
+
+
+@pytest.mark.parametrize("fallbacks", core._FALLBACKS)
+@pytest.mark.parametrize("margin", _EDGE_FLOATS)
+def test_classify_line_edge_values(fallbacks, margin):
+    v = core.Verdict(True, False, None, margin, -margin, margin, core.METHOD_EIG, fallbacks)
+    for rec_id in (None, "état\x01", 7, 2.5, [1, "a"], {"k": [None]}):
+        assert cli._classify_line(rec_id, v) == json.dumps({"id": rec_id, **dict_form(v)}) + "\n"
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), min_size=10, max_size=10))
+def test_params_json_is_json_dumps(values):
+    n1, n2, *m = values
+    form = {"n1": n1, "n2": n2, **{k: m[2 * i:2 * i + 2] for i, k in enumerate(_PARAMS[2:])}}
+    assert cli._params_json(*values) == json.dumps(form)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gausssep import core
 from gausssep.core import GaussianParams, build_covariance
+from gausssep.errors import InvalidParameterError
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -193,3 +194,19 @@ def test_saturation_has_zero_margin(n1, n2, m1, m2):
     )
     margin = core._physical_margin_eig(build_covariance(p))
     assert abs(margin) <= core.TOL_PSD
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, -5e-324])), min_size=10, max_size=10))
+def test_invalid_rows_are_the_rejected_parameter_sets(values):
+    """``_ParamArrays.invalid`` flags a row iff ``GaussianParams`` rejects
+    it, and a row it accepts reads back as its own ten floats."""
+    q = core._ParamArrays.from_rows([values])
+    n1, n2, *m = values
+    try:
+        p = GaussianParams(n1, n2, *(complex(a, b) for a, b in zip(m[::2], m[1::2])))
+    except InvalidParameterError:
+        assert q.invalid().tolist() == [True]
+    else:
+        assert q.invalid().tolist() == [False]
+        assert struct.pack("10d", *core._values(p)) == struct.pack("10d", *values)
+        assert q.params() == [p]
