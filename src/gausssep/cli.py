@@ -37,14 +37,23 @@ pass of the reduction, out of which ``symplectic.reduce_to_invariant_form``
 reads each record's state.  A failing file reports the error of its first
 failing record, in the order of one record's checks: the transform, the
 read of its parameters, the reduction.  ``sample`` draws (one
-``symplectic.random_physical_states`` call), classifies (both routes on
-one batch) and writes its states per batch of ``SAMPLE_BATCH`` (1024), so
-its memory does not grow with ``--count``.
+``symplectic._random_states`` call, whose arrays it classifies directly),
+classifies (both routes on one batch) and writes its states per batch of
+``SAMPLE_BATCH`` (1024), so its memory does not grow with ``--count``.
 
-The JSON records are formatted directly from the verdicts and parameter
-columns, one f-string per record (``_classify_line``, ``_verdict_fields``,
-``_params_json``), with the bytes ``json.dumps`` would write for the same
-values as a dict: floats by ``float.__repr__``, a NaN margin as null.
+The text layer makes Python calls per record, not per value.  A JSONL line
+is decoded by the ``json`` module's C scanner, called directly
+(``_jsonl_records``); a line it does not read to its end, such as one with
+whitespace around its value or one that is not JSON, goes through
+``json.loads`` (``_parse_json``), whose value or error it is.
+``record_to_params`` reads a record's values in one pass with direct type
+tests, and a matrix's 16 cells into one ``np.array`` call; a location is
+built only for the error it names.  The JSON records are formatted from
+columns, with the bytes ``json.dumps`` would write for the same values as
+a dict: each float column in one ``float.__repr__`` pass (``_floats``; a
+value that is not finite goes through ``_number``, or ``_margin``, which
+writes a NaN margin as null), and a string id by the encoder
+``json.dumps`` calls for it (``_ids``).
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
@@ -55,12 +64,15 @@ assertion.  A numeric ``OverflowError`` exits 4, as a domain error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -84,19 +96,21 @@ EXIT_INTERNAL = GaussSepError.exit_code
 # Input handling
 
 
-def _to_float(value, where: str) -> float:
-    """``value`` if it is a JSON number, which ``json`` parses to an int or a
-    float (a bool is neither here)."""
-    if type(value) in (int, float):
-        return float(value)
-    raise ParseError(f"{where}: expected a number, got {value!r}")
+_FIELDS = ("n1", "n2", "m1", "m1", "m2", "m2", "ms", "ms", "mc", "mc")  # of each of the ten values
+_MATRIX_ENDS = [8, 16, 24, 32]  # where each row of a 4x4 matrix ends among its 32 values
 
 
-def _to_pair(value, where: str) -> tuple[float, float]:
-    """(re, im) of a JSON number or an [re, im] pair of JSON numbers."""
-    if isinstance(value, list) and len(value) == 2:
-        return _to_float(value[0], where), _to_float(value[1], where)
-    return _to_float(value, where), 0.0
+def _to_floats(values: list) -> int:
+    """Make the JSON numbers of ``values`` floats, in place and in order, up
+    to the first value that is not one; return its index, or -1.  ``json``
+    parses a number to an int or a float (a bool is neither here); an int
+    beyond float range raises OverflowError when it is reached."""
+    for k, v in enumerate(values):
+        if type(v) is not float:
+            if type(v) is not int:
+                return k
+            values[k] = float(v)
+    return -1
 
 
 def record_to_params(record: dict, where: str):
@@ -105,7 +119,12 @@ def record_to_params(record: dict, where: str):
     "matrix" record.  Only what the record shows by itself is checked here:
     its layout, ids and numbers, and a matrix's shape.  ``load_states``
     checks finiteness, occupations and matrix structure on the file's
-    columns."""
+    columns.
+
+    The values are read in one pass and checked in order: the first one
+    that is not a JSON number is reported, by its location, which is built
+    only then.  A value is a number, or for the complex parameters and the
+    matrix cells an [re, im] pair of numbers."""
     if not isinstance(record, dict):
         raise ParseError(f"{where}: expected an object")
     rec_id = record.get("id")
@@ -122,31 +141,55 @@ def record_to_params(record: dict, where: str):
         raw = record["params"]
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: 'params' must be an object")
-        values = (_to_float(raw.get("n1"), f"{where}.n1"), _to_float(raw.get("n2"), f"{where}.n2"))
+        values = [raw.get("n1"), raw.get("n2")]
         known = 2
         for name in ("m1", "m2", "ms", "mc"):
-            if name in raw:
-                values += _to_pair(raw[name], f"{where}.{name}")
-                known += 1
-            else:
+            if name not in raw:
                 values += (0.0, 0.0)
+                continue
+            known += 1
+            z = raw[name]
+            if type(z) is list and len(z) == 2:
+                values += z
+            else:
+                values += (z, 0.0)
+        bad = _to_floats(values)
+        if bad >= 0:
+            raise ParseError(f"{where}.{_FIELDS[bad]}: expected a number, got {values[bad]!r}")
         if len(raw) > known:  # n1 and n2 are required: any other key is unknown
             unknown = raw.keys() - {"n1", "n2", "m1", "m2", "ms", "mc"}
             raise ParseError(f"{where}: unknown key(s) in 'params': "
                              + ", ".join(map(repr, sorted(unknown))))
-        return rec_id, values
-    raw = record["matrix"]
+        return rec_id, tuple(values)
+    values, ends = [], []  # re and im of each cell, row by row; where each row ends
+    not_iterable = None
     try:
-        M = np.array(
-            [[complex(*_to_pair(cell, f"{where}[{i}][{j}]")) for j, cell in enumerate(row)]
-             for i, row in enumerate(raw)],
-            dtype=complex,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: bad matrix: {exc}") from exc
-    if M.shape != (4, 4):
+        for row in record["matrix"]:
+            for cell in row:
+                if type(cell) is list and len(cell) == 2:
+                    values += cell
+                else:
+                    values += (cell, 0.0)
+            ends.append(len(values))
+    except TypeError as exc:  # the matrix or a row is not a sequence
+        not_iterable = exc
+    bad = _to_floats(values)  # the cells before a row that is not a sequence come first
+    if bad >= 0:
+        i = bisect.bisect_right(ends, bad)
+        j = (bad - (ends[i - 1] if i else 0)) // 2
+        raise ParseError(f"{where}[{i}][{j}]: expected a number, got {values[bad]!r}")
+    if not_iterable is not None:
+        raise ParseError(f"{where}: bad matrix: {not_iterable}") from not_iterable
+    if ends != _MATRIX_ENDS:
+        # not 4 rows of 4 cells: the shape, or numpy's error, of the nested lists
+        rows = (values[a:b] for a, b in zip([0, *ends], ends))
+        try:
+            M = np.array([[complex(re, im) for re, im in zip(r[::2], r[1::2])] for r in rows],
+                         dtype=complex)
+        except ValueError as exc:
+            raise ParseError(f"{where}: bad matrix: {exc}") from exc
         raise ParseError(f"{where}: matrix must be 4x4, got shape {M.shape}")
-    return rec_id, M
+    return rec_id, np.array(values).view(complex).reshape(4, 4)
 
 
 def _parse_json(text: str, where: str):
@@ -154,6 +197,25 @@ def _parse_json(text: str, where: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nesting
         raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+
+
+_scan_once = json.JSONDecoder().scan_once  # the C scanner json.loads ends in
+
+
+def _jsonl_records(text: str, path: str):
+    """(where, value) of each non-blank line of ``text``, as ``json.loads``
+    parses the line: by the ``json`` module's scanner, called directly,
+    when the line is one JSON value and nothing else; any other line (a
+    value with whitespace around it, or no value) goes through
+    ``_parse_json``, for its value or for ``json.loads``'s error."""
+    for n, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            where = f"{path}:{n}"
+            try:
+                value, end = _scan_once(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            yield where, value if end == len(line) else _parse_json(line, where)
 
 
 def _record_error(where: str, values) -> GaussSepError:
@@ -196,8 +258,7 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
             raise ParseError(f"{path}: expected an object with a 'states' array")
         records = ((f"{path} states[{i}]", record) for i, record in enumerate(doc["states"]))
     else:
-        records = ((f"{path}:{n}", _parse_json(line, f"{path}:{n}"))
-                   for n, line in enumerate(text.splitlines(), start=1) if line.strip())
+        records = _jsonl_records(text, path)
     ids, wheres, rows, matrices, matrix_at = [], [], [], [], []
     held = None
     try:
@@ -282,37 +343,63 @@ def _margin(x: float) -> str:
     return "null" if x != x else _number(x)
 
 
+def _floats(xs: list[float], each=_number) -> list[str]:
+    """``each`` (``_number`` or ``_margin``) of every float of ``xs``: one
+    ``float.__repr__`` pass over them, then ``each`` of the values that are
+    not finite, if the column holds any."""
+    out = list(map(float.__repr__, xs))
+    if not all(map(math.isfinite, xs)):
+        out = [s if math.isfinite(x) else each(x) for x, s in zip(xs, out)]
+    return out
+
+
+def _ids(ids: list) -> list[str]:
+    """``json.dumps`` of each record id: a string through the encoder that
+    ``json.dumps`` calls for one."""
+    return [encode_basestring_ascii(i) if type(i) is str else json.dumps(i) for i in ids]
+
+
 @functools.cache
 def _constant(value) -> str:
     """``json.dumps`` of a Verdict's method or fallback tuple, once per value."""
     return json.dumps(value)
 
 
-def _verdict_fields(v: Verdict) -> str:
-    """The members of a Verdict's JSON object, without the braces."""
-    return (f'"physical": {_BOOL[v.physical]}, "separable": {_BOOL[v.separable]}, '
-            f'"p_representable": {_BOOL[v.p_representable]}, '
-            f'"margin_physical": {_margin(v.margin_physical)}, '
-            f'"margin_separable": {_margin(v.margin_separable)}, '
-            f'"margin_prep": {_margin(v.margin_prep)}, '
-            f'"method": {_constant(v.method)}, "fallbacks": {_constant(v.fallbacks)}')
+_VERDICT = ('"physical": {}, "separable": {}, "p_representable": {}, "margin_physical": {}, '
+            '"margin_separable": {}, "margin_prep": {}, "method": {}, "fallbacks": {}').format
 
 
-def _classify_line(rec_id, v: Verdict, eig: Verdict | None = None) -> str:
-    """``classify``'s line for one record; with ``eig``, that of ``--method
-    both``, whose closed-form verdict is ``v``."""
+def _verdict_fields(verdicts: list[Verdict]) -> list[str]:
+    """The members of each Verdict's JSON object, without the braces."""
+    def column(name):
+        return list(map(operator.attrgetter(name), verdicts))
+
+    return list(map(
+        _VERDICT,
+        *(map(_BOOL.__getitem__, column(name))
+          for name in ("physical", "separable", "p_representable")),
+        *(_floats(column(name), _margin)
+          for name in ("margin_physical", "margin_separable", "margin_prep")),
+        map(_constant, column("method")), map(_constant, column("fallbacks"))))
+
+
+def _classify_lines(ids: list, verdicts: list[Verdict], eig: list[Verdict] | None = None) -> list[str]:
+    """``classify``'s line for each record; with ``eig``, that of
+    ``--method both``, whose closed-form verdicts are ``verdicts``."""
     if eig is None:
-        return f'{{"id": {json.dumps(rec_id)}, {_verdict_fields(v)}}}\n'
-    return (f'{{"id": {json.dumps(rec_id)}, {_verdict_fields(v)}, '
-            f'"eig": {{{_verdict_fields(eig)}}}, "methods_agree": {_BOOL[_agree(v, eig)]}}}\n')
+        return list(map('{{"id": {}, {}}}\n'.format, _ids(ids), _verdict_fields(verdicts)))
+    return list(map('{{"id": {}, {}, "eig": {{{}}}, "methods_agree": {}}}\n'.format,
+                    _ids(ids), _verdict_fields(verdicts), _verdict_fields(eig),
+                    map(_BOOL.__getitem__, map(_agree, verdicts, eig))))
 
 
-def _params_json(n1, n2, *m) -> str:
-    """A parameter set, given as the ten floats of ``core._ParamArrays.columns``,
-    as the JSON object {"n1": .., "n2": .., "m1": [re, im], .., "mc": [re, im]}."""
-    x = [_number(v) for v in (n1, n2, *m)]
-    return (f'{{"n1": {x[0]}, "n2": {x[1]}, "m1": [{x[2]}, {x[3]}], "m2": [{x[4]}, {x[5]}], '
-            f'"ms": [{x[6]}, {x[7]}], "mc": [{x[8]}, {x[9]}]}}')
+_PARAMS = '{{"n1": {}, "n2": {}, "m1": [{}, {}], "m2": [{}, {}], "ms": [{}, {}], "mc": [{}, {}]}}'.format
+
+
+def _params_json(q: core._ParamArrays) -> list[str]:
+    """Each parameter set of ``q`` as the JSON object {"n1": .., "n2": ..,
+    "m1": [re, im], .., "mc": [re, im]}."""
+    return list(map(_PARAMS, *(_floats(x.tolist()) for x in q.columns())))
 
 
 def _check_tol_psd(tol: float) -> None:
@@ -335,26 +422,39 @@ def cmd_classify(args) -> int:
     batch = core._Batch(q)
     method = core.METHOD_EIG if args.method == "eig" else core.METHOD_CLOSED
     verdicts = core._classified(batch, method, args.tol_psd)
-    if args.method == "both":
-        eig = core._classified(batch, core.METHOD_EIG, args.tol_psd)
-        lines = list(map(_classify_line, ids, verdicts, eig))
-    else:
-        lines = list(map(_classify_line, ids, verdicts))
-    _write_output(args.output, lines)
+    eig = core._classified(batch, core.METHOD_EIG, args.tol_psd) if args.method == "both" else None
+    _write_output(args.output, _classify_lines(ids, verdicts, eig))
     return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
     ids, q = load_states(args.input, args.format)
     inv = symplectic.invariants(q.covariance())
-    lines = [
-        f'{{"id": {json.dumps(rec_id)}, "i1": {_number(i1)}, "i2": {_number(i2)}, '
-        f'"i3": {_number(i3)}, "i4": {_number(i4)}}}\n'
-        for rec_id, i1, i2, i3, i4 in zip(
-            ids, inv.i1.tolist(), inv.i2.tolist(), inv.i3.tolist(), inv.i4.tolist())
-    ]
-    _write_output(args.output, lines)
+    lines = map('{{"id": {}, "i1": {}, "i2": {}, "i3": {}, "i4": {}}}\n'.format, _ids(ids),
+                *(_floats(x.tolist()) for x in (inv.i1, inv.i2, inv.i3, inv.i4)))
+    _write_output(args.output, list(lines))
     return EXIT_OK
+
+
+def _reduction(row: core._Row) -> tuple:
+    """(form, nu1, nu2, re mu, im mu, residual) of the reduction of ``row``;
+    form None, and zeros, where the prescription is inapplicable."""
+    try:
+        res = symplectic.reduce_to_invariant_form(row)
+    except PrescriptionInapplicableError as exc:
+        return None, 0.0, 0.0, 0.0, 0.0, exc.residual
+    return res.form, res.nu1, res.nu2, res.mu.real, res.mu.imag, res.residual
+
+
+def _reductions_json(reductions: list[tuple]) -> list[str]:
+    """The "reduction" object of each ``_reduction`` tuple."""
+    forms, *cols = zip(*reductions) if reductions else ((),) * 6
+    return [
+        f'{{"applicable": true, "form": {_constant(form)}, "nu1": {nu1}, "nu2": {nu2}, '
+        f'"mu": [{re}, {im}], "residual": {residual}}}' if form is not None
+        else f'{{"applicable": false, "residual": {residual}}}'
+        for form, nu1, nu2, re, im, residual in zip(forms, *map(_floats, cols))
+    ]
 
 
 def cmd_transform(args) -> int:
@@ -368,33 +468,24 @@ def cmd_transform(args) -> int:
         t = core._ParamArrays.from_covariance(symplectic.apply_local(S, V))
         if t.invalid().any():
             raise InvalidParameterError("a transformed state is invalid")
-        transformed = zip(*(x.tolist() for x in t.columns()))
     except (OverflowError, StructuralError, InvalidParameterError):
         # A record fails: transform each record on its own as the loop reaches
         # it, so that the first failing record reports its own error.
-        transformed = (core._values(core.params_from_covariance(symplectic.apply_local(S, M)))
-                       for M in V)
-    lines = []
-    for rec_id, t, row in zip(ids, transformed, batch.rows()):
-        head = f'{{"id": {json.dumps(rec_id)}, "transformed_params": {_params_json(*t)}'
-        if not args.reduce:
-            lines.append(head + "}\n")
-            continue
-        try:
-            res = symplectic.reduce_to_invariant_form(row)
-        except PrescriptionInapplicableError as exc:
-            reduction = {"applicable": False, "residual": exc.residual}
-        else:
-            reduction = {
-                "applicable": True,
-                "form": res.form,
-                "nu1": res.nu1,
-                "nu2": res.nu2,
-                "mu": [res.mu.real, res.mu.imag],
-                "residual": res.residual,
-            }
-        lines.append(f'{head}, "reduction": {json.dumps(reduction)}}}\n')
-    _write_output(args.output, lines)
+        t = None
+    rows, reductions = [], []
+    for k, row in enumerate(batch.rows()):
+        if t is None:
+            rows.append(core._values(core.params_from_covariance(symplectic.apply_local(S, V[k]))))
+        if args.reduce:
+            reductions.append(_reduction(row))
+    if t is None:
+        t = core._ParamArrays.from_rows(rows)
+    if args.reduce:
+        lines = map('{{"id": {}, "transformed_params": {}, "reduction": {}}}\n'.format,
+                    _ids(ids), _params_json(t), _reductions_json(reductions))
+    else:
+        lines = map('{{"id": {}, "transformed_params": {}}}\n'.format, _ids(ids), _params_json(t))
+    _write_output(args.output, list(lines))
     return EXIT_OK
 
 
@@ -402,18 +493,17 @@ SAMPLE_BATCH = 1024  # states drawn and classified per batch, so memory does not
 
 
 def _sampled(rng, mode: str, count: int, tol_psd: float):
-    """(index, parameters as the ten floats of ``core._ParamArrays.columns``,
-    closed-form verdict, oracle verdict) of ``count`` states drawn from
-    ``rng`` and classified in batches of ``SAMPLE_BATCH``, each drawn in one
-    array pass and classified by both routes on one ``core._Batch``; the
-    states are those of one-at-a-time draws, whatever the batch size."""
+    """(index of its first state, parameters, closed-form verdicts, oracle
+    verdicts) of each batch of ``SAMPLE_BATCH`` of the ``count`` states
+    drawn from ``rng``: a batch is drawn in one array pass, as
+    ``core._ParamArrays``, and classified by both routes on one
+    ``core._Batch``; the states are those of one-at-a-time draws, whatever
+    the batch size."""
     for start in range(0, count, SAMPLE_BATCH):
-        batch = core._Batch.of(
-            symplectic.random_physical_states(rng, min(SAMPLE_BATCH, count - start), mode))
-        closed = core._classified(batch, core.METHOD_CLOSED, tol_psd)
-        eig = core._classified(batch, core.METHOD_EIG, tol_psd)
-        rows = zip(*(x.tolist() for x in batch.q.columns()))
-        yield from zip(itertools.count(start), rows, closed, eig)
+        batch = core._Batch(
+            symplectic._random_states(rng, min(SAMPLE_BATCH, count - start), mode))
+        yield (start, batch.q, core._classified(batch, core.METHOD_CLOSED, tol_psd),
+               core._classified(batch, core.METHOD_EIG, tol_psd))
 
 
 def _seed(seed: int | None) -> int:
@@ -444,27 +534,29 @@ def cmd_sample(args) -> int:
 
     def lines():
         """Each state's record line, tallied into ``summary``, then the summary line."""
-        for i, row, vc, ve in _sampled(rng, args.mode, args.count, args.tol_psd):
-            params = _params_json(*row)
-            margins = [ve.margin_physical, ve.margin_separable, ve.margin_prep]
-            off_boundary = all(abs(m) > core.BOUNDARY_BAND for m in margins if not math.isnan(m))
-            agree = _agree(vc, ve)
-            if off_boundary and not agree and not vc.fallbacks:
-                summary["method_disagreements_off_boundary"] += 1
-            if ve.separable:
-                summary["separable"] += 1
-            elif ve.separable is False:
-                summary["entangled"] += 1
-            if ve.p_representable:
-                summary["p_representable"] += 1
-            if ve.separable and ve.p_representable is False:
-                summary["separable_not_prep"] += 1
-                if summary["separable_not_prep_witness"] is None:
-                    summary["separable_not_prep_witness"] = json.loads(params)
-            if ve.p_representable and ve.separable is False:
-                summary["prep_and_entangled"] += 1
-            yield (f'{{"index": {i}, "params": {params}, "closed": {{{_verdict_fields(vc)}}}, '
-                   f'"eig": {{{_verdict_fields(ve)}}}, "agree": {_BOOL[agree]}}}\n')
+        for start, q, closed, eig in _sampled(rng, args.mode, args.count, args.tol_psd):
+            for i, p, vc, ve, closed_json, eig_json in zip(
+                    itertools.count(start), _params_json(q), closed, eig,
+                    _verdict_fields(closed), _verdict_fields(eig)):
+                margins = [ve.margin_physical, ve.margin_separable, ve.margin_prep]
+                off_boundary = all(abs(m) > core.BOUNDARY_BAND for m in margins if not math.isnan(m))
+                agree = _agree(vc, ve)
+                if off_boundary and not agree and not vc.fallbacks:
+                    summary["method_disagreements_off_boundary"] += 1
+                if ve.separable:
+                    summary["separable"] += 1
+                elif ve.separable is False:
+                    summary["entangled"] += 1
+                if ve.p_representable:
+                    summary["p_representable"] += 1
+                if ve.separable and ve.p_representable is False:
+                    summary["separable_not_prep"] += 1
+                    if summary["separable_not_prep_witness"] is None:
+                        summary["separable_not_prep_witness"] = json.loads(p)
+                if ve.p_representable and ve.separable is False:
+                    summary["prep_and_entangled"] += 1
+                yield (f'{{"index": {i}, "params": {p}, "closed": {{{closed_json}}}, '
+                       f'"eig": {{{eig_json}}}, "agree": {_BOOL[agree]}}}\n')
         yield json.dumps({"summary": summary}) + "\n"
 
     _write_output(args.output, lines())
@@ -605,8 +697,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OverflowError as exc:

@@ -222,6 +222,12 @@ class _ParamArrays(NamedTuple):
         return cls(n1, n2, (m[0], m[1]), (m[2], m[3]), (m[4], m[5]), (m[6], m[7]))
 
     @classmethod
+    def concatenate(cls, parts: Sequence["_ParamArrays"]) -> "_ParamArrays":
+        """The parameter sets of ``parts`` (at least one), one after another."""
+        return cls.from_rows(np.column_stack(
+            [np.concatenate(x) for x in zip(*(q.columns() for q in parts))]))
+
+    @classmethod
     def read_stack(cls, V: np.ndarray):
         """(parameters, residual, ok): the parameters read off each matrix of
         an (N, 4, 4) stack as ``params_from_covariance`` reads them, and per

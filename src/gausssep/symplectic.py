@@ -15,8 +15,9 @@ of a batch (``core._Row``) out of one array pass of the reduction over the
 batch's covariance stack (``core._Batch.covariance``); a lone parameter set
 is a one-element batch.
 
-``random_physical_states`` is the one sampler entry point.  It draws a
-batch of N states in one array pass (the reject sampler one per block of
+``random_physical_states`` is the one sampler entry point, and
+``_random_states`` its array form, which ``gausssep sample`` classifies
+directly.  It draws a batch of N states in one array pass (the reject sampler one per block of
 candidates): the uniforms in one generator call, the symplectics,
 covariances and eigen-oracle margins as (N, 4, 4) stacks.  The states and
 the generator's end state are those of N one-at-a-time draws, bit for bit,
@@ -118,16 +119,29 @@ class SymplecticInvariants:
     i4: float
 
 
-# det divides by zero on a subnormal pivot; its NaN raises OverflowError below
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _det2(M: np.ndarray) -> np.ndarray:
+    """Real part of the determinant a d - b c of each 2x2 matrix of a stack.
+
+    Each matrix is first scaled, exactly, by the power of two that brings
+    its largest component into [0.5, 1), and the result scaled back, so the
+    products overflow or underflow only where the determinant does: the
+    bits are those of a d - b c wherever that neither overflows nor
+    underflows."""
+    _, e = np.frexp(np.maximum(np.abs(M.real), np.abs(M.imag)).max(axis=(-2, -1)))
+    S = np.empty_like(M)
+    S.real = np.ldexp(M.real, -e[..., None, None])
+    S.imag = np.ldexp(M.imag, -e[..., None, None])
+    return np.ldexp((S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]).real, 2 * e)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def invariants(V: np.ndarray) -> SymplecticInvariants:
     """I1..I4 of a matrix, as floats, or of each matrix of an (N, 4, 4)
     stack, as (N,) arrays, by the same stacked operations; OverflowError if
-    any of them is not finite."""
+    any of them is not finite.  The determinants are closed-form 2x2 ones
+    (``_det2``): a pivoting ``np.linalg.det`` divides by a subnormal pivot."""
     V1, V2, C = core.decompose_blocks(V)
-    i1 = np.linalg.det(V1).real
-    i2 = np.linalg.det(V2).real
-    i3 = np.linalg.det(C).real
+    i1, i2, i3 = _det2(V1), _det2(V2), _det2(C)
     chain = V1 @ Z @ C @ Z @ V2 @ Z @ C.conj().swapaxes(-1, -2) @ Z
     i4 = np.trace(chain, axis1=-2, axis2=-1).real
     if not np.isfinite([i1, i2, i3, i4]).all():
@@ -331,7 +345,16 @@ def _construct(rng: np.random.Generator, n: int) -> core._ParamArrays:
     return core._ParamArrays.from_covariance(_conjugate(two_mode_mixer(r, gamma), V))
 
 
-def _reject(rng: np.random.Generator, n: int) -> list[GaussianParams]:
+def _validated(q: core._ParamArrays) -> core._ParamArrays:
+    """``q``, whose parameter sets ``GaussianParams`` must all accept; the
+    first it rejects raises its error."""
+    bad = np.flatnonzero(q.invalid())
+    if bad.size:
+        q.take(bad[:1]).params()
+    return q
+
+
+def _reject(rng: np.random.Generator, n: int) -> core._ParamArrays:
     """The first n draws from ``REJECT_BOX`` that the eigen-oracle calls
     physical.
 
@@ -341,10 +364,11 @@ def _reject(rng: np.random.Generator, n: int) -> list[GaussianParams]:
     again up to it from the generator state saved before it, so the
     generator ends where one-at-a-time draws leave it.
     """
-    states: list[GaussianParams] = []
+    blocks = [core._ParamArrays.from_rows([])]
+    accepted = 0
     since = 0  # draws since the last accepted one
-    while len(states) < n:
-        need = n - len(states)
+    while accepted < n:
+        need = n - accepted
         # About 1.9 draws per accept: most batches end in their first block.
         size = min(REJECT_BLOCK, 2 * need + 16, MAX_DRAWS - since)
         if size <= 0:
@@ -357,8 +381,20 @@ def _reject(rng: np.random.Generator, n: int) -> list[GaussianParams]:
             rng.bit_generator.state = start
             _random_box(rng, hits[-1] + 1, *REJECT_BOX)
         since = size - 1 - hits[-1] if hits.size else since + size
-        states += q.take(hits).params()
-    return states
+        blocks.append(_validated(q.take(hits)))
+        accepted += hits.size
+    return core._ParamArrays.concatenate(blocks)
+
+
+def _random_states(rng: np.random.Generator, n: int, mode: str) -> core._ParamArrays:
+    """``random_physical_states`` as ``core._ParamArrays``."""
+    if n < 0:
+        raise ValueError(f"cannot draw {n} states")
+    if mode == "construct":
+        return _validated(_construct(rng, n))
+    if mode == "reject":
+        return _reject(rng, n)
+    raise ValueError(f"unknown sampling mode {mode!r}")
 
 
 def random_physical_states(rng: np.random.Generator, n: int,
@@ -377,10 +413,4 @@ def random_physical_states(rng: np.random.Generator, n: int,
     accept iff the eigen-oracle says physical, within ``MAX_DRAWS`` draws
     per state (else SamplingBudgetError), one pass per block of candidates.
     """
-    if n < 0:
-        raise ValueError(f"cannot draw {n} states")
-    if mode == "construct":
-        return _construct(rng, n).params()
-    if mode == "reject":
-        return _reject(rng, n)
-    raise ValueError(f"unknown sampling mode {mode!r}")
+    return _random_states(rng, n, mode).params()

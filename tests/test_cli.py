@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -168,7 +169,7 @@ def squeezed_form_rec(rec_id, form_params, *angles):
     """A record of ``form_params`` under the local symplectic of ``angles``."""
     S = symplectic.make_local_symplectic(*angles)
     p = core.params_from_covariance(symplectic.apply_local(S, core.build_covariance(form_params)))
-    return {"id": rec_id, "params": json.loads(cli._params_json(*core._values(p)))}
+    return {"id": rec_id, "params": json.loads(cli._params_json(core._ParamArrays.of([p]))[0])}
 
 
 # Squeezed invariant forms (the reduction applies; vphi = 0), generic states
@@ -199,6 +200,16 @@ class TestInvariants:
         rec = json.loads(out)
         assert rec["i1"] == pytest.approx(0.25) and rec["i2"] == pytest.approx(0.25)
         assert rec["i3"] == 0.0 and rec["i4"] == 0.0
+
+
+    def test_subnormal_cross_correlation(self, tmp_path, capsys):
+        # a finite, valid state once exited 4 ("symplectic invariants overflow")
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 0, "n2": 0, "mc": [0, 1.1125369292536007e-308]}}])
+        code, out = run(["invariants", "--input", str(f)], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert all(math.isfinite(rec[k]) for k in ("i1", "i2", "i3", "i4"))
 
 
 class TestTransform:
@@ -706,6 +717,151 @@ class TestExitCodes:
         assert not out.exists()
 
 
+# ---------------------------------------------------------------------------
+# Reading records: odd lines read, or fail, as json.loads and the checks in
+# order make them
+
+ODD_REC = {"id": "a", "params": {"n1": 1.0, "n2": 1.5, "mc": [0.2, 0.1]}}
+ODD_LINE = json.dumps(ODD_REC)
+READ_ARGVS = [["classify", "--method", "both"], ["invariants"], ["transform", "--reduce"]]
+
+
+def identity_matrix(cell=None, at=(1, 2)):
+    """The identity as a "matrix" of [re, im] cells; the cell ``at`` is
+    ``cell`` if one is given."""
+    m = [[[float(r == c), 0.0] for c in range(4)] for r in range(4)]
+    if cell is not None:
+        m[at[0]][at[1]] = cell
+    return m
+
+
+def json_error(line):
+    """(exit code, stderr) of a file whose first line is ``line``, which
+    ``json.loads`` rejects."""
+    try:
+        json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return 2, "error: {f}:1: invalid JSON: %s\n" % exc
+    raise AssertionError(f"json.loads accepts {line[:40]!r}")
+
+
+BIG = "9" * 400
+
+
+@pytest.mark.parametrize("text, records", [
+    ("  " + ODD_LINE + "  ", [ODD_REC]),
+    ("\t" + ODD_LINE + " \t", [ODD_REC]),
+    # str.splitlines splits on these, and so the reader does
+    (ODD_LINE + "\x0c" + ODD_LINE, [ODD_REC, ODD_REC]),
+    (ODD_LINE + "\x1c" + ODD_LINE, [ODD_REC, ODD_REC]),
+    (ODD_LINE + "\u2028" + ODD_LINE, [ODD_REC, ODD_REC]),
+    # bare numbers, ints included, are real matrix cells
+    (json.dumps({"matrix": [[float(r == c) for c in range(4)] for r in range(4)]}),
+     [{"matrix": identity_matrix()}]),
+    (json.dumps({"matrix": [[int(r == c) for c in range(4)] for r in range(4)]}),
+     [{"matrix": identity_matrix()}]),
+])
+def test_odd_line_reads_as_its_records(tmp_path, text, records):
+    f, g = tmp_path / "odd.jsonl", tmp_path / "plain.jsonl"
+    f.write_text(text + "\n", encoding="utf-8")
+    write_jsonl(g, records)
+    for argv in READ_ARGVS:
+        assert _main([*argv, "--input", str(f)]) == _main([*argv, "--input", str(g)])
+
+
+@pytest.mark.parametrize("text, code, err", [
+    ("\ufeff" + ODD_LINE, *json_error("\ufeff" + ODD_LINE)),
+    ("[" * 100000, *json_error("[" * 100000)),
+    ('{"a": ' * 5000, *json_error('{"a": ' * 5000)),
+    (ODD_LINE + " " + ODD_LINE, *json_error(ODD_LINE + " " + ODD_LINE)),
+    (ODD_LINE + ODD_LINE, *json_error(ODD_LINE + ODD_LINE)),
+    ('{"params": {"n1": NaN, "n2": 1}}', 3, "error: {f}:1: parameters must be finite, got "
+     "GaussianParams(n1=nan, n2=1.0, m1=0j, m2=0j, ms=0j, mc=0j)\n"),
+    ('{"params": {"n1": 1, "n2": 1, "mc": [-Infinity, 0]}}', 3, "error: {f}:1: parameters must "
+     "be finite, got GaussianParams(n1=1.0, n2=1.0, m1=0j, m2=0j, ms=0j, mc=(-inf+0j))\n"),
+    ('{"params": {"n1": %s, "n2": 1}}' % ("1" * 400), 4,
+     "error: numeric overflow: int too large to convert to float\n"),
+    ('{"params": {"n1": %s, "n2": "x"}}' % BIG, 4,
+     "error: numeric overflow: int too large to convert to float\n"),
+    ('{"params": null}', 2, "error: {f}:1: 'params' must be an object\n"),
+    ('{"params": {"n1": 1, "n2": 1, "m1": [true, 0]}}', 2,
+     "error: {f}:1.m1: expected a number, got True\n"),
+    ('{"params": {"n1": 1, "n2": 1, "ms": [0, false]}}', 2,
+     "error: {f}:1.ms: expected a number, got False\n"),
+    ('{"params": {"n1": 1, "n2": "a", "x": 1}}', 2, "error: {f}:1.n2: expected a number, got 'a'\n"),
+    ('{"params": {"n1": 1, "n2": 1, "ms": [1, 2, 3]}}', 2,
+     "error: {f}:1.ms: expected a number, got [1, 2, 3]\n"),
+    (json.dumps({"matrix": identity_matrix(True)}), 2,
+     "error: {f}:1[1][2]: expected a number, got True\n"),
+    (json.dumps({"matrix": identity_matrix([0.0, False], at=(2, 1))}), 2,
+     "error: {f}:1[2][1]: expected a number, got False\n"),
+    ('{"matrix": [[%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % BIG, 4,
+     "error: numeric overflow: int too large to convert to float\n"),
+    ('{"matrix": [[%s, "x", 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % BIG, 4,
+     "error: numeric overflow: int too large to convert to float\n"),
+    ('{"matrix": [["x", %s, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % BIG, 2,
+     "error: {f}:1[0][0]: expected a number, got 'x'\n"),
+    ('{"matrix": [[1, "z", 0, 0], 7, [0, 0, 1, 0], [0, 0, 0, 1]]}', 2,
+     "error: {f}:1[0][1]: expected a number, got 'z'\n"),
+    ('{"matrix": [[1, 0, 0, 0], 7, [0, 0, 1, 0], [0, 0, 0, 1]]}', 2,
+     "error: {f}:1: bad matrix: 'int' object is not iterable\n"),
+    ('{"matrix": [[1, 0, 0, 0], "ab", [0, 0, 1, 0], [0, 0, 0, 1]]}', 2,
+     "error: {f}:1[1][0]: expected a number, got 'a'\n"),
+    ('{"matrix": null}', 2, "error: {f}:1: bad matrix: 'NoneType' object is not iterable\n"),
+    ('{"matrix": {}}', 2, "error: {f}:1: matrix must be 4x4, got shape (0,)\n"),
+    ('{"matrix": [[], []]}', 2, "error: {f}:1: matrix must be 4x4, got shape (2, 0)\n"),
+    ('{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]}', 2,
+     "error: {f}:1: matrix must be 4x4, got shape (4, 3)\n"),
+    ('{"matrix": [[[[1], 0], 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}', 2,
+     "error: {f}:1[0][0]: expected a number, got [1]\n"),
+])
+def test_odd_line_fails_as_its_first_check(tmp_path, text, code, err):
+    f = tmp_path / "odd.jsonl"
+    f.write_text(text + "\n" + ODD_LINE + "\n", encoding="utf-8")
+    for argv in READ_ARGVS:
+        assert _main([*argv, "--input", str(f)]) == (code, "", err.format(f=f))
+
+
+def test_long_int_past_the_parser_limit(tmp_path):
+    # Python 3.11+ refuses to parse so long an int; older ones parse it and
+    # cannot make it a float
+    line = '{"params": {"n1": %s, "n2": 1}}' % ("1" * 5000)
+    f = tmp_path / "odd.jsonl"
+    f.write_text(line + "\n")
+    try:
+        json.loads(line)
+    except ValueError:
+        expected = json_error(line)
+    else:
+        expected = 4, "error: numeric overflow: int too large to convert to float\n"
+    code, err = expected
+    assert _main(["classify", "--input", str(f)]) == (code, "", err.format(f=f))
+
+
+def test_ragged_matrix_reports_numpy_error(tmp_path):
+    rows = [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    f = tmp_path / "odd.jsonl"
+    f.write_text(json.dumps({"matrix": rows}) + "\n")
+    try:
+        np.array([[complex(x) for x in row] for row in rows], dtype=complex)
+    except ValueError as exc:
+        message = str(exc)
+    assert _main(["classify", "--input", str(f)]) == (2, "", f"error: {f}:1: bad matrix: {message}\n")
+
+
+def test_parser_is_built_once(tmp_path):
+    # an appended option must not carry over from one parse to the next
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--axis1", "m1:0:1:3", "--fixed", "m2=0.3", "--output", str(out)]
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["classify", "--input", "-"]).tol_psd == core.TOL_PSD
+    assert cli._parser().parse_args(["sweep", "--fig1"]).fixed is None
+
+
 def test_console_entry_point(tmp_path):
     f = tmp_path / "in.jsonl"
     write_jsonl(f, [VACUUM_REC])
@@ -805,15 +961,18 @@ def _main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+_pads = st.sampled_from(["", "", " ", "\t", " \t  "])  # JSON whitespace around a line's value
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_records(), min_size=1, max_size=4))
+@given(st.lists(st.tuples(_pads, _records(), _pads), min_size=1, max_size=4))
 def test_cli_fuzz(records):
     """Any file gives a documented exit code, and a failed command writes
     nothing.  A file that fails to load fails as its first record that
     fails to load on its own, at the same line (blank lines are counted
     and skipped).  Every line written is strict JSON as ``json.dumps``
-    writes it."""
-    lines = [json.dumps(r) + "\n" for r in records]
+    writes it.  Some lines have spaces or tabs around their value."""
+    lines = [lead + json.dumps(r) + trail + "\n" for lead, r, trail in records]
     with tempfile.TemporaryDirectory() as tmp:
         f = os.path.join(tmp, "in.jsonl")
         alone = None
@@ -875,23 +1034,39 @@ _ids = st.one_of(
     st.lists(st.integers(), max_size=3), st.dictionaries(st.text(max_size=3), st.integers(), max_size=3))
 
 
-@given(_ids, _verdicts, _verdicts)
-def test_classify_lines_are_json_dumps(rec_id, v, e):
-    assert cli._classify_line(rec_id, v) == json.dumps({"id": rec_id, **dict_form(v)}) + "\n"
-    both = {"id": rec_id, **dict_form(v), "eig": dict_form(e), "methods_agree": cli._agree(v, e)}
-    assert cli._classify_line(rec_id, v, e) == json.dumps(both) + "\n"
+@given(st.lists(st.tuples(_ids, _verdicts, _verdicts), max_size=5))
+def test_classify_lines_are_json_dumps(records):
+    ids, vs, es = (list(x) for x in zip(*records)) if records else ([], [], [])
+    assert cli._classify_lines(ids, vs) == [
+        json.dumps({"id": rec_id, **dict_form(v)}) + "\n" for rec_id, v in zip(ids, vs)]
+    assert cli._classify_lines(ids, vs, es) == [
+        json.dumps({"id": rec_id, **dict_form(v), "eig": dict_form(e),
+                    "methods_agree": cli._agree(v, e)}) + "\n"
+        for rec_id, v, e in zip(ids, vs, es)]
 
 
 @pytest.mark.parametrize("fallbacks", core._FALLBACKS)
 @pytest.mark.parametrize("margin", _EDGE_FLOATS)
 def test_classify_line_edge_values(fallbacks, margin):
     v = core.Verdict(True, False, None, margin, -margin, margin, core.METHOD_EIG, fallbacks)
-    for rec_id in (None, "état\x01", 7, 2.5, [1, "a"], {"k": [None]}):
-        assert cli._classify_line(rec_id, v) == json.dumps({"id": rec_id, **dict_form(v)}) + "\n"
+    ids = [None, "état\x01", 7, 2.5, [1, "a"], {"k": [None]}]
+    assert cli._classify_lines(ids, [v] * len(ids)) == [
+        json.dumps({"id": rec_id, **dict_form(v)}) + "\n" for rec_id in ids]
 
 
-@given(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), min_size=10, max_size=10))
-def test_params_json_is_json_dumps(values):
-    n1, n2, *m = values
-    form = {"n1": n1, "n2": n2, **{k: m[2 * i:2 * i + 2] for i, k in enumerate(_PARAMS[2:])}}
-    assert cli._params_json(*values) == json.dumps(form)
+@given(st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+                         min_size=10, max_size=10), max_size=4))
+def test_params_json_is_json_dumps(rows):
+    q = core._ParamArrays.from_rows(rows)
+    forms = [{"n1": n1, "n2": n2, **{k: m[2 * i:2 * i + 2] for i, k in enumerate(_PARAMS[2:])}}
+             for n1, n2, *m in rows]
+    assert cli._params_json(q) == [json.dumps(form) for form in forms]
+
+
+_ALL_EDGE_FLOATS = [*_EDGE_FLOATS, math.inf, -math.inf]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_ALL_EDGE_FLOATS))))
+def test_float_column_is_each_value(xs):
+    assert cli._floats(xs) == [cli._number(x) for x in xs] == [json.dumps(x) for x in xs]
+    assert cli._floats(xs, cli._margin) == [cli._margin(x) for x in xs]

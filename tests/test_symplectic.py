@@ -5,7 +5,12 @@ import pytest
 
 from gausssep import core, symplectic
 from gausssep.core import E, GaussianParams, build_covariance, params_from_covariance
-from gausssep.errors import DomainError, PrescriptionInapplicableError, SamplingBudgetError
+from gausssep.errors import (
+    DomainError,
+    InvalidParameterError,
+    PrescriptionInapplicableError,
+    SamplingBudgetError,
+)
 from gausssep.symplectic import (
     FORM1,
     FORM2,
@@ -150,6 +155,28 @@ class TestInvariants:
         V[3] = build_covariance(GaussianParams(1e160, 1.0, mc=1e155))
         with pytest.raises(OverflowError):
             invariants(V)
+
+    def test_subnormal_entry_has_finite_invariants(self):
+        # np.linalg.det divided by a subnormal pivot here and returned NaN
+        inv = invariants(build_covariance(GaussianParams(0.0, 0.0, mc=1.1125369292536007e-308j)))
+        assert (inv.i1, inv.i2, inv.i3, inv.i4) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [GaussianParams(1e160, 2.0, m1=1e160),
+                                   GaussianParams(3e200, 2.0, m1=-3e200j)])
+    def test_determinant_of_overflowing_products(self, p):
+        # n1^2 and |m1|^2 overflow, their difference does not
+        inv = invariants(build_covariance(p))
+        assert (inv.i1, inv.i2, inv.i3, inv.i4) == (0.0, 4.0, 0.0, 0.0)
+
+    def test_determinants_are_the_closed_form(self):
+        """In range, I1..I3 are a d - b c of the blocks, bit for bit."""
+        rng = np.random.default_rng(17)
+        V = np.stack([build_covariance(p) for p in random_physical_states(rng, 50)])
+        inv = invariants(V)
+        for k, (i, j) in enumerate(((0, 0), (2, 2), (0, 2))):
+            B = V[:, i:i + 2, j:j + 2]
+            closed = (B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]).real
+            assert (closed == (inv.i1, inv.i2, inv.i3)[k]).all()
 
     def test_invariance_under_conjugation(self):
         rng = np.random.default_rng(23)
@@ -382,6 +409,31 @@ class TestBatchSampling:
                 draw(rng)
             ends.append(rng.bit_generator.state)
         assert ends[0] == ends[1]
+
+    @pytest.mark.parametrize("mode", ["construct", "reject"])
+    def test_array_draws_are_the_parameter_sets(self, mode, monkeypatch):
+        """``_random_states`` draws the states of ``random_physical_states``,
+        as arrays, and leaves the generator where it leaves it."""
+        monkeypatch.setattr(symplectic, "REJECT_BLOCK", 5)  # several blocks
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        q = symplectic._random_states(a, 23, mode)
+        assert bits(q.params()) == bits(random_physical_states(b, 23, mode))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("mode, sampler", [("construct", "_construct"), ("reject", "_random_box")])
+    def test_invalid_draw_raises_its_error(self, mode, sampler, monkeypatch):
+        """A drawn row that ``GaussianParams`` rejects raises its error."""
+        real = getattr(symplectic, sampler)
+
+        def with_negative_n1(*args, **kwargs):
+            q = real(*args, **kwargs)
+            return q._replace(n1=np.where(np.arange(len(q.n1)) == 1, -1.0, q.n1))
+
+        monkeypatch.setattr(symplectic, sampler, with_negative_n1)
+        if mode == "reject":  # the eigen-oracle accepts every candidate
+            monkeypatch.setattr(core, "_physical_margin_eig", lambda V: np.zeros(len(V)))
+        with pytest.raises(InvalidParameterError, match="occupations must be nonnegative"):
+            symplectic._random_states(np.random.default_rng(1), 4, mode)
 
     @pytest.mark.parametrize("mode", ["construct", "reject"])
     def test_negative_count_rejected(self, mode):
