@@ -28,7 +28,10 @@ by its location.  Every command except ``sample`` evaluates all of its
 states before it opens its output, so an evaluation error, like a parse
 error, exits before any record is written: ``classify`` classifies by each
 route on one ``core._Batch`` of the file, whose covariance stack both
-routes share, and ``sweep`` makes one ``core.n2_folds_batch`` call.
+routes share, and ``sweep`` builds its grid as one ``core._ParamArrays``
+(``_sweep_grid``; the first invalid point raises the error of its own
+``GaussianParams``) and takes its folds from one ``core._Batch`` of it
+(``core._n2_folds``).
 ``invariants`` makes one ``symplectic.invariants`` call over the stack of
 the file's covariance matrices, and ``transform`` one
 ``symplectic.apply_local`` call (its parameters read by
@@ -53,7 +56,9 @@ columns, with the bytes ``json.dumps`` would write for the same values as
 a dict: each float column in one ``float.__repr__`` pass (``_floats``; a
 value that is not finite goes through ``_number``, or ``_margin``, which
 writes a NaN margin as null), and a string id by the encoder
-``json.dumps`` calls for it (``_ids``).
+``json.dumps`` calls for it (``_ids``).  ``sweep`` formats each CSV column
+in one ``float.__repr__`` pass (an infinite fold is ``inf``, not JSON's
+``Infinity``), its flags by lookup and each line with one format call.
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
@@ -583,9 +588,28 @@ def _parse_axis(spec: str):
     return name, np.linspace(lo, hi, steps)
 
 
-def _csv_line(fields: list[str]) -> str:
-    """One CSV row, as ``csv.writer`` writes fields that need no quoting."""
-    return ",".join(fields) + "\r\n"
+_SWEEP_COLUMNS = ("n2_min_physical", "n2_min_separable", "n2_min_prep", "prep_below_sep_flag",
+                  "degenerate")
+_FLAG = ("0", "1")
+
+
+def _sweep_grid(axes, assignment: dict[str, float]) -> tuple[list[np.ndarray], core._ParamArrays]:
+    """(axis columns, parameters) of the grid: the points of
+    ``itertools.product`` over the axes (axis 1 outer), with every other
+    parameter taken from ``assignment`` (0 if it is not there); no
+    imaginary parts.  Every parameter set is checked as ``GaussianParams``
+    checks it: the first invalid one raises its error."""
+    points = [g.ravel() for g in np.meshgrid(*(grid for _, grid in axes), indexing="ij")]
+    columns = dict(zip((name for name, _ in axes), points))
+    n = points[0].size
+    zero = np.zeros(n)
+
+    def column(name):
+        return columns[name] if name in columns else np.full(n, assignment.get(name, 0.0))
+
+    q = core._ParamArrays(column("n1"), column("n2"),
+                          *((column(name), zero) for name in ("m1", "m2", "ms", "mc")))
+    return points, q.validated()
 
 
 def cmd_sweep(args) -> int:
@@ -616,18 +640,14 @@ def cmd_sweep(args) -> int:
         # correlations, swept over the mode-1 occupation.
         assignment = {"m1": 0.5, "m2": 1.0, **assignment}
 
-    points = list(itertools.product(*(grid for _, grid in axes)))
-    params = [GaussianParams(**{**assignment, **dict(zip(axis_names, point))}) for point in points]
-    phys, sep, prep, degenerate = core.n2_folds_batch(params)
-    rows = zip(points, phys.tolist(), sep.tolist(), prep.tolist(),
-               core.prep_below_sep(prep, sep).tolist(), degenerate.tolist())
-    lines = [_csv_line(axis_names + [
-        "n2_min_physical", "n2_min_separable", "n2_min_prep", "prep_below_sep_flag", "degenerate",
-    ])]
-    for point, f_phys, f_sep, f_prep, flag, degen in rows:
-        lines.append(_csv_line([repr(float(x)) for x in point] + [
-            repr(f_phys), repr(f_sep), repr(f_prep), "1" if flag else "0", "1" if degen else "0",
-        ]))
+    points, q = _sweep_grid(axes, assignment)
+    phys, sep, prep, degenerate = core._n2_folds(core._Batch(q))
+    flag = core.prep_below_sep(prep, sep)
+    # one CSV row, as ``csv.writer`` writes fields that need no quoting
+    row = (",".join(["{}"] * (len(axes) + len(_SWEEP_COLUMNS))) + "\r\n").format
+    lines = [row(*axis_names, *_SWEEP_COLUMNS)]
+    lines += map(row, *(map(float.__repr__, x.tolist()) for x in (*points, phys, sep, prep)),
+                 *(map(_FLAG.__getitem__, x.tolist()) for x in (flag, degenerate)))
     _write_output(args.output, lines)
     return EXIT_OK
 

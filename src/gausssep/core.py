@@ -20,16 +20,19 @@ struct-of-arrays form of the parameters (``_ParamArrays``: float arrays for
 n1, n2 and an (re, im) pair of float arrays for each complex parameter), and
 the eigen-oracle runs one ``eigvalsh`` over the stacked (N, 4, 4) matrices.
 ``classify_batch`` and ``n2_folds_batch`` are the batch entry points.  The
-per-state API (``classify``, ``n2_folds``, the n2 bounds and
-``bisect_n2_threshold``) takes a parameter set, evaluated as a one-element
-batch, or a state of a batch (``_Row``), which it reads out of that batch's
-array pass; the batch entry points are these per-state calls over every
-state of one batch, whose array passes each run once (``_Batch``).  A batch
-builds its (N, 4, 4) covariance stack once, read-only, at its first use;
-the oracle rows, the n2 bisection and the invariant-form reduction of
-``symplectic`` index that one stack.  Every operation is elementwise or per
-matrix, so a state's result does not depend on the other states in its
-batch, bit for bit.
+per-state API (``classify``, the n2 bounds and ``bisect_n2_threshold``)
+takes a parameter set, evaluated as a one-element batch, or a state of a
+batch (``_Row``), which it reads out of that batch's array pass;
+``classify_batch`` is ``classify`` over every state of one batch, whose
+array passes each run once (``_Batch``).  ``n2_folds_batch`` reads each
+fold column from the closed form's array pass over the batch, the same
+pass the n2 bounds read, and evaluates per state only the entries without
+a closed form; ``n2_folds`` is its one-element view.  A batch builds its
+(N, 4, 4) covariance stack once, read-only, at its first use; the oracle
+rows, the n2 bisection and the invariant-form reduction of ``symplectic``
+index that one stack.  Every operation is elementwise or per matrix, so a
+state's result does not depend on the other states in its batch, bit for
+bit.
 
 Separability is physicality of the partial transpose (Simon's criterion), so
 it has no code of its own: both its margins are the physicality code run on
@@ -262,6 +265,14 @@ class _ParamArrays(NamedTuple):
         finite = np.logical_and.reduce([np.isfinite(x) for x in self.columns()])
         return ~finite | (self.n1 < 0.0) | (self.n2 < 0.0)
 
+    def validated(self) -> "_ParamArrays":
+        """``self``, whose parameter sets ``GaussianParams`` must all accept:
+        the first it rejects raises its error, built from that one set."""
+        bad = np.flatnonzero(self.invalid())
+        if bad.size:
+            self.take(bad[:1]).params()
+        return self
+
     def params(self) -> list[GaussianParams]:
         """The N parameter sets, each as a ``GaussianParams``."""
         return [GaussianParams(n1, n2, complex(a, b), complex(c, d), complex(e, f), complex(g, h))
@@ -393,9 +404,6 @@ class _Row(NamedTuple):
 
     batch: _Batch
     index: int
-
-    def mirror(self) -> "_Row":
-        return _Row(self.batch.mirror, self.index)
 
 
 def _row(p: GaussianParams | _Row) -> _Row:
@@ -552,11 +560,16 @@ def _literal_prep_fold(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
     return _checked(fold, defined, "literal P-fold")
 
 
+def _bound_array(batch: _Batch, bound) -> np.ndarray:
+    """``bound`` of every state of ``batch``, evaluated once per batch."""
+    return batch.evaluated(bound, lambda bt: bound(bt.q, bt.im))
+
+
 def _scalar_bound(bound, p: GaussianParams | _Row, what: str) -> float:
     """``bound`` of the state ``p``, read from one evaluation over its batch;
     DegenerateBoundError where it has none."""
     batch, i = _row(p)
-    b = batch.evaluated(bound, lambda bt: bound(bt.q, bt.im).tolist())[i]
+    b = float(_bound_array(batch, bound)[i])
     if math.isnan(b):
         im = batch.im
         raise DegenerateBoundError(
@@ -790,38 +803,57 @@ def prep_below_sep(prep, sep):
     return prep < sep - gap
 
 
-def _n2_fold(bound, p: _Row, criterion: str) -> tuple[float, bool]:
-    """(fold, degenerate): ``bound`` of ``p``, or where it has none the
-    eigen-oracle bisection threshold of ``criterion``."""
+def _n2_fold(bound, p: _Row, criterion: str) -> float:
+    """``bound`` of ``p``, or where it has none the eigen-oracle bisection
+    threshold of ``criterion``."""
     try:
-        return bound(p), False
+        return bound(p)
     except DegenerateBoundError:
-        return bisect_n2_threshold(p, criterion), True
+        return bisect_n2_threshold(p, criterion)
 
 
-def n2_folds(p: GaussianParams | _Row) -> tuple[float, float, float, bool]:
+def _n2_folds(batch: _Batch):
+    """(phys, sep, prep, degenerate) of every state of ``batch``: three (N,)
+    fold arrays and an (N,) mask of the states where any fold had no closed
+    form.
+
+    The closed forms are one array pass each, in the order intermediates,
+    physicality, mirror, P-fold (so the first ``OverflowError`` is that of
+    the first pass that overflows), shared with the per-state bounds'
+    reads.  Only the entries whose closed form is NaN go through the
+    per-state ``_n2_fold``: the eigen-oracle bisection, ``inf`` where the
+    mode-1 rule fails."""
+    folds = ((batch, _physical_bound, physicality_bound_n2, "physical"),
+             (batch.mirror, _physical_bound, physicality_bound_n2, "physical"),
+             (batch, _literal_prep_fold, literal_prep_fold, "p_representable"))
+    closed = [_bound_array(bt, array_bound) for bt, array_bound, _, _ in folds]
+    degenerate = np.zeros(len(batch.q.n1), dtype=bool)
+    out = []
+    for fold, (bt, _, bound, criterion) in zip(closed, folds):
+        fold = fold.copy()  # the batch's bound reads keep the closed form, NaN included
+        missing = np.isnan(fold)
+        for i in np.flatnonzero(missing).tolist():
+            fold[i] = _n2_fold(bound, _Row(bt, i), criterion)
+        degenerate |= missing
+        out.append(fold)
+    return (*out, degenerate)
+
+
+def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
     """The physicality, separability and literal P n2 folds at the other
-    parameters of ``p``, and whether any of them was degenerate.
+    parameters of ``p``, and whether any of them was degenerate: the
+    one-element view of ``n2_folds_batch``.
 
     Each fold is its closed form where that exists and the eigen-oracle
     bisection threshold (``inf`` if the mode-1 condition fails) otherwise.
-    ``p`` is a parameter set or a state of the batch ``n2_folds_batch``
-    evaluates; the closed forms and mode-1 rules are read from one array
-    pass over the batch.
     """
-    row = _row(p)
-    (phys, d_phys), (sep, d_sep), (prep, d_prep) = (
-        _n2_fold(physicality_bound_n2, row, "physical"),
-        _n2_fold(physicality_bound_n2, row.mirror(), "physical"),
-        _n2_fold(literal_prep_fold, row, "p_representable"),
-    )
-    return phys, sep, prep, d_phys or d_sep or d_prep
+    phys, sep, prep, degenerate = _n2_folds(_Batch.of([p]))
+    return float(phys[0]), float(sep[0]), float(prep[0]), bool(degenerate[0])
 
 
 def n2_folds_batch(params: Sequence[GaussianParams]):
     """``n2_folds`` of every parameter set in ``params``, as three (N,)
-    fold arrays and an (N,) degenerate mask, read from one array pass over
-    them."""
-    folds = np.array([n2_folds(row) for row in _Batch.of(params).rows()], dtype=float)
-    phys, sep, prep, degenerate = folds.reshape(-1, 4).T
-    return phys, sep, prep, degenerate.astype(bool)
+    fold arrays and an (N,) degenerate mask: each closed form is one array
+    pass over them, and only the entries without one are evaluated per
+    state."""
+    return _n2_folds(_Batch.of(params))

@@ -345,15 +345,6 @@ def _construct(rng: np.random.Generator, n: int) -> core._ParamArrays:
     return core._ParamArrays.from_covariance(_conjugate(two_mode_mixer(r, gamma), V))
 
 
-def _validated(q: core._ParamArrays) -> core._ParamArrays:
-    """``q``, whose parameter sets ``GaussianParams`` must all accept; the
-    first it rejects raises its error."""
-    bad = np.flatnonzero(q.invalid())
-    if bad.size:
-        q.take(bad[:1]).params()
-    return q
-
-
 def _reject(rng: np.random.Generator, n: int) -> core._ParamArrays:
     """The first n draws from ``REJECT_BOX`` that the eigen-oracle calls
     physical.
@@ -381,7 +372,7 @@ def _reject(rng: np.random.Generator, n: int) -> core._ParamArrays:
             rng.bit_generator.state = start
             _random_box(rng, hits[-1] + 1, *REJECT_BOX)
         since = size - 1 - hits[-1] if hits.size else since + size
-        blocks.append(_validated(q.take(hits)))
+        blocks.append(q.take(hits).validated())
         accepted += hits.size
     return core._ParamArrays.concatenate(blocks)
 
@@ -391,7 +382,7 @@ def _random_states(rng: np.random.Generator, n: int, mode: str) -> core._ParamAr
     if n < 0:
         raise ValueError(f"cannot draw {n} states")
     if mode == "construct":
-        return _validated(_construct(rng, n))
+        return _construct(rng, n).validated()
     if mode == "reject":
         return _reject(rng, n)
     raise ValueError(f"unknown sampling mode {mode!r}")

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -483,6 +484,65 @@ class TestSweep:
         assert set(rows[0].keys()) == {
             "mc", "ms", "n2_min_physical", "n2_min_separable",
             "n2_min_prep", "prep_below_sep_flag", "degenerate"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n1", "-1", "--axis1", "mc:0:1:3"],
+         "occupations must be nonnegative, got n1=-1.0, n2=1.0"),
+        (["--axis1", "n1:-1:1:3"], "occupations must be nonnegative, got n1=-1.0, n2=1.0"),
+        (["--axis1", "mc:0:1:3", "--fixed", "m1=inf"],
+         "parameters must be finite, got GaussianParams(n1=1.0, n2=1.0, m1=(inf+0j), m2=0j,"
+         " ms=0j, mc=0j)"),
+        (["--axis1", "mc:0:1:3", "--fixed", "ms=nan"],
+         "parameters must be finite, got GaussianParams(n1=1.0, n2=1.0, m1=0j, m2=0j,"
+         " ms=(nan+0j), mc=0j)"),
+    ], ids=["fixed-n1", "axis-n1", "fixed-inf", "fixed-nan"])
+    def test_invalid_grid_point_exit_3(self, tmp_path, capsys, argv, message):
+        """The first invalid grid point reports the error its own
+        GaussianParams raises, before any output is opened."""
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--axis1", "mc:0:1:3", "--fixed", "m2=1e308"], "physicality bound overflows"),
+        (["--axis1", "n1:0:1e300:3"],
+         "closed-form intermediates overflow for state 1 of the batch"),
+    ], ids=["bound", "intermediates"])
+    def test_overflow_exit_4(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 4
+        assert capsys.readouterr().err == f"error: numeric overflow: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, axes, base", [
+        # rows whose mode-1 rule fails (m1 > sqrt(3)/2 at n1 = 1)
+        (["--axis1", "m1:0:1.2:7", "--axis2", "mc:0:1:3", "--n1", "1"],
+         [("m1", (0, 1.2, 7)), ("mc", (0, 1, 3))], {"n1": 1.0}),
+        # d = 0 at m1 = 0: the physicality and separability folds bisect to 0.5
+        (["--n1", "0.5", "--axis1", "m1:0:1:3", "--fixed", "mc=0"],
+         [("m1", (0, 1, 3))], {"n1": 0.5, "mc": 0.0}),
+        # d' = 0 at n1 = 1: the P-fold bisects
+        (["--fig1"], [("n1", (0.75, 4.0, 40))], {"m1": 0.5, "m2": 1.0}),
+    ], ids=["mode1-fails", "d0", "fig1"])
+    def test_rows_equal_per_state_folds(self, tmp_path, argv, axes, base):
+        """Each data line is the repr of ``core.n2_folds`` of its own point,
+        and its flags, whatever the route of each fold."""
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 0
+        lines = out.read_bytes().decode().split("\r\n")
+        assert lines[-1] == ""
+        expected = []
+        grids = [np.linspace(*spec) for _, spec in axes]
+        for point in itertools.product(*grids):
+            p = GaussianParams(**{"n2": 1.0, **base,
+                                  **{name: x for (name, _), x in zip(axes, point)}})
+            phys, sep, prep, degenerate = core.n2_folds(p)
+            flag = core.prep_below_sep(prep, sep)
+            expected.append(",".join([*map(repr, map(float, point)), repr(phys), repr(sep),
+                                      repr(prep), "1" if flag else "0",
+                                      "1" if degenerate else "0"]))
+        assert lines[1:-1] == expected
 
 
 def _no_constant(name):
