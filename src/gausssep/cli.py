@@ -54,9 +54,12 @@ tests, and a matrix's 16 cells into one ``np.array`` call; a location is
 built only for the error it names.  The JSON records are formatted from
 columns, with the bytes ``json.dumps`` would write for the same values as
 a dict: each float column in one ``float.__repr__`` pass (``_floats``; a
-value that is not finite goes through ``_number``, or ``_margin``, which
-writes a NaN margin as null), and a string id by the encoder
-``json.dumps`` calls for it (``_ids``).  ``sweep`` formats each CSV column
+column with a value that is not finite then takes one lookup pass, which
+writes a NaN margin as null), a string id by the encoder ``json.dumps``
+calls for it (``_ids``), and the answers, methods and fallback tuples by
+lookup.  A list of verdicts is read as columns, transposed once
+(``_columns``); ``methods_agree`` and ``sample``'s ``agree`` and summary
+come from those columns too.  ``sweep`` formats each CSV column
 in one ``float.__repr__`` pass (an infinite fold is ``inf``, not JSON's
 ``Infinity``), its flags by lookup and each line with one format call.
 
@@ -71,7 +74,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
-import itertools
 import json
 import math
 import operator
@@ -337,24 +339,18 @@ def _write_output(path: str | None, lines) -> None:
 
 
 _BOOL = {True: "true", False: "false", None: "null"}
+_NUMBER = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float.__repr__ -> json.dumps
+_MARGIN = {**_NUMBER, "nan": "null"}  # a NaN margin is not applicable
 
 
-def _number(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
-def _margin(x: float) -> str:
-    """A margin; NaN (not applicable) is null."""
-    return "null" if x != x else _number(x)
-
-
-def _floats(xs: list[float], each=_number) -> list[str]:
-    """``each`` (``_number`` or ``_margin``) of every float of ``xs``: one
-    ``float.__repr__`` pass over them, then ``each`` of the values that are
-    not finite, if the column holds any."""
+def _floats(xs, fix=_NUMBER) -> list[str]:
+    """``json.dumps`` of every float of ``xs``, with the non-finite strings
+    of ``fix`` (``_NUMBER``, or ``_MARGIN`` for margins): one
+    ``float.__repr__`` pass over them, then, if the column holds a value
+    that is not finite, one lookup pass."""
     out = list(map(float.__repr__, xs))
     if not all(map(math.isfinite, xs)):
-        out = [s if math.isfinite(x) else each(x) for x, s in zip(xs, out)]
+        out = list(map(fix.get, out, out))
     return out
 
 
@@ -364,38 +360,46 @@ def _ids(ids: list) -> list[str]:
     return [encode_basestring_ascii(i) if type(i) is str else json.dumps(i) for i in ids]
 
 
-@functools.cache
-def _constant(value) -> str:
-    """``json.dumps`` of a Verdict's method or fallback tuple, once per value."""
-    return json.dumps(value)
-
+# ``json.dumps`` of every method, fallback tuple and invariant form a record can carry
+_CONSTANT = {value: json.dumps(value) for value in (
+    core.METHOD_CLOSED, core.METHOD_EIG, *core._FALLBACKS, symplectic.FORM1, symplectic.FORM2)}
 
 _VERDICT = ('"physical": {}, "separable": {}, "p_representable": {}, "margin_physical": {}, '
             '"margin_separable": {}, "margin_prep": {}, "method": {}, "fallbacks": {}').format
 
 
-def _verdict_fields(verdicts: list[Verdict]) -> list[str]:
-    """The members of each Verdict's JSON object, without the braces."""
-    def column(name):
-        return list(map(operator.attrgetter(name), verdicts))
+def _columns(verdicts: list[Verdict]) -> list[tuple]:
+    """The eight field columns of a list of verdicts, in the order of
+    ``Verdict._fields``."""
+    return list(zip(*verdicts)) or [()] * len(Verdict._fields)
 
+
+def _verdict_fields(columns: list[tuple]) -> list[str]:
+    """The members of each Verdict's JSON object, without the braces, from
+    the ``_columns`` of the verdicts."""
+    physical, separable, prep, *margins, method, fallbacks = columns
     return list(map(
-        _VERDICT,
-        *(map(_BOOL.__getitem__, column(name))
-          for name in ("physical", "separable", "p_representable")),
-        *(_floats(column(name), _margin)
-          for name in ("margin_physical", "margin_separable", "margin_prep")),
-        map(_constant, column("method")), map(_constant, column("fallbacks"))))
+        _VERDICT, *(map(_BOOL.__getitem__, x) for x in (physical, separable, prep)),
+        *(_floats(x, _MARGIN) for x in margins),
+        map(_CONSTANT.__getitem__, method), map(_CONSTANT.__getitem__, fallbacks)))
+
+
+def _agree(a: list[tuple], b: list[tuple]) -> list[bool]:
+    """Per state, whether two routes' verdicts, given as ``_columns``, give
+    the same three answers."""
+    return list(map(operator.eq, zip(*a[:3]), zip(*b[:3])))
 
 
 def _classify_lines(ids: list, verdicts: list[Verdict], eig: list[Verdict] | None = None) -> list[str]:
     """``classify``'s line for each record; with ``eig``, that of
     ``--method both``, whose closed-form verdicts are ``verdicts``."""
+    closed = _columns(verdicts)
     if eig is None:
-        return list(map('{{"id": {}, {}}}\n'.format, _ids(ids), _verdict_fields(verdicts)))
+        return list(map('{{"id": {}, {}}}\n'.format, _ids(ids), _verdict_fields(closed)))
+    eig = _columns(eig)
     return list(map('{{"id": {}, {}, "eig": {{{}}}, "methods_agree": {}}}\n'.format,
-                    _ids(ids), _verdict_fields(verdicts), _verdict_fields(eig),
-                    map(_BOOL.__getitem__, map(_agree, verdicts, eig))))
+                    _ids(ids), _verdict_fields(closed), _verdict_fields(eig),
+                    map(_BOOL.__getitem__, _agree(closed, eig))))
 
 
 _PARAMS = '{{"n1": {}, "n2": {}, "m1": [{}, {}], "m2": [{}, {}], "ms": [{}, {}], "mc": [{}, {}]}}'.format
@@ -410,11 +414,6 @@ def _params_json(q: core._ParamArrays) -> list[str]:
 def _check_tol_psd(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParameterError(f"--tol-psd must be finite and >= 0, got {tol}")
-
-
-def _agree(a: Verdict, b: Verdict) -> bool:
-    """Whether two verdicts on one state give the same three answers."""
-    return (a.physical, a.separable, a.p_representable) == (b.physical, b.separable, b.p_representable)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +454,7 @@ def _reductions_json(reductions: list[tuple]) -> list[str]:
     """The "reduction" object of each ``_reduction`` tuple."""
     forms, *cols = zip(*reductions) if reductions else ((),) * 6
     return [
-        f'{{"applicable": true, "form": {_constant(form)}, "nu1": {nu1}, "nu2": {nu2}, '
+        f'{{"applicable": true, "form": {_CONSTANT[form]}, "nu1": {nu1}, "nu2": {nu2}, '
         f'"mu": [{re}, {im}], "residual": {residual}}}' if form is not None
         else f'{{"applicable": false, "residual": {residual}}}'
         for form, nu1, nu2, re, im, residual in zip(forms, *map(_floats, cols))
@@ -524,7 +523,35 @@ def _seed(seed: int | None) -> int:
     return seed
 
 
+def _tally(summary: dict, params: list[str], closed: list[tuple], eig: list[tuple],
+           agree: list[bool]) -> None:
+    """Add one batch to the ``sample`` summary: the counts from the oracle's
+    answers, the first separable state that is not P-representable as the
+    witness, and the disagreements off the boundary band.  A state lies on
+    the band if any oracle margin that is not NaN has |m| <= BOUNDARY_BAND;
+    one whose closed route fell back to the oracle does not count."""
+    _, separable, prep, *margins, _, _ = eig
+    pairs = list(zip(separable, prep))
+    summary["separable"] += separable.count(True)
+    summary["entangled"] += separable.count(False)
+    summary["p_representable"] += prep.count(True)
+    summary["separable_not_prep"] += pairs.count((True, False))
+    summary["prep_and_entangled"] += pairs.count((False, True))
+    if summary["separable_not_prep_witness"] is None and (True, False) in pairs:
+        summary["separable_not_prep_witness"] = json.loads(params[pairs.index((True, False))])
+    with np.errstate(invalid="ignore"):  # a NaN margin compares False: it is off the band
+        on_band = (np.abs(np.array(margins)) <= core.BOUNDARY_BAND).any(axis=0)
+    fell_back = np.fromiter(map(len, closed[-1]), dtype=np.intp, count=len(agree)) > 0
+    summary["method_disagreements_off_boundary"] += int(np.count_nonzero(
+        ~on_band & ~np.array(agree, dtype=bool) & ~fell_back))
+
+
 def cmd_sample(args) -> int:
+    """Draw ``--count`` states, classify each by both routes and write one
+    record per state, then the summary line.  Each batch is tallied
+    (``_tally``) and formatted by columns, with one format call per line.
+    Exit 5 after the summary when the oracle finds a P-representable
+    entangled state or the routes disagree off the boundary band."""
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
     _check_tol_psd(args.tol_psd)
@@ -536,32 +563,17 @@ def cmd_sample(args) -> int:
         "separable_not_prep": 0, "prep_and_entangled": 0,
         "method_disagreements_off_boundary": 0, "separable_not_prep_witness": None,
     }
+    line = '{{"index": {}, "params": {}, "closed": {{{}}}, "eig": {{{}}}, "agree": {}}}\n'.format
 
     def lines():
-        """Each state's record line, tallied into ``summary``, then the summary line."""
+        """Each batch's record lines, tallied into ``summary``, then the summary line."""
         for start, q, closed, eig in _sampled(rng, args.mode, args.count, args.tol_psd):
-            for i, p, vc, ve, closed_json, eig_json in zip(
-                    itertools.count(start), _params_json(q), closed, eig,
-                    _verdict_fields(closed), _verdict_fields(eig)):
-                margins = [ve.margin_physical, ve.margin_separable, ve.margin_prep]
-                off_boundary = all(abs(m) > core.BOUNDARY_BAND for m in margins if not math.isnan(m))
-                agree = _agree(vc, ve)
-                if off_boundary and not agree and not vc.fallbacks:
-                    summary["method_disagreements_off_boundary"] += 1
-                if ve.separable:
-                    summary["separable"] += 1
-                elif ve.separable is False:
-                    summary["entangled"] += 1
-                if ve.p_representable:
-                    summary["p_representable"] += 1
-                if ve.separable and ve.p_representable is False:
-                    summary["separable_not_prep"] += 1
-                    if summary["separable_not_prep_witness"] is None:
-                        summary["separable_not_prep_witness"] = json.loads(p)
-                if ve.p_representable and ve.separable is False:
-                    summary["prep_and_entangled"] += 1
-                yield (f'{{"index": {i}, "params": {p}, "closed": {{{closed_json}}}, '
-                       f'"eig": {{{eig_json}}}, "agree": {_BOOL[agree]}}}\n')
+            params, closed, eig = _params_json(q), _columns(closed), _columns(eig)
+            agree = _agree(closed, eig)
+            _tally(summary, params, closed, eig, agree)
+            yield from map(line, range(start, start + len(params)), params,
+                           _verdict_fields(closed), _verdict_fields(eig),
+                           map(_BOOL.__getitem__, agree))
         yield json.dumps({"summary": summary}) + "\n"
 
     _write_output(args.output, lines())

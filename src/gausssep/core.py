@@ -67,6 +67,7 @@ batch.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -144,9 +145,10 @@ class GaussianParams:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Classification record for one state.
+class Verdict(NamedTuple):
+    """Classification record for one state, an immutable named tuple of
+    Python values (no numpy scalars): it unpacks, and compares equal to the
+    tuple of its fields in this order.
 
     ``separable`` and ``p_representable`` are None (not applicable) whenever
     the state is unphysical: unphysical operators are outside both sets.
@@ -389,11 +391,12 @@ class _Batch:
         mirrored.im = self.im.mirror()
         return mirrored
 
-    def evaluated(self, key, compute):
-        """``compute(self)``, run once per ``key``."""
-        if key not in self._values:
-            self._values[key] = compute(self)
-        return self._values[key]
+    def evaluated(self, key, compute, *args):
+        """``compute(self, *args)``, run once per ``key``."""
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = compute(self, *args)
+        return value
 
     def rows(self) -> list["_Row"]:
         return [_Row(self, i) for i in range(len(self.q.n1))]
@@ -652,12 +655,19 @@ def _prep_margin_eig(V: np.ndarray):
 # Fallback tuple by bit mask: bit k set means criterion _CRITERIA[k] fell back.
 _CRITERIA = ("physical", "separable", "p_representable")
 _FALLBACKS = tuple(tuple(c for k, c in enumerate(_CRITERIA) if code >> k & 1) for code in range(8))
+_METHODS = (METHOD_CLOSED,) + (METHOD_EIG,) * 7  # a closed-form route's method, by the same code
+_ANSWERS = (False, True, None)  # a separable or p_representable answer by its code
 
 
 def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     """The Verdict of every state of ``batch``, in one array pass.  An
     ``OverflowError`` from any state's closed form is raised for the whole
-    batch."""
+    batch.
+
+    The records are built in one ``Verdict._make`` pass over the result
+    columns: ``physical`` and the margins as Python values by ``tolist``,
+    each answer by ``_ANSWERS`` from an int8 code column (2 where the state
+    is unphysical), and ``method`` and ``fallbacks`` by the fallback code."""
     if method not in (METHOD_CLOSED, METHOD_EIG):
         raise ValueError(f"unknown method {method!r}")
     q = batch.q
@@ -685,22 +695,16 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
 
     if method == METHOD_CLOSED:
         codes = (need_phys + 2 * need_sep + 4 * need_prep).tolist()
+        methods, fallbacks = map(_METHODS.__getitem__, codes), map(_FALLBACKS.__getitem__, codes)
     else:
-        codes = [0] * len(q.n1)
-    return [
-        Verdict(
-            physical=ph,
-            separable=s >= -tol_psd if ph else None,
-            p_representable=r >= -tol_psd if ph else None,
-            margin_physical=mp,
-            margin_separable=s,
-            margin_prep=r,
-            method=METHOD_EIG if (method == METHOD_EIG or code) else METHOD_CLOSED,
-            fallbacks=_FALLBACKS[code],
-        )
-        for ph, mp, s, r, code in zip(physical.tolist(), phys.tolist(), sep.tolist(),
-                                      prep.tolist(), codes)
-    ]
+        methods, fallbacks = itertools.repeat(METHOD_EIG), itertools.repeat(())
+    with np.errstate(invalid="ignore"):  # an unphysical state's NaN margins compare False
+        separable, p_representable = (
+            map(_ANSWERS.__getitem__, np.where(physical, m >= -tol_psd, 2).astype(np.int8).tolist())
+            for m in (sep, prep))
+    return list(map(Verdict._make, zip(physical.tolist(), separable, p_representable,
+                                       phys.tolist(), sep.tolist(), prep.tolist(),
+                                       methods, fallbacks)))
 
 
 def classify(p: GaussianParams | _Row, method: str = METHOD_CLOSED,
@@ -716,7 +720,7 @@ def classify(p: GaussianParams | _Row, method: str = METHOD_CLOSED,
     method and tolerance.
     """
     batch, i = _row(p)
-    return batch.evaluated((method, tol_psd), lambda bt: _verdicts(bt, method, tol_psd))[i]
+    return batch.evaluated((method, tol_psd), _verdicts, method, tol_psd)[i]
 
 
 def classify_batch(params: Sequence[GaussianParams], method: str = METHOD_CLOSED,

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .core import GaussianParams, Z
+from .core import GaussianParams
 from .errors import DomainError, PrescriptionInapplicableError, SamplingBudgetError
 
 FORM1 = "form1"
@@ -134,16 +134,40 @@ def _det2(M: np.ndarray) -> np.ndarray:
     return np.ldexp((S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]).real, 2 * e)
 
 
+def _entries(M: np.ndarray) -> tuple:
+    """The entries (00, 01, 10, 11) of each 2x2 matrix of a stack, as (re, im)
+    pairs of float arrays."""
+    return tuple((M[..., i, j].real, M[..., i, j].imag) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The ``_entries`` of A B from those of A and of B."""
+    def dot(x, y, u, v):  # x y + u v
+        xy, uv = core._mul(x, y), core._mul(u, v)
+        return xy[0] + uv[0], xy[1] + uv[1]
+
+    return (dot(a[0], b[0], a[1], b[2]), dot(a[0], b[1], a[1], b[3]),
+            dot(a[2], b[0], a[3], b[2]), dot(a[2], b[1], a[3], b[3]))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def invariants(V: np.ndarray) -> SymplecticInvariants:
     """I1..I4 of a matrix, as floats, or of each matrix of an (N, 4, 4)
     stack, as (N,) arrays, by the same stacked operations; OverflowError if
     any of them is not finite.  The determinants are closed-form 2x2 ones
-    (``_det2``): a pivoting ``np.linalg.det`` divides by a subnormal pivot."""
+    (``_det2``): a pivoting ``np.linalg.det`` divides by a subnormal pivot.
+    I4 = Re Tr(P Q), with P = V1 (Z C Z) and Q = V2 (Z C+ Z), written out
+    entry by entry; Z M Z only flips the sign of M's off-diagonal entries."""
     V1, V2, C = core.decompose_blocks(V)
     i1, i2, i3 = _det2(V1), _det2(V2), _det2(C)
-    chain = V1 @ Z @ C @ Z @ V2 @ Z @ C.conj().swapaxes(-1, -2) @ Z
-    i4 = np.trace(chain, axis1=-2, axis2=-1).real
+    # on float (re, im) pairs: numpy's complex kernels for a stack and for
+    # one matrix may round differently
+    c00, c01, c10, c11 = _entries(C)
+    P = _product(_entries(V1), (c00, (-c01[0], -c01[1]), (-c10[0], -c10[1]), c11))
+    Q = _product(_entries(V2), (core._conj(c00), (-c10[0], c10[1]), (-c01[0], c01[1]),
+                                core._conj(c11)))
+    i4 = (core._mul(P[0], Q[0])[0] + core._mul(P[1], Q[2])[0]
+          + core._mul(P[2], Q[1])[0] + core._mul(P[3], Q[3])[0])
     if not np.isfinite([i1, i2, i3, i4]).all():
         raise OverflowError("symplectic invariants overflow")
     if V1.ndim == 2:

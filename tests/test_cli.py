@@ -378,6 +378,106 @@ class TestSample:
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0].splitlines()) == 21
 
+    @staticmethod
+    def recount(lines, seed, mode):
+        """The summary of ``sample``'s record lines, recounted record by
+        record: the counts of the oracle's answers, the params of the first
+        separable state that is not P-representable, and the records whose
+        routes disagree, whose closed route did not fall back, and none of
+        whose non-null oracle margins lies within BOUNDARY_BAND of zero."""
+        records = [json.loads(line) for line in lines]
+        assert [r["index"] for r in records] == list(range(len(records)))
+
+        def answers(v):
+            return v["physical"], v["separable"], v["p_representable"]
+
+        def on_band(v):
+            margins = (v["margin_physical"], v["margin_separable"], v["margin_prep"])
+            return any(m is not None and abs(m) <= core.BOUNDARY_BAND for m in margins)
+
+        for r in records:
+            assert r["agree"] == (answers(r["closed"]) == answers(r["eig"]))
+        eig = [answers(r["eig"])[1:] for r in records]
+        return {
+            "count": len(records), "seed": seed, "mode": mode,
+            "separable": sum(s is True for s, _ in eig),
+            "entangled": sum(s is False for s, _ in eig),
+            "p_representable": sum(p is True for _, p in eig),
+            "separable_not_prep": eig.count((True, False)),
+            "prep_and_entangled": eig.count((False, True)),
+            "method_disagreements_off_boundary": sum(
+                not r["agree"] and not r["closed"]["fallbacks"] and not on_band(r["eig"])
+                for r in records),
+            "separable_not_prep_witness": next(
+                (r["params"] for r, a in zip(records, eig) if a == (True, False)), None),
+        }
+
+    @pytest.mark.parametrize("size", [1024, 7, 1])
+    @pytest.mark.parametrize("mode", ["construct", "reject"])
+    def test_summary_is_the_recount_of_its_records(self, tmp_path, monkeypatch, mode, size):
+        monkeypatch.setattr(cli, "SAMPLE_BATCH", size)
+        o = tmp_path / "s.jsonl"
+        assert main(["sample", "--count", "20", "--seed", "5", "--mode", mode,
+                     "--output", str(o)]) == 0
+        *lines, last = o.read_text().splitlines()
+        summary = json.loads(last)["summary"]
+        assert summary == self.recount(lines, 5, mode)
+        assert summary["separable_not_prep_witness"] is not None
+
+    def negate_closed(self, monkeypatch):
+        """Negate the closed-form physicality and separability margins, so
+        that the routes disagree off the band."""
+        margin = core._physical_margin_closed
+        monkeypatch.setattr(core, "_physical_margin_closed", lambda q, im: -margin(q, im))
+
+    def skew_closed(self, monkeypatch):
+        """Leave every third closed physicality margin undecided, so that it
+        falls back to the oracle, and negate the separability margins."""
+        margins = core._closed_margins
+
+        def skewed(q, im):
+            phys, sep, prep = margins(q, im)
+            phys[::3] = np.nan
+            return phys, -sep, prep
+
+        monkeypatch.setattr(core, "_closed_margins", skewed)
+
+    @pytest.mark.parametrize("patch", [negate_closed, skew_closed])
+    @pytest.mark.parametrize("size", [1024, 7])
+    def test_disagreement_off_the_band_exits_5_after_the_summary(
+            self, tmp_path, monkeypatch, capsys, patch, size):
+        patch(self, monkeypatch)
+        monkeypatch.setattr(cli, "SAMPLE_BATCH", size)
+        o = tmp_path / "s.jsonl"
+        assert main(["sample", "--count", "20", "--seed", "5", "--output", str(o)]) == 5
+        *lines, last = o.read_text().splitlines()
+        assert len(lines) == 20
+        summary = json.loads(last)["summary"]
+        assert summary == self.recount(lines, 5, "construct")
+        assert summary["method_disagreements_off_boundary"] > 0
+        records = [json.loads(line) for line in lines]
+        if patch is TestSample.skew_closed:  # disagreements after a fallback do not count
+            assert any(not r["agree"] and r["closed"]["fallbacks"] for r in records)
+            assert summary["method_disagreements_off_boundary"] < sum(not r["agree"] for r in records)
+
+    def test_tally_skips_the_band_and_fallbacks(self):
+        """Of four disagreeing states, only the one off the band whose
+        closed route did not fall back counts; a NaN margin is off the band."""
+        nan, band = math.nan, core.BOUNDARY_BAND
+        eig = [core.Verdict(True, True, False, 1.0, 0.5, m, core.METHOD_EIG)
+               for m in (nan, band, -band / 2, 0.25)]
+        closed = [v._replace(separable=False, method=core.METHOD_CLOSED, fallbacks=f)
+                  for v, f in zip(eig, [(), (), (), ("separable",)])]
+        summary = dict.fromkeys(("separable", "entangled", "p_representable", "separable_not_prep",
+                                 "prep_and_entangled", "method_disagreements_off_boundary"), 0)
+        summary["separable_not_prep_witness"] = None
+        closed, eig = cli._columns(closed), cli._columns(eig)
+        cli._tally(summary, ['{"n1": 1}'] * 4, closed, eig, cli._agree(closed, eig))
+        assert summary == {"separable": 4, "entangled": 0, "p_representable": 0,
+                           "separable_not_prep": 4, "prep_and_entangled": 0,
+                           "method_disagreements_off_boundary": 1,
+                           "separable_not_prep_witness": {"n1": 1}}
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         o1, o2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         monkeypatch.setenv("GAUSSSEP_SEED", "99")
@@ -1101,7 +1201,7 @@ def test_classify_lines_are_json_dumps(records):
         json.dumps({"id": rec_id, **dict_form(v)}) + "\n" for rec_id, v in zip(ids, vs)]
     assert cli._classify_lines(ids, vs, es) == [
         json.dumps({"id": rec_id, **dict_form(v), "eig": dict_form(e),
-                    "methods_agree": cli._agree(v, e)}) + "\n"
+                    "methods_agree": v[:3] == e[:3]}) + "\n"
         for rec_id, v, e in zip(ids, vs, es)]
 
 
@@ -1128,5 +1228,5 @@ _ALL_EDGE_FLOATS = [*_EDGE_FLOATS, math.inf, -math.inf]
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from(_ALL_EDGE_FLOATS))))
 def test_float_column_is_each_value(xs):
-    assert cli._floats(xs) == [cli._number(x) for x in xs] == [json.dumps(x) for x in xs]
-    assert cli._floats(xs, cli._margin) == [cli._margin(x) for x in xs]
+    assert cli._floats(xs) == [json.dumps(x) for x in xs]
+    assert cli._floats(xs, cli._MARGIN) == [json.dumps(None if math.isnan(x) else x) for x in xs]

@@ -466,6 +466,58 @@ class TestClassify:
             ve.physical, ve.separable, ve.p_representable)
 
 
+UNPHYSICAL = [GaussianParams(0.4, 1.0), GaussianParams(0.3, 0.2, mc=0.5)]
+D_ZERO = [VACUUM, GaussianParams(0.5, 1.0), GaussianParams(0.5, 0.7, m2=0.1)]  # d = 0: fallbacks
+MIXED = [REF, GaussianParams(1, 1, mc=0.6), GaussianParams(1.0, 1.0, m2=0.8, ms=0.3, mc=0.3),
+         *UNPHYSICAL[:1], *D_ZERO[:1]]
+
+
+class TestVerdictContract:
+    """A Verdict is a named tuple of plain Python values: a numpy scalar
+    would still format (``str(np.True_)``), so no output shows one."""
+
+    @pytest.mark.parametrize("method", [core.METHOD_CLOSED, core.METHOD_EIG])
+    @pytest.mark.parametrize("states", [MIXED, [], UNPHYSICAL, D_ZERO],
+                             ids=["mixed", "empty", "unphysical", "d=0"])
+    def test_fields_are_python_values(self, states, method):
+        verdicts = core.classify_batch(states, method=method)
+        assert len(verdicts) == len(states)
+        for v in verdicts:
+            assert type(v) is core.Verdict
+            assert type(v.physical) is bool
+            for answer in (v.separable, v.p_representable):
+                assert type(answer) is bool if v.physical else answer is None
+            for margin in (v.margin_physical, v.margin_separable, v.margin_prep):
+                assert type(margin) is float
+            assert type(v.method) is str
+            assert type(v.fallbacks) is tuple and all(type(f) is str for f in v.fallbacks)
+        if states is D_ZERO and method == core.METHOD_CLOSED:
+            assert all("physical" in v.fallbacks for v in verdicts)
+        if states is UNPHYSICAL:
+            assert not any(v.physical for v in verdicts)
+
+    def test_named_tuple(self):
+        assert core.Verdict._fields == (
+            "physical", "separable", "p_representable", "margin_physical",
+            "margin_separable", "margin_prep", "method", "fallbacks")
+        v = classify(REF)
+        assert v == tuple(v) and v._asdict() == dict(zip(v._fields, v))
+        assert v._replace(method=core.METHOD_EIG).method == core.METHOD_EIG
+        assert core.Verdict(True, True, True, 1.0, 1.0, 1.0, core.METHOD_CLOSED).fallbacks == ()
+        assert repr(v).startswith("Verdict(physical=True, separable=True, ")
+        with pytest.raises(AttributeError):
+            v.physical = False
+
+    @pytest.mark.parametrize("method", [core.METHOD_CLOSED, core.METHOD_EIG])
+    def test_classify_is_the_one_element_batch(self, method):
+        for p in MIXED + UNPHYSICAL + D_ZERO:
+            alone, batched = classify(p, method), core.classify_batch([p], method)[0]
+            # repr is exact for floats and, unlike ==, equates NaN margins
+            assert repr(alone) == repr(batched)
+            if alone.physical:
+                assert alone == batched
+
+
 class TestFolds:
     @pytest.mark.parametrize("p", NEAR_D0)
     def test_no_fold_when_mode1_fails(self, p):

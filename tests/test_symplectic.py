@@ -156,6 +156,19 @@ class TestInvariants:
         with pytest.raises(OverflowError):
             invariants(V)
 
+    def test_i4_is_the_product_chain(self):
+        """I4, written out entry by entry, is Re Tr[V1 Z C Z V2 Z C+ Z] of the
+        stacked matrix products within 1e-12 scale^4 (scale: the largest
+        |entry| of the matrix), on Hermitian matrices over twelve decades."""
+        rng = np.random.default_rng(23)
+        A = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+        V = (A + A.conj().swapaxes(-1, -2)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1, 1))
+        V1, V2, C = core.decompose_blocks(V)
+        chain = V1 @ core.Z @ C @ core.Z @ V2 @ core.Z @ C.conj().swapaxes(-1, -2) @ core.Z
+        reference = np.trace(chain, axis1=-2, axis2=-1).real
+        scale = np.abs(V).max(axis=(-2, -1))
+        assert (np.abs(invariants(V).i4 - reference) <= 1e-12 * scale**4).all()
+
     def test_subnormal_entry_has_finite_invariants(self):
         # np.linalg.det divided by a subnormal pivot here and returned NaN
         inv = invariants(build_covariance(GaussianParams(0.0, 0.0, mc=1.1125369292536007e-308j)))
