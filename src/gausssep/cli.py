@@ -28,10 +28,11 @@ by its location.  Every command except ``sample`` evaluates all of its
 states before it opens its output, so an evaluation error, like a parse
 error, exits before any record is written: ``classify`` classifies by each
 route on one ``core._Batch`` of the file, whose covariance stack both
-routes share, and ``sweep`` builds its grid as one ``core._ParamArrays``
-(``_sweep_grid``; the first invalid point raises the error of its own
-``GaussianParams``) and takes its folds from one ``core._Batch`` of it
-(``core._n2_folds``).
+routes share, and ``sweep`` checks its grid's point count against
+``SWEEP_MAX_POINTS`` from the axis specs alone, then builds the grid as one
+``core._ParamArrays`` (``_sweep_grid``; the first invalid point raises the
+error of its own ``GaussianParams``) and takes its folds from one
+``core._Batch`` of it (``core._n2_folds``).
 ``invariants`` makes one ``symplectic.invariants`` call over the stack of
 the file's covariance matrices, and ``transform`` one
 ``symplectic.apply_local`` call (its parameters read by
@@ -583,9 +584,13 @@ def cmd_sample(args) -> int:
 
 
 SWEEPABLE = ("n1", "m1", "m2", "ms", "mc")
+# Most grid points one sweep evaluates: the product of its axes' steps.  A
+# sweep holds about 650 bytes per point in arrays and CSV lines (peak RSS of
+# a 316 x 316 grid), so this keeps it below a gigabyte.
+SWEEP_MAX_POINTS = 10**6
 
 
-def _parse_axis(spec: str):
+def _parse_axis(spec: str) -> tuple[str, float, float, int]:
     parts = spec.split(":")
     if len(parts) != 4:
         raise ParseError(f"axis spec must be name:min:max:steps, got {spec!r}")
@@ -597,7 +602,7 @@ def _parse_axis(spec: str):
         raise ParseError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
     if steps < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ParseError(f"axis spec needs steps >= 2 and finite min < max, got {spec!r}")
-    return name, np.linspace(lo, hi, steps)
+    return name, lo, hi, steps
 
 
 _SWEEP_COLUMNS = ("n2_min_physical", "n2_min_separable", "n2_min_prep", "prep_below_sep_flag",
@@ -641,8 +646,11 @@ def cmd_sweep(args) -> int:
     axis1 = args.axis1 or ("n1:0.75:4.0:40" if args.fig1 else None)
     if axis1 is None:
         raise ParseError("--axis1 is required (or use --fig1)")
-    axes = [_parse_axis(spec) for spec in (axis1, args.axis2) if spec is not None]
-    axis_names = [name for name, _ in axes]
+    specs = [_parse_axis(spec) for spec in (axis1, args.axis2) if spec is not None]
+    size = math.prod(steps for *_, steps in specs)
+    if size > SWEEP_MAX_POINTS:
+        raise ParseError(f"sweep grid has {size} points, more than {SWEEP_MAX_POINTS}")
+    axis_names = [name for name, *_ in specs]
     names += axis_names
     twice = sorted({name for name in names if names.count(name) > 1})
     if twice:
@@ -652,6 +660,7 @@ def cmd_sweep(args) -> int:
         # correlations, swept over the mode-1 occupation.
         assignment = {"m1": 0.5, "m2": 1.0, **assignment}
 
+    axes = [(name, np.linspace(lo, hi, steps)) for name, lo, hi, steps in specs]
     points, q = _sweep_grid(axes, assignment)
     phys, sep, prep, degenerate = core._n2_folds(core._Batch(q))
     flag = core.prep_below_sep(prep, sep)

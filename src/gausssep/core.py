@@ -26,11 +26,11 @@ batch (``_Row``), which it reads out of that batch's array pass;
 ``classify_batch`` is ``classify`` over every state of one batch, whose
 array passes each run once (``_Batch``).  ``n2_folds_batch`` reads each
 fold column from the closed form's array pass over the batch, the same
-pass the n2 bounds read, and evaluates per state only the entries without
-a closed form; ``n2_folds`` is its one-element view.  A batch builds its
-(N, 4, 4) covariance stack once, read-only, at its first use; the oracle
-rows, the n2 bisection and the invariant-form reduction of ``symplectic``
-index that one stack.  Every operation is elementwise or per matrix, so a
+pass the n2 bounds read, and the entries without a closed form from the
+exact fold's array pass; ``n2_folds`` is its one-element view.  A batch
+builds its (N, 4, 4) covariance stack once, read-only, at its first use;
+the oracle rows and the invariant-form reduction of ``symplectic`` index
+that one stack.  Every operation is elementwise or per matrix, so a
 state's result does not depend on the other states in its batch, bit for
 bit.
 
@@ -55,13 +55,17 @@ for P-representability.  These agree with the eigenvalue oracle to machine
 precision; see tests for the cross-validation.
 
 ``classify`` is the only verdict API.  The n2 folds of the ``sweep``
-command (closed-form bounds, the literal published P-fold and the
-eigen-oracle bisection at degenerate points) also live here.  A fold is
-``inf`` when its mode-1 condition fails (d < 0, or V1 - I/2 not >= 0 for P),
-the test the closed margins apply too; ``prep_below_sep`` counts the P-fold
-as below the S-fold only by more than ``FOLD_GAP_RTOL`` * max(1, S-fold).
-Non-finite intermediates or bounds raise ``OverflowError`` for the whole
-batch.
+command (closed-form bounds, the literal published P-fold and, at
+degenerate points, the exact fold) also live here.  The exact fold
+(``_exact_folds``) is the larger root of det(V + E/2), or of det(V - I/2)
+for P, a quadratic in n2 whose leading coefficient is d (d'): Simon's
+criterion in invariant form, solved without a search, an eigenvalue call
+or a division by d.  A fold is ``inf`` when its mode-1 condition fails
+(d < 0, or V1 - I/2 not >= 0 for P), the test the closed margins apply
+too; ``prep_below_sep`` counts the P-fold as below the S-fold only by
+more than ``FOLD_GAP_RTOL`` * max(1, S-fold).  Non-finite intermediates or
+bounds raise ``OverflowError`` for the whole batch, and a non-finite exact
+fold for the state that reads it.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ TOL_PATTERN = 1e-9  # entry (i, j) of a matrix against the rebuild B of its para
                     # relative to max(1, sqrt(|B_ii| |B_jj|))
 BOUNDARY_BAND = 1e-8  # |oracle margin| at or below this lies on a decision boundary
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
-BISECT_HI = 64.0  # first upper end of the sweep's n2 bisection bracket
 
 # Canonical constant matrices.
 Z = np.diag([1.0, -1.0])
@@ -563,9 +566,13 @@ def _literal_prep_fold(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
     return _checked(fold, defined, "literal P-fold")
 
 
+def _bound_of(batch: _Batch, bound) -> np.ndarray:
+    return bound(batch.q, batch.im)
+
+
 def _bound_array(batch: _Batch, bound) -> np.ndarray:
     """``bound`` of every state of ``batch``, evaluated once per batch."""
-    return batch.evaluated(bound, lambda bt: bound(bt.q, bt.im))
+    return batch.evaluated(bound, _bound_of, bound)
 
 
 def _scalar_bound(bound, p: GaussianParams | _Row, what: str) -> float:
@@ -575,8 +582,7 @@ def _scalar_bound(bound, p: GaussianParams | _Row, what: str) -> float:
     b = float(_bound_array(batch, bound)[i])
     if math.isnan(b):
         im = batch.im
-        raise DegenerateBoundError(
-            f"no {what}: d = {im.d[i]:.3e}, d' = {im.d_p[i]:.3e}, n1 = {float(batch.q.n1[i])}")
+        raise DegenerateBoundError(what, im.d[i], im.d_p[i], batch.q.n1[i])
     return b
 
 
@@ -747,55 +753,113 @@ def literal_prep_fold(p: GaussianParams | _Row) -> float:
     return _scalar_bound(_literal_prep_fold, p, "literal P-fold")
 
 
-# criterion -> (oracle margin, mode-1 rule)
-_N2_CRITERIA = {
-    "physical": (_physical_margin_eig, _physical_mode1_fails),
-    "p_representable": (_prep_margin_eig, _prep_mode1_fails),
-}
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _exact_folds(batch: _Batch, prep: bool) -> list[float]:
+    """The exact n2 fold of every state of ``batch``: the smallest n2 >= 0
+    with V - I/2 >= 0 if ``prep``, else with V + E/2 >= 0; ``inf`` where no
+    n2 works, NaN where the arithmetic overflows.
+
+    n2 enters the matrix as n2 times a projector, so no eigenvalue falls as
+    n2 grows: the valid n2 are [fold, inf), and the fold is a root of the
+    determinant.  In x = n2 - x0 (x0 = 0, or 1/2 for P) the determinant is
+    the quadratic a x^2 + b x + c0, whose leading coefficient a is the
+    determinant of the shifted mode-1 block A (d, or d' for P), with
+    b = -2s (-2s') and
+
+        c0 = delta^2 + e delta - a (e^2 + |m2|^2) + 2 Re(conj(m2) c),
+
+    e = 1/2 (0 for P) and delta = |mc|^2 - |ms|^2: Simon's criterion in
+    invariant form, written in the intermediates.  The fold is the larger
+    root, max(c0/q, q/a) with q = -(b + sign(b) sqrt(b^2 - 4 a c0))/2, so
+    nothing divides by a small a.
+
+    It is ``inf`` where the mode-1 rule fails.  Inside the band
+    |a| <= TOL_SING, A is taken as singular (``_split_folds``)."""
+    q, im = batch.q, batch.im
+    if prep:
+        a, s, c, h, e, x0 = im.d_p, im.s_p, im.c_p, q.n1 - 0.5, 0.0, 0.5
+        fails = _prep_mode1_fails(q, im)
+    else:
+        a, s, c, h, e, x0 = im.d, im.s, im.c, q.n1, 0.5, 0.0
+        fails = _physical_mode1_fails(q, im)
+    m2 = q.m2
+    delta = _abs2(q.mc) - _abs2(q.ms)
+    c0 = delta * (delta + e) - a * (e * e + _abs2(m2)) + 2.0 * (m2[0] * c[0] + m2[1] * c[1])
+    b = -2.0 * s
+    disc = b * b - 4.0 * a * c0
+    root = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    x = np.where(np.isfinite(disc), np.fmax(c0 / root, root / a), np.nan)
+    band = np.abs(a) <= TOL_SING
+    if band.any():
+        split, none = _split_folds(q, c, h, e)
+        x = np.where(band, split, x)
+        fails = fails | band & none
+    x += x0
+    return np.where(fails, np.inf, np.where(np.isfinite(x), x, np.nan)).tolist()
 
 
-def _bisect_n2(V: np.ndarray, margin) -> np.ndarray:
-    """Per matrix of the stack ``V``, the smallest n2 with ``margin`` >= 0,
-    by bisection on [0, hi] after doubling ``hi`` (from ``BISECT_HI``) while
-    the margin there is negative; ``inf`` once ``hi`` doubles past 2^40."""
-    def f(rows, n2):
-        W = V[rows]
-        W[:, 2, 2] = W[:, 3, 3] = n2
-        return margin(W)
+def _split_folds(q: _ParamArrays, c, h: np.ndarray, e: float):
+    """(x, none) of ``_exact_folds`` for every row, taking the shifted
+    mode-1 block A = h I + [[e, m1], [conj(m1), -e]] as singular.
 
-    hi = np.full(len(V), BISECT_HI)
-    pending = np.arange(len(V))
-    while pending.size:
-        pending = pending[f(pending, hi[pending]) < 0.0]
-        hi[pending] *= 2.0
-        over = hi[pending] > 2**40
-        hi[pending[over]] = math.inf
-        pending = pending[~over]
-    live = np.flatnonzero(np.isfinite(hi))
-    if live.size:
-        lo, h = np.zeros(live.size), hi[live]
-        for _ in range(100):
-            mid = (lo + h) / 2
-            ok = f(live, mid) >= 0.0
-            h = np.where(ok, mid, h)
-            lo = np.where(ok, lo, mid)
-        hi[live] = h
-    return hi
+    No n2 works (``none``) where A is not positive semidefinite within
+    TOL_PSD: its smaller eigenvalue h - sqrt(e^2 + |m1|^2) is below
+    -TOL_PSD.  That can happen inside the band only for P, whose A has
+    eigenvalues h +- |m1|, when both are small (n1 near 1/2).  Else
+    b = -t |C+ u|^2, with t = 2h the trace of A, C the cross block and u
+    the unit null vector of A.  A negative slope couples u to mode 2, so no
+    n2 works; at a zero slope u splits off, and the fold is that of the
+    block left, V2 + shift - C+ A C / t^2 >= 0 (A / t^2 is the
+    pseudo-inverse of A): x = lambda_max(M), M = C+ A C / t^2 minus
+    V2 + shift at x = 0, whose entries are those of the intermediates, as
+    C+ A C = t C+ C - C+ adj(A) C.  Where t <= 0, A is 0 within TOL_PSD,
+    and the block left is V2 + shift if C = 0, else no n2 works.  A
+    positive slope, which a positive semidefinite A cannot give, is
+    rounding or A's indefiniteness within TOL_PSD, and is taken as a zero
+    one.
+
+    Here b is recomputed with the moduli squared as x^2 + y^2, not through
+    ``hypot`` as in ``_intermediates``: a polynomial in the parameters, it
+    is 0 exactly where the cross block is, and wherever its exact value is
+    0 and the inputs are short dyadics, which keep every product exact."""
+    m2, t = q.m2, 2.0 * h
+    mc2, ms2 = (z[0] * z[0] + z[1] * z[1] for z in (q.mc, q.ms))
+    delta, cross = mc2 - ms2, mc2 + ms2
+    s = h * cross - 2.0 * _mul(_mul(q.mc, q.ms), _conj(q.m1))[0]  # s, or s' for P
+    t2 = t * t
+    ms_mc = _mul(_conj(q.ms), q.mc)
+    w = _sub(m2, _div(_sub((2.0 * t * ms_mc[0], 2.0 * t * ms_mc[1]), c), t2))
+    x = np.where(t > 0.0, (t * cross - s) / t2 + np.hypot(e * (1.0 + delta / t2), _abs(w)),
+                 np.hypot(e, _abs(m2)))
+    indefinite = h - np.hypot(e, _abs(q.m1)) < -TOL_PSD
+    return x, indefinite | (s > 0.0) | (t <= 0.0) & (cross != 0.0)
+
+
+# criterion -> whether its fold is that of P-representability
+_N2_CRITERIA = {"physical": False, "p_representable": True}
+
+
+def _exact_fold_column(batch: _Batch, criterion: str) -> list[float]:
+    """``_exact_folds`` of ``criterion`` over ``batch``, evaluated once per
+    batch; KeyError for an unknown criterion."""
+    return batch.evaluated(criterion, _exact_folds, _N2_CRITERIA[criterion])
 
 
 def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
-    """Smallest n2 satisfying the eigen-oracle criterion, by bisection.
+    """Smallest n2 >= 0 at which ``criterion`` holds, ``inf`` if none does.
 
     ``criterion`` is "physical" or "p_representable"; separability's is
-    "physical" on ``p.mirror()``.  ``inf`` without an oracle call when the
-    mode-1 condition fails (read from one evaluation over the batch of
-    ``p``), or once the bracket doubles past 2^40.
+    "physical" on ``p.mirror()``.  The fold is exact (``_exact_folds``),
+    read from one array pass over the batch of ``p``; it is ``inf`` where
+    the mode-1 condition fails, and an ``OverflowError`` where its
+    arithmetic overflows.  Nothing is bisected: the name stays only because
+    the benchmark's tracer wraps this function by name.
     """
-    margin, mode1_fails = _N2_CRITERIA[criterion]
     batch, i = _row(p)
-    if batch.evaluated(mode1_fails, lambda bt: mode1_fails(bt.q, bt.im).tolist())[i]:
-        return math.inf
-    return float(_bisect_n2(batch.covariance[i:i + 1], margin)[0])
+    fold = _exact_fold_column(batch, criterion)[i]
+    if fold != fold:
+        raise OverflowError(f"n2 fold overflows for state {i} of the batch")
+    return fold
 
 
 def prep_below_sep(prep, sep):
@@ -808,8 +872,8 @@ def prep_below_sep(prep, sep):
 
 
 def _n2_fold(bound, p: _Row, criterion: str) -> float:
-    """``bound`` of ``p``, or where it has none the eigen-oracle bisection
-    threshold of ``criterion``."""
+    """``bound`` of ``p``, or where it has none the exact fold of
+    ``criterion`` (``bisect_n2_threshold``)."""
     try:
         return bound(p)
     except DegenerateBoundError:
@@ -824,9 +888,12 @@ def _n2_folds(batch: _Batch):
     The closed forms are one array pass each, in the order intermediates,
     physicality, mirror, P-fold (so the first ``OverflowError`` is that of
     the first pass that overflows), shared with the per-state bounds'
-    reads.  Only the entries whose closed form is NaN go through the
-    per-state ``_n2_fold``: the eigen-oracle bisection, ``inf`` where the
-    mode-1 rule fails."""
+    reads.  The entries whose closed form is NaN take the exact fold of
+    their criterion, itself one array pass per batch and criterion
+    (``_exact_folds``), run here before the entries are read: ``inf`` where
+    the mode-1 rule fails.  They still read it per state, through the
+    bound's ``DegenerateBoundError`` and ``bisect_n2_threshold``, because
+    the benchmark's tracer counts those calls."""
     folds = ((batch, _physical_bound, physicality_bound_n2, "physical"),
              (batch.mirror, _physical_bound, physicality_bound_n2, "physical"),
              (batch, _literal_prep_fold, literal_prep_fold, "p_representable"))
@@ -836,7 +903,10 @@ def _n2_folds(batch: _Batch):
     for fold, (bt, _, bound, criterion) in zip(closed, folds):
         fold = fold.copy()  # the batch's bound reads keep the closed form, NaN included
         missing = np.isnan(fold)
-        for i in np.flatnonzero(missing).tolist():
+        rows = np.flatnonzero(missing).tolist()
+        if rows:
+            _exact_fold_column(bt, criterion)  # its one array pass, before the per-state reads
+        for i in rows:
             fold[i] = _n2_fold(bound, _Row(bt, i), criterion)
         degenerate |= missing
         out.append(fold)
@@ -848,8 +918,9 @@ def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
     parameters of ``p``, and whether any of them was degenerate: the
     one-element view of ``n2_folds_batch``.
 
-    Each fold is its closed form where that exists and the eigen-oracle
-    bisection threshold (``inf`` if the mode-1 condition fails) otherwise.
+    Each fold is its closed form where that exists, and otherwise the exact
+    fold of its criterion (``bisect_n2_threshold``; ``inf`` if the mode-1
+    condition fails or no n2 works).
     """
     phys, sep, prep, degenerate = _n2_folds(_Batch.of([p]))
     return float(phys[0]), float(sep[0]), float(prep[0]), bool(degenerate[0])
@@ -857,7 +928,7 @@ def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
 
 def n2_folds_batch(params: Sequence[GaussianParams]):
     """``n2_folds`` of every parameter set in ``params``, as three (N,)
-    fold arrays and an (N,) degenerate mask: each closed form is one array
-    pass over them, and only the entries without one are evaluated per
-    state."""
+    fold arrays and an (N,) degenerate mask: each closed form and each
+    exact fold is one array pass over them, and only the entries without a
+    closed form are read per state."""
     return _n2_folds(_Batch.of(params))

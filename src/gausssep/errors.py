@@ -36,7 +36,16 @@ class SingularBlockError(GaussSepError):
 
 
 class DegenerateBoundError(GaussSepError):
-    """Closed-form bound is undefined because its denominator is degenerate."""
+    """Closed-form bound is undefined because its denominator is degenerate.
+
+    Raised as ``DegenerateBoundError(what, d, d_p, n1)``: the bound's name
+    and the state's d, d' and n1.  The message is formatted from them only
+    when it is read.
+    """
+
+    def __str__(self):
+        what, d, d_p, n1 = self.args
+        return f"no {what}: d = {d:.3e}, d' = {d_p:.3e}, n1 = {float(n1)}"
 
 
 class DomainError(GaussSepError):

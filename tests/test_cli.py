@@ -537,7 +537,11 @@ class TestSweep:
             assert not core.prep_below_sep(prep, sep)
 
     def test_sep_fold_matches_bisection(self):
-        # closed-form separability fold vs eigen-oracle bisection on n2
+        # closed-form separability fold vs the exact fold of
+        # bisect_n2_threshold (which no longer bisects), and that fold vs the
+        # eigen-oracle just above and just below it
+        import dataclasses
+
         import numpy as np
 
         from gausssep import core
@@ -552,6 +556,57 @@ class TestSweep:
             fold = core.physicality_bound_n2(p.mirror())
             sep = core.bisect_n2_threshold(p.mirror(), "physical")
             assert sep == pytest.approx(fold, abs=1e-8)
+
+            def margin(n2):
+                return core._physical_margin_eig(
+                    core.build_covariance(dataclasses.replace(p.mirror(), n2=n2)))
+
+            assert margin(sep * (1 + 1e-7)) >= -core.TOL_PSD
+            assert margin(sep * (1 - 1e-7)) < 0
+
+    @pytest.mark.parametrize("argv, columns", [
+        # d = 0 at n1 = 1/2
+        (["--axis1", "n1:0.5:0.6:3", "--fixed", "mc=0.3", "--fixed", "ms=0.1"],
+         ("n2_min_physical", "n2_min_separable", "n2_min_prep")),
+        # d' = 0 at n1 = 1
+        (["--axis1", "n1:1:1.1:3", "--fixed", "m1=0.5", "--fixed", "mc=0.3",
+          "--fixed", "ms=0.1"], ("n2_min_prep",)),
+    ], ids=["d0", "dp0"])
+    def test_no_fold_on_a_coupled_boundary_block(self, tmp_path, argv, columns):
+        """At the first grid point the mode-1 block is singular and its null
+        vector couples to mode 2, so no n2 meets the criterion: the fold is
+        inf, not the rounding noise (about 1.2e8) a bisection finds."""
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 0
+        row = self.read(out)[0]
+        assert row["degenerate"] == "1"
+        assert [row[c] for c in columns] == ["inf"] * len(columns)
+
+    @pytest.mark.parametrize("argv, size", [
+        (["--axis1", "m1:0:1:1000000000000"], 10**12),
+        (["--axis1", "m1:0:1:1001", "--axis2", "mc:0:1:1000"], 1001000),
+    ], ids=["one-axis", "product"])
+    def test_grid_over_point_limit_exit_2(self, tmp_path, capsys, monkeypatch, argv, size):
+        """A grid of more than SWEEP_MAX_POINTS points exits 2 before any
+        array is built (it used to fail allocating the axis with exit 1)."""
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid array was built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep grid has {size} points, more than {cli.SWEEP_MAX_POINTS}\n")
+        assert not out.exists()
+
+    def test_grid_at_point_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SWEEP_MAX_POINTS", 6)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis1", "m1:0:1:3", "--axis2", "mc:0:1:2",
+                     "--output", str(out)]) == 0
+        assert len(self.read(out)) == 6
+        assert main(["sweep", "--axis1", "m1:0:1:7", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sweep grid has 7 points, more than 6\n"
 
     def test_missing_axis_exit_2(self, tmp_path, capsys):
         code, _ = run(["sweep", "--output", str(tmp_path / "x.csv")], capsys)
@@ -619,10 +674,11 @@ class TestSweep:
         # rows whose mode-1 rule fails (m1 > sqrt(3)/2 at n1 = 1)
         (["--axis1", "m1:0:1.2:7", "--axis2", "mc:0:1:3", "--n1", "1"],
          [("m1", (0, 1.2, 7)), ("mc", (0, 1, 3))], {"n1": 1.0}),
-        # d = 0 at m1 = 0: the physicality and separability folds bisect to 0.5
+        # d = 0 at m1 = 0 with no cross block: the exact physicality and
+        # separability folds are those of mode 2 alone, sqrt(1/4 + |m2|^2) = 0.5
         (["--n1", "0.5", "--axis1", "m1:0:1:3", "--fixed", "mc=0"],
          [("m1", (0, 1, 3))], {"n1": 0.5, "mc": 0.0}),
-        # d' = 0 at n1 = 1: the P-fold bisects
+        # d' = 0 at n1 = 1: the exact P-fold is 1/2 + |m2| = 1.5
         (["--fig1"], [("n1", (0.75, 4.0, 40))], {"m1": 0.5, "m2": 1.0}),
     ], ids=["mode1-fails", "d0", "fig1"])
     def test_rows_equal_per_state_folds(self, tmp_path, argv, axes, base):

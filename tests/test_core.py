@@ -531,6 +531,64 @@ class TestFolds:
         with pytest.raises(KeyError):
             core.bisect_n2_threshold(REF, "separable")
 
+    @pytest.mark.parametrize("unit", [1, -1, 1j, -1j])
+    @pytest.mark.parametrize("k", [0.25, 0.5])
+    def test_zero_slope_fold_is_the_split_block(self, unit, k):
+        """d' = 0 with a cross block orthogonal to the null vector of
+        V1 - I/2: that vector splits off, and the P-fold is that of the
+        block left, 1/2 + lambda_max(C+ A+ C - offdiag(m2)), with A+ the
+        pseudo-inverse of A = V1 - I/2."""
+        ms = 0.375 - 0.25j
+        p = GaussianParams(0.5 + k, 1.0, m1=k * unit, m2=0.5 + 0.125j, ms=ms,
+                           mc=unit * ms.conjugate())
+        assert core._intermediates(core._ParamArrays.of([p])).d_p[0] == 0.0
+        V = build_covariance(p)
+        C = V[:2, 2:]
+        M = C.conj().T @ np.linalg.pinv(V[:2, :2] - I2 / 2) @ C - (V[2:, 2:] - p.n2 * I2)
+        fold = core.bisect_n2_threshold(p, "p_representable")
+        assert fold == pytest.approx(0.5 + np.linalg.eigvalsh(M)[-1], rel=1e-13)
+        assert core.n2_folds(p)[2] == fold
+
+    @pytest.mark.parametrize("p", [
+        GaussianParams(0.5, 1.0, m1=1e-7, m2=0.3),
+        GaussianParams(0.5 + 1e-7, 1.0, m1=2e-7j),
+        GaussianParams(0.5 - 1e-7, 1.0, m1=1e-7, mc=0.2),
+    ])
+    def test_no_prep_fold_for_an_indefinite_block_in_the_band(self, p):
+        """|d'| <= TOL_SING, yet V1 - I/2 has an eigenvalue near -1e-7, far
+        below -TOL_PSD: no n2 gives V - I/2 >= 0."""
+        assert abs(core._intermediates(core._ParamArrays.of([p])).d_p[0]) <= core.TOL_SING
+        assert core.bisect_n2_threshold(p, "p_representable") == math.inf
+        assert core.n2_folds(p)[2] == math.inf
+        for n2 in (1e2, 1e3, 1e4):
+            V = build_covariance(GaussianParams(p.n1, n2, p.m1, p.m2, p.ms, p.mc))
+            assert core._prep_margin_eig(V) < -core.TOL_PSD
+
+    def test_folds_call_no_oracle(self, monkeypatch):
+        """The exact folds are closed arithmetic: no eigenvalue call and no
+        covariance matrix, on d = 0, d' = 0 and mode-1-failing states."""
+        def no_oracle(*args):
+            raise AssertionError("oracle called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_oracle)
+        monkeypatch.setattr(core._ParamArrays, "covariance", no_oracle)
+        states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.4, 1.0),
+                  GaussianParams(1.0, 1.0, m1=0.5, m2=1.0), GaussianParams(0.5, 1.0, mc=0.3)]
+        phys, sep, prep, degenerate = core.n2_folds_batch(states)
+        assert degenerate.tolist() == [False] + [True] * (len(states) - 1)
+        assert prep[-2] == 1.5 and phys[-1] == math.inf
+
+    def test_degenerate_bound_message(self):
+        """The message is built only when it is read, with the same text."""
+        p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
+        with pytest.raises(DegenerateBoundError) as info:
+            core.prep_bound_n2(p)
+        assert str(info.value) == (
+            "no P-representability bound: d = -2.100e-01, d' = 9.000e-02, n1 = 0.2")
+        with pytest.raises(DegenerateBoundError) as info:
+            core.physicality_bound_n2(GaussianParams(0.5, 1.0, m1=1e-7))
+        assert str(info.value) == "no physicality bound: d = -1.000e-14, d' = -1.000e-14, n1 = 0.5"
+
 
 def test_public_surface():
     """Every exported name resolves on the package, so a stale export fails

@@ -1,5 +1,6 @@
 """Property-based cross-validation of the closed forms against the oracle."""
 
+import dataclasses
 import math
 import struct
 
@@ -194,6 +195,62 @@ def test_saturation_has_zero_margin(n1, n2, m1, m2):
     )
     margin = core._physical_margin_eig(build_covariance(p))
     assert abs(margin) <= core.TOL_PSD
+
+
+EIGHTHS = st.integers(-8, 8).map(lambda k: k / 8)
+
+
+def eighths():
+    return st.tuples(EIGHTHS, EIGHTHS).map(lambda t: complex(*t))
+
+
+@st.composite
+def degenerate_sets(draw):
+    """States with d = 0 or d' = 0 exactly, from dyadic values: n1 = 1/2 with
+    m1 = 0 (d = d' = 0), n1 = 5/8 with |m1| = 3/8 (d = 0), or n1 = 1/2 +- |m1|
+    with |m1| in {1/4, 1/2} (d' = 0; below 1/2, V1 - I/2 is negative
+    semidefinite and no n2 gives P).  The cross block is zero, a draw, or a
+    draw with mc = unit * conj(ms) for m1 = |m1| * unit, which at d' = 0 is
+    orthogonal to the null vector of V1 - I/2: the P-fold's slope is then 0
+    although the cross block is not."""
+    unit = draw(st.sampled_from([1, -1, 1j, -1j]))
+    kind = draw(st.sampled_from(["vacuum", "d0", "dp0"]))
+    if kind == "vacuum":
+        n1, m1 = 0.5, 0.0
+    elif kind == "d0":
+        n1, m1 = 0.625, 0.375 * unit
+    else:
+        k = draw(st.sampled_from([0.25, 0.5]))
+        n1, m1 = 0.5 + draw(st.sampled_from([k, -k])), k * unit
+    m2, ms, mc = draw(eighths()), draw(eighths()), draw(eighths())
+    cross = draw(st.sampled_from(["zero", "drawn", "split"]))
+    if cross == "zero":
+        ms = mc = 0.0
+    elif cross == "split":
+        mc = unit * ms.conjugate()
+    return GaussianParams(n1, 1.0, m1=m1, m2=m2, ms=ms, mc=mc)
+
+
+def fold_margin(p, criterion, n2):
+    """The eigen-oracle margin of ``criterion`` at ``p`` with its n2 set to ``n2``."""
+    V = build_covariance(dataclasses.replace(p, n2=n2))
+    return core._prep_margin_eig(V) if criterion == "p_representable" else core._physical_margin_eig(V)
+
+
+@given(degenerate_sets())
+@settings(max_examples=300, deadline=None)
+def test_exact_folds_on_degenerate_states_match_oracle(p):
+    """Each exact fold of a state whose mode-1 block is singular is checked
+    with the eigen-oracle: a finite fold f holds just above f and fails at
+    f (1 - 1e-7); an infinite one fails at n2 = 1e2, 1e3 and 1e4.  (Not at
+    1e8, where the oracle's rounding, about u |V|, exceeds the true margin.)"""
+    for state, criterion in ((p, "physical"), (p.mirror(), "physical"), (p, "p_representable")):
+        fold = core.bisect_n2_threshold(state, criterion)
+        if math.isinf(fold):
+            assert all(fold_margin(state, criterion, n2) < 0 for n2 in (1e2, 1e3, 1e4))
+        else:
+            assert fold_margin(state, criterion, fold * (1 + 1e-7)) >= -core.TOL_PSD
+            assert fold_margin(state, criterion, fold * (1 - 1e-7)) < 0
 
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, -5e-324])), min_size=10, max_size=10))
