@@ -17,14 +17,16 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
             rounding-level ties) mark operators that are not physical states.
 
 Every subcommand parses its arguments and input, evaluates its states and
-hands complete output lines to one writer (``_write_output``), the only
-code that opens and closes an output.  ``load_states`` reads an input file
-into columns: the ids, and the states as one ``core._ParamArrays``.  It
-checks each record's layout and numbers as it reads it
-(``record_to_params``), then the finiteness and occupations of all of them
-on their (N, 10) array and the structural rule in one pass over the stack
-of their matrices; a failing file reports its first failing record, named
-by its location.  Every command except ``sample`` evaluates all of its
+hands its output to one writer (``_write_output``), the only code that
+opens and closes an output: one string for the whole output, written with
+one call and in place over an existing regular file, or, from ``sample``,
+one string per batch, written to an output truncated at open.
+``load_states`` reads an input file into columns: the ids, and the states
+as one ``core._ParamArrays``.  It checks each record's layout and numbers
+as it reads it (``record_to_params``), then the finiteness and occupations
+of all of them on their (N, 10) array and the structural rule in one pass
+over the stack of their matrices; a failing file reports its first failing
+record, named by its location.  Every command except ``sample`` evaluates all of its
 states before it opens its output, so an evaluation error, like a parse
 error, exits before any record is written: ``classify`` classifies by each
 route on one ``core._Batch`` of the file, whose covariance stack both
@@ -60,9 +62,10 @@ writes a NaN margin as null), a string id by the encoder ``json.dumps``
 calls for it (``_ids``), and the answers, methods and fallback tuples by
 lookup.  A list of verdicts is read as columns, transposed once
 (``_columns``); ``methods_agree`` and ``sample``'s ``agree`` and summary
-come from those columns too.  ``sweep`` formats each CSV column
+come from those columns too.  ``sweep`` formats each fold column
 in one ``float.__repr__`` pass (an infinite fold is ``inf``, not JSON's
-``Infinity``), its flags by lookup and each line with one format call.
+``Infinity``), each axis's values once (``_axis_columns``), its flags by
+lookup and each line with one format call.
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
@@ -79,6 +82,7 @@ import json
 import math
 import operator
 import os
+import stat
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -302,26 +306,61 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
 _MATRIX_ROW = (0.0,) * 10  # a matrix record's row until the stack pass reads it
 
 
-def _open_output(path: str | None):
+def _is_regular_file(path: str | None) -> bool:
+    try:
+        return path not in (None, "-") and stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # no such file yet, or one ``open`` reports on its own
+        return False
+
+
+def _open_output(path: str | None, in_place: bool = False):
+    """(stream, close) of the output ``path``: stdout for None or '-', which
+    is not closed; else the file, for text, truncated at open unless
+    ``in_place``, when its old bytes stay until the writer cuts them."""
     if path is None or path == "-":
         return sys.stdout, False
     try:
-        return open(path, "w", encoding="utf-8", newline=""), True
+        if not in_place:
+            return open(path, "w", encoding="utf-8", newline=""), True
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        try:
+            return open(fd, "w", encoding="utf-8", newline=""), True
+        except BaseException:
+            os.close(fd)
+            raise
     except OSError as exc:
         raise ParseError(f"cannot open output {path}: {exc}") from exc
 
 
-def _write_output(path: str | None, lines) -> None:
-    """Write ``lines``, an iterable of complete lines, to ``path`` (stdout for
-    None or '-') and flush them: the one place an output is opened and
-    closed.  A failed write, flush or close (a full disk, a closed pipe) is
-    a ParseError."""
-    out, close = _open_output(path)
+def _write_output(path: str | None, text) -> None:
+    """Write ``text`` to ``path`` (stdout for None or '-') and flush it: the
+    one place an output is opened and closed.  ``text`` is either a whole
+    output, one string written with one call, or an iterable of strings
+    written one call each (``sample``'s batches).
+
+    A whole output to an existing regular file is written in place: the
+    file is opened without truncating it, written from its start and cut at
+    the bytes written, also when a write fails, so it never keeps a tail of
+    its old contents.  Any other output, streamed ones too, is truncated at
+    open, so a streamed run killed part-way never ends with an older run's
+    records.  A failed write, flush or close (a full disk, a closed pipe)
+    is a ParseError."""
+    whole = isinstance(text, str)
+    in_place = whole and _is_regular_file(path)
+    out, close = _open_output(path, in_place)
     try:
         try:
-            for line in lines:
-                out.write(line)
-            out.flush()
+            if in_place:
+                try:
+                    out.write(text)
+                    out.flush()
+                finally:
+                    fd = out.fileno()  # its offset: the bytes that reached the file
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            else:
+                for chunk in (text,) if whole else text:
+                    out.write(chunk)
+                out.flush()
         finally:
             if close:
                 out.close()
@@ -428,7 +467,7 @@ def cmd_classify(args) -> int:
     method = core.METHOD_EIG if args.method == "eig" else core.METHOD_CLOSED
     verdicts = core._classified(batch, method, args.tol_psd)
     eig = core._classified(batch, core.METHOD_EIG, args.tol_psd) if args.method == "both" else None
-    _write_output(args.output, _classify_lines(ids, verdicts, eig))
+    _write_output(args.output, "".join(_classify_lines(ids, verdicts, eig)))
     return EXIT_OK
 
 
@@ -437,7 +476,7 @@ def cmd_invariants(args) -> int:
     inv = symplectic.invariants(q.covariance())
     lines = map('{{"id": {}, "i1": {}, "i2": {}, "i3": {}, "i4": {}}}\n'.format, _ids(ids),
                 *(_floats(x.tolist()) for x in (inv.i1, inv.i2, inv.i3, inv.i4)))
-    _write_output(args.output, list(lines))
+    _write_output(args.output, "".join(lines))
     return EXIT_OK
 
 
@@ -490,7 +529,7 @@ def cmd_transform(args) -> int:
                     _ids(ids), _params_json(t), _reductions_json(reductions))
     else:
         lines = map('{{"id": {}, "transformed_params": {}}}\n'.format, _ids(ids), _params_json(t))
-    _write_output(args.output, list(lines))
+    _write_output(args.output, "".join(lines))
     return EXIT_OK
 
 
@@ -550,7 +589,8 @@ def _tally(summary: dict, params: list[str], closed: list[tuple], eig: list[tupl
 def cmd_sample(args) -> int:
     """Draw ``--count`` states, classify each by both routes and write one
     record per state, then the summary line.  Each batch is tallied
-    (``_tally``) and formatted by columns, with one format call per line.
+    (``_tally``) and formatted by columns, with one format call per line,
+    and written with one call.
     Exit 5 after the summary when the oracle finds a P-representable
     entangled state or the routes disagree off the boundary band."""
     if args.count < 1:
@@ -566,18 +606,19 @@ def cmd_sample(args) -> int:
     }
     line = '{{"index": {}, "params": {}, "closed": {{{}}}, "eig": {{{}}}, "agree": {}}}\n'.format
 
-    def lines():
-        """Each batch's record lines, tallied into ``summary``, then the summary line."""
+    def batches():
+        """Each batch's record lines as one string, tallied into ``summary``,
+        then the summary line."""
         for start, q, closed, eig in _sampled(rng, args.mode, args.count, args.tol_psd):
             params, closed, eig = _params_json(q), _columns(closed), _columns(eig)
             agree = _agree(closed, eig)
             _tally(summary, params, closed, eig, agree)
-            yield from map(line, range(start, start + len(params)), params,
-                           _verdict_fields(closed), _verdict_fields(eig),
-                           map(_BOOL.__getitem__, agree))
+            yield "".join(map(line, range(start, start + len(params)), params,
+                              _verdict_fields(closed), _verdict_fields(eig),
+                              map(_BOOL.__getitem__, agree)))
         yield json.dumps({"summary": summary}) + "\n"
 
-    _write_output(args.output, lines())
+    _write_output(args.output, batches())
     if summary["prep_and_entangled"] or summary["method_disagreements_off_boundary"]:
         return EXIT_INTERNAL
     return EXIT_OK
@@ -585,8 +626,8 @@ def cmd_sample(args) -> int:
 
 SWEEPABLE = ("n1", "m1", "m2", "ms", "mc")
 # Most grid points one sweep evaluates: the product of its axes' steps.  A
-# sweep holds about 650 bytes per point in arrays and CSV lines (peak RSS of
-# a 316 x 316 grid), so this keeps it below a gigabyte.
+# 1000 x 1000 sweep (an 83 MB CSV, joined into one string before it is
+# written) peaks at about 470 MB RSS, so this keeps it below a gigabyte.
 SWEEP_MAX_POINTS = 10**6
 
 
@@ -610,12 +651,12 @@ _SWEEP_COLUMNS = ("n2_min_physical", "n2_min_separable", "n2_min_prep", "prep_be
 _FLAG = ("0", "1")
 
 
-def _sweep_grid(axes, assignment: dict[str, float]) -> tuple[list[np.ndarray], core._ParamArrays]:
-    """(axis columns, parameters) of the grid: the points of
-    ``itertools.product`` over the axes (axis 1 outer), with every other
-    parameter taken from ``assignment`` (0 if it is not there); no
-    imaginary parts.  Every parameter set is checked as ``GaussianParams``
-    checks it: the first invalid one raises its error."""
+def _sweep_grid(axes, assignment: dict[str, float]) -> core._ParamArrays:
+    """The parameters of the grid: the points of ``itertools.product`` over
+    the axes (axis 1 outer), with every other parameter taken from
+    ``assignment`` (0 if it is not there); no imaginary parts.  Every
+    parameter set is checked as ``GaussianParams`` checks it: the first
+    invalid one raises its error."""
     points = [g.ravel() for g in np.meshgrid(*(grid for _, grid in axes), indexing="ij")]
     columns = dict(zip((name for name, _ in axes), points))
     n = points[0].size
@@ -626,7 +667,21 @@ def _sweep_grid(axes, assignment: dict[str, float]) -> tuple[list[np.ndarray], c
 
     q = core._ParamArrays(column("n1"), column("n2"),
                           *((column(name), zero) for name in ("m1", "m2", "ms", "mc")))
-    return points, q.validated()
+    return q.validated()
+
+
+def _axis_columns(axes) -> list[list[str]]:
+    """Each axis's CSV column over the grid, in the point order of
+    ``_sweep_grid``: the axis's values, each formatted once
+    (``float.__repr__``), each repeated for every point of the later axes,
+    and that repeated for every point of the earlier ones."""
+    labels = [list(map(float.__repr__, grid.tolist())) for _, grid in axes]
+    sizes = list(map(len, labels))
+    columns = []
+    for k, strings in enumerate(labels):
+        later = range(math.prod(sizes[k + 1:]))
+        columns.append([s for s in strings for _ in later] * math.prod(sizes[:k]))
+    return columns
 
 
 def cmd_sweep(args) -> int:
@@ -661,15 +716,14 @@ def cmd_sweep(args) -> int:
         assignment = {"m1": 0.5, "m2": 1.0, **assignment}
 
     axes = [(name, np.linspace(lo, hi, steps)) for name, lo, hi, steps in specs]
-    points, q = _sweep_grid(axes, assignment)
-    phys, sep, prep, degenerate = core._n2_folds(core._Batch(q))
+    phys, sep, prep, degenerate = core._n2_folds(core._Batch(_sweep_grid(axes, assignment)))
     flag = core.prep_below_sep(prep, sep)
     # one CSV row, as ``csv.writer`` writes fields that need no quoting
     row = (",".join(["{}"] * (len(axes) + len(_SWEEP_COLUMNS))) + "\r\n").format
-    lines = [row(*axis_names, *_SWEEP_COLUMNS)]
-    lines += map(row, *(map(float.__repr__, x.tolist()) for x in (*points, phys, sep, prep)),
-                 *(map(_FLAG.__getitem__, x.tolist()) for x in (flag, degenerate)))
-    _write_output(args.output, lines)
+    rows = map(row, *_axis_columns(axes),
+               *(map(float.__repr__, x.tolist()) for x in (phys, sep, prep)),
+               *(map(_FLAG.__getitem__, x.tolist()) for x in (flag, degenerate)))
+    _write_output(args.output, "".join([row(*axis_names, *_SWEEP_COLUMNS), *rows]))
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -700,6 +702,33 @@ class TestSweep:
                                       "1" if degenerate else "0"]))
         assert lines[1:-1] == expected
 
+    @pytest.mark.parametrize("argv, axes, base", [
+        (["--fig1"], [("n1", (0.75, 4.0, 40))], {"m1": 0.5, "m2": 1.0}),
+        # non-dyadic steps: each axis value is some repr, not a short decimal
+        (["--axis1", "m1:0:1.2:7", "--axis2", "mc:0:0.9:5", "--fixed", "m2=0.3"],
+         [("m1", (0, 1.2, 7)), ("mc", (0, 0.9, 5))], {"n1": 1.0, "m2": 0.3}),
+    ], ids=["fig1", "two-axes"])
+    def test_csv_is_csv_writer_of_batch_folds(self, tmp_path, argv, axes, base):
+        """The file is what ``csv.writer`` writes for the header and, in the
+        order of ``itertools.product`` over the axes (axis 1 outer), the
+        repr of each point's values and of ``core.n2_folds_batch``."""
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 0
+        names = [name for name, _ in axes]
+        points = list(itertools.product(*(np.linspace(*spec).tolist() for _, spec in axes)))
+        params = [GaussianParams(**{"n2": 1.0, **base, **dict(zip(names, point))})
+                  for point in points]
+        phys, sep, prep, degenerate = core.n2_folds_batch(params)
+        flag = core.prep_below_sep(prep, sep)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\r\n")
+        writer.writerow([*names, "n2_min_physical", "n2_min_separable", "n2_min_prep",
+                         "prep_below_sep_flag", "degenerate"])
+        for point, *folds, f, d in zip(points, phys.tolist(), sep.tolist(), prep.tolist(),
+                                       flag.tolist(), degenerate.tolist()):
+            writer.writerow([*map(repr, point), *map(repr, folds), int(f), int(d)])
+        assert out.read_bytes() == expected.getvalue().encode()
+
 
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -1124,6 +1153,139 @@ class TestWriteFailures:
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
         self.check(proc.returncode, err.decode())
+
+
+# Every command that writes a whole output, and sample, which writes per batch
+# (two batches here)
+REWRITES = {
+    "classify": ["classify", "--method", "both"],
+    "invariants": ["invariants"],
+    "transform": ["transform", "--reduce", "--theta1", "0.3", "--phi2", "1.1"],
+    "sweep": ["sweep", "--axis1", "m1:0:1.2:7", "--axis2", "mc:0:0.9:5"],
+    "sample": ["sample", "--count", str(cli.SAMPLE_BATCH + 5), "--seed", "3"],
+}
+
+
+class _FailingWrite:
+    """An output stream whose first write writes ``keep`` characters of its
+    text and then fails as on a full disk; everything else passes through."""
+
+    def __init__(self, stream, keep):
+        self._stream = stream
+        self._keep = keep
+
+    def write(self, text):
+        self._stream.write(text[:self._keep])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, attr):
+        return getattr(self._stream, attr)
+
+
+class TestOutputRewrite:
+    """An output written over an existing, longer file holds the bytes of a
+    fresh write, and a write that fails part-way leaves nothing of the old
+    contents.  A whole output goes in place over an existing regular file;
+    ``sample``, stdout and devices are truncated at open."""
+
+    def argv(self, tmp_path, name):
+        argv = REWRITES[name]
+        if argv[0] in ("sweep", "sample"):
+            return argv
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, FORMS_RECS)
+        return [*argv, "--input", str(f)]
+
+    def fresh(self, tmp_path, argv):
+        out = tmp_path / "fresh.out"
+        assert main([*argv, "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    def stale(self, tmp_path, size):
+        """A file of more than ``size`` bytes, none of them an output's."""
+        out = tmp_path / "stale.out"
+        out.write_bytes(b"stale\n" * (size // 6 + 1000))
+        return out
+
+    def spy(self, monkeypatch):
+        """The ``in_place`` argument of each ``_open_output`` call."""
+        calls = []
+        open_output = cli._open_output
+
+        def spied(path, in_place=False):
+            calls.append(in_place)
+            return open_output(path, in_place)
+
+        monkeypatch.setattr(cli, "_open_output", spied)
+        return calls
+
+    @pytest.mark.parametrize("name", REWRITES)
+    def test_longer_file_ends_as_a_fresh_write(self, tmp_path, monkeypatch, name):
+        argv = self.argv(tmp_path, name)
+        calls = self.spy(monkeypatch)
+        fresh = self.fresh(tmp_path, argv)
+        out = self.stale(tmp_path, len(fresh))
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == fresh
+        assert calls == [False, name != "sample"]
+
+    def test_in_place_open_keeps_the_old_bytes(self, tmp_path):
+        out = self.stale(tmp_path, 0)
+        old = out.read_bytes()
+        stream, close = cli._open_output(str(out), in_place=True)
+        stream.close()
+        assert close and out.read_bytes() == old
+
+    @pytest.mark.parametrize("name", REWRITES)
+    def test_stdout_and_devnull(self, tmp_path, monkeypatch, capsysbinary, name):
+        argv = self.argv(tmp_path, name)
+        fresh = self.fresh(tmp_path, argv)
+        calls = self.spy(monkeypatch)
+        assert main([*argv, "--output", "-"]) == 0
+        assert capsysbinary.readouterr().out == fresh
+        assert main([*argv, "--output", os.devnull]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert calls == [False, False]
+
+    @pytest.mark.parametrize("name", REWRITES)
+    def test_write_failing_part_way(self, tmp_path, monkeypatch, capsys, name):
+        """The first write is the whole output (``sample``'s first batch), so
+        the file holds its first 100 characters and nothing else."""
+        argv = self.argv(tmp_path, name)
+        fresh = self.fresh(tmp_path, argv)
+        out = self.stale(tmp_path, len(fresh))
+        open_output = cli._open_output
+
+        def failing(*args, **kwargs):
+            stream, close = open_output(*args, **kwargs)
+            return _FailingWrite(stream, 100), close
+
+        monkeypatch.setattr(cli, "_open_output", failing)
+        assert main([*argv, "--output", str(out)]) == 2
+        assert "cannot write output" in capsys.readouterr().err
+        assert out.read_bytes() == fresh[:100]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file-size limit")
+    @pytest.mark.parametrize("name", ["classify", "sample"])
+    def test_file_size_limit_part_way(self, tmp_path, name):
+        """A real write that fails part-way: past the file-size limit the
+        kernel writes what fits and then fails with EFBIG, and the flush at
+        close fails again; the file is cut at the bytes written."""
+        argv = self.argv(tmp_path, name)
+        fresh = self.fresh(tmp_path, argv)
+        out = self.stale(tmp_path, len(fresh))
+        limit = 1000
+        assert len(fresh) > limit
+        code = ("import resource, signal, sys; signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+                f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); "
+                "from gausssep.cli import main; sys.exit(main(sys.argv[1:]))")
+        child = cli_child([*argv, "--output", str(out)])
+        child["args"][1:3] = ["-c", code]
+        child["env"]["PYTHONDONTWRITEBYTECODE"] = "1"
+        proc = subprocess.run(**child, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "cannot write output" in proc.stderr and "Traceback" not in proc.stderr
+        assert out.read_bytes() == fresh[:limit]
 
 
 # ---------------------------------------------------------------------------
