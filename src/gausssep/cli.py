@@ -516,14 +516,16 @@ def cmd_transform(args) -> int:
         # A record fails: transform each record on its own as the loop reaches
         # it, so that the first failing record reports its own error.
         t = None
-    rows, reductions = [], []
-    for k, row in enumerate(batch.rows()):
-        if t is None:
-            rows.append(core._values(core.params_from_covariance(symplectic.apply_local(S, V[k]))))
-        if args.reduce:
-            reductions.append(_reduction(row))
+    transformed, reductions = [], []
+    if t is None or args.reduce:
+        for k, row in enumerate(batch.rows() if args.reduce else range(len(V))):
+            if t is None:
+                transformed.append(
+                    core._values(core.params_from_covariance(symplectic.apply_local(S, V[k]))))
+            if args.reduce:
+                reductions.append(_reduction(row))
     if t is None:
-        t = core._ParamArrays.from_rows(rows)
+        t = core._ParamArrays.from_rows(transformed)
     if args.reduce:
         lines = map('{{"id": {}, "transformed_params": {}, "reduction": {}}}\n'.format,
                     _ids(ids), _params_json(t), _reductions_json(reductions))

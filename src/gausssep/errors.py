@@ -57,12 +57,20 @@ class DomainError(GaussSepError):
 class PrescriptionInapplicableError(DomainError):
     """The invariant-form reduction prescription does not produce the target pattern.
 
-    Carries the residual of the failed reduction in ``residual``.
+    Raised as ``PrescriptionInapplicableError(form, residual, tol)``: the
+    target form, the residual of the failed reduction, carried in
+    ``residual``, and the tolerance it exceeds.  The message is formatted
+    from them only when it is read.
     """
 
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
+    @property
+    def residual(self):
+        return self.args[1]
+
+    def __str__(self):
+        form, residual, tol = self.args
+        return (f"reduction to {form} failed: residual {residual:.3e} exceeds"
+                f" {tol:.1e} x max(1, sqrt(|B_ii| |B_jj|))")
 
 
 class SamplingBudgetError(GaussSepError):

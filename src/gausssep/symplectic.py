@@ -13,7 +13,11 @@ as on one matrix, with the same stacked operations, so a state's result
 does not depend on its stack.  ``reduce_to_invariant_form`` reads a state
 of a batch (``core._Row``) out of one array pass of the reduction over the
 batch's covariance stack (``core._Batch.covariance``); a lone parameter set
-is a one-element batch.
+is a one-element batch.  That pass takes the squeeze angles by column, one
+pass per mode, with the bits of the one-state ``_squeeze_angles``: it maps
+``math.atanh`` and ``math.atan2`` over the columns' lists, because numpy's
+``arctanh`` and ``arctan2`` dispatch to SIMD kernels on AVX512 hosts that
+differ from libm in the last bit.
 
 ``random_physical_states`` is the one sampler entry point, and
 ``_random_states`` its array form, which ``gausssep sample`` classifies
@@ -221,6 +225,19 @@ def _each(f, *columns, errors):
     return out
 
 
+def _squeeze_columns(n: np.ndarray, m: tuple, r: np.ndarray, rows: np.ndarray):
+    """The (theta, phi) columns of one mode, with r = |m|: on ``rows``, where
+    0 < r < n, those of ``_squeeze_angles``, bit for bit; (0, pi) elsewhere.
+    r comes from ``np.hypot`` (``core._abs``), which is libm's ``hypot``, as
+    ``abs`` of a complex is."""
+    i = np.flatnonzero(rows)
+    theta, phi = np.zeros_like(n), np.full_like(n, math.pi)
+    theta[i] = 0.5 * np.fromiter(map(math.atanh, (r[i] / n[i]).tolist()), float, i.size)
+    phi[i] = np.fromiter(map(math.atan2, m[1][i].tolist(), m[0][i].tolist()), float,
+                         i.size) + math.pi
+    return theta, phi
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _reductions(batch: core._Batch) -> list[tuple]:
     """One array pass of the reduction over every state of ``batch``: per
@@ -232,21 +249,32 @@ def _reductions(batch: core._Batch) -> list[tuple]:
 
     Nothing is raised here: ``reduce_to_invariant_form`` raises each
     state's errors in order.  The oracle runs on each state on its own only
-    if it overflows on the stack.  The angles come from ``_squeeze_angles``
-    per state; a state without them is transformed with the no-squeeze
-    angles.
+    if it overflows on the stack.  The angles come by column, one pass per
+    mode (``_squeeze_columns``), with the bits of ``_squeeze_angles``: its
+    ``math.atanh`` and ``math.atan2`` are mapped over the columns' lists,
+    since numpy's ``arctanh`` and ``arctan2`` run SIMD kernels on AVX512
+    hosts that differ from libm in the last bit.  A state where they are
+    undefined in either mode (|m| > 0 and |m| >= n) is transformed with the
+    no-squeeze angles, and its angles are the DomainError that
+    ``_squeeze_angles`` raises on it alone.
     """
     q, V = batch.q, batch.covariance
     try:
         margins = core._physical_margin_eig(V).tolist()
     except OverflowError:
         margins = _each(core._physical_margin_eig, V, errors=OverflowError)
-    angles = _each(lambda n1, a, b, n2, c, d: (_squeeze_angles(complex(a, b), n1)
-                                               + _squeeze_angles(complex(c, d), n2)),
-                   *(x.tolist() for x in (q.n1, *q.m1, q.n2, *q.m2)), errors=DomainError)
-    theta1, phi1, theta2, phi2 = np.array(
-        [(0.0, math.pi) * 2 if isinstance(x, DomainError) else x for x in angles],
-        dtype=float).reshape(-1, 4).T
+    r1, r2 = core._abs(q.m1), core._abs(q.m2)
+    undefined = ((r1 > 0.0) & (r1 >= q.n1)) | ((r2 > 0.0) & (r2 >= q.n2))
+    theta1, phi1 = _squeeze_columns(q.n1, q.m1, r1, (r1 > 0.0) & ~undefined)
+    theta2, phi2 = _squeeze_columns(q.n2, q.m2, r2, (r2 > 0.0) & ~undefined)
+    angles = list(zip(theta1.tolist(), phi1.tolist(), theta2.tolist(), phi2.tolist()))
+    for i in np.flatnonzero(undefined).tolist():
+        n1, a, b, n2, c, d = (float(x[i]) for x in (q.n1, *q.m1, q.n2, *q.m2))
+        try:
+            _squeeze_angles(complex(a, b), n1)
+            _squeeze_angles(complex(c, d), n2)
+        except DomainError as exc:
+            angles[i] = exc
     W = _conjugate(_local_matrix(theta1, phi1, 0.0, theta2, phi2, 0.0), V)
 
     form1 = core._abs(q.mc) >= core._abs(q.ms)
@@ -289,11 +317,7 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
     if not valid:
         _form_params(form, nu1, nu2, mu)  # raises its InvalidParameterError
     if not ok:
-        raise PrescriptionInapplicableError(
-            f"reduction to {form} failed: residual {residual:.3e} exceeds"
-            f" {core.TOL_PATTERN:.1e} x max(1, sqrt(|B_ii| |B_jj|))",
-            residual,
-        )
+        raise PrescriptionInapplicableError(form, residual, core.TOL_PATTERN)
     theta1, phi1, theta2, phi2 = angles
     return InvariantFormResult(form=form, nu1=nu1, nu2=nu2, mu=mu, residual=residual,
                                transform=LocalSymplectic(theta1, phi1, 0.0, theta2, phi2, 0.0))

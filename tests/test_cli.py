@@ -280,6 +280,25 @@ class TestTransform:
         assert main(["transform", "--input", str(f), "--theta1", "0.4"]) == 3
         assert "occupations must be nonnegative" in capsys.readouterr().err
 
+    def test_transform_without_reduce_reads_no_rows(self, tmp_path, capsys, monkeypatch):
+        # without --reduce the records are not walked as rows of the batch,
+        # whether the array transform succeeds or a record falls back
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, FORMS_RECS)
+        argv = ["transform", "--theta1", "0.4", "--phi2", "0.3", "--input", str(f)]
+        expected = run(argv, capsys)
+        assert expected[0] == 0
+        monkeypatch.setattr(core._Batch, "rows", lambda batch: pytest.fail("rows read"))
+        assert run(argv, capsys) == expected
+        # records 2 and 3 fail their own transform, by overflow (exit 4) and
+        # by a negative occupation (exit 3): record 2 reports its error
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1}}, {"params": {"n1": 1e100, "n2": 1}},
+                        {"params": {"n1": 0.1, "n2": 1, "m1": [-5, 0]}}])
+        assert main(["transform", "--input", str(f), "--theta1", "300"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: numeric overflow: local symplectic transform overflows\n"
+
     def test_large_state_keeps_its_pattern(self, tmp_path, capsys):
         # the transformed matrix deviates from its rebuild by rounding at the
         # scale of 1e12, not by a broken pattern

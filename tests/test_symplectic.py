@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gausssep import core, symplectic
 from gausssep.core import E, GaussianParams, build_covariance, params_from_covariance
@@ -202,6 +203,29 @@ class TestInvariants:
                 assert y == pytest.approx(x, rel=1e-9, abs=1e-11)
 
 
+@st.composite
+def mode_draws(draw):
+    """(n, (re m, im m)) of one mode: m = 0 of either sign, |m| just below,
+    at or above n, or inside, at any phase, for n from subnormal to 1e150,
+    or 0."""
+    scale = draw(st.sampled_from([5e-324, 1e-310, 1e-150, 1.0, 1e150]))
+    n = 0.0 if draw(st.booleans()) and draw(st.booleans()) else draw(st.floats(1.0, 4.0)) * scale
+    kind = draw(st.sampled_from(["zero", "below", "at", "above", "inside"]))
+    if kind == "zero":
+        m = (draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))
+    elif kind == "inside":
+        a = draw(st.floats(-math.pi, math.pi))
+        r = n * draw(st.floats(0.0, 1.0, exclude_max=True))
+        m = (r * math.cos(a), r * math.sin(a))
+    else:
+        r = {"below": math.nextafter(n, 0.0), "at": n, "above": math.nextafter(n, math.inf)}[kind]
+        m = (r, draw(st.sampled_from([0.0, -0.0])))
+        if draw(st.booleans()):
+            m = m[::-1]
+    signs = draw(st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])))
+    return n, (signs[0] * m[0], signs[1] * m[1])
+
+
 class TestReduceToInvariantForm:
     def test_already_form1(self):
         res = reduce_to_invariant_form(GaussianParams(1.0, 1.0, mc=0.4))
@@ -247,6 +271,8 @@ class TestReduceToInvariantForm:
         with pytest.raises(PrescriptionInapplicableError) as exc:
             reduce_to_invariant_form(p)
         assert exc.value.residual > core.TOL_PATTERN
+        assert str(exc.value) == (f"reduction to form1 failed: residual {exc.value.residual:.3e}"
+                                  " exceeds 1.0e-09 x max(1, sqrt(|B_ii| |B_jj|))")
 
     def test_rows_of_a_batch_reduce_as_lone_states(self):
         """Each state of a batch reduces, or fails, as it does alone, read
@@ -285,6 +311,32 @@ class TestReduceToInvariantForm:
     def test_overcorrelated_mode_rejected(self):
         with pytest.raises(DomainError):
             symplectic._squeeze_angles(1.1, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(mode_draws(), mode_draws()), min_size=1, max_size=12))
+    # phases where numpy's AVX512 arctan2 + pi is one ulp off libm's
+    @example([((1.0, (0.33963775269927754, -0.5491007814405117)),
+               (1.0, (-0.39701329139800523, -0.6432708048667787))),
+              ((1.0, (-0.08643461043269918, -0.1380469264168396)), (0.0, (0.0, -0.0)))])
+    def test_column_angles_are_the_scalar_angles(self, modes):
+        """The angles of ``_reductions`` are, state by state, those of
+        ``_squeeze_angles`` on that state alone, bit for bit (signed zeros
+        included), or the same DomainError, mode 1's first."""
+        rows = [(n1, *m1, n2, *m2) for (n1, m1), (n2, m2) in modes]
+        n1, a, b, n2, c, d = np.array(rows, dtype=float).T.copy()
+        zero = (np.zeros_like(n1), np.zeros_like(n1))
+        q = core._ParamArrays(n1, n2, (a, b), (c, d), zero, zero)
+        got = [row[1] for row in symplectic._reductions(core._Batch(q))]
+        assert (core._abs((a, b)).tolist() == [abs(complex(*m)) for m in zip(a, b)]
+                and core._abs((c, d)).tolist() == [abs(complex(*m)) for m in zip(c, d)])
+        for angles, (n1, a, b, n2, c, d) in zip(got, rows):
+            try:
+                want = (symplectic._squeeze_angles(complex(a, b), n1)
+                        + symplectic._squeeze_angles(complex(c, d), n2))
+            except DomainError as exc:
+                assert type(angles) is DomainError and str(angles) == str(exc)
+            else:
+                assert repr(angles) == repr(want)
 
     def test_form_connection_by_phases(self):
         # theta = 0, phases only: form 1 maps to the form-2 pattern
