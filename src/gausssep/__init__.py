@@ -6,11 +6,7 @@ from .core import (
     build_covariance,
     classify,
     classify_batch,
-    decompose_blocks,
-    min_eigenvalue_hermitian,
     params_from_covariance,
-    partial_transpose,
-    schur_complement,
 )
 from .symplectic import (
     InvariantFormResult,
@@ -19,7 +15,6 @@ from .symplectic import (
     apply_local,
     invariants,
     make_local_symplectic,
-    random_local_symplectic,
     random_physical_states,
     reduce_to_invariant_form,
 )
@@ -34,16 +29,11 @@ __all__ = [
     "build_covariance",
     "classify",
     "classify_batch",
-    "decompose_blocks",
     "invariants",
     "make_local_symplectic",
-    "min_eigenvalue_hermitian",
     "params_from_covariance",
-    "partial_transpose",
-    "random_local_symplectic",
     "random_physical_states",
     "reduce_to_invariant_form",
-    "schur_complement",
 ]
 
 __version__ = "0.1.0"

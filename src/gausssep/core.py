@@ -8,7 +8,7 @@ anomalous terms), ms (beamsplitter-type cross term) and mc (two-mode
 squeezing cross term).
 
 Three nested positivity conditions are implemented, each both in closed form
-(via a 2x2 Schur complement of the shifted matrix) and through a direct
+(n2 bounds from the shifted matrix's 2x2 blocks) and through a direct
 minimum-eigenvalue oracle:
 
 * physicality:        V + E/2 >= 0
@@ -19,6 +19,9 @@ The criteria are array-native: they evaluate N states at once over a
 struct-of-arrays form of the parameters (``_ParamArrays``: float arrays for
 n1, n2 and an (re, im) pair of float arrays for each complex parameter), and
 the eigen-oracle runs one ``eigvalsh`` over the stacked (N, 4, 4) matrices.
+``_ParamArrays.covariance`` is the one covariance layout;
+``build_covariance`` is its one-element view, and ``params_from_covariance``
+reads a matrix through the stack reader ``_ParamArrays.read_stack``.
 ``classify_batch`` and ``n2_folds_batch`` are the batch entry points.  The
 per-state API (``classify``, the n2 bounds and ``bisect_n2_threshold``)
 takes a parameter set, evaluated as a one-element batch, or a state of a
@@ -36,10 +39,12 @@ bit.
 
 Separability is physicality of the partial transpose (Simon's criterion), so
 it has no code of its own: both its margins are the physicality code run on
-the mirrored arrays (ms <-> mc swapped, m2 conjugated), the closed form with
-the mirrored intermediates (s, conj(c), d), the oracle on their covariance
-(``partial_transpose`` of the covariance; once E/2 is added, bit for bit).
-Complex products are computed on the (re, im) float pairs, with the
+the mirrored arrays (``_ParamArrays.mirror``: ms <-> mc swapped, m2
+conjugated; ``GaussianParams.mirror`` is its one-element view), the closed
+form with the mirrored intermediates (s, conj(c), d), the oracle on their
+covariance.  That covariance is T V T, the matrix with the rows and columns
+of mode 2 swapped (index permutation [0, 1, 3, 2]); once E/2 is added, bit
+for bit.  Complex products are computed on the (re, im) float pairs, with the
 groupings of ``_intermediates``, so that the mirrored intermediates are the
 exact conjugates; numpy's vectorised complex kernels do not guarantee that.
 The closed-form n2 bounds used here are the oracle-consistent ones,
@@ -80,12 +85,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateBoundError,
-    InvalidParameterError,
-    SingularBlockError,
-    StructuralError,
-)
+from .errors import DegenerateBoundError, InvalidParameterError, StructuralError
 
 # Absolute tolerances on 4x4 matrices, but for TOL_PATTERN, which scales per entry.
 TOL_PSD = 1e-10
@@ -98,11 +98,8 @@ FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 
 # Canonical constant matrices.
 Z = np.diag([1.0, -1.0])
-X = np.array([[0.0, 1.0], [1.0, 0.0]])
-I2 = np.eye(2)
 I4 = np.eye(4)
-E = np.block([[Z, np.zeros((2, 2))], [np.zeros((2, 2)), Z]])
-T = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), X]])
+E = np.diag([1.0, -1.0, 1.0, -1.0])  # Z (+) Z
 
 METHOD_CLOSED = "closed-form"
 METHOD_EIG = "eigen-oracle"
@@ -137,15 +134,9 @@ class GaussianParams:
             )
 
     def mirror(self) -> "GaussianParams":
-        """Parameter-level partial transpose: swap ms <-> mc, conjugate m2."""
-        return GaussianParams(
-            n1=self.n1,
-            n2=self.n2,
-            m1=self.m1,
-            m2=self.m2.conjugate(),
-            ms=self.mc,
-            mc=self.ms,
-        )
+        """Parameter-level partial transpose: swap ms <-> mc, conjugate m2
+        (the one-element view of ``_ParamArrays.mirror``)."""
+        return _ParamArrays.of([self]).mirror().params()[0]
 
 
 class Verdict(NamedTuple):
@@ -237,10 +228,11 @@ class _ParamArrays(NamedTuple):
 
     @classmethod
     def read_stack(cls, V: np.ndarray):
-        """(parameters, residual, ok): the parameters read off each matrix of
-        an (N, 4, 4) stack as ``params_from_covariance`` reads them, and per
-        matrix the ``_rebuild_residual`` of the structural rule and whether
-        it passes.  Nothing is checked here."""
+        """(parameters, residual, ok): the parameters read off each matrix V
+        of an (N, 4, 4) stack (n1 = V[0, 0].real, n2 = V[2, 2].real, m1, m2,
+        ms, mc = V[0, 1], V[2, 3], V[0, 2], V[0, 3]), and per matrix the
+        ``_rebuild_residual`` of the structural rule and whether it passes.
+        Nothing is checked here."""
         q = cls(V[:, 0, 0].real.copy(), V[:, 2, 2].real.copy(),
                 *((V[:, i, j].real.copy(), V[:, i, j].imag.copy())
                   for i, j in ((0, 1), (2, 3), (0, 2), (0, 3))))
@@ -295,8 +287,8 @@ class _ParamArrays(NamedTuple):
         return self._replace(m2=_conj(self.m2), ms=self.mc, mc=self.ms)
 
     def covariance(self) -> np.ndarray:
-        """The (N, 4, 4) covariance matrices, each equal to
-        ``build_covariance`` of its parameter set, bit for bit."""
+        """The (N, 4, 4) covariance matrices in the (a1+, a1, a2+, a2)
+        ordering: the package's one covariance layout."""
         zero = np.zeros_like(self.n1)
         n1, n2, m1, m2, ms, mc = (self.n1, zero), (self.n2, zero), self.m1, self.m2, self.ms, self.mc
         rows = (
@@ -418,37 +410,16 @@ def _row(p: GaussianParams | _Row) -> _Row:
 
 
 def build_covariance(p: GaussianParams) -> np.ndarray:
-    """Assemble the 4x4 covariance matrix in the (a1+, a1, a2+, a2) ordering."""
-    n1, n2, m1, m2, ms, mc = p.n1, p.n2, p.m1, p.m2, p.ms, p.mc
-    return np.array(
-        [
-            [n1, m1, ms, mc],
-            [m1.conjugate(), n1, mc.conjugate(), ms.conjugate()],
-            [ms.conjugate(), mc, n2, m2],
-            [mc.conjugate(), ms, m2.conjugate(), n2],
-        ],
-        dtype=complex,
-    )
-
-
-def _require_hermitian(M: np.ndarray) -> np.ndarray:
-    """``M`` as a complex array, checked to be a Hermitian matrix or a stack
-    of Hermitian matrices (a NaN entry fails)."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise StructuralError(f"expected a square matrix, got shape {M.shape}")
-    dev = np.abs(M - M.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if not dev <= TOL_HERM:
-        raise StructuralError(f"matrix is not Hermitian: max deviation {dev:.3e}")
-    return M
+    """The 4x4 covariance matrix of ``p`` in the (a1+, a1, a2+, a2)
+    ordering: the one-element view of ``_ParamArrays.covariance``."""
+    return _ParamArrays.of([p]).covariance()[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _rebuild_residual(V: np.ndarray, B: np.ndarray):
     """(max |V - B| over all 16 entries, whether every entry (i, j) is
-    within TOL_PATTERN * max(1, sqrt(|B_ii| |B_jj|))) for a matrix V and its
-    rebuild B, as a float and a bool, or per matrix of (N, 4, 4) stacks, as
-    (N,) arrays.
+    within TOL_PATTERN * max(1, sqrt(|B_ii| |B_jj|))) per matrix of an
+    (N, 4, 4) stack V and the stack B of its rebuilds, as (N,) arrays.
 
     The tolerance of an entry scales with the two diagonal entries it
     couples, so a rounding-level residual in the block of a large mode
@@ -462,7 +433,7 @@ def _rebuild_residual(V: np.ndarray, B: np.ndarray):
     dev = np.abs(V - B)
     residual = dev.max(axis=(-2, -1), initial=0.0)
     ok = (dev <= tol).all(axis=(-2, -1))
-    return (float(residual), bool(ok)) if V.ndim == 2 else (residual, ok)
+    return residual, ok
 
 
 def params_from_covariance(V: np.ndarray) -> GaussianParams:
@@ -470,60 +441,31 @@ def params_from_covariance(V: np.ndarray) -> GaussianParams:
 
     V is accepted iff it rebuilds from the parameters read off it, which
     covers Hermiticity and the conjugation pattern between the two rows of
-    each mode (``_rebuild_residual``); otherwise StructuralError.
+    each mode (``_rebuild_residual``); otherwise StructuralError.  A shape
+    other than 4x4 fails first, then parameters ``GaussianParams`` rejects,
+    then the pattern.  V is read as the one-element stack of
+    ``_ParamArrays.read_stack``.
     """
     V = np.asarray(V, dtype=complex)
     if V.shape != (4, 4):
         raise StructuralError(f"expected a 4x4 matrix, got shape {V.shape}")
-    p = GaussianParams(n1=V[0, 0].real, n2=V[2, 2].real, m1=V[0, 1], m2=V[2, 3],
-                       ms=V[0, 2], mc=V[0, 3])
-    residual, ok = _rebuild_residual(V, build_covariance(p))
-    if not ok:
-        raise StructuralError(
-            f"matrix does not have the two-mode covariance pattern (max deviation {residual:.3e})")
+    q, residual, ok = _ParamArrays.read_stack(V[None])
+    p = q.params()[0]
+    if not ok[0]:
+        raise StructuralError("matrix does not have the two-mode covariance pattern"
+                              f" (max deviation {residual[0]:.3e})")
     return p
 
 
-def decompose_blocks(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split V into the local blocks V1, V2 and the cross-correlation block C,
-    or each matrix of an (N, 4, 4) stack into (N, 2, 2) stacks of them."""
-    V = _require_hermitian(V)
-    return V[..., :2, :2].copy(), V[..., 2:, 2:].copy(), V[..., :2, 2:].copy()
-
-
-def min_eigenvalue_hermitian(M: np.ndarray):
-    """Smallest eigenvalue of a Hermitian matrix, as a float, or of each
-    matrix of an (N, n, n) stack, as an (N,) array (oracle backend);
-    OverflowError if one is not finite."""
-    M = _require_hermitian(M)
-    lam = np.linalg.eigvalsh(M)[..., 0]
-    if not (math.isfinite(lam) if M.ndim == 2 else np.isfinite(lam).all()):
+def min_eigenvalue_hermitian(M: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of an (N, n, n) stack,
+    as an (N,) array (oracle backend); OverflowError if one is not finite.
+    The stacks come from the package's own layout, Hermitian by
+    construction, so nothing is checked here."""
+    lam = np.linalg.eigvalsh(M)[:, 0]
+    if not np.isfinite(lam).all():
         raise OverflowError("eigen-oracle overflows")
-    return float(lam) if M.ndim == 2 else lam
-
-
-def schur_complement(
-    V1: np.ndarray,
-    V2: np.ndarray,
-    C: np.ndarray,
-    shift1: np.ndarray,
-    shift2: np.ndarray,
-) -> np.ndarray:
-    """(V2 + shift2) - C+ (V1 + shift1)^-1 C: the independent block positivity
-    test that the closed-form bounds are checked against in ``test_core.py``."""
-    A = np.asarray(V1, dtype=complex) + np.asarray(shift1, dtype=complex)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if abs(det) <= TOL_SING:
-        raise SingularBlockError(f"upper-left block is singular (|det| = {abs(det):.3e})")
-    Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=complex) / det
-    C = np.asarray(C, dtype=complex)
-    return np.asarray(V2, dtype=complex) + np.asarray(shift2, dtype=complex) - C.conj().T @ Ainv @ C
-
-
-def partial_transpose(V: np.ndarray) -> np.ndarray:
-    """Partial phase-space mirror on mode 2: V -> T V T."""
-    V = _require_hermitian(V)
-    return T @ V @ T
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +539,6 @@ def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     return _scalar_bound(_physical_bound, p, "physicality bound")
 
 
-def prep_bound_n2(p: GaussianParams | _Row) -> float:
-    """Smallest n2 with V - I/2 >= 0, at fixed remaining parameters.
-
-    Degenerate d' raises DegenerateBoundError, and so does any state whose
-    mode-1 condition n1 - 1/2 >= |m1| fails (d' < 0, or n1 < 1/2 with
-    d' > 0), since then no n2 bound exists.
-    """
-    return _scalar_bound(_prep_bound, p, "P-representability bound")
-
-
 # Mode-1 rules: where the mode-1 block fails, no n2 meets the criterion (fold inf).
 def _physical_mode1_fails(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
     return im.d < -TOL_SING  # V1 + Z/2 >= 0 fails
@@ -643,7 +575,7 @@ def _closed_margins(q: _ParamArrays, im: _Intermediates):
 
 
 # ---------------------------------------------------------------------------
-# Eigen-oracle margins, of one covariance matrix (float) or a stack (array)
+# Eigen-oracle margins of a stack of covariance matrices
 
 
 def _physical_margin_eig(V: np.ndarray):

@@ -31,10 +31,6 @@ class StructuralError(GaussSepError):
     exit_code = 3
 
 
-class SingularBlockError(GaussSepError):
-    """Upper-left block of a Schur decomposition is numerically singular."""
-
-
 class DegenerateBoundError(GaussSepError):
     """Closed-form bound is undefined because its denominator is degenerate.
 

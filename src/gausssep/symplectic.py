@@ -10,14 +10,19 @@ P-representability coincide.
 
 The invariants, ``apply_local`` and the reduction work on (N, 4, 4) stacks
 as on one matrix, with the same stacked operations, so a state's result
-does not depend on its stack.  ``reduce_to_invariant_form`` reads a state
+does not depend on its stack.  ``invariants`` takes matrices from outside
+the package, so it checks their shape and Hermiticity itself and reads the
+blocks V1, V2 and C by slicing.  ``reduce_to_invariant_form`` reads a state
 of a batch (``core._Row``) out of one array pass of the reduction over the
 batch's covariance stack (``core._Batch.covariance``); a lone parameter set
 is a one-element batch.  That pass takes the squeeze angles by column, one
 pass per mode, with the bits of the one-state ``_squeeze_angles``: it maps
 ``math.atanh`` and ``math.atan2`` over the columns' lists, because numpy's
 ``arctanh`` and ``arctan2`` dispatch to SIMD kernels on AVX512 hosts that
-differ from libm in the last bit.
+differ from libm in the last bit.  Each state's errors (an oracle overflow,
+undefined or overflowing squeeze angles) are kept as values of the pass
+and raised by the read of that state, so one state's error never stops the
+others' reads.
 
 ``random_physical_states`` is the one sampler entry point, and
 ``_random_states`` its array form, which ``gausssep sample`` classifies
@@ -39,7 +44,12 @@ import numpy as np
 
 from . import core
 from .core import GaussianParams
-from .errors import DomainError, PrescriptionInapplicableError, SamplingBudgetError
+from .errors import (
+    DomainError,
+    PrescriptionInapplicableError,
+    SamplingBudgetError,
+    StructuralError,
+)
 
 FORM1 = "form1"
 FORM2 = "form2"
@@ -157,12 +167,20 @@ def _product(a: tuple, b: tuple) -> tuple:
 @np.errstate(over="ignore", invalid="ignore")
 def invariants(V: np.ndarray) -> SymplecticInvariants:
     """I1..I4 of a matrix, as floats, or of each matrix of an (N, 4, 4)
-    stack, as (N,) arrays, by the same stacked operations; OverflowError if
-    any of them is not finite.  The determinants are closed-form 2x2 ones
-    (``_det2``): a pivoting ``np.linalg.det`` divides by a subnormal pivot.
-    I4 = Re Tr(P Q), with P = V1 (Z C Z) and Q = V2 (Z C+ Z), written out
-    entry by entry; Z M Z only flips the sign of M's off-diagonal entries."""
-    V1, V2, C = core.decompose_blocks(V)
+    stack, as (N,) arrays, by the same stacked operations; StructuralError
+    if V is not a 4x4 Hermitian matrix or a stack of them (a NaN entry
+    fails), OverflowError if any invariant is not finite.  The
+    determinants are closed-form 2x2 ones (``_det2``): a pivoting
+    ``np.linalg.det`` divides by a subnormal pivot.  I4 = Re Tr(P Q), with
+    P = V1 (Z C Z) and Q = V2 (Z C+ Z), written out entry by entry; Z M Z
+    only flips the sign of M's off-diagonal entries."""
+    V = np.asarray(V, dtype=complex)
+    if V.ndim < 2 or V.shape[-2:] != (4, 4):
+        raise StructuralError(f"expected a 4x4 matrix or a stack of them, got shape {V.shape}")
+    dev = np.abs(V - V.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if not dev <= core.TOL_HERM:
+        raise StructuralError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+    V1, V2, C = V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
     i1, i2, i3 = _det2(V1), _det2(V2), _det2(C)
     # on float (re, im) pairs: numpy's complex kernels for a stack and for
     # one matrix may round differently
@@ -213,18 +231,6 @@ def _squeeze_angles(m: complex, n: float) -> tuple[float, float]:
     return theta, -mu + math.pi
 
 
-def _each(f, *columns, errors):
-    """``f`` of each row of ``columns``, or the exception of type ``errors``
-    it raises on that row."""
-    out = []
-    for args in zip(*columns):
-        try:
-            out.append(f(*args))
-        except errors as exc:
-            out.append(exc)
-    return out
-
-
 def _squeeze_columns(n: np.ndarray, m: tuple, r: np.ndarray, rows: np.ndarray):
     """The (theta, phi) columns of one mode, with r = |m|: on ``rows``, where
     0 < r < n, those of ``_squeeze_angles``, bit for bit; (0, pi) elsewhere.
@@ -242,27 +248,33 @@ def _squeeze_columns(n: np.ndarray, m: tuple, r: np.ndarray, rows: np.ndarray):
 def _reductions(batch: core._Batch) -> list[tuple]:
     """One array pass of the reduction over every state of ``batch``: per
     state, its physicality oracle margin or its OverflowError, squeeze
-    angles (theta1, phi1, theta2, phi2) or their DomainError, whether its
+    angles (theta1, phi1, theta2, phi2) or the DomainError or
+    OverflowError of ``_squeeze_angles`` on it, whether its
     transformed matrix is finite, whether it goes to form 1, nu1, nu2, mu,
     whether its form's parameters are valid (``GaussianParams`` accepts
     them), the residual and whether that passes the structural rule.
 
     Nothing is raised here: ``reduce_to_invariant_form`` raises each
-    state's errors in order.  The oracle runs on each state on its own only
-    if it overflows on the stack.  The angles come by column, one pass per
-    mode (``_squeeze_columns``), with the bits of ``_squeeze_angles``: its
-    ``math.atanh`` and ``math.atan2`` are mapped over the columns' lists,
-    since numpy's ``arctanh`` and ``arctan2`` run SIMD kernels on AVX512
-    hosts that differ from libm in the last bit.  A state where they are
-    undefined in either mode (|m| > 0 and |m| >= n) is transformed with the
-    no-squeeze angles, and its angles are the DomainError that
-    ``_squeeze_angles`` raises on it alone.
+    state's errors in order.  The oracle runs on each state on its own, as
+    a (1, 4, 4) slice, only if it overflows on the stack.  The angles come
+    by column, one pass per mode (``_squeeze_columns``), with the bits of
+    ``_squeeze_angles``: its ``math.atanh`` and ``math.atan2`` are mapped
+    over the columns' lists, since numpy's ``arctanh`` and ``arctan2`` run
+    SIMD kernels on AVX512 hosts that differ from libm in the last bit.  A
+    state where they are undefined in either mode (|m| > 0 and |m| >= n, or
+    |m| overflows) is transformed with the no-squeeze angles, and its
+    angles are the error that ``_squeeze_angles`` raises on it alone.
     """
     q, V = batch.q, batch.covariance
     try:
         margins = core._physical_margin_eig(V).tolist()
     except OverflowError:
-        margins = _each(core._physical_margin_eig, V, errors=OverflowError)
+        margins = []
+        for M in V[:, None]:
+            try:
+                margins.append(float(core._physical_margin_eig(M)[0]))
+            except OverflowError as exc:
+                margins.append(exc)
     r1, r2 = core._abs(q.m1), core._abs(q.m2)
     undefined = ((r1 > 0.0) & (r1 >= q.n1)) | ((r2 > 0.0) & (r2 >= q.n2))
     theta1, phi1 = _squeeze_columns(q.n1, q.m1, r1, (r1 > 0.0) & ~undefined)
@@ -273,7 +285,7 @@ def _reductions(batch: core._Batch) -> list[tuple]:
         try:
             _squeeze_angles(complex(a, b), n1)
             _squeeze_angles(complex(c, d), n2)
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:  # abs(m) overflows past 1.8e308
             angles[i] = exc
     W = _conjugate(_local_matrix(theta1, phi1, 0.0, theta2, phi2, 0.0), V)
 
@@ -309,7 +321,7 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
         raise margin
     if not margin >= -core.TOL_PSD:
         raise DomainError("invariant-form reduction requires a physical state")
-    if isinstance(angles, DomainError):
+    if isinstance(angles, Exception):
         raise angles
     if not finite:
         raise OverflowError("local symplectic transform overflows")
@@ -325,12 +337,6 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
 
 # ---------------------------------------------------------------------------
 # Random generation
-
-
-def random_local_symplectic(rng: np.random.Generator, theta_max: float = 1.5) -> LocalSymplectic:
-    theta1, theta2 = rng.uniform(0.0, theta_max, size=2)
-    phi1, vphi1, phi2, vphi2 = rng.uniform(0.0, 2 * math.pi, size=4)
-    return LocalSymplectic(theta1, phi1, vphi1, theta2, phi2, vphi2)
 
 
 def two_mode_mixer(r, gamma) -> np.ndarray:

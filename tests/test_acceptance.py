@@ -14,10 +14,9 @@ import time
 import numpy as np
 import pytest
 
+import literal
 from gausssep import cli, core, symplectic
 from gausssep.core import E, GaussianParams, I4, build_covariance
-
-PT_PERM = [0, 1, 3, 2]  # index permutation realizing V -> T V T
 
 
 def report(name):
@@ -30,21 +29,33 @@ def batch_margins_eig(V):
         np.linalg.eigvalsh(V + E / 2)[:, 0],
         np.linalg.eigvalsh(V)[:, 0],
     )
-    sep = np.linalg.eigvalsh(V[:, PT_PERM][:, :, PT_PERM] + E / 2)[:, 0]
+    sep = np.linalg.eigvalsh(literal.partial_transpose(V) + E / 2)[:, 0]
     prep = np.linalg.eigvalsh(V - I4 / 2)[:, 0]
     return phys, sep, prep
 
 
+def physical_margin_eig(V):
+    """The physicality oracle margin of a covariance matrix, as a float, or
+    of each matrix of a stack, as an array."""
+    margins = core._physical_margin_eig(V if V.ndim == 3 else V[None])
+    return margins if V.ndim == 3 else float(margins[0])
+
+
 def separable_margin_eig(V):
     """Separability's oracle margin: physicality of the partial transpose."""
-    return core._physical_margin_eig(core.partial_transpose(V))
+    return physical_margin_eig(literal.partial_transpose(V))
+
+
+def prep_margin_eig(V):
+    """The P-representability oracle margin of a covariance matrix."""
+    return float(core._prep_margin_eig(V[None])[0])
 
 
 def eig_verdicts(V):
     """(physical, separable) from the eigen-oracle margins of a covariance
     matrix, or a list of them for the matrices of a stack; separable is
     None for an unphysical matrix."""
-    physical = np.atleast_1d(core._physical_margin_eig(V) >= -core.TOL_PSD).tolist()
+    physical = np.atleast_1d(physical_margin_eig(V) >= -core.TOL_PSD).tolist()
     separable = np.atleast_1d(separable_margin_eig(V) >= -core.TOL_PSD).tolist()
     verdicts = [(ph, s if ph else None) for ph, s in zip(physical, separable)]
     return verdicts if V.ndim == 3 else verdicts[0]
@@ -115,10 +126,10 @@ def test_invariant_form_equivalence():
         p = (GaussianParams(n1, n2, mc=mu) if i % 2 == 0
              else GaussianParams(n1, n2, ms=mu))
         V = build_covariance(p)
-        if core._physical_margin_eig(V) < -core.TOL_PSD:
+        if physical_margin_eig(V) < -core.TOL_PSD:
             continue
         m_sep = separable_margin_eig(V)
-        m_prep = core._prep_margin_eig(V)
+        m_prep = prep_margin_eig(V)
         if min(abs(m_sep), abs(m_prep)) <= core.BOUNDARY_BAND:
             continue
         if (m_sep >= 0) != (m_prep >= 0):
@@ -147,7 +158,8 @@ def test_symplectic_invariance():
     random local conjugations; a P-representability flip is exhibited."""
     rng = np.random.default_rng(2718)
     states = symplectic.random_physical_states(rng, 100)
-    transforms = [symplectic.random_local_symplectic(rng) for _ in range(100)]
+    transforms = [symplectic.make_local_symplectic(*literal.local_angles(rng))
+                  for _ in range(100)]
     # the 100 transforms as one LocalSymplectic of angle arrays: each state's
     # 100 conjugations are one (100, 4, 4) stack
     angles = ("theta1", "phi1", "vphi1", "theta2", "phi2", "vphi2")
@@ -166,9 +178,9 @@ def test_symplectic_invariance():
 
     # witness: P-representability flips under a hard local squeeze
     V = build_covariance(GaussianParams(1.0, 1.0))
-    assert core._prep_margin_eig(V) >= -core.TOL_PSD
+    assert prep_margin_eig(V) >= -core.TOL_PSD
     W = symplectic.apply_local(symplectic.make_local_symplectic(1.5), V)
-    assert core._prep_margin_eig(W) < -core.TOL_PSD
+    assert prep_margin_eig(W) < -core.TOL_PSD
     report("symplectic-invariance (100 states x 100 transforms, P-flip witness)")
 
 
@@ -188,7 +200,7 @@ def test_two_mode_squeezed_thermal_boundary():
             return lo
 
         assert bisect(separable_margin_eig) == pytest.approx(n - 0.5, abs=1e-10)
-        assert bisect(core._physical_margin_eig) == pytest.approx(
+        assert bisect(physical_margin_eig) == pytest.approx(
             math.sqrt((n - 0.5) * (n + 0.5)), abs=1e-10)
     report("two-mode-squeezed-thermal-boundary (n in {0.6, 1, 2, 5})")
 

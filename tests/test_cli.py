@@ -280,6 +280,25 @@ class TestTransform:
         assert main(["transform", "--input", str(f), "--theta1", "0.4"]) == 3
         assert "occupations must be nonnegative" in capsys.readouterr().err
 
+    def test_reduce_overflowing_modulus_after_unphysical_record(self, tmp_path, capsys):
+        # |m1| of record 2 overflows abs(); record 1 still reports its own error
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 0.4, "n2": 1}},
+                        {"params": {"n1": 1, "n2": 1, "m1": [1.5e308, 1.5e308]}}])
+        assert main(["transform", "--input", str(f), "--reduce"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invariant-form reduction requires a physical state\n"
+
+    def test_reduce_overflowing_modulus_alone(self, tmp_path, capsys):
+        # the record's first error is its eigen-oracle overflow
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1, "m1": [1.5e308, 1.5e308]}}])
+        assert main(["transform", "--input", str(f), "--reduce"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: numeric overflow: eigen-oracle overflows\n"
+
     def test_transform_without_reduce_reads_no_rows(self, tmp_path, capsys, monkeypatch):
         # without --reduce the records are not walked as rows of the batch,
         # whether the array transform succeeds or a record falls back
@@ -580,7 +599,7 @@ class TestSweep:
 
             def margin(n2):
                 return core._physical_margin_eig(
-                    core.build_covariance(dataclasses.replace(p.mirror(), n2=n2)))
+                    core.build_covariance(dataclasses.replace(p.mirror(), n2=n2))[None])[0]
 
             assert margin(sep * (1 + 1e-7)) >= -core.TOL_PSD
             assert margin(sep * (1 - 1e-7)) < 0

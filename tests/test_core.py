@@ -4,30 +4,22 @@ import numpy as np
 import pytest
 
 import gausssep
-from gausssep import core
+import literal
+from gausssep import core, errors, symplectic
 from gausssep.core import (
     TOL_PATTERN,
     E,
     GaussianParams,
-    I2,
     I4,
-    T,
-    X,
     Z,
     build_covariance,
     classify,
-    decompose_blocks,
     min_eigenvalue_hermitian,
     params_from_covariance,
-    partial_transpose,
-    schur_complement,
 )
-from gausssep.errors import (
-    DegenerateBoundError,
-    InvalidParameterError,
-    SingularBlockError,
-    StructuralError,
-)
+from gausssep.errors import DegenerateBoundError, InvalidParameterError, StructuralError
+
+I2 = np.eye(2)
 
 VACUUM = GaussianParams(0.5, 0.5)
 
@@ -43,16 +35,22 @@ NEAR_D0 = [GaussianParams(1, 1, m1=math.sqrt(0.75) + eps, m2=0.3, ms=0.1, mc=0.4
 
 
 class TestCanonicalMatrices:
+    """E = Z (+) Z, and the mirror's T = I (+) X, which is the permutation
+    matrix of ``literal.PT_PERM``."""
+
     def test_squares(self):
+        T = I4[literal.PT_PERM]
         assert np.array_equal(E @ E, I4)
+        assert np.array_equal(Z @ Z, I2)
         assert np.array_equal(T @ T, I4)
-        assert np.array_equal(X @ X, I2)
 
     def test_block_structure(self):
+        T = I4[literal.PT_PERM]
         assert np.array_equal(E[:2, :2], Z)
         assert np.array_equal(E[2:, 2:], Z)
-        assert np.array_equal(T[:2, :2], I2)
-        assert np.array_equal(T[2:, 2:], X)
+        assert not E[:2, 2:].any() and not E[2:, :2].any()
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(T, np.block([[I2, 0 * I2], [0 * I2, X]]))
 
 
 class TestBuildCovariance:
@@ -185,92 +183,135 @@ class TestStructuralRule:
         with pytest.raises(StructuralError):
             params_from_covariance(np.ones(shape))
 
+    def test_errors_in_order(self):
+        """The shape fails first, then the parameters ``GaussianParams``
+        rejects, then the pattern."""
+        V = build_covariance(GENERIC)
+        V[0, 0], V[1, 0] = -1.0, 5.0  # a negative occupation and a broken pattern
+        with pytest.raises(InvalidParameterError, match="occupations must be nonnegative"):
+            params_from_covariance(V)
+        with pytest.raises(StructuralError, match="expected a 4x4 matrix"):
+            params_from_covariance(V[:3, :3])
+        V[0, 0] = V[1, 1] = 1.2
+        with pytest.raises(StructuralError, match=r"pattern \(max deviation 4\.9"):
+            params_from_covariance(V)
+
 
 class TestDecomposeBlocks:
+    """The local blocks V1, V2 and the cross block C are slices of the
+    covariance; ``symplectic.invariants``, which reads them off matrices
+    from outside the package, checks its input first."""
+
     def test_vacuum(self):
-        V1, V2, C = decompose_blocks(build_covariance(VACUUM))
-        assert np.array_equal(V1, I2 / 2)
-        assert np.array_equal(V2, I2 / 2)
-        assert np.array_equal(C, np.zeros((2, 2)))
+        V = build_covariance(VACUUM)
+        assert np.array_equal(V[:2, :2], I2 / 2)
+        assert np.array_equal(V[2:, 2:], I2 / 2)
+        assert np.array_equal(V[:2, 2:], np.zeros((2, 2)))
 
     def test_form1_cross_block(self):
         mu = 0.3 - 0.1j
-        _, _, C = decompose_blocks(build_covariance(GaussianParams(1.0, 1.0, mc=mu)))
+        C = build_covariance(GaussianParams(1.0, 1.0, mc=mu))[:2, 2:]
         assert np.array_equal(C, np.array([[0, mu], [np.conj(mu), 0]]))
 
     def test_reassembly_round_trip(self):
         V = build_covariance(GaussianParams(1.3, 0.8, m1=0.2j, m2=0.5, ms=0.1, mc=0.4j))
-        V1, V2, C = decompose_blocks(V)
+        V1, V2, C = V[:2, :2], V[2:, 2:], V[:2, 2:]
         W = np.block([[V1, C], [C.conj().T, V2]])
         assert np.array_equal(W, V)
 
     def test_non_hermitian_rejected(self):
         M = np.eye(4, dtype=complex)
         M[0, 1] = 1.0
-        with pytest.raises(StructuralError):
-            decompose_blocks(M)
+        with pytest.raises(StructuralError, match="not Hermitian"):
+            symplectic.invariants(M)
+        with pytest.raises(StructuralError, match="not Hermitian"):
+            symplectic.invariants(np.stack([np.eye(4), M]))
 
     def test_nan_entry_rejected(self):
         M = np.eye(4, dtype=complex)
         M[1, 0] = math.nan
         with pytest.raises(StructuralError):
-            decompose_blocks(M)
+            symplectic.invariants(M)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 2), (5, 5), (2, 4, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(StructuralError, match="expected a 4x4 matrix"):
+            symplectic.invariants(np.zeros(shape))
 
 
 class TestMinEigenvalue:
+    """The oracle backend takes (N, n, n) stacks."""
+
     def test_diagonal(self):
-        assert min_eigenvalue_hermitian(np.diag([0.5] * 4)) == 0.5
+        assert min_eigenvalue_hermitian(np.diag([0.5] * 4)[None]).tolist() == [0.5]
 
     def test_z(self):
-        assert min_eigenvalue_hermitian(Z) == -1.0
+        assert min_eigenvalue_hermitian(np.stack([Z, I2])).tolist() == [-1.0, 1.0]
 
     def test_physical_state_shifted_matrix(self):
         # form-1 cross-check: (n1-1/2)(n2+1/2) = 0.75 >= 0.36 = |mc|^2
         V = build_covariance(GaussianParams(1.0, 1.0, mc=0.6))
-        assert min_eigenvalue_hermitian(V + E / 2) >= 0.0
+        assert min_eigenvalue_hermitian((V + E / 2)[None])[0] >= 0.0
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(StructuralError):
-            min_eigenvalue_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+def schur_complement(V1, V2, C, shift1, shift2):
+    """(V2 + shift2) - C+ (V1 + shift1)^-1 C, with the 2x2 inverse written
+    out: the block positivity test the closed-form bounds are checked
+    against.  LinAlgError where the upper-left block is singular."""
+    A = V1 + shift1
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    if abs(det) <= core.TOL_SING:
+        raise np.linalg.LinAlgError(f"upper-left block is singular (|det| = {abs(det):.3e})")
+    Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
+    return V2 + shift2 - C.conj().T @ Ainv @ C
 
 
 class TestSchurComplement:
     def test_decoupled_blocks(self):
-        V1, V2, C = decompose_blocks(build_covariance(GaussianParams(1.0, 2.0)))
-        S = schur_complement(V1, V2, C, Z / 2, Z / 2)
-        assert np.array_equal(S, V2 + Z / 2)
+        V = build_covariance(GaussianParams(1.0, 2.0))
+        S = schur_complement(V[:2, :2], V[2:, 2:], V[:2, 2:], Z / 2, Z / 2)
+        assert np.array_equal(S, V[2:, 2:] + Z / 2)
 
     def test_singular_upper_left(self):
-        V1, V2, C = decompose_blocks(build_covariance(VACUUM))
-        with pytest.raises(SingularBlockError):
-            schur_complement(V1, V2, C, Z / 2, Z / 2)
+        """A singular upper-left block is where the closed form has no
+        bound: the vacuum's physicality falls back to the oracle."""
+        V = build_covariance(VACUUM)
+        with pytest.raises(np.linalg.LinAlgError):
+            schur_complement(V[:2, :2], V[2:, 2:], V[:2, 2:], Z / 2, Z / 2)
+        assert "physical" in classify(VACUUM).fallbacks
 
     def test_matches_closed_form_margin(self):
         # positivity of the Schur complement is exactly the n2 bound
-        V1, V2, C = decompose_blocks(build_covariance(REF))
-        S = schur_complement(V1, V2, C, Z / 2, Z / 2)
+        V = build_covariance(REF)
+        S = schur_complement(V[:2, :2], V[2:, 2:], V[:2, 2:], Z / 2, Z / 2)
         margin = REF.n2 - core.physicality_bound_n2(REF)
-        assert min_eigenvalue_hermitian(S) == pytest.approx(margin, abs=1e-12)
+        assert np.linalg.eigvalsh(S)[0] == pytest.approx(margin, abs=1e-12)
 
 
 class TestPartialTranspose:
+    """The mirror of the parameters is T V T of the covariance, the index
+    permutation ``literal.PT_PERM``."""
+
     def test_involution(self):
         V = build_covariance(GaussianParams(1.3, 0.8, m1=0.2j, m2=0.5, ms=0.1, mc=0.4j))
-        assert np.array_equal(partial_transpose(partial_transpose(V)), V)
+        assert np.array_equal(literal.partial_transpose(literal.partial_transpose(V)), V)
 
     def test_form1_to_form2(self):
         V = build_covariance(GaussianParams(1.0, 1.0, mc=0.3))
-        p = params_from_covariance(partial_transpose(V))
+        p = params_from_covariance(literal.partial_transpose(V))
         assert p.ms == 0.3 and p.mc == 0.0
+        assert GaussianParams(1.0, 1.0, mc=0.3).mirror() == p
 
     def test_parameter_action(self):
         V = build_covariance(GaussianParams(1.0, 1.0, m2=1j, ms=0.3, mc=0.1))
-        p = params_from_covariance(partial_transpose(V))
+        p = params_from_covariance(literal.partial_transpose(V))
         assert p.ms == 0.1 and p.mc == 0.3 and p.m2 == -1j
 
     def test_matches_mirror(self):
         p = GaussianParams(1.3, 0.8, m1=0.2j, m2=0.5 - 0.2j, ms=0.1, mc=0.4j)
-        assert params_from_covariance(partial_transpose(build_covariance(p))) == p.mirror()
+        VT = literal.partial_transpose(build_covariance(p))
+        assert params_from_covariance(VT) == p.mirror()
+        assert VT.tobytes() == literal.covariance(p.mirror()).tobytes()
 
 
 class TestPhysicality:
@@ -284,7 +325,7 @@ class TestPhysicality:
         v = classify(REF)
         assert v.physical
         V = build_covariance(REF)
-        assert min_eigenvalue_hermitian(V + E / 2) >= -core.TOL_PSD
+        assert min_eigenvalue_hermitian((V + E / 2)[None])[0] >= -core.TOL_PSD
 
     def test_vacuum_routes_to_oracle(self):
         q = core._ParamArrays.of([VACUUM])
@@ -343,17 +384,24 @@ class TestPRepresentability:
         assert v.p_representable is False
         assert v.margin_prep == pytest.approx(-0.1)
         V1 = build_covariance(p)[:2, :2]
-        assert min_eigenvalue_hermitian(V1 - I2 / 2) < 0
+        assert min_eigenvalue_hermitian((V1 - I2 / 2)[None])[0] < 0
 
     def test_reference_state_prep_bound(self):
-        assert core.prep_bound_n2(REF) == pytest.approx(REF_PREP_BOUND, abs=1e-12)
+        """The closed-form P bound of the batch and the exact P-fold agree
+        on the frozen threshold."""
+        q = core._ParamArrays.of([REF])
+        assert core._prep_bound(q, core._intermediates(q))[0] == pytest.approx(
+            REF_PREP_BOUND, abs=1e-12)
+        assert core.bisect_n2_threshold(REF, "p_representable") == pytest.approx(
+            REF_PREP_BOUND, abs=1e-12)
 
     def test_no_prep_bound_below_half(self):
         # n1 - 1/2 - |m1| = -0.3 < 0 although d' = 0.09 > 0: no n2 gives V - I/2 >= 0
         p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
-        assert core._intermediates(core._ParamArrays.of([p])).d_p[0] > 0
-        with pytest.raises(DegenerateBoundError):
-            core.prep_bound_n2(p)
+        q = core._ParamArrays.of([p])
+        im = core._intermediates(q)
+        assert im.d_p[0] > 0
+        assert math.isnan(core._prep_bound(q, im)[0])
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
 
     def test_near_vacuum_mode1_falls_back(self):
@@ -419,8 +467,8 @@ class TestClassify:
         monkeypatch.setattr(core._ParamArrays, "covariance",
                             lambda q: built.append(real(q)) or built[-1])
 
-        def expect(*states):
-            return [build_covariance(p)[None].tobytes() for p in states]
+        def expect(*states):  # not build_covariance: it is a view of the patched method
+            return [literal.covariance(p)[None].tobytes() for p in states]
 
         classify(REF)  # closed form, no fallback
         assert built == []
@@ -432,7 +480,7 @@ class TestClassify:
         built.clear()
         core.classify_batch([REF, VACUUM], method=core.METHOD_EIG)  # one stack each per batch
         assert [V.tobytes() for V in built] == [
-            np.stack([build_covariance(p) for p in states]).tobytes()
+            np.stack([literal.covariance(p) for p in states]).tobytes()
             for states in ([REF, VACUUM], [REF.mirror(), VACUUM.mirror()])]
         built.clear()
         classify(GaussianParams(0.4, 1.0), method=core.METHOD_EIG)  # unphysical: one oracle
@@ -562,7 +610,7 @@ class TestFolds:
         assert core.n2_folds(p)[2] == math.inf
         for n2 in (1e2, 1e3, 1e4):
             V = build_covariance(GaussianParams(p.n1, n2, p.m1, p.m2, p.ms, p.mc))
-            assert core._prep_margin_eig(V) < -core.TOL_PSD
+            assert core._prep_margin_eig(V[None])[0] < -core.TOL_PSD
 
     def test_folds_call_no_oracle(self, monkeypatch):
         """The exact folds are closed arithmetic: no eigenvalue call and no
@@ -580,19 +628,27 @@ class TestFolds:
 
     def test_degenerate_bound_message(self):
         """The message is built only when it is read, with the same text."""
-        p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
         with pytest.raises(DegenerateBoundError) as info:
-            core.prep_bound_n2(p)
-        assert str(info.value) == (
-            "no P-representability bound: d = -2.100e-01, d' = 9.000e-02, n1 = 0.2")
+            core.literal_prep_fold(GaussianParams(0.2, 1.0, m1=0.5))
+        assert str(info.value) == "no literal P-fold: d = -4.600e-01, d' = -1.600e-01, n1 = 0.2"
         with pytest.raises(DegenerateBoundError) as info:
             core.physicality_bound_n2(GaussianParams(0.5, 1.0, m1=1e-7))
         assert str(info.value) == "no physicality bound: d = -1.000e-14, d' = -1.000e-14, n1 = 0.5"
 
 
 def test_public_surface():
-    """Every exported name resolves on the package, so a stale export fails
-    here; the one-state sampler view is gone."""
+    """The exported names are exactly these, and each resolves on the
+    package; the twins of the array core and the helpers only the tests
+    used are defined nowhere in it."""
+    assert gausssep.__all__ == [
+        "GaussianParams", "InvariantFormResult", "LocalSymplectic", "SymplecticInvariants",
+        "Verdict", "apply_local", "build_covariance", "classify", "classify_batch",
+        "invariants", "make_local_symplectic", "params_from_covariance",
+        "random_physical_states", "reduce_to_invariant_form"]
     missing = [name for name in gausssep.__all__ if not hasattr(gausssep, name)]
     assert missing == []
-    assert "random_physical_state" not in gausssep.__all__
+    removed = ("random_physical_state", "schur_complement", "SingularBlockError",
+               "partial_transpose", "decompose_blocks", "prep_bound_n2",
+               "random_local_symplectic", "T", "X", "I2", "_require_hermitian")
+    for module in (gausssep, core, symplectic, errors):
+        assert [name for name in removed if hasattr(module, name)] == []

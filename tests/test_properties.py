@@ -7,6 +7,7 @@ import struct
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import literal
 from gausssep import core
 from gausssep.core import GaussianParams, build_covariance
 from gausssep.errors import InvalidParameterError
@@ -70,7 +71,9 @@ def bits(x):
 def test_batch_equals_one_element_views(params):
     """A state's Verdict and covariance do not depend on the other states in
     its batch: classify_batch equals per-state classify field by field, bit
-    for bit, on mixed unphysical, d = 0, d' = 0 and near-vacuum states."""
+    for bit, on mixed unphysical, d = 0, d' = 0 and near-vacuum states.
+    The covariance, in the batch and alone, is the paper's matrix, bit for
+    bit (signed zeros included)."""
     for method in (core.METHOD_CLOSED, core.METHOD_EIG):
         batch = core.classify_batch(params, method=method)
         assert len(batch) == len(params)
@@ -84,7 +87,7 @@ def test_batch_equals_one_element_views(params):
                 assert bits(a) == bits(b)
     V = core._ParamArrays.of(params).covariance()
     for p, Vp in zip(params, V):
-        assert Vp.tobytes() == build_covariance(p).tobytes()
+        assert Vp.tobytes() == build_covariance(p).tobytes() == literal.covariance(p).tobytes()
 
 
 @given(st.lists(st.one_of(param_sets(), edge_sets()), min_size=1, max_size=8))
@@ -106,21 +109,21 @@ def test_mirror_involution(p):
 @given(param_sets())
 def test_mirrored_covariance_is_partial_transpose_bytes(p):
     """Separability's oracle margin is the physicality oracle on the mirrored
-    covariance.  Its eigen-oracle input equals, bit for bit, that of the
-    partial transpose of the covariance (the matrices themselves may differ
-    in the sign of a zero, which adding E/2 clears)."""
+    covariance.  That covariance, and so its eigen-oracle input, equals the
+    partial transpose of the covariance (the index permutation) bit for
+    bit, signed zeros included."""
     Vm = build_covariance(p.mirror())
-    VT = core.partial_transpose(build_covariance(p))
-    assert np.array_equal(Vm, VT)
+    VT = literal.partial_transpose(build_covariance(p))
+    assert Vm.tobytes() == VT.tobytes()
     assert (Vm + core.E / 2).tobytes() == (VT + core.E / 2).tobytes()
 
 
 @given(param_sets())
 def test_partial_transpose_involution_and_hermiticity(p):
     V = build_covariance(p)
-    W = core.partial_transpose(V)
+    W = literal.partial_transpose(V)
     assert np.array_equal(W, W.conj().T)
-    assert np.array_equal(core.partial_transpose(W), V)
+    assert np.array_equal(literal.partial_transpose(W), V)
 
 
 @given(param_sets())
@@ -152,19 +155,19 @@ def test_prep_implies_separable(p):
 @given(param_sets())
 def test_margins_ordered(p):
     """Eigen margins satisfy prep <= separable and prep <= physical."""
-    V = build_covariance(p)
-    m_prep = core._prep_margin_eig(V)
-    assert core._physical_margin_eig(core.partial_transpose(V)) >= m_prep - 1e-12
-    assert core._physical_margin_eig(V) >= m_prep - 1e-12
+    V = build_covariance(p)[None]
+    m_prep = core._prep_margin_eig(V)[0]
+    assert core._physical_margin_eig(literal.partial_transpose(V))[0] >= m_prep - 1e-12
+    assert core._physical_margin_eig(V)[0] >= m_prep - 1e-12
 
 
 @given(param_sets())
 def test_shifted_spectrum_bounds_covariance_spectrum(p):
     """lambda_min(V) >= lambda_min(V + E/2): why the physicality oracle needs
     no separate V >= 0 term."""
-    V = build_covariance(p)
-    assert core.min_eigenvalue_hermitian(V) >= (
-        core.min_eigenvalue_hermitian(V + core.E / 2) - 1e-12)
+    V = build_covariance(p)[None]
+    assert core.min_eigenvalue_hermitian(V)[0] >= (
+        core.min_eigenvalue_hermitian(V + core.E / 2)[0] - 1e-12)
 
 
 @given(st.floats(0.5, 3.0), st.floats(0.5, 3.0), complexes(1.0))
@@ -193,7 +196,7 @@ def test_saturation_has_zero_margin(n1, n2, m1, m2):
         m1=m1,
         m2=m2,
     )
-    margin = core._physical_margin_eig(build_covariance(p))
+    margin = core._physical_margin_eig(build_covariance(p)[None])[0]
     assert abs(margin) <= core.TOL_PSD
 
 
@@ -233,8 +236,9 @@ def degenerate_sets(draw):
 
 def fold_margin(p, criterion, n2):
     """The eigen-oracle margin of ``criterion`` at ``p`` with its n2 set to ``n2``."""
-    V = build_covariance(dataclasses.replace(p, n2=n2))
-    return core._prep_margin_eig(V) if criterion == "p_representable" else core._physical_margin_eig(V)
+    V = build_covariance(dataclasses.replace(p, n2=n2))[None]
+    oracle = core._prep_margin_eig if criterion == "p_representable" else core._physical_margin_eig
+    return oracle(V)[0]
 
 
 @given(degenerate_sets())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import literal
 from gausssep import core, symplectic
 from gausssep.core import E, GaussianParams, build_covariance, params_from_covariance
 from gausssep.errors import (
@@ -18,7 +19,6 @@ from gausssep.symplectic import (
     apply_local,
     invariants,
     make_local_symplectic,
-    random_local_symplectic,
     random_physical_states,
     reduce_to_invariant_form,
     two_mode_mixer,
@@ -47,12 +47,16 @@ def one_at_a_time_reject(rng, n):
     for _ in range(n):
         for _ in range(symplectic.MAX_DRAWS):
             p = one_at_a_time_box(rng, 0.5, 3.0, 1.0)
-            if core._physical_margin_eig(build_covariance(p)) >= -core.TOL_PSD:
+            if core._physical_margin_eig(build_covariance(p)[None])[0] >= -core.TOL_PSD:
                 states.append(p)
                 break
         else:
             raise SamplingBudgetError("budget")
     return states
+
+
+def random_local_symplectic(rng, theta_max=1.5):
+    return make_local_symplectic(*literal.local_angles(rng, theta_max))
 
 
 def symplectic_defect(S: np.ndarray) -> float:
@@ -107,7 +111,7 @@ class TestApplyLocal:
         V = build_covariance(GaussianParams(1.2, 0.8, m1=0.1j, m2=0.4, ms=0.2, mc=0.3))
         W = apply_local(S, V)
         S1, S2 = S.realized[:2, :2], S.realized[2:, 2:]
-        V1, V2, C = core.decompose_blocks(V)
+        V1, V2, C = V[:2, :2], V[2:, 2:], V[:2, 2:]
         assert np.allclose(W[:2, :2], S1.conj().T @ V1 @ S1, atol=1e-12)
         assert np.allclose(W[2:, 2:], S2.conj().T @ V2 @ S2, atol=1e-12)
         assert np.allclose(W[:2, 2:], S1.conj().T @ C @ S2, atol=1e-12)
@@ -117,18 +121,18 @@ class TestApplyLocal:
         for _ in range(50):
             p = random_physical_states(rng, 1)[0]
             S = random_local_symplectic(rng)
-            V = build_covariance(p)
+            V = build_covariance(p)[None]
             W = apply_local(S, V)
             for margin in (core._physical_margin_eig,
-                           lambda M: core._physical_margin_eig(core.partial_transpose(M))):
+                           lambda M: core._physical_margin_eig(literal.partial_transpose(M))):
                 assert (margin(V) >= -core.TOL_PSD) == (margin(W) >= -core.TOL_PSD)
 
     def test_prep_not_preserved(self):
         # thermal state is P-representable; a hard local squeeze breaks it
-        V = build_covariance(GaussianParams(1.0, 1.0))
-        assert core._prep_margin_eig(V) >= -core.TOL_PSD
+        V = build_covariance(GaussianParams(1.0, 1.0))[None]
+        assert core._prep_margin_eig(V)[0] >= -core.TOL_PSD
         W = apply_local(make_local_symplectic(1.5), V)
-        assert core._prep_margin_eig(W) < -core.TOL_PSD
+        assert core._prep_margin_eig(W)[0] < -core.TOL_PSD
 
 
 class TestInvariants:
@@ -164,7 +168,7 @@ class TestInvariants:
         rng = np.random.default_rng(23)
         A = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
         V = (A + A.conj().swapaxes(-1, -2)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1, 1))
-        V1, V2, C = core.decompose_blocks(V)
+        V1, V2, C = V[:, :2, :2], V[:, 2:, 2:], V[:, :2, 2:]
         chain = V1 @ core.Z @ C @ core.Z @ V2 @ core.Z @ C.conj().swapaxes(-1, -2) @ core.Z
         reference = np.trace(chain, axis1=-2, axis2=-1).real
         scale = np.abs(V).max(axis=(-2, -1))
@@ -342,16 +346,13 @@ class TestReduceToInvariantForm:
         # theta = 0, phases only: form 1 maps to the form-2 pattern
         p = GaussianParams(1.0, 1.2, mc=0.4)
         # swap within mode 2 via the X pattern: conjugation by T
-        W = core.partial_transpose(build_covariance(p))
+        W = literal.partial_transpose(build_covariance(p))
         q = params_from_covariance(W)
         assert q.mc == 0.0 and q.ms == 0.4
 
 
 class TestRandomGeneration:
     def test_reproducible(self):
-        a = random_local_symplectic(np.random.default_rng(5))
-        b = random_local_symplectic(np.random.default_rng(5))
-        assert np.array_equal(a.realized, b.realized)
         pa = random_physical_states(np.random.default_rng(5), 1)
         pb = random_physical_states(np.random.default_rng(5), 1)
         assert pa == pb
