@@ -47,30 +47,28 @@ of mode 2 swapped (index permutation [0, 1, 3, 2]); once E/2 is added, bit
 for bit.  Complex products are computed on the (re, im) float pairs, with the
 groupings of ``_intermediates``, so that the mirrored intermediates are the
 exact conjugates; numpy's vectorised complex kernels do not guarantee that.
-The closed-form n2 bounds used here are the oracle-consistent ones,
+Physicality and P-representability share one closed form, in the
+parameters (a, s, c, h, e, x0) of their ``_Family`` (a = d or d', the
+determinant of the shifted mode-1 block).  Its n2 bound is
 
-    n2 >= s/d + sqrt( (1 - delta/d)^2 / 4 + |m2 - c/d|^2 ),
+    n2 >= x0 + s/a + sqrt( (e (1 - delta/a))^2 + |m2 - c/a|^2 ),
 
 with delta = |mc|^2 - |ms|^2 (the mirror flips its sign and conjugates
-m2 and c), and
-
-    n2 >= 1/2 + s'/d' + |m2 - c'/d'|
-
-for P-representability.  These agree with the eigenvalue oracle to machine
-precision; see tests for the cross-validation.
+m2 and c), defined where a > TOL_SING and h >= 0.  It agrees with the
+eigenvalue oracle to machine precision; see tests for the cross-validation.
 
 ``classify`` is the only verdict API.  The n2 folds of the ``sweep``
 command (closed-form bounds, the literal published P-fold and, at
 degenerate points, the exact fold) also live here.  The exact fold
 (``_exact_folds``) is the larger root of det(V + E/2), or of det(V - I/2)
-for P, a quadratic in n2 whose leading coefficient is d (d'): Simon's
-criterion in invariant form, solved without a search, an eigenvalue call
-or a division by d.  A fold is ``inf`` when its mode-1 condition fails
-(d < 0, or V1 - I/2 not >= 0 for P), the test the closed margins apply
-too; ``prep_below_sep`` counts the P-fold as below the S-fold only by
-more than ``FOLD_GAP_RTOL`` * max(1, S-fold).  Non-finite intermediates or
-bounds raise ``OverflowError`` for the whole batch, and a non-finite exact
-fold for the state that reads it.
+for P, a quadratic in n2 with leading coefficient a (Simon's criterion in
+invariant form): off the band |a| <= TOL_SING it is the bound above, which
+divides by a, and only inside the band does ``_split_folds`` avoid the
+division.  A fold is ``inf`` where its criterion's one mode-1 rule fails,
+the rule the closed margins apply too; ``prep_below_sep`` counts the
+P-fold as below the S-fold only by more than ``FOLD_GAP_RTOL`` * max(1,
+S-fold).  Non-finite intermediates or bounds raise ``OverflowError`` for
+the whole batch, and a non-finite exact fold for the state that reads it.
 """
 
 from __future__ import annotations
@@ -97,9 +95,8 @@ BOUNDARY_BAND = 1e-8  # |oracle margin| at or below this lies on a decision boun
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 
 # Canonical constant matrices.
-Z = np.diag([1.0, -1.0])
 I4 = np.eye(4)
-E = np.diag([1.0, -1.0, 1.0, -1.0])  # Z (+) Z
+E = np.diag([1.0, -1.0, 1.0, -1.0])  # Z (+) Z, Z = diag(1, -1)
 
 METHOD_CLOSED = "closed-form"
 METHOD_EIG = "eigen-oracle"
@@ -478,53 +475,87 @@ def _checked(x: np.ndarray, defined: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _physical_bound(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
-    """Smallest n2 with V + E/2 >= 0, NaN where d <= TOL_SING.  On
-    ``(q.mirror(), im.mirror())`` it is the separability bound."""
-    defined = im.d > TOL_SING
-    d = np.where(defined, im.d, np.nan)
-    delta = _abs2(q.mc) - _abs2(q.ms)
-    t = 1.0 - delta / d
-    bound = im.s / d + np.sqrt(0.25 * (t * t) + _abs2(_sub(q.m2, _div(im.c, d))))
-    return _checked(bound, defined, "physicality bound")
+class _Family(NamedTuple):
+    """One criterion's n2 fold in x = n2 - x0, where its determinant is a
+    quadratic a x^2 - 2s x + ..., and a is that of the shifted mode-1 block
+    A = h I + [[e, m1], [conj(m1), -e]]: (d, s, c, n1, 1/2, 0) for
+    physicality, (d', s', c', n1 - 1/2, 0, 1/2) for P-representability.
+    On ``(q.mirror(), im.mirror())`` physicality's is separability's."""
+
+    a: np.ndarray
+    s: np.ndarray
+    c: tuple[np.ndarray, np.ndarray]
+    h: np.ndarray
+    e: float
+    x0: float
+
+    @classmethod
+    def of(cls, q: _ParamArrays, im: _Intermediates, prep: bool) -> "_Family":
+        if prep:
+            return cls(im.d_p, im.s_p, im.c_p, q.n1 - 0.5, 0.0, 0.5)
+        return cls(im.d, im.s, im.c, q.n1, 0.5, 0.0)
+
+    def mode1_fails(self) -> np.ndarray:
+        """Where A >= 0 fails, so that no n2 meets the criterion (fold inf):
+        a < -TOL_SING, or h < 0 (n1 < 1/2; only P's h can be negative) off
+        the degenerate band |a| <= TOL_SING.  Inside the band the
+        eigen-oracle decides, or ``_split_folds`` for the exact fold."""
+        return (self.a < -TOL_SING) | ((self.a > TOL_SING) & (self.h < 0.0))
+
+
+_BOUND_NAMES = ("physicality bound", "P-representability bound")  # by prep
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _prep_bound(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
-    """Smallest n2 with V - I/2 >= 0, NaN where d' <= TOL_SING or n1 < 1/2."""
-    defined = (im.d_p > TOL_SING) & (q.n1 >= 0.5)
-    d = np.where(defined, im.d_p, np.nan)
-    bound = 0.5 + im.s_p / d + _abs(_sub(q.m2, _div(im.c_p, d)))
-    return _checked(bound, defined, "P-representability bound")
+def _bound(q: _ParamArrays, f: _Family):
+    """(bound, defined): the smallest n2 at which the criterion of ``f``
+    holds, x0 + s/a + sqrt((e (1 - delta/a))^2 + |m2 - c/a|^2), defined
+    where a > TOL_SING and the mode-1 rule holds, NaN elsewhere.  Not
+    checked: where it overflows, it is not finite."""
+    defined = (f.a > TOL_SING) & (f.h >= 0.0)
+    a = np.where(defined, f.a, np.nan)
+    r2 = _abs2(_sub(q.m2, _div(f.c, a)))
+    # P's e = 0 drops the term, and sqrt(fl(r^2)) = r: its bound is 1/2 + s'/d' + |m2 - c'/d'|.
+    if f.e:
+        t = f.e * (1.0 - (_abs2(q.mc) - _abs2(q.ms)) / a)
+        r2 = t * t + r2
+    return f.x0 + f.s / a + np.sqrt(r2), defined
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _literal_prep_fold(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
-    """The published P-fold, NaN where d' <= TOL_SING."""
+def _literal_prep_fold(q: _ParamArrays, im: _Intermediates):
+    """(fold, defined): the published P-fold, defined where d' > TOL_SING."""
     defined = im.d_p > TOL_SING
     d = np.where(defined, im.d_p, np.nan)
-    fold = im.s_p / d + _abs(_sub(q.m2, im.c_p)) / d + 0.5
-    return _checked(fold, defined, "literal P-fold")
+    return im.s_p / d + _abs(_sub(q.m2, im.c_p)) / d + 0.5, defined
 
 
-def _bound_of(batch: _Batch, bound) -> np.ndarray:
-    return bound(batch.q, batch.im)
+# name -> (fold, defined) of a batch, as in DegenerateBoundError's and OverflowError's messages
+_CLOSED_FORMS = {
+    "physicality bound": lambda b: _bound(b.q, _Family.of(b.q, b.im, False)),
+    "P-representability bound": lambda b: _bound(b.q, _Family.of(b.q, b.im, True)),
+    "literal P-fold": lambda b: _literal_prep_fold(b.q, b.im),
+}
 
 
-def _bound_array(batch: _Batch, bound) -> np.ndarray:
-    """``bound`` of every state of ``batch``, evaluated once per batch."""
-    return batch.evaluated(bound, _bound_of, bound)
+def _closed_column(batch: _Batch, what: str):
+    """(fold, defined) of the closed form ``what`` over ``batch``,
+    evaluated once per batch, not checked."""
+    return batch.evaluated(what, _CLOSED_FORMS[what])
 
 
-def _scalar_bound(bound, p: GaussianParams | _Row, what: str) -> float:
-    """``bound`` of the state ``p``, read from one evaluation over its batch;
-    DegenerateBoundError where it has none."""
+def _scalar_bound(what: str, p: GaussianParams | _Row) -> float:
+    """The closed form ``what`` of the state ``p``, read from one
+    evaluation over its batch; DegenerateBoundError where it has none,
+    OverflowError where it overflows."""
     batch, i = _row(p)
-    b = float(_bound_array(batch, bound)[i])
-    if math.isnan(b):
+    fold, defined = _closed_column(batch, what)
+    if not defined[i]:
         im = batch.im
         raise DegenerateBoundError(what, im.d[i], im.d_p[i], batch.q.n1[i])
+    b = float(fold[i])
+    if not math.isfinite(b):
+        raise OverflowError(f"{what} overflows")
     return b
 
 
@@ -536,42 +567,25 @@ def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     fails, so no n2 bound exists).  The separability bound is this function
     applied to ``p.mirror()``.
     """
-    return _scalar_bound(_physical_bound, p, "physicality bound")
+    return _scalar_bound("physicality bound", p)
 
 
-# Mode-1 rules: where the mode-1 block fails, no n2 meets the criterion (fold inf).
-def _physical_mode1_fails(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
-    return im.d < -TOL_SING  # V1 + Z/2 >= 0 fails
-
-
-def _prep_mode1_fails(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
-    # V1 - I/2 >= 0 fails.  n1 < 1/2 counts only off the degenerate band
-    # |d'| <= TOL_SING, where the eigen-oracle decides.
-    return (im.d_p < -TOL_SING) | ((im.d_p > TOL_SING) & (q.n1 < 0.5))
-
-
-def _physical_margin_closed(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
-    """Closed-form physicality margin of each row of ``q`` from its
-    intermediates ``im``; NaN exactly where |d| <= TOL_SING (degenerate).
-    On ``(q.mirror(), im.mirror())`` it is the separability margin."""
-    m1_margin = q.n1 - np.sqrt(_abs2(q.m1) + 0.25)
-    return np.where(_physical_mode1_fails(q, im), m1_margin,
-                    np.minimum(m1_margin, q.n2 - _physical_bound(q, im)))
-
-
-def _prep_margin_closed(q: _ParamArrays, im: _Intermediates) -> np.ndarray:
-    """Closed-form P-representability margin; NaN exactly where
-    |d'| <= TOL_SING."""
-    m1_margin = q.n1 - _abs(q.m1) - 0.5
-    return np.where(_prep_mode1_fails(q, im), m1_margin,
-                    np.minimum(m1_margin, q.n2 - _prep_bound(q, im)))
+def _closed_margin(q: _ParamArrays, im: _Intermediates, prep: bool) -> np.ndarray:
+    """Closed-form margin of each row of ``q`` from its intermediates
+    ``im``, of P-representability if ``prep``, else of physicality (on
+    ``(q.mirror(), im.mirror())``, of separability); NaN exactly where
+    |a| <= TOL_SING (degenerate)."""
+    f = _Family.of(q, im, prep)
+    m1_margin = q.n1 - np.sqrt(_abs2(q.m1) + f.e * f.e) - f.x0
+    bound = _checked(*_bound(q, f), _BOUND_NAMES[prep])
+    return np.where(f.mode1_fails(), m1_margin, np.minimum(m1_margin, q.n2 - bound))
 
 
 def _closed_margins(q: _ParamArrays, im: _Intermediates):
     """(physical, separable, prep) closed-form margins of every row."""
-    return (_physical_margin_closed(q, im),
-            _physical_margin_closed(q.mirror(), im.mirror()),
-            _prep_margin_closed(q, im))
+    return (_closed_margin(q, im, False),
+            _closed_margin(q.mirror(), im.mirror(), False),
+            _closed_margin(q, im, True))
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +696,7 @@ def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
 def literal_prep_fold(p: GaussianParams | _Row) -> float:
     """The published P-fold: s'/d' + |m2 - c'|/d' + 1/2 (kept literal for the
     fold-comparison figure; its dips below the S-fold are unphysical)."""
-    return _scalar_bound(_literal_prep_fold, p, "literal P-fold")
+    return _scalar_bound("literal P-fold", p)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -692,41 +706,21 @@ def _exact_folds(batch: _Batch, prep: bool) -> list[float]:
     n2 works, NaN where the arithmetic overflows.
 
     n2 enters the matrix as n2 times a projector, so no eigenvalue falls as
-    n2 grows: the valid n2 are [fold, inf), and the fold is a root of the
-    determinant.  In x = n2 - x0 (x0 = 0, or 1/2 for P) the determinant is
-    the quadratic a x^2 + b x + c0, whose leading coefficient a is the
-    determinant of the shifted mode-1 block A (d, or d' for P), with
-    b = -2s (-2s') and
-
-        c0 = delta^2 + e delta - a (e^2 + |m2|^2) + 2 Re(conj(m2) c),
-
-    e = 1/2 (0 for P) and delta = |mc|^2 - |ms|^2: Simon's criterion in
-    invariant form, written in the intermediates.  The fold is the larger
-    root, max(c0/q, q/a) with q = -(b + sign(b) sqrt(b^2 - 4 a c0))/2, so
-    nothing divides by a small a.
-
-    It is ``inf`` where the mode-1 rule fails.  Inside the band
-    |a| <= TOL_SING, A is taken as singular (``_split_folds``)."""
-    q, im = batch.q, batch.im
-    if prep:
-        a, s, c, h, e, x0 = im.d_p, im.s_p, im.c_p, q.n1 - 0.5, 0.0, 0.5
-        fails = _prep_mode1_fails(q, im)
-    else:
-        a, s, c, h, e, x0 = im.d, im.s, im.c, q.n1, 0.5, 0.0
-        fails = _physical_mode1_fails(q, im)
-    m2 = q.m2
-    delta = _abs2(q.mc) - _abs2(q.ms)
-    c0 = delta * (delta + e) - a * (e * e + _abs2(m2)) + 2.0 * (m2[0] * c[0] + m2[1] * c[1])
-    b = -2.0 * s
-    disc = b * b - 4.0 * a * c0
-    root = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
-    x = np.where(np.isfinite(disc), np.fmax(c0 / root, root / a), np.nan)
-    band = np.abs(a) <= TOL_SING
+    n2 grows: the valid n2 are [fold, inf), and the fold is the larger root
+    of the determinant (Simon's criterion).  In x = n2 - x0 that is a
+    quadratic a x^2 + b x + ..., b = -2s, in the criterion's ``_Family``.
+    Off the band |a| <= TOL_SING the root is the closed bound, read from
+    the batch's ``_closed_column``; inside it A is taken as singular
+    (``_split_folds``).  It is ``inf`` where the mode-1 rule fails."""
+    q = batch.q
+    f = _Family.of(q, batch.im, prep)
+    x, _ = _closed_column(batch, _BOUND_NAMES[prep])
+    fails = f.mode1_fails()
+    band = np.abs(f.a) <= TOL_SING
     if band.any():
-        split, none = _split_folds(q, c, h, e)
-        x = np.where(band, split, x)
+        split, none = _split_folds(q, f.c, f.h, f.e)
+        x = np.where(band, split + f.x0, x)
         fails = fails | band & none
-    x += x0
     return np.where(fails, np.inf, np.where(np.isfinite(x), x, np.nan)).tolist()
 
 
@@ -826,10 +820,10 @@ def _n2_folds(batch: _Batch):
     the mode-1 rule fails.  They still read it per state, through the
     bound's ``DegenerateBoundError`` and ``bisect_n2_threshold``, because
     the benchmark's tracer counts those calls."""
-    folds = ((batch, _physical_bound, physicality_bound_n2, "physical"),
-             (batch.mirror, _physical_bound, physicality_bound_n2, "physical"),
-             (batch, _literal_prep_fold, literal_prep_fold, "p_representable"))
-    closed = [_bound_array(bt, array_bound) for bt, array_bound, _, _ in folds]
+    folds = ((batch, "physicality bound", physicality_bound_n2, "physical"),
+             (batch.mirror, "physicality bound", physicality_bound_n2, "physical"),
+             (batch, "literal P-fold", literal_prep_fold, "p_representable"))
+    closed = [_checked(*_closed_column(bt, what), what) for bt, what, _, _ in folds]
     degenerate = np.zeros(len(batch.q.n1), dtype=bool)
     out = []
     for fold, (bt, _, bound, criterion) in zip(closed, folds):

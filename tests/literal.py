@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+Z = np.diag([1.0, -1.0])  # E = Z (+) Z
 PT_PERM = [0, 1, 3, 2]  # swaps the two rows and the two columns of mode 2: V -> T V T
 
 

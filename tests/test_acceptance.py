@@ -235,8 +235,8 @@ def test_mirror_identity_campaign():
     n = 100_000
     a = symplectic._random_box(rng, n)  # n box draws (physical or not)
     q = a.mirror()
-    sep = core._physical_margin_closed(q, core._intermediates(a).mirror())
-    assert sep.tobytes() == core._physical_margin_closed(q, core._intermediates(q)).tobytes()
+    sep = core._closed_margin(q, core._intermediates(a).mirror(), False)
+    assert sep.tobytes() == core._closed_margin(q, core._intermediates(q), False).tobytes()
     checked = np.count_nonzero(~np.isnan(sep))
     assert checked > 0.99 * n
     report(f"mirror-identity (n={n}, exact float equality)")

@@ -467,8 +467,9 @@ class TestSample:
     def negate_closed(self, monkeypatch):
         """Negate the closed-form physicality and separability margins, so
         that the routes disagree off the band."""
-        margin = core._physical_margin_closed
-        monkeypatch.setattr(core, "_physical_margin_closed", lambda q, im: -margin(q, im))
+        margin = core._closed_margin
+        monkeypatch.setattr(core, "_closed_margin",
+                            lambda q, im, prep: margin(q, im, prep) if prep else -margin(q, im, prep))
 
     def skew_closed(self, monkeypatch):
         """Leave every third closed physicality margin undecided, so that it

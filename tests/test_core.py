@@ -11,7 +11,6 @@ from gausssep.core import (
     E,
     GaussianParams,
     I4,
-    Z,
     build_covariance,
     classify,
     min_eigenvalue_hermitian,
@@ -20,6 +19,7 @@ from gausssep.core import (
 from gausssep.errors import DegenerateBoundError, InvalidParameterError, StructuralError
 
 I2 = np.eye(2)
+Z = literal.Z
 
 VACUUM = GaussianParams(0.5, 0.5)
 
@@ -329,7 +329,7 @@ class TestPhysicality:
 
     def test_vacuum_routes_to_oracle(self):
         q = core._ParamArrays.of([VACUUM])
-        assert np.isnan(core._physical_margin_closed(q, core._intermediates(q))[0])
+        assert np.isnan(core._closed_margin(q, core._intermediates(q), False)[0])
         v = classify(VACUUM, method=core.METHOD_EIG)
         assert v.physical
         assert v.margin_physical == pytest.approx(0.0, abs=1e-14)
@@ -390,8 +390,8 @@ class TestPRepresentability:
         """The closed-form P bound of the batch and the exact P-fold agree
         on the frozen threshold."""
         q = core._ParamArrays.of([REF])
-        assert core._prep_bound(q, core._intermediates(q))[0] == pytest.approx(
-            REF_PREP_BOUND, abs=1e-12)
+        bound, _ = core._bound(q, core._Family.of(q, core._intermediates(q), True))
+        assert bound[0] == pytest.approx(REF_PREP_BOUND, abs=1e-12)
         assert core.bisect_n2_threshold(REF, "p_representable") == pytest.approx(
             REF_PREP_BOUND, abs=1e-12)
 
@@ -401,7 +401,7 @@ class TestPRepresentability:
         q = core._ParamArrays.of([p])
         im = core._intermediates(q)
         assert im.d_p[0] > 0
-        assert math.isnan(core._prep_bound(q, im)[0])
+        assert math.isnan(core._bound(q, core._Family.of(q, im, True))[0][0])
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
 
     def test_near_vacuum_mode1_falls_back(self):
@@ -649,6 +649,8 @@ def test_public_surface():
     assert missing == []
     removed = ("random_physical_state", "schur_complement", "SingularBlockError",
                "partial_transpose", "decompose_blocks", "prep_bound_n2",
-               "random_local_symplectic", "T", "X", "I2", "_require_hermitian")
+               "random_local_symplectic", "T", "X", "I2", "_require_hermitian", "Z",
+               "_physical_bound", "_prep_bound", "_physical_mode1_fails", "_prep_mode1_fails",
+               "_physical_margin_closed", "_prep_margin_closed")
     for module in (gausssep, core, symplectic, errors):
         assert [name for name in removed if hasattr(module, name)] == []

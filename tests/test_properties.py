@@ -5,7 +5,8 @@ import math
 import struct
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import literal
 from gausssep import core
@@ -40,8 +41,8 @@ def test_mirror_identity_exact(p):
     in the array core; both are NaN where degenerate."""
     a = core._ParamArrays.of([p])
     q = a.mirror()
-    sep = core._physical_margin_closed(q, core._intermediates(a).mirror())
-    assert np.array_equal(sep, core._physical_margin_closed(q, core._intermediates(q)),
+    sep = core._closed_margin(q, core._intermediates(a).mirror(), False)
+    assert np.array_equal(sep, core._closed_margin(q, core._intermediates(q), False),
                           equal_nan=True)
 
 
@@ -255,6 +256,50 @@ def test_exact_folds_on_degenerate_states_match_oracle(p):
         else:
             assert fold_margin(state, criterion, fold * (1 + 1e-7)) >= -core.TOL_PSD
             assert fold_margin(state, criterion, fold * (1 - 1e-7)) < 0
+
+
+@st.composite
+def invariant_forms(draw):
+    """Form 1 (mc = mu) or form 2 (ms = mu) states, with n1 - 1/2 >= 1e-3
+    so that d' = (n1 - 1/2)^2 lies off the band."""
+    mu = draw(complexes(2.0))
+    n1, n2 = draw(st.floats(0.501, 4.0)), draw(st.floats(0.0, 3.0))
+    return GaussianParams(n1, n2, mc=mu) if draw(st.booleans()) else GaussianParams(n1, n2, ms=mu)
+
+
+@given(invariant_forms())
+@example(GaussianParams(0.6442879149519982, 1.5185806937642425,
+                        mc=0.6556368308863103 - 0.06352705380706045j))
+def test_invariant_form_p_fold(p):
+    """On the invariant forms, P-representability holds from
+    n2 = 1/2 + |mu|^2 / (n1 - 1/2), where the quadratic of the P-fold has a
+    double root; on form 1 separability holds from the same n2 (the paper's
+    coincidence).  The exact P-fold matches within 1e-14 relative, the
+    sweep's S-fold within 1e-13."""
+    mu = p.mc if p.ms == 0 else p.ms
+    expected = 0.5 + abs(mu) ** 2 / (p.n1 - 0.5)
+    assert core.bisect_n2_threshold(p, "p_representable") == pytest.approx(expected, rel=1e-14)
+    if p.ms == 0:
+        assert core.n2_folds(p)[1] == pytest.approx(expected, rel=1e-13)
+
+
+@given(param_sets())
+@example(GaussianParams(1.0, 1.0, m2=0.5, ms=0.3, mc=0.3))
+@example(GaussianParams(0.6442879149519982, 1.5185806937642425,
+                        mc=0.6556368308863103 - 0.06352705380706045j))
+def test_exact_fold_off_the_band_is_the_closed_bound(p):
+    """Off the band |a| > TOL_SING, where the mode-1 rule holds, the exact
+    fold of each criterion is its closed bound bit for bit: physicality on
+    ``p`` and on ``p.mirror()``, and P-representability."""
+    q = core._ParamArrays.of([p])
+    im = core._intermediates(q)
+    assume(im.d[0] > core.TOL_SING)
+    for state in (p, p.mirror()):
+        assert bits(core.bisect_n2_threshold(state, "physical")) == bits(
+            core.physicality_bound_n2(state))
+    bound, defined = core._bound(q, core._Family.of(q, im, True))
+    if defined[0]:
+        assert bits(core.bisect_n2_threshold(p, "p_representable")) == bits(bound[0])
 
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, -5e-324])), min_size=10, max_size=10))

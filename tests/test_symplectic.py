@@ -169,7 +169,8 @@ class TestInvariants:
         A = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
         V = (A + A.conj().swapaxes(-1, -2)) * 10.0 ** rng.uniform(-6, 6, size=(300, 1, 1))
         V1, V2, C = V[:, :2, :2], V[:, 2:, 2:], V[:, :2, 2:]
-        chain = V1 @ core.Z @ C @ core.Z @ V2 @ core.Z @ C.conj().swapaxes(-1, -2) @ core.Z
+        Z = literal.Z
+        chain = V1 @ Z @ C @ Z @ V2 @ Z @ C.conj().swapaxes(-1, -2) @ Z
         reference = np.trace(chain, axis1=-2, axis2=-1).real
         scale = np.abs(V).max(axis=(-2, -1))
         assert (np.abs(invariants(V).i4 - reference) <= 1e-12 * scale**4).all()
