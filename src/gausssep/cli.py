@@ -36,13 +36,17 @@ routes share, and ``sweep`` checks its grid's point count against
 error of its own ``GaussianParams``) and takes its folds from one
 ``core._Batch`` of it (``core._n2_folds``).
 ``invariants`` makes one ``symplectic.invariants`` call over the stack of
-the file's covariance matrices, and ``transform`` one
-``symplectic.apply_local`` call (its parameters read by
-``core._ParamArrays.from_covariance``) and, with ``--reduce``, one array
+the file's covariance matrices, and ``transform`` one transform of that
+stack (``apply_local`` without its finiteness check), its parameters read
+by one ``core._ParamArrays.read_stack``, and, with ``--reduce``, one array
 pass of the reduction, out of which ``symplectic.reduce_to_invariant_form``
 reads each record's state.  A failing file reports the error of its first
 failing record, in the order of one record's checks: the transform, the
-read of its parameters, the reduction.  ``sample`` draws (one
+read of its parameters, the reduction.  The first record whose transformed
+matrix fails the read (invalid parameters, which covers a matrix that is
+not finite, or the structural rule) is found on the columns; the records
+before it are reduced first, and then it alone raises its own error, by
+``apply_local`` and ``core.params_from_covariance``.  ``sample`` draws (one
 ``symplectic._random_states`` call, whose arrays it classifies directly),
 classifies (both routes on one batch) and writes its states per batch of
 ``SAMPLE_BATCH`` (1024), so its memory does not grow with ``--count``.
@@ -508,24 +512,14 @@ def cmd_transform(args) -> int:
     )
     batch = core._Batch(q)
     V = batch.covariance
-    try:
-        t = core._ParamArrays.from_covariance(symplectic.apply_local(S, V))
-        if t.invalid().any():
-            raise InvalidParameterError("a transformed state is invalid")
-    except (OverflowError, StructuralError, InvalidParameterError):
-        # A record fails: transform each record on its own as the loop reaches
-        # it, so that the first failing record reports its own error.
-        t = None
-    transformed, reductions = [], []
-    if t is None or args.reduce:
-        for k, row in enumerate(batch.rows() if args.reduce else range(len(V))):
-            if t is None:
-                transformed.append(
-                    core._values(core.params_from_covariance(symplectic.apply_local(S, V[k]))))
-            if args.reduce:
-                reductions.append(_reduction(row))
-    if t is None:
-        t = core._ParamArrays.from_rows(transformed)
+    with np.errstate(over="ignore", invalid="ignore"):  # apply_local, unchecked
+        t, _, ok = core._ParamArrays.read_stack(symplectic._conjugate(S.realized, V))
+    failed = np.flatnonzero(t.invalid() | ~ok)  # a matrix that is not finite fails one of them
+    k = int(failed[0]) if failed.size else len(V)
+    reductions = [_reduction(row) for row in batch.rows()[:k]] if args.reduce else []
+    if failed.size:  # after the errors of the records before it, record k raises its own
+        core.params_from_covariance(symplectic.apply_local(S, V[k]))
+        raise GaussSepError(f"transformed record {k}: a column check and its own checks disagree")
     if args.reduce:
         lines = map('{{"id": {}, "transformed_params": {}, "reduction": {}}}\n'.format,
                     _ids(ids), _params_json(t), _reductions_json(reductions))

@@ -67,8 +67,9 @@ divides by a, and only inside the band does ``_split_folds`` avoid the
 division.  A fold is ``inf`` where its criterion's one mode-1 rule fails,
 the rule the closed margins apply too; ``prep_below_sep`` counts the
 P-fold as below the S-fold only by more than ``FOLD_GAP_RTOL`` * max(1,
-S-fold).  Non-finite intermediates or bounds raise ``OverflowError`` for
-the whole batch, and a non-finite exact fold for the state that reads it.
+S-fold).  Non-finite intermediates, bounds or oracle margins raise
+``OverflowError`` for the whole batch, and a non-finite exact fold for the
+state that reads it.
 """
 
 from __future__ import annotations
@@ -456,13 +457,12 @@ def params_from_covariance(V: np.ndarray) -> GaussianParams:
 
 def min_eigenvalue_hermitian(M: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix of an (N, n, n) stack,
-    as an (N,) array (oracle backend); OverflowError if one is not finite.
-    The stacks come from the package's own layout, Hermitian by
-    construction, so nothing is checked here."""
-    lam = np.linalg.eigvalsh(M)[:, 0]
-    if not np.isfinite(lam).all():
-        raise OverflowError("eigen-oracle overflows")
-    return lam
+    as an (N,) array (oracle backend).  The stacks come from the package's
+    own layout, Hermitian by construction, so nothing is checked here: a
+    matrix whose spectrum overflows has a non-finite value in its own row
+    only, which each caller checks (``_verdicts`` for its whole batch,
+    ``symplectic.reduce_to_invariant_form`` for its one state)."""
+    return np.linalg.eigvalsh(M)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +510,18 @@ _BOUND_NAMES = ("physicality bound", "P-representability bound")  # by prep
 def _bound(q: _ParamArrays, f: _Family):
     """(bound, defined): the smallest n2 at which the criterion of ``f``
     holds, x0 + s/a + sqrt((e (1 - delta/a))^2 + |m2 - c/a|^2), defined
-    where a > TOL_SING and the mode-1 rule holds, NaN elsewhere.  Not
-    checked: where it overflows, it is not finite."""
+    where a > TOL_SING and the mode-1 rule holds, NaN elsewhere.  The root
+    is hypot(e (1 - delta/a), |m2 - c/a|) where the sum of the squares
+    overflows but its terms do not.  Not checked: where it overflows, it is
+    not finite."""
     defined = (f.a > TOL_SING) & (f.h >= 0.0)
     a = np.where(defined, f.a, np.nan)
-    r2 = _abs2(_sub(q.m2, _div(f.c, a)))
+    r = _abs(_sub(q.m2, _div(f.c, a)))
     # P's e = 0 drops the term, and sqrt(fl(r^2)) = r: its bound is 1/2 + s'/d' + |m2 - c'/d'|.
-    if f.e:
-        t = f.e * (1.0 - (_abs2(q.mc) - _abs2(q.ms)) / a)
-        r2 = t * t + r2
-    return f.x0 + f.s / a + np.sqrt(r2), defined
+    t = f.e * (1.0 - (_abs2(q.mc) - _abs2(q.ms)) / a) if f.e else 0.0
+    r2 = t * t + r * r
+    root = np.where(np.isinf(r2) & np.isfinite(t) & np.isfinite(r), np.hypot(t, r), np.sqrt(r2))
+    return f.x0 + f.s / a + root, defined
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -604,6 +606,9 @@ def _prep_margin_eig(V: np.ndarray):
     return min_eigenvalue_hermitian(V - I4 / 2)
 
 
+_ORACLE = "eigen-oracle"  # as in its OverflowError: "eigen-oracle overflows"
+
+
 # Fallback tuple by bit mask: bit k set means criterion _CRITERIA[k] fell back.
 _CRITERIA = ("physical", "separable", "p_representable")
 _FALLBACKS = tuple(tuple(c for k, c in enumerate(_CRITERIA) if code >> k & 1) for code in range(8))
@@ -613,8 +618,8 @@ _ANSWERS = (False, True, None)  # a separable or p_representable answer by its c
 
 def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     """The Verdict of every state of ``batch``, in one array pass.  An
-    ``OverflowError`` from any state's closed form is raised for the whole
-    batch.
+    ``OverflowError`` from any state's closed form or oracle margin is
+    raised for the whole batch.
 
     The records are built in one ``Verdict._make`` pass over the result
     columns: ``physical`` and the margins as Python values by ``tolist``,
@@ -632,7 +637,7 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     # or not used, on rows of the batch's covariance stack.
     need_phys = np.isnan(phys)
     if need_phys.any():
-        phys[need_phys] = _physical_margin_eig(batch.covariance[need_phys])
+        phys[need_phys] = _checked(_physical_margin_eig(batch.covariance[need_phys]), ..., _ORACLE)
     physical = phys >= -tol_psd
     need_sep = np.isnan(sep) & physical
     need_prep = np.isnan(prep) & physical
@@ -640,9 +645,10 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     # build their own stack: ``batch.mirror`` would compute the closed-form
     # intermediates, which the oracle route never needs.
     if need_sep.any():
-        sep[need_sep] = _physical_margin_eig(q.mirror().take(need_sep).covariance())
+        sep[need_sep] = _checked(_physical_margin_eig(q.mirror().take(need_sep).covariance()),
+                                 ..., _ORACLE)
     if need_prep.any():
-        prep[need_prep] = _prep_margin_eig(batch.covariance[need_prep])
+        prep[need_prep] = _checked(_prep_margin_eig(batch.covariance[need_prep]), ..., _ORACLE)
     sep[~physical] = prep[~physical] = np.nan
 
     if method == METHOD_CLOSED:

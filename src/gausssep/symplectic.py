@@ -15,14 +15,14 @@ the package, so it checks their shape and Hermiticity itself and reads the
 blocks V1, V2 and C by slicing.  ``reduce_to_invariant_form`` reads a state
 of a batch (``core._Row``) out of one array pass of the reduction over the
 batch's covariance stack (``core._Batch.covariance``); a lone parameter set
-is a one-element batch.  That pass takes the squeeze angles by column, one
-pass per mode, with the bits of the one-state ``_squeeze_angles``: it maps
+is a one-element batch.  That pass makes one eigen-oracle call over the
+stack and takes the squeeze angles by column, one pass per mode: it maps
 ``math.atanh`` and ``math.atan2`` over the columns' lists, because numpy's
 ``arctanh`` and ``arctan2`` dispatch to SIMD kernels on AVX512 hosts that
 differ from libm in the last bit.  Each state's errors (an oracle overflow,
-undefined or overflowing squeeze angles) are kept as values of the pass
-and raised by the read of that state, so one state's error never stops the
-others' reads.
+undefined or overflowing squeeze angles) come from its own entries of the
+pass's columns, kept as values and raised by the read of that state, so
+one state's error never stops the others' reads.
 
 ``random_physical_states`` is the one sampler entry point, and
 ``_random_states`` its array form, which ``gausssep sample`` classifies
@@ -218,22 +218,11 @@ def _form_params(form: str, nu1: float, nu2: float, mu: complex) -> GaussianPara
     return GaussianParams(n1=nu1, n2=nu2, **{"mc" if form == FORM1 else "ms": mu})
 
 
-def _squeeze_angles(m: complex, n: float) -> tuple[float, float]:
-    """(theta, phi) for one mode: tanh 2 theta = |m|/n, phi = -mu + pi with
-    e^{-i mu} = m/|m|; m = 0 means no squeezing is needed."""
-    r = abs(m)
-    if r == 0.0:
-        return 0.0, math.pi
-    if r >= n:
-        raise DomainError(f"squeeze angle undefined: |m| = {r} >= n = {n}")
-    theta = 0.5 * math.atanh(r / n)
-    mu = -math.atan2(m.imag, m.real)
-    return theta, -mu + math.pi
-
-
 def _squeeze_columns(n: np.ndarray, m: tuple, r: np.ndarray, rows: np.ndarray):
     """The (theta, phi) columns of one mode, with r = |m|: on ``rows``, where
-    0 < r < n, those of ``_squeeze_angles``, bit for bit; (0, pi) elsewhere.
+    0 < r < n, theta = atanh(r/n)/2 and phi = atan2(im m, re m) + pi (tanh
+    2 theta = |m|/n, phi = -mu + pi with e^{-i mu} = m/|m|), by libm's
+    ``atanh`` and ``atan2``; (0, pi) elsewhere, as m = 0 needs no squeeze.
     r comes from ``np.hypot`` (``core._abs``), which is libm's ``hypot``, as
     ``abs`` of a complex is."""
     i = np.flatnonzero(rows)
@@ -247,46 +236,38 @@ def _squeeze_columns(n: np.ndarray, m: tuple, r: np.ndarray, rows: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def _reductions(batch: core._Batch) -> list[tuple]:
     """One array pass of the reduction over every state of ``batch``: per
-    state, its physicality oracle margin or its OverflowError, squeeze
-    angles (theta1, phi1, theta2, phi2) or the DomainError or
-    OverflowError of ``_squeeze_angles`` on it, whether its
-    transformed matrix is finite, whether it goes to form 1, nu1, nu2, mu,
-    whether its form's parameters are valid (``GaussianParams`` accepts
-    them), the residual and whether that passes the structural rule.
+    state, its physicality oracle margin (not finite where the oracle
+    overflows), its squeeze angles (theta1, phi1, theta2, phi2) or the
+    error that leaves them undefined, whether its transformed matrix is
+    finite, whether it goes to form 1, nu1, nu2, mu, whether its form's
+    parameters are valid (``GaussianParams`` accepts them), the residual
+    and whether that passes the structural rule.
 
     Nothing is raised here: ``reduce_to_invariant_form`` raises each
-    state's errors in order.  The oracle runs on each state on its own, as
-    a (1, 4, 4) slice, only if it overflows on the stack.  The angles come
-    by column, one pass per mode (``_squeeze_columns``), with the bits of
-    ``_squeeze_angles``: its ``math.atanh`` and ``math.atan2`` are mapped
-    over the columns' lists, since numpy's ``arctanh`` and ``arctan2`` run
-    SIMD kernels on AVX512 hosts that differ from libm in the last bit.  A
-    state where they are undefined in either mode (|m| > 0 and |m| >= n, or
-    |m| overflows) is transformed with the no-squeeze angles, and its
-    angles are the error that ``_squeeze_angles`` raises on it alone.
+    state's errors in order.  The oracle is one call over the stack, and a
+    matrix whose spectrum overflows has non-finite values in its own row
+    only.  The angles come by column, one pass per mode
+    (``_squeeze_columns``): libm's ``atanh`` and ``atan2`` are mapped over
+    the columns' lists, since numpy's ``arctanh`` and ``arctan2`` run SIMD
+    kernels on AVX512 hosts that differ from libm in the last bit.  A state
+    where they are undefined in either mode (|m| > 0 and |m| >= n) is
+    transformed with the no-squeeze angles, and its angles are the error of
+    its first such mode, built from its columns: a DomainError that names
+    |m| and n, or, where |m| overflows, the OverflowError of Python's
+    ``abs``.
     """
     q, V = batch.q, batch.covariance
-    try:
-        margins = core._physical_margin_eig(V).tolist()
-    except OverflowError:
-        margins = []
-        for M in V[:, None]:
-            try:
-                margins.append(float(core._physical_margin_eig(M)[0]))
-            except OverflowError as exc:
-                margins.append(exc)
+    margins = core._physical_margin_eig(V).tolist()
     r1, r2 = core._abs(q.m1), core._abs(q.m2)
-    undefined = ((r1 > 0.0) & (r1 >= q.n1)) | ((r2 > 0.0) & (r2 >= q.n2))
+    bad1, bad2 = (r1 > 0.0) & (r1 >= q.n1), (r2 > 0.0) & (r2 >= q.n2)
+    undefined = bad1 | bad2
     theta1, phi1 = _squeeze_columns(q.n1, q.m1, r1, (r1 > 0.0) & ~undefined)
     theta2, phi2 = _squeeze_columns(q.n2, q.m2, r2, (r2 > 0.0) & ~undefined)
     angles = list(zip(theta1.tolist(), phi1.tolist(), theta2.tolist(), phi2.tolist()))
     for i in np.flatnonzero(undefined).tolist():
-        n1, a, b, n2, c, d = (float(x[i]) for x in (q.n1, *q.m1, q.n2, *q.m2))
-        try:
-            _squeeze_angles(complex(a, b), n1)
-            _squeeze_angles(complex(c, d), n2)
-        except (DomainError, OverflowError) as exc:  # abs(m) overflows past 1.8e308
-            angles[i] = exc
+        r, n = (float(r1[i]), float(q.n1[i])) if bad1[i] else (float(r2[i]), float(q.n2[i]))
+        angles[i] = (DomainError(f"squeeze angle undefined: |m| = {r} >= n = {n}") if r < math.inf
+                     else OverflowError("absolute value too large"))
     W = _conjugate(_local_matrix(theta1, phi1, 0.0, theta2, phi2, 0.0), V)
 
     form1 = core._abs(q.mc) >= core._abs(q.ms)
@@ -317,8 +298,8 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
     batch, i = core._row(p)
     margin, angles, finite, form1, nu1, nu2, mu, valid, residual, ok = (
         batch.evaluated(_reductions, _reductions)[i])
-    if isinstance(margin, OverflowError):
-        raise margin
+    if not math.isfinite(margin):
+        raise OverflowError("eigen-oracle overflows")
     if not margin >= -core.TOL_PSD:
         raise DomainError("invariant-form reduction requires a physical state")
     if isinstance(angles, Exception):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from gausssep.errors import DomainError
+
 Z = np.diag([1.0, -1.0])  # E = Z (+) Z
 PT_PERM = [0, 1, 3, 2]  # swaps the two rows and the two columns of mode 2: V -> T V T
 
@@ -41,3 +43,16 @@ def local_angles(rng: np.random.Generator, theta_max: float = 1.5) -> tuple:
     theta1, theta2 = rng.uniform(0.0, theta_max, size=2)
     phi1, vphi1, phi2, vphi2 = rng.uniform(0.0, 2 * math.pi, size=4)
     return theta1, phi1, vphi1, theta2, phi2, vphi2
+
+
+def squeeze_angles(m: complex, n: float) -> tuple[float, float]:
+    """(theta, phi) for one mode: tanh 2 theta = |m|/n, phi = -mu + pi with
+    e^{-i mu} = m/|m|; m = 0 means no squeezing is needed."""
+    r = abs(m)
+    if r == 0.0:
+        return 0.0, math.pi
+    if r >= n:
+        raise DomainError(f"squeeze angle undefined: |m| = {r} >= n = {n}")
+    theta = 0.5 * math.atanh(r / n)
+    mu = -math.atan2(m.imag, m.real)
+    return theta, -mu + math.pi

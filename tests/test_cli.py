@@ -79,6 +79,19 @@ class TestClassify:
         assert rec["physical"] and rec["separable"] is False
         assert rec["methods_agree"]
 
+    def test_closed_bound_past_the_square_root_of_the_float_limit(self, tmp_path, capsys):
+        # |m2 - c/d| = 1e159 squares past the float limit, but the bound is
+        # 1e159: the closed route decides the state as the oracle does
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"id": "a", "params": {"n1": 1, "n2": 1e160, "m2": [1e159, 0]}}])
+        code, out = run(["classify", "--input", str(f), "--method", "both"], capsys)
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["method"] == "closed-form" and rec["methods_agree"]
+        for r in (rec, rec["eig"]):
+            assert r["physical"] and r["separable"] and r["p_representable"]
+            assert r["margin_physical"] == r["margin_separable"] == r["margin_prep"] == 0.5
+
     def test_json_document_format(self, tmp_path, capsys):
         f = tmp_path / "in.json"
         f.write_text(json.dumps({"states": [VACUUM_REC, ENTANGLED_REC]}))
@@ -314,6 +327,18 @@ class TestTransform:
         write_jsonl(f, [{"params": {"n1": 1, "n2": 1}}, {"params": {"n1": 1e100, "n2": 1}},
                         {"params": {"n1": 0.1, "n2": 1, "m1": [-5, 0]}}])
         assert main(["transform", "--input", str(f), "--theta1", "300"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: numeric overflow: local symplectic transform overflows\n"
+
+    def test_reduce_reports_a_failing_transform_after_the_records_before_it(self, tmp_path,
+                                                                             capsys):
+        # record 0 transforms and reduces; record 1's transform overflows and
+        # reports its own error, before record 2's negative occupation
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1}}, {"params": {"n1": 1e100, "n2": 1}},
+                        {"params": {"n1": 0.1, "n2": 1, "m1": [-5, 0]}}])
+        assert main(["transform", "--input", str(f), "--theta1", "300", "--reduce"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: numeric overflow: local symplectic transform overflows\n"
@@ -701,10 +726,13 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--axis1", "mc:0:1:3", "--fixed", "m2=1e308"], "physicality bound overflows"),
+        # s/d = 1e308/0.5 at mc = 1e154
+        (["--axis1", "mc:0:1e154:3", "--fixed", "m1=0.5"], "physicality bound overflows"),
+        # the physicality bound is finite, about 1e308; |m2 - c'|/d' = 4e308 is not
+        (["--axis1", "mc:0:1:3", "--fixed", "m2=1e308"], "literal P-fold overflows"),
         (["--axis1", "n1:0:1e300:3"],
          "closed-form intermediates overflow for state 1 of the batch"),
-    ], ids=["bound", "intermediates"])
+    ], ids=["bound", "literal-fold", "intermediates"])
     def test_overflow_exit_4(self, tmp_path, capsys, argv, message):
         out = tmp_path / "x.csv"
         assert main(["sweep", *argv, "--output", str(out)]) == 4

@@ -292,12 +292,14 @@ class TestReduceToInvariantForm:
             GaussianParams(0.4, 1.0),  # unphysical
             GaussianParams(1.5, 2.0, m2=0.7 - 0.2j), GaussianParams(1e8, 1.0, m1=3e7 + 1e7j),
             GaussianParams(2e9, 1.0, m1=2e9),  # no squeeze angle, if the oracle calls it physical
+            GaussianParams(1, 1, m1=complex(1.5e308, 1.5e308)),  # the oracle overflows
         ]
 
         def outcome(p):
             try:
                 res = reduce_to_invariant_form(p)
-            except (DomainError, PrescriptionInapplicableError) as exc:  # the same, alone or not
+            except (DomainError, OverflowError,
+                    PrescriptionInapplicableError) as exc:  # the same, alone or not
                 return type(exc), str(exc)
             assert "realized" not in vars(res.transform)
             S = res.transform
@@ -307,15 +309,17 @@ class TestReduceToInvariantForm:
         alone = [outcome(p) for p in states]
         assert alone == [outcome(row) for row in core._Batch.of(states).rows()]
         assert [a[0] for a in alone] == [FORM1, FORM2, FORM1, PrescriptionInapplicableError,
-                                         DomainError, FORM1, FORM1, DomainError]
+                                         DomainError, FORM1, FORM1, DomainError, OverflowError]
 
     def test_unphysical_rejected(self):
         with pytest.raises(DomainError):
             reduce_to_invariant_form(GaussianParams(0.4, 1.0))
 
     def test_overcorrelated_mode_rejected(self):
-        with pytest.raises(DomainError):
-            symplectic._squeeze_angles(1.1, 1.0)
+        [(_, angles, *_)] = symplectic._reductions(
+            core._Batch.of([GaussianParams(1.0, 1.0, m1=1.1)]))
+        assert type(angles) is DomainError
+        assert str(angles) == "squeeze angle undefined: |m| = 1.1 >= n = 1.0"
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(mode_draws(), mode_draws()), min_size=1, max_size=12))
@@ -323,23 +327,36 @@ class TestReduceToInvariantForm:
     @example([((1.0, (0.33963775269927754, -0.5491007814405117)),
                (1.0, (-0.39701329139800523, -0.6432708048667787))),
               ((1.0, (-0.08643461043269918, -0.1380469264168396)), (0.0, (0.0, -0.0)))])
+    # |m| overflows abs(): in mode 1, in mode 2, and in mode 2 after mode 1's DomainError
+    @example([((1.0, (1.5e308, 1.5e308)), (1.0, (0.5, 0.0))),
+              ((1.0, (0.5, 0.0)), (1.0, (1.5e308, -1.5e308))),
+              ((1.0, (1.1, 0.0)), (1.0, (-1.5e308, 1.5e308)))])
     def test_column_angles_are_the_scalar_angles(self, modes):
-        """The angles of ``_reductions`` are, state by state, those of
-        ``_squeeze_angles`` on that state alone, bit for bit (signed zeros
-        included), or the same DomainError, mode 1's first."""
+        """The angles of ``_reductions`` are, state by state, those of the
+        scalar reference ``literal.squeeze_angles`` on that state alone, bit
+        for bit (signed zeros included), or the same DomainError or
+        OverflowError, mode 1's first."""
         rows = [(n1, *m1, n2, *m2) for (n1, m1), (n2, m2) in modes]
         n1, a, b, n2, c, d = np.array(rows, dtype=float).T.copy()
         zero = (np.zeros_like(n1), np.zeros_like(n1))
         q = core._ParamArrays(n1, n2, (a, b), (c, d), zero, zero)
         got = [row[1] for row in symplectic._reductions(core._Batch(q))]
-        assert (core._abs((a, b)).tolist() == [abs(complex(*m)) for m in zip(a, b)]
-                and core._abs((c, d)).tolist() == [abs(complex(*m)) for m in zip(c, d)])
+
+        def modulus(re, im):  # abs(), or inf where it overflows
+            try:
+                return abs(complex(re, im))
+            except OverflowError:
+                return math.inf
+
+        with np.errstate(over="ignore"):
+            assert (core._abs((a, b)).tolist() == list(map(modulus, a, b))
+                    and core._abs((c, d)).tolist() == list(map(modulus, c, d)))
         for angles, (n1, a, b, n2, c, d) in zip(got, rows):
             try:
-                want = (symplectic._squeeze_angles(complex(a, b), n1)
-                        + symplectic._squeeze_angles(complex(c, d), n2))
-            except DomainError as exc:
-                assert type(angles) is DomainError and str(angles) == str(exc)
+                want = (literal.squeeze_angles(complex(a, b), n1)
+                        + literal.squeeze_angles(complex(c, d), n2))
+            except (DomainError, OverflowError) as exc:
+                assert type(angles) is type(exc) and str(angles) == str(exc)
             else:
                 assert repr(angles) == repr(want)
 
