@@ -25,9 +25,10 @@ one string per batch, written to an output truncated at open.
 as one ``core._ParamArrays``.  It checks each record's layout and numbers
 as it reads it (``record_to_params``), then the finiteness and occupations
 of all of them on their (N, 10) array and the structural rule in one pass
-over the stack of their matrices; a failing file reports its first failing
-record, named by its location.  Every command except ``sample`` evaluates all of its
-states before it opens its output, so an evaluation error, like a parse
+over the stack of their matrices (``core._ParamArrays.from_records``); a
+failing file reports its first failing record, named by its location, with
+the error of its own columns.  Every command except ``sample`` evaluates
+all of its states before it opens its output, so an evaluation error, like a parse
 error, exits before any record is written: ``classify`` classifies by each
 route on one ``core._Batch`` of the file, whose covariance stack both
 routes share, and ``sweep`` checks its grid's point count against
@@ -36,17 +37,15 @@ routes share, and ``sweep`` checks its grid's point count against
 error of its own ``GaussianParams``) and takes its folds from one
 ``core._Batch`` of it (``core._n2_folds``).
 ``invariants`` makes one ``symplectic.invariants`` call over the stack of
-the file's covariance matrices, and ``transform`` one transform of that
-stack (``apply_local`` without its finiteness check), its parameters read
-by one ``core._ParamArrays.read_stack``, and, with ``--reduce``, one array
-pass of the reduction, out of which ``symplectic.reduce_to_invariant_form``
-reads each record's state.  A failing file reports the error of its first
-failing record, in the order of one record's checks: the transform, the
-read of its parameters, the reduction.  The first record whose transformed
-matrix fails the read (invalid parameters, which covers a matrix that is
-not finite, or the structural rule) is found on the columns; the records
-before it are reduced first, and then it alone raises its own error, by
-``apply_local`` and ``core.params_from_covariance``.  ``sample`` draws (one
+the file's covariance matrices, and ``transform`` one transform and read of
+that stack (``symplectic._transform_stack``) and, with ``--reduce``, one
+array pass of the reduction, out of which
+``symplectic.reduce_to_invariant_form`` reads each record's state.  A
+failing file reports the error of its first failing record, in the order
+of one record's checks: the transform, the read of its parameters, the
+reduction.  The transform pass returns the first record whose transformed
+matrix fails, with its error; the records before it are reduced first, so
+that their errors come first.  ``sample`` draws (one
 ``symplectic._random_states`` call, whose arrays it classifies directly),
 classifies (both routes on one batch) and writes its states per batch of
 ``SAMPLE_BATCH`` (1024), so its memory does not grow with ``--count``.
@@ -101,7 +100,6 @@ from .errors import (
     InvalidParameterError,
     ParseError,
     PrescriptionInapplicableError,
-    StructuralError,
 )
 
 EXIT_OK = 0
@@ -234,20 +232,6 @@ def _jsonl_records(text: str, path: str):
             yield where, value if end == len(line) else _parse_json(line, where)
 
 
-def _record_error(where: str, values) -> GaussSepError:
-    """The error of a record that fails a column check, as the public
-    constructors raise it, prefixed with the record's ``where``."""
-    try:
-        if isinstance(values, np.ndarray):
-            core.params_from_covariance(values)
-        else:
-            n1, n2, *m = values
-            GaussianParams(n1, n2, *(complex(re, im) for re, im in zip(m[::2], m[1::2])))
-    except (InvalidParameterError, StructuralError) as exc:
-        return type(exc)(f"{where}: {exc}")
-    return GaussSepError(f"{where}: a column check and the record's own checks disagree")
-
-
 def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
     """The ids and the parameters, as columns, of every record of ``path`` in
     ``fmt`` ("json" or "jsonl").
@@ -257,10 +241,11 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
     fails to parse or read (a ParseError or OverflowError) ends the reading.
     Finiteness and occupations are then checked on the (N, 10) array of the
     records read, and the structural rule in one pass over the stack of
-    their matrices.  The earliest record that fails anything is the one
-    reported: its column-check error is the one its constructor
-    (``GaussianParams`` or ``params_from_covariance``) raises, prefixed
-    with its location."""
+    their matrices (``core._ParamArrays.from_records``).  The earliest
+    record that fails anything is the one reported: a column check's error
+    comes from that record's own columns (``first_error``), the error its
+    constructor (``GaussianParams`` or ``params_from_covariance``) would
+    raise, prefixed with its location."""
     try:
         data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
         text = data.decode("utf-8")
@@ -275,39 +260,23 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
         records = ((f"{path} states[{i}]", record) for i, record in enumerate(doc["states"]))
     else:
         records = _jsonl_records(text, path)
-    ids, wheres, rows, matrices, matrix_at = [], [], [], [], []
+    ids, wheres, values = [], [], []
     held = None
     try:
         for where, record in records:
-            rec_id, values = record_to_params(record, where)
-            if type(values) is tuple:
-                rows.append(values)
-            else:
-                matrix_at.append(len(rows))
-                rows.append(_MATRIX_ROW)
-                matrices.append(values)
+            rec_id, v = record_to_params(record, where)
             ids.append(rec_id)
             wheres.append(where)
+            values.append(v)
     except (ParseError, OverflowError) as exc:
         held = exc
-    cols = np.array(rows, dtype=float).reshape(-1, 10)
-    structural = np.ones(len(cols), dtype=bool)
-    if matrices:
-        qm, _, ok = core._ParamArrays.read_stack(np.array(matrices))
-        cols[matrix_at] = np.column_stack(qm.columns())
-        structural[matrix_at] = ok
-    q = core._ParamArrays.from_rows(cols)
-    failed = np.flatnonzero(q.invalid() | ~structural)
-    if failed.size:
-        k = int(failed[0])
-        values = matrices[matrix_at.index(k)] if k in matrix_at else rows[k]
-        raise _record_error(wheres[k], values)
+    q, failure = core._ParamArrays.from_records(values)
+    if failure is not None:
+        k, exc = failure
+        raise type(exc)(f"{wheres[k]}: {exc}")
     if held is not None:
         raise held
     return ids, q
-
-
-_MATRIX_ROW = (0.0,) * 10  # a matrix record's row until the stack pass reads it
 
 
 def _is_regular_file(path: str | None) -> bool:
@@ -455,17 +424,12 @@ def _params_json(q: core._ParamArrays) -> list[str]:
     return list(map(_PARAMS, *(_floats(x.tolist()) for x in q.columns())))
 
 
-def _check_tol_psd(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidParameterError(f"--tol-psd must be finite and >= 0, got {tol}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_classify(args) -> int:
-    _check_tol_psd(args.tol_psd)
+    core._check_tol_psd(args.tol_psd, "--tol-psd")
     ids, q = load_states(args.input, args.format)
     batch = core._Batch(q)
     method = core.METHOD_EIG if args.method == "eig" else core.METHOD_CLOSED
@@ -511,15 +475,11 @@ def cmd_transform(args) -> int:
         args.theta1, args.phi1, args.vphi1, args.theta2, args.phi2, args.vphi2
     )
     batch = core._Batch(q)
-    V = batch.covariance
-    with np.errstate(over="ignore", invalid="ignore"):  # apply_local, unchecked
-        t, _, ok = core._ParamArrays.read_stack(symplectic._conjugate(S.realized, V))
-    failed = np.flatnonzero(t.invalid() | ~ok)  # a matrix that is not finite fails one of them
-    k = int(failed[0]) if failed.size else len(V)
+    t, failure = symplectic._transform_stack(S, batch.covariance)
+    k = len(ids) if failure is None else failure[0]
     reductions = [_reduction(row) for row in batch.rows()[:k]] if args.reduce else []
-    if failed.size:  # after the errors of the records before it, record k raises its own
-        core.params_from_covariance(symplectic.apply_local(S, V[k]))
-        raise GaussSepError(f"transformed record {k}: a column check and its own checks disagree")
+    if failure is not None:  # after the errors of the records before it
+        raise failure[1]
     if args.reduce:
         lines = map('{{"id": {}, "transformed_params": {}, "reduction": {}}}\n'.format,
                     _ids(ids), _params_json(t), _reductions_json(reductions))
@@ -575,8 +535,8 @@ def _tally(summary: dict, params: list[str], closed: list[tuple], eig: list[tupl
     summary["prep_and_entangled"] += pairs.count((False, True))
     if summary["separable_not_prep_witness"] is None and (True, False) in pairs:
         summary["separable_not_prep_witness"] = json.loads(params[pairs.index((True, False))])
-    with np.errstate(invalid="ignore"):  # a NaN margin compares False: it is off the band
-        on_band = (np.abs(np.array(margins)) <= core.BOUNDARY_BAND).any(axis=0)
+    margins = np.nan_to_num(np.array(margins), nan=np.inf)  # a NaN margin is off the band
+    on_band = (np.abs(margins) <= core.BOUNDARY_BAND).any(axis=0)
     fell_back = np.fromiter(map(len, closed[-1]), dtype=np.intp, count=len(agree)) > 0
     summary["method_disagreements_off_boundary"] += int(np.count_nonzero(
         ~on_band & ~np.array(agree, dtype=bool) & ~fell_back))
@@ -591,7 +551,7 @@ def cmd_sample(args) -> int:
     entangled state or the routes disagree off the boundary band."""
     if args.count < 1:
         raise InvalidParameterError("--count must be >= 1")
-    _check_tol_psd(args.tol_psd)
+    core._check_tol_psd(args.tol_psd, "--tol-psd")
     seed = _seed(args.seed)
     rng = np.random.default_rng(seed)
     summary = {

@@ -237,18 +237,19 @@ class _ParamArrays(NamedTuple):
         return (q, *_rebuild_residual(V, q.covariance()))
 
     @classmethod
-    def from_covariance(cls, V: np.ndarray) -> "_ParamArrays":
-        """The parameters read off an (N, 4, 4) stack of covariance matrices
-        by the structural rule of ``params_from_covariance``: every matrix
-        must rebuild from its own parameters (``_rebuild_residual``), else
-        StructuralError."""
-        q, residual, ok = cls.read_stack(V)
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            raise StructuralError(
-                f"matrix {bad[0]} of the stack does not have the two-mode covariance pattern"
-                f" (max deviation {residual[bad[0]]:.3e})")
-        return q
+    def from_records(cls, values):
+        """(parameters, failure) of N records, each the tuple of ten floats
+        of a parameter set, in the order of ``columns``, or a 4x4 matrix,
+        read by one ``read_stack`` over all of them; ``failure`` is their
+        ``first_error``, whose structural rule covers the matrices only."""
+        at = [k for k, v in enumerate(values) if type(v) is not tuple]
+        cols = np.array([v if type(v) is tuple else (0.0,) * 10 for v in values], float).reshape(-1, 10)
+        residual, ok = np.zeros(len(cols)), np.ones(len(cols), dtype=bool)
+        if at:
+            qm, residual[at], ok[at] = cls.read_stack(np.array([values[k] for k in at]))
+            cols[at] = np.column_stack(qm.columns())
+        q = cls.from_rows(cols)
+        return q, q.first_error(ok, residual)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The ten (N,) columns: n1, n2, then re and im of m1, m2, ms, mc."""
@@ -260,12 +261,28 @@ class _ParamArrays(NamedTuple):
         finite = np.logical_and.reduce([np.isfinite(x) for x in self.columns()])
         return ~finite | (self.n1 < 0.0) | (self.n2 < 0.0)
 
-    def validated(self) -> "_ParamArrays":
-        """``self``, whose parameter sets ``GaussianParams`` must all accept:
-        the first it rejects raises its error, built from that one set."""
-        bad = np.flatnonzero(self.invalid())
-        if bad.size:
-            self.take(bad[:1]).params()
+    def first_error(self, ok=None, residual=None):
+        """(k, error) of the first set k that fails as ``params_from_covariance``
+        fails: where ``GaussianParams`` rejects it, that one set's error, else
+        where it fails the structural mask ``ok``, the StructuralError of its
+        ``residual``; None if every set passes."""
+        bad = self.invalid() if ok is None else self.invalid() | ~ok
+        if not bad.any():
+            return None
+        k = int(np.argmax(bad))
+        try:
+            self.take([k]).params()
+        except InvalidParameterError as exc:
+            return k, exc
+        return k, StructuralError("matrix does not have the two-mode covariance pattern"
+                                  f" (max deviation {residual[k]:.3e})")
+
+    def validated(self, ok=None, residual=None) -> "_ParamArrays":
+        """``self``, whose parameter sets must all pass ``first_error``: the
+        first that fails raises its error."""
+        failure = self.first_error(ok, residual)
+        if failure is not None:
+            raise failure[1]
         return self
 
     def params(self) -> list[GaussianParams]:
@@ -441,18 +458,14 @@ def params_from_covariance(V: np.ndarray) -> GaussianParams:
     covers Hermiticity and the conjugation pattern between the two rows of
     each mode (``_rebuild_residual``); otherwise StructuralError.  A shape
     other than 4x4 fails first, then parameters ``GaussianParams`` rejects,
-    then the pattern.  V is read as the one-element stack of
-    ``_ParamArrays.read_stack``.
+    then the pattern (``_ParamArrays.first_error`` of V as a one-element
+    stack of ``_ParamArrays.read_stack``).
     """
     V = np.asarray(V, dtype=complex)
     if V.shape != (4, 4):
         raise StructuralError(f"expected a 4x4 matrix, got shape {V.shape}")
     q, residual, ok = _ParamArrays.read_stack(V[None])
-    p = q.params()[0]
-    if not ok[0]:
-        raise StructuralError("matrix does not have the two-mode covariance pattern"
-                              f" (max deviation {residual[0]:.3e})")
-    return p
+    return q.validated(ok, residual).params()[0]
 
 
 def min_eigenvalue_hermitian(M: np.ndarray) -> np.ndarray:
@@ -616,10 +629,17 @@ _METHODS = (METHOD_CLOSED,) + (METHOD_EIG,) * 7  # a closed-form route's method,
 _ANSWERS = (False, True, None)  # a separable or p_representable answer by its code
 
 
+def _check_tol_psd(tol: float, name: str = "tol_psd") -> None:
+    """The one rule for the decision tolerance ``name``: finite and >= 0,
+    else InvalidParameterError."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParameterError(f"{name} must be finite and >= 0, got {tol}")
+
+
 def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
-    """The Verdict of every state of ``batch``, in one array pass.  An
-    ``OverflowError`` from any state's closed form or oracle margin is
-    raised for the whole batch.
+    """The Verdict of every state of ``batch``, in one array pass, for a
+    ``tol_psd`` that passes ``_check_tol_psd``.  An ``OverflowError`` from
+    any state's closed form or oracle margin is raised for the whole batch.
 
     The records are built in one ``Verdict._make`` pass over the result
     columns: ``physical`` and the margins as Python values by ``tolist``,
@@ -627,6 +647,7 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     is unphysical), and ``method`` and ``fallbacks`` by the fallback code."""
     if method not in (METHOD_CLOSED, METHOD_EIG):
         raise ValueError(f"unknown method {method!r}")
+    _check_tol_psd(tol_psd)
     q = batch.q
     if method == METHOD_CLOSED:
         phys, sep, prep = _closed_margins(q, batch.im)
@@ -672,7 +693,8 @@ def classify(p: GaussianParams | _Row, method: str = METHOD_CLOSED,
     ``method`` is "closed-form" or "eigen-oracle".  The closed-form route
     falls back to the eigen-oracle per criterion when its bound is
     degenerate; any fallback is recorded in ``fallbacks`` and flips
-    ``method`` to "eigen-oracle".  ``p`` is a parameter set or a state of
+    ``method`` to "eigen-oracle".  ``tol_psd`` must be finite and >= 0,
+    else InvalidParameterError.  ``p`` is a parameter set or a state of
     the batch ``classify_batch`` evaluates: the Verdict is read from one
     array pass over the batch, run at the batch's first call with this
     method and tolerance.

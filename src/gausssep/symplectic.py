@@ -121,6 +121,21 @@ def apply_local(S: LocalSymplectic, V: np.ndarray) -> np.ndarray:
     return W
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _transform_stack(S: LocalSymplectic, V: np.ndarray):
+    """(parameters, failure) of ``apply_local`` over an (N, 4, 4) stack,
+    unchecked: the parameters read off each transformed matrix and the
+    ``first_error`` of that read (which every matrix that is not finite
+    fails), whose error is ``apply_local``'s OverflowError where its matrix
+    is not finite."""
+    W = _conjugate(S.realized, V)
+    t, residual, ok = core._ParamArrays.read_stack(W)
+    failure = t.first_error(ok, residual)
+    if failure is not None and not np.isfinite(W[failure[0]]).all():
+        failure = failure[0], OverflowError("local symplectic transform overflows")
+    return t, failure
+
+
 @dataclass(frozen=True)
 class SymplecticInvariants:
     """det V1, det V2, det C and Tr[V1 Z C Z V2 Z C+ Z]; all real and fixed
@@ -368,7 +383,8 @@ def _random_box(rng: np.random.Generator, n: int, n_lo: float = 0.4, n_hi: float
 
 def _construct(rng: np.random.Generator, n: int) -> core._ParamArrays:
     """n thermal states conjugated by a random local symplectic and a random
-    two-mode mixer, read off by the structural rule."""
+    two-mode mixer, read off and checked as ``core.params_from_covariance``
+    reads and checks one matrix."""
     two_pi = 2 * math.pi
     nu1, nu2, theta1, theta2, phi1, vphi1, phi2, vphi2, r, gamma = _uniform_columns(
         rng, n, [(0.5, NU_MAX)] * 2 + [(0.0, THETA_MAX)] * 2 + [(0.0, two_pi)] * 4
@@ -377,7 +393,8 @@ def _construct(rng: np.random.Generator, n: int) -> core._ParamArrays:
     V[:, 0, 0] = V[:, 1, 1] = nu1
     V[:, 2, 2] = V[:, 3, 3] = nu2
     V = _conjugate(_local_matrix(theta1, phi1, vphi1, theta2, phi2, vphi2), V)
-    return core._ParamArrays.from_covariance(_conjugate(two_mode_mixer(r, gamma), V))
+    q, residual, ok = core._ParamArrays.read_stack(_conjugate(two_mode_mixer(r, gamma), V))
+    return q.validated(ok, residual)
 
 
 def _reject(rng: np.random.Generator, n: int) -> core._ParamArrays:
@@ -417,7 +434,7 @@ def _random_states(rng: np.random.Generator, n: int, mode: str) -> core._ParamAr
     if n < 0:
         raise ValueError(f"cannot draw {n} states")
     if mode == "construct":
-        return _construct(rng, n).validated()
+        return _construct(rng, n)
     if mode == "reject":
         return _reject(rng, n)
     raise ValueError(f"unknown sampling mode {mode!r}")

@@ -1161,6 +1161,82 @@ def test_ragged_matrix_reports_numpy_error(tmp_path):
     assert _main(["classify", "--input", str(f)]) == (2, "", f"error: {f}:1: bad matrix: {message}\n")
 
 
+def matrix_json(V):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(V, dtype=complex).tolist()]
+
+
+def error_alone(record):
+    """The error of ``record`` checked on its own: ``GaussianParams`` of its
+    "params", or ``params_from_covariance`` of its "matrix"."""
+    with pytest.raises((errors.InvalidParameterError, errors.StructuralError)) as alone:
+        if "params" in record:
+            GaussianParams(**{k: complex(*v) if type(v) is list else v
+                              for k, v in record["params"].items()})
+        else:
+            core.params_from_covariance([[complex(*z) for z in row] for row in record["matrix"]])
+    return alone.value
+
+
+NEGATIVE_N_MATRIX = core.build_covariance(GaussianParams(1.2, 0.9, m1=0.1, ms=0.2j, mc=0.3))
+NEGATIVE_N_MATRIX[2, 2] = NEGATIVE_N_MATRIX[3, 3] = -0.5  # the pattern holds; n2 = -0.5 is invalid
+BAD_PARAMS = {"params": {"n1": 1, "n2": -0.5, "mc": [0.2, 0.1]}}
+
+
+class TestErrorOfTheRecordAlone:
+    """A file's error is that of its first failing record checked on its
+    own, by ``GaussianParams`` or ``params_from_covariance``, prefixed
+    with the record's location; a later failing record or a later parse
+    error does not change it."""
+
+    @pytest.mark.parametrize("bad, after", [
+        ({"params": {"n1": math.nan, "n2": 1}}, []),
+        ({"params": {"n1": 1, "n2": 1, "mc": [math.inf, 0.0]}}, []),
+        (BAD_PARAMS, []),
+        ({"matrix": matrix_json(NEGATIVE_N_MATRIX)}, []),
+        ({"matrix": BROKEN_MATRIX}, []),
+        ({"matrix": BROKEN_MATRIX}, [BAD_PARAMS]),  # a bad matrix before bad params
+        (BAD_PARAMS, [{"params": {"n1": "1", "n2": 1}}]),  # a parse error after the bad record
+    ])
+    @pytest.mark.parametrize("fmt", ["jsonl", "json"])
+    def test_load_states_reports_the_record_alone(self, tmp_path, fmt, bad, after):
+        good = [VACUUM_REC, {"matrix": matrix_json(core.build_covariance(GaussianParams(
+            1, 1, m1=0.2, mc=0.3j)))}, ENTANGLED_REC]
+        records = [*good, bad, *good, *after]
+        f = tmp_path / f"in.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(f, records)
+            where = f"{f}:4"
+        else:
+            f.write_text(json.dumps({"states": records}))
+            where = f"{f} states[3]"
+        with pytest.raises(errors.GaussSepError) as raised:
+            cli.load_states(str(f), fmt)
+        alone = error_alone(bad)
+        assert (type(raised.value), str(raised.value)) == (type(alone), f"{where}: {alone}")
+
+    @pytest.mark.parametrize("theta1, bad, code", [
+        ("300", {"n1": 1e100, "n2": 1}, 4),  # the transformed matrix overflows
+        ("0.4", {"n1": 0.1, "n2": 1, "m1": [-5, 0]}, 3),  # its transformed n1 is negative
+    ])
+    @pytest.mark.parametrize("reduce", [[], ["--reduce"]])
+    def test_transform_reports_the_record_alone(self, tmp_path, capsys, theta1, bad, code,
+                                                reduce):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1}}, {"params": bad},
+                        {"params": {"n1": 0.1, "n2": 1, "m1": [-5, 0]}}])
+        S = symplectic.make_local_symplectic(float(theta1))
+        V = core.build_covariance(GaussianParams(bad["n1"], bad["n2"], complex(*bad.get("m1", [0]))))
+        with pytest.raises((OverflowError, errors.GaussSepError)) as alone:
+            core.params_from_covariance(symplectic.apply_local(S, V))
+        prefix = "numeric overflow: " if isinstance(alone.value, OverflowError) else ""
+        assert main(["transform", "--input", str(f), "--theta1", theta1, *reduce]) == code
+        assert capsys.readouterr() == ("", f"error: {prefix}{alone.value}\n")
+        t, failure = symplectic._transform_stack(
+            S, np.stack([core.build_covariance(GaussianParams(1, 1)), V, V]))
+        assert (failure[0], type(failure[1]), str(failure[1])) == (
+            1, type(alone.value), str(alone.value))
+
+
 def test_parser_is_built_once(tmp_path):
     # an appended option must not carry over from one parse to the next
     out = tmp_path / "x.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ BROKEN_RELATIONS = [
 ]
 
 
+def stack_failure(*matrices):
+    """``first_error`` of the parameters read off a stack of ``matrices``."""
+    q, residual, ok = core._ParamArrays.read_stack(np.stack(matrices))
+    return q.first_error(ok, residual)
+
+
+def assert_fails_as_alone(failure, k, V):
+    """``failure`` names matrix ``k`` of its stack with the error that
+    ``params_from_covariance`` raises on that matrix, ``V``, alone."""
+    with pytest.raises((InvalidParameterError, StructuralError)) as alone:
+        params_from_covariance(V)
+    index, exc = failure
+    assert (index, type(exc), str(exc)) == (k, type(alone.value), str(alone.value))
+
+
 class TestStructuralRule:
     """A matrix is accepted iff it rebuilds from the parameters read off it:
     entry (i, j) within TOL_PATTERN * max(1, sqrt(|B_ii| |B_jj|)) of the
@@ -121,14 +137,14 @@ class TestStructuralRule:
     @pytest.mark.parametrize("edits", BROKEN_RELATIONS)
     def test_stack_reader_applies_the_same_rule(self, edits):
         """Each matrix of a stack is read and checked as one matrix is; the
-        first that fails is named."""
+        first that fails is named, with its own error."""
         good = build_covariance(GENERIC)
         bad = good.copy()
         for ij, dv in edits.items():
             bad[ij] += dv
-        with pytest.raises(StructuralError, match="matrix 1 of the stack"):
-            core._ParamArrays.from_covariance(np.stack([good, bad, bad]))
-        q = core._ParamArrays.from_covariance(np.stack([good, build_covariance(REF)]))
+        assert_fails_as_alone(stack_failure(good, bad, bad), 1, bad)
+        q, residual, ok = core._ParamArrays.read_stack(np.stack([good, build_covariance(REF)]))
+        assert q.first_error(ok, residual) is None
         assert q.params() == [GENERIC, REF] == [params_from_covariance(good), REF]
 
     def test_within_tolerance_accepted(self):
@@ -144,15 +160,15 @@ class TestStructuralRule:
         V = build_covariance(p)
         V[1, 0] += 2.5e-4  # two ulps of 1e12, 2.5e5 TOL_PATTERN
         assert params_from_covariance(V) == p
-        assert core._ParamArrays.from_covariance(np.stack([V, V])).params() == [p, p]
+        assert stack_failure(V, V) is None
+        assert core._ParamArrays.read_stack(np.stack([V, V]))[0].params() == [p, p]
         broken, infinite = V.copy(), V.copy()
         broken[1, 0] += 2 * TOL_PATTERN * 1e12
         infinite[3, 2] = math.inf
         for W in (broken, infinite):
             with pytest.raises(StructuralError):
                 params_from_covariance(W)
-            with pytest.raises(StructuralError, match="matrix 1 of the stack"):
-                core._ParamArrays.from_covariance(np.stack([V, W]))
+            assert_fails_as_alone(stack_failure(V, W), 1, W)
 
     @pytest.mark.parametrize(
         "edits", [e for e in BROKEN_RELATIONS if any(max(ij) >= 2 for ij in e)])
@@ -167,8 +183,7 @@ class TestStructuralRule:
             bad[ij] += dv
         with pytest.raises(StructuralError):
             params_from_covariance(bad)
-        with pytest.raises(StructuralError, match="matrix 1 of the stack"):
-            core._ParamArrays.from_covariance(np.stack([V, bad]))
+        assert_fails_as_alone(stack_failure(V, bad), 1, bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, math.nan)])
     @pytest.mark.parametrize("ij", [(i, j) for i in range(4) for j in range(4)])
@@ -195,6 +210,27 @@ class TestStructuralRule:
         V[0, 0] = V[1, 1] = 1.2
         with pytest.raises(StructuralError, match=r"pattern \(max deviation 4\.9"):
             params_from_covariance(V)
+
+    def test_first_error_in_order(self):
+        """``first_error`` names the first failing set of a stack; within a
+        set, invalid parameters come before the pattern, as in
+        ``params_from_covariance``."""
+        good = build_covariance(GENERIC)
+        broken, both, infinite = good.copy(), good.copy(), good.copy()
+        broken[1, 0] += 5.0
+        both[0, 0], both[1, 0] = -1.0, 5.0
+        infinite[0, 0] = math.inf
+        assert_fails_as_alone(stack_failure(good, broken, both), 1, broken)
+        assert_fails_as_alone(stack_failure(good, both, broken), 1, both)
+        assert_fails_as_alone(stack_failure(infinite, broken), 0, infinite)
+        assert isinstance(stack_failure(good, both)[1], InvalidParameterError)
+        q = core._ParamArrays.of([GENERIC, GaussianParams(1, 1)])
+        assert q.first_error() is None and q.validated() is q
+        q = q._replace(n2=np.array([1.0, -2.0]))
+        k, exc = q.first_error()
+        assert (k, str(exc)) == (1, "occupations must be nonnegative, got n1=1.0, n2=-2.0")
+        with pytest.raises(InvalidParameterError, match="n2=-2.0"):
+            q.validated()
 
 
 class TestDecomposeBlocks:
@@ -506,6 +542,20 @@ class TestClassify:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             classify(VACUUM, method="guess")
+
+    @pytest.mark.parametrize("method", [core.METHOD_CLOSED, core.METHOD_EIG])
+    @pytest.mark.parametrize("tol", [-1.0, -5.0, math.nan, math.inf])
+    def test_bad_tol_psd_rejected(self, tol, method):
+        """A negative tolerance called GaussianParams(1, 1) unphysical at
+        margin 0.5, NaN called every state unphysical and inf every state
+        physical; both entry points reject them instead."""
+        message = f"tol_psd must be finite and >= 0, got {tol}"
+        for p in (GaussianParams(1, 1), GaussianParams(1, 1, mc=0.3), GaussianParams(0.4, 1)):
+            with pytest.raises(InvalidParameterError, match=re.escape(message)):
+                classify(p, method=method, tol_psd=tol)
+            with pytest.raises(InvalidParameterError, match=re.escape(message)):
+                core.classify_batch([REF, p], method=method, tol_psd=tol)
+        assert classify(REF, method=method, tol_psd=0.0).physical
 
     def test_methods_agree_on_reference(self):
         vc = classify(REF)

@@ -504,17 +504,22 @@ class TestBatchSampling:
         assert bits(q.params()) == bits(random_physical_states(b, 23, mode))
         assert a.bit_generator.state == b.bit_generator.state
 
-    @pytest.mark.parametrize("mode, sampler", [("construct", "_construct"), ("reject", "_random_box")])
-    def test_invalid_draw_raises_its_error(self, mode, sampler, monkeypatch):
-        """A drawn row that ``GaussianParams`` rejects raises its error."""
-        real = getattr(symplectic, sampler)
-
-        def with_negative_n1(*args, **kwargs):
-            q = real(*args, **kwargs)
+    @pytest.mark.parametrize("mode", ["construct", "reject"])
+    def test_invalid_draw_raises_its_error(self, mode, monkeypatch):
+        """A drawn row that ``GaussianParams`` rejects raises its error:
+        ``_construct`` checks the rows it reads off its matrices, and
+        ``_reject`` the candidates of ``_random_box`` that it accepts."""
+        def with_negative_n1(q):
             return q._replace(n1=np.where(np.arange(len(q.n1)) == 1, -1.0, q.n1))
 
-        monkeypatch.setattr(symplectic, sampler, with_negative_n1)
-        if mode == "reject":  # the eigen-oracle accepts every candidate
+        if mode == "construct":
+            read = core._ParamArrays.read_stack
+            monkeypatch.setattr(core._ParamArrays, "read_stack",
+                                lambda V: (with_negative_n1(read(V)[0]), *read(V)[1:]))
+        else:  # the eigen-oracle accepts every candidate
+            box = symplectic._random_box
+            monkeypatch.setattr(symplectic, "_random_box",
+                                lambda *args: with_negative_n1(box(*args)))
             monkeypatch.setattr(core, "_physical_margin_eig", lambda V: np.zeros(len(V)))
         with pytest.raises(InvalidParameterError, match="occupations must be nonnegative"):
             symplectic._random_states(np.random.default_rng(1), 4, mode)
