@@ -19,23 +19,23 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
 Every subcommand parses its arguments and input, evaluates its states and
 hands its output to one writer (``_write_output``), the only code that
 opens and closes an output: one string for the whole output, written with
-one call and in place over an existing regular file, or, from ``sample``,
-one string per batch, written to an output truncated at open.
+one call and in place over an existing regular file, or, from a ``sample``
+run longer than one batch, one string per batch, truncated at open.
 ``load_states`` reads an input file into columns: the ids, and the states
 as one ``core._ParamArrays``.  It checks each record's layout and numbers
 as it reads it (``record_to_params``), then the finiteness and occupations
 of all of them on their (N, 10) array and the structural rule in one pass
 over the stack of their matrices (``core._ParamArrays.from_records``); a
 failing file reports its first failing record, named by its location, with
-the error of its own columns.  Every command except ``sample`` evaluates
-all of its states before it opens its output, so an evaluation error, like a parse
-error, exits before any record is written: ``classify`` classifies by each
-route on one ``core._Batch`` of the file, whose covariance stack both
-routes share, and ``sweep`` checks its grid's point count against
-``SWEEP_MAX_POINTS`` from the axis specs alone, then builds the grid as one
-``core._ParamArrays`` (``_sweep_grid``; the first invalid point raises the
-error of its own ``GaussianParams``) and takes its folds from one
-``core._Batch`` of it (``core._n2_folds``).
+the error of its own columns.  Every command but a streamed ``sample``
+evaluates all of its states before it opens its output, so an evaluation
+error, like a parse error, exits before any record is written:
+``classify`` classifies by each route on one ``core._Batch`` of the file,
+whose covariance stack both routes share, and ``sweep`` checks its grid's
+point count against ``SWEEP_MAX_POINTS`` from the axis specs alone, then
+builds the grid as one ``core._ParamArrays`` (``_sweep_grid``; the first
+invalid point raises the error of its own ``GaussianParams``) and takes
+its folds from one ``core._Batch`` of it (``core._n2_folds``).
 ``invariants`` makes one ``symplectic.invariants`` call over the stack of
 the file's covariance matrices, and ``transform`` one transform and read of
 that stack (``symplectic._transform_stack``) and, with ``--reduce``, one
@@ -47,7 +47,7 @@ reduction.  The transform pass returns the first record whose transformed
 matrix fails, with its error; the records before it are reduced first, so
 that their errors come first.  ``sample`` draws (one
 ``symplectic._random_states`` call, whose arrays it classifies directly),
-classifies (both routes on one batch) and writes its states per batch of
+classifies (both routes on one batch) and formats its states per batch of
 ``SAMPLE_BATCH`` (1024), so its memory does not grow with ``--count``.
 
 The text layer makes Python calls per record, not per value.  A JSONL line
@@ -59,16 +59,16 @@ whitespace around its value or one that is not JSON, goes through
 tests, and a matrix's 16 cells into one ``np.array`` call; a location is
 built only for the error it names.  The JSON records are formatted from
 columns, with the bytes ``json.dumps`` would write for the same values as
-a dict: each float column in one ``float.__repr__`` pass (``_floats``; a
-column with a value that is not finite then takes one lookup pass, which
-writes a NaN margin as null), a string id by the encoder ``json.dumps``
-calls for it (``_ids``), and the answers, methods and fallback tuples by
-lookup.  A list of verdicts is read as columns, transposed once
-(``_columns``); ``methods_agree`` and ``sample``'s ``agree`` and summary
-come from those columns too.  ``sweep`` formats each fold column
-in one ``float.__repr__`` pass (an infinite fold is ``inf``, not JSON's
-``Infinity``), each axis's values once (``_axis_columns``), its flags by
-lookup and each line with one format call.
+a dict: each record by one ``%`` call on its kind's template, built from
+shared fragments (``_P``, ``_V``).  A float column goes in as floats (``%s``
+of a float is its ``float.__repr__``), or as ``_floats`` strings if it
+holds a value that is not finite (a NaN margin is null); a string id by
+the encoder ``json.dumps`` calls for it (``_ids``); answers, methods and
+fallback tuples by lookup.  Verdicts are read as columns (``_columns``),
+which also give ``methods_agree`` and ``sample``'s ``agree`` and summary.  ``sweep`` formats each
+fold column in one ``float.__repr__`` pass (an infinite fold is ``inf``,
+not JSON's ``Infinity``), each axis's values once (``_axis_columns``), its
+flags by lookup and each line with one format call.
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
@@ -292,10 +292,9 @@ def _open_output(path: str | None, in_place: bool = False):
     ``in_place``, when its old bytes stay until the writer cuts them."""
     if path is None or path == "-":
         return sys.stdout, False
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0) | (0 if in_place else os.O_TRUNC)
     try:
-        if not in_place:
-            return open(path, "w", encoding="utf-8", newline=""), True
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        fd = os.open(path, flags, 0o666)
         try:
             return open(fd, "w", encoding="utf-8", newline=""), True
         except BaseException:
@@ -309,7 +308,8 @@ def _write_output(path: str | None, text) -> None:
     """Write ``text`` to ``path`` (stdout for None or '-') and flush it: the
     one place an output is opened and closed.  ``text`` is either a whole
     output, one string written with one call, or an iterable of strings
-    written one call each (``sample``'s batches).
+    written one call each: the batches of a ``sample`` run of more than
+    ``SAMPLE_BATCH`` states, whose shorter runs are whole outputs.
 
     A whole output to an existing regular file is written in place: the
     file is opened without truncating it, written from its start and cut at
@@ -359,12 +359,15 @@ _MARGIN = {**_NUMBER, "nan": "null"}  # a NaN margin is not applicable
 def _floats(xs, fix=_NUMBER) -> list[str]:
     """``json.dumps`` of every float of ``xs``, with the non-finite strings
     of ``fix`` (``_NUMBER``, or ``_MARGIN`` for margins): one
-    ``float.__repr__`` pass over them, then, if the column holds a value
-    that is not finite, one lookup pass."""
+    ``float.__repr__`` pass over them, then one lookup pass."""
     out = list(map(float.__repr__, xs))
-    if not all(map(math.isfinite, xs)):
-        out = list(map(fix.get, out, out))
-    return out
+    return list(map(fix.get, out, out))
+
+
+def _column(xs, fix=_NUMBER):
+    """The floats ``xs`` as ``%s`` arguments that write ``json.dumps``'s
+    bytes: ``xs`` itself if every value is finite, else its ``_floats``."""
+    return xs if all(map(math.isfinite, xs)) else _floats(xs, fix)
 
 
 def _ids(ids: list) -> list[str]:
@@ -377,8 +380,15 @@ def _ids(ids: list) -> list[str]:
 _CONSTANT = {value: json.dumps(value) for value in (
     core.METHOD_CLOSED, core.METHOD_EIG, *core._FALLBACKS, symplectic.FORM1, symplectic.FORM2)}
 
-_VERDICT = ('"physical": {}, "separable": {}, "p_representable": {}, "margin_physical": {}, '
-            '"margin_separable": {}, "margin_prep": {}, "method": {}, "fallbacks": {}').format
+# Record template fragments: a parameter set's object, from the ten columns
+# of ``_param_args``, and a Verdict's members, from the eight of ``_verdict_args``
+_P = '{"n1": %s, "n2": %s, "m1": [%s, %s], "m2": [%s, %s], "ms": [%s, %s], "mc": [%s, %s]}'
+_V = ('"physical": %s, "separable": %s, "p_representable": %s, "margin_physical": %s, '
+      '"margin_separable": %s, "margin_prep": %s, "method": %s, "fallbacks": %s')
+_CLASSIFY = '{"id": %s, ' + _V + '}\n'
+_CLASSIFY_BOTH = '{"id": %s, ' + _V + ', "eig": {' + _V + '}, "methods_agree": %s}\n'
+_SAMPLE = ('{"index": %s, "params": ' + _P + ', "closed": {' + _V + '}, "eig": {' + _V
+           + '}, "agree": %s}\n')
 
 
 def _columns(verdicts: list[Verdict]) -> list[tuple]:
@@ -387,14 +397,17 @@ def _columns(verdicts: list[Verdict]) -> list[tuple]:
     return list(zip(*verdicts)) or [()] * len(Verdict._fields)
 
 
-def _verdict_fields(columns: list[tuple]) -> list[str]:
-    """The members of each Verdict's JSON object, without the braces, from
-    the ``_columns`` of the verdicts."""
+def _verdict_args(columns: list[tuple]) -> list:
+    """The eight ``_V`` argument columns of verdicts given as ``_columns``."""
     physical, separable, prep, *margins, method, fallbacks = columns
-    return list(map(
-        _VERDICT, *(map(_BOOL.__getitem__, x) for x in (physical, separable, prep)),
-        *(_floats(x, _MARGIN) for x in margins),
-        map(_CONSTANT.__getitem__, method), map(_CONSTANT.__getitem__, fallbacks)))
+    return [*(map(_BOOL.__getitem__, x) for x in (physical, separable, prep)),
+            *(_column(x, _MARGIN) for x in margins),
+            map(_CONSTANT.__getitem__, method), map(_CONSTANT.__getitem__, fallbacks)]
+
+
+def _param_args(q: core._ParamArrays) -> list:
+    """The ten ``_P`` argument columns of the parameter sets of ``q``."""
+    return [_column(x.tolist()) for x in q.columns()]
 
 
 def _agree(a: list[tuple], b: list[tuple]) -> list[bool]:
@@ -408,20 +421,17 @@ def _classify_lines(ids: list, verdicts: list[Verdict], eig: list[Verdict] | Non
     ``--method both``, whose closed-form verdicts are ``verdicts``."""
     closed = _columns(verdicts)
     if eig is None:
-        return list(map('{{"id": {}, {}}}\n'.format, _ids(ids), _verdict_fields(closed)))
+        return list(map(_CLASSIFY.__mod__, zip(_ids(ids), *_verdict_args(closed))))
     eig = _columns(eig)
-    return list(map('{{"id": {}, {}, "eig": {{{}}}, "methods_agree": {}}}\n'.format,
-                    _ids(ids), _verdict_fields(closed), _verdict_fields(eig),
-                    map(_BOOL.__getitem__, _agree(closed, eig))))
-
-
-_PARAMS = '{{"n1": {}, "n2": {}, "m1": [{}, {}], "m2": [{}, {}], "ms": [{}, {}], "mc": [{}, {}]}}'.format
+    return list(map(_CLASSIFY_BOTH.__mod__, zip(
+        _ids(ids), *_verdict_args(closed), *_verdict_args(eig),
+        map(_BOOL.__getitem__, _agree(closed, eig)))))
 
 
 def _params_json(q: core._ParamArrays) -> list[str]:
     """Each parameter set of ``q`` as the JSON object {"n1": .., "n2": ..,
     "m1": [re, im], .., "mc": [re, im]}."""
-    return list(map(_PARAMS, *(_floats(x.tolist()) for x in q.columns())))
+    return list(map(_P.__mod__, zip(*_param_args(q))))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +452,8 @@ def cmd_classify(args) -> int:
 def cmd_invariants(args) -> int:
     ids, q = load_states(args.input, args.format)
     inv = symplectic.invariants(q.covariance())
-    lines = map('{{"id": {}, "i1": {}, "i2": {}, "i3": {}, "i4": {}}}\n'.format, _ids(ids),
-                *(_floats(x.tolist()) for x in (inv.i1, inv.i2, inv.i3, inv.i4)))
+    lines = map('{"id": %s, "i1": %s, "i2": %s, "i3": %s, "i4": %s}\n'.__mod__, zip(
+        _ids(ids), *(_column(x.tolist()) for x in (inv.i1, inv.i2, inv.i3, inv.i4))))
     _write_output(args.output, "".join(lines))
     return EXIT_OK
 
@@ -465,7 +475,7 @@ def _reductions_json(reductions: list[tuple]) -> list[str]:
         f'{{"applicable": true, "form": {_CONSTANT[form]}, "nu1": {nu1}, "nu2": {nu2}, '
         f'"mu": [{re}, {im}], "residual": {residual}}}' if form is not None
         else f'{{"applicable": false, "residual": {residual}}}'
-        for form, nu1, nu2, re, im, residual in zip(forms, *map(_floats, cols))
+        for form, nu1, nu2, re, im, residual in zip(forms, *map(_column, cols))
     ]
 
 
@@ -480,30 +490,16 @@ def cmd_transform(args) -> int:
     reductions = [_reduction(row) for row in batch.rows()[:k]] if args.reduce else []
     if failure is not None:  # after the errors of the records before it
         raise failure[1]
+    columns = [_ids(ids), *_param_args(t)]
     if args.reduce:
-        lines = map('{{"id": {}, "transformed_params": {}, "reduction": {}}}\n'.format,
-                    _ids(ids), _params_json(t), _reductions_json(reductions))
-    else:
-        lines = map('{{"id": {}, "transformed_params": {}}}\n'.format, _ids(ids), _params_json(t))
-    _write_output(args.output, "".join(lines))
+        columns.append(_reductions_json(reductions))
+    line = ('{"id": %s, "transformed_params": ' + _P
+            + (', "reduction": %s}\n' if args.reduce else '}\n'))
+    _write_output(args.output, "".join(map(line.__mod__, zip(*columns))))
     return EXIT_OK
 
 
 SAMPLE_BATCH = 1024  # states drawn and classified per batch, so memory does not grow with --count
-
-
-def _sampled(rng, mode: str, count: int, tol_psd: float):
-    """(index of its first state, parameters, closed-form verdicts, oracle
-    verdicts) of each batch of ``SAMPLE_BATCH`` of the ``count`` states
-    drawn from ``rng``: a batch is drawn in one array pass, as
-    ``core._ParamArrays``, and classified by both routes on one
-    ``core._Batch``; the states are those of one-at-a-time draws, whatever
-    the batch size."""
-    for start in range(0, count, SAMPLE_BATCH):
-        batch = core._Batch(
-            symplectic._random_states(rng, min(SAMPLE_BATCH, count - start), mode))
-        yield (start, batch.q, core._classified(batch, core.METHOD_CLOSED, tol_psd),
-               core._classified(batch, core.METHOD_EIG, tol_psd))
 
 
 def _seed(seed: int | None) -> int:
@@ -519,13 +515,13 @@ def _seed(seed: int | None) -> int:
     return seed
 
 
-def _tally(summary: dict, params: list[str], closed: list[tuple], eig: list[tuple],
+def _tally(summary: dict, params, closed: list[tuple], eig: list[tuple],
            agree: list[bool]) -> None:
     """Add one batch to the ``sample`` summary: the counts from the oracle's
-    answers, the first separable state that is not P-representable as the
-    witness, and the disagreements off the boundary band.  A state lies on
-    the band if any oracle margin that is not NaN has |m| <= BOUNDARY_BAND;
-    one whose closed route fell back to the oracle does not count."""
+    answers, the first separable state k that is not P-representable as the
+    witness (``params(k)``, its params object), and the disagreements off the
+    boundary band.  A state lies on the band if any oracle margin that is not
+    NaN has |m| <= BOUNDARY_BAND; one whose closed route fell back does not count."""
     _, separable, prep, *margins, _, _ = eig
     pairs = list(zip(separable, prep))
     summary["separable"] += separable.count(True)
@@ -534,7 +530,7 @@ def _tally(summary: dict, params: list[str], closed: list[tuple], eig: list[tupl
     summary["separable_not_prep"] += pairs.count((True, False))
     summary["prep_and_entangled"] += pairs.count((False, True))
     if summary["separable_not_prep_witness"] is None and (True, False) in pairs:
-        summary["separable_not_prep_witness"] = json.loads(params[pairs.index((True, False))])
+        summary["separable_not_prep_witness"] = json.loads(params(pairs.index((True, False))))
     margins = np.nan_to_num(np.array(margins), nan=np.inf)  # a NaN margin is off the band
     on_band = (np.abs(margins) <= core.BOUNDARY_BAND).any(axis=0)
     fell_back = np.fromiter(map(len, closed[-1]), dtype=np.intp, count=len(agree)) > 0
@@ -544,9 +540,10 @@ def _tally(summary: dict, params: list[str], closed: list[tuple], eig: list[tupl
 
 def cmd_sample(args) -> int:
     """Draw ``--count`` states, classify each by both routes and write one
-    record per state, then the summary line.  Each batch is tallied
-    (``_tally``) and formatted by columns, with one format call per line,
-    and written with one call.
+    record per state, then the summary line.  Each batch of ``SAMPLE_BATCH``
+    is drawn in one array pass (the states of one-at-a-time draws), classified
+    on one ``core._Batch``, tallied (``_tally``) and formatted with one format
+    call per line.  One batch is a whole output; more are written one call each.
     Exit 5 after the summary when the oracle finds a P-representable
     entangled state or the routes disagree off the boundary band."""
     if args.count < 1:
@@ -560,21 +557,22 @@ def cmd_sample(args) -> int:
         "separable_not_prep": 0, "prep_and_entangled": 0,
         "method_disagreements_off_boundary": 0, "separable_not_prep_witness": None,
     }
-    line = '{{"index": {}, "params": {}, "closed": {{{}}}, "eig": {{{}}}, "agree": {}}}\n'.format
 
     def batches():
-        """Each batch's record lines as one string, tallied into ``summary``,
-        then the summary line."""
-        for start, q, closed, eig in _sampled(rng, args.mode, args.count, args.tol_psd):
-            params, closed, eig = _params_json(q), _columns(closed), _columns(eig)
+        """Each batch's record lines as one string, then the summary line."""
+        for start in range(0, args.count, SAMPLE_BATCH):
+            q = symplectic._random_states(rng, min(SAMPLE_BATCH, args.count - start), args.mode)
+            batch = core._Batch(q)
+            closed, eig = (_columns(core._classified(batch, method, args.tol_psd))
+                           for method in (core.METHOD_CLOSED, core.METHOD_EIG))
             agree = _agree(closed, eig)
-            _tally(summary, params, closed, eig, agree)
-            yield "".join(map(line, range(start, start + len(params)), params,
-                              _verdict_fields(closed), _verdict_fields(eig),
-                              map(_BOOL.__getitem__, agree)))
+            _tally(summary, lambda k: _params_json(q.take([k]))[0], closed, eig, agree)
+            yield "".join(map(_SAMPLE.__mod__, zip(
+                range(start, start + len(agree)), *_param_args(q), *_verdict_args(closed),
+                *_verdict_args(eig), map(_BOOL.__getitem__, agree))))
         yield json.dumps({"summary": summary}) + "\n"
 
-    _write_output(args.output, batches())
+    _write_output(args.output, "".join(batches()) if args.count <= SAMPLE_BATCH else batches())
     if summary["prep_and_entangled"] or summary["method_disagreements_off_boundary"]:
         return EXIT_INTERNAL
     return EXIT_OK

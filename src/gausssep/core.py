@@ -409,7 +409,8 @@ class _Batch:
         return value
 
     def rows(self) -> list["_Row"]:
-        return [_Row(self, i) for i in range(len(self.q.n1))]
+        n, rep = len(self.q.n1), itertools.repeat  # tuple.__new__ skips the NamedTuple's Python __new__
+        return list(map(tuple.__new__, rep(_Row, n), zip(rep(self, n), range(n))))
 
 
 class _Row(NamedTuple):
@@ -699,7 +700,7 @@ def classify(p: GaussianParams | _Row, method: str = METHOD_CLOSED,
     array pass over the batch, run at the batch's first call with this
     method and tolerance.
     """
-    batch, i = _row(p)
+    batch, i = p if type(p) is _Row else _row(p)
     return batch.evaluated((method, tol_psd), _verdicts, method, tol_psd)[i]
 
 
@@ -714,7 +715,8 @@ def classify_batch(params: Sequence[GaussianParams], method: str = METHOD_CLOSED
 def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     """``classify`` of every state of ``batch``: the routes classified on
     one batch share its covariance stack."""
-    return [classify(row, method, tol_psd) for row in batch.rows()]
+    _check_tol_psd(tol_psd)  # here too: an empty batch reads no row
+    return list(map(classify, batch.rows(), itertools.repeat(method), itertools.repeat(tol_psd)))
 
 
 # ---------------------------------------------------------------------------

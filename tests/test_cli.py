@@ -172,6 +172,27 @@ class TestClassify:
         assert sorted(calls) == ["batch", "columns"]
         assert [V.tobytes() for V in built].count(inputs) == 1
 
+    @pytest.mark.parametrize("method", ["closed", "eig", "both"])
+    def test_lines_are_json_dumps(self, tmp_path, capsys, method):
+        """Every line holds the bytes ``json.dumps`` writes for its record:
+        NaN margins (an unphysical state) as null, closed-route fallbacks
+        (d = 0 exactly), and int, null, float and non-ASCII string ids."""
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"id": 7, "params": {"n1": 0.4, "n2": 1}},
+                        {"id": None, "params": {"n1": 0.5, "n2": 0.8, "ms": [0.1, 0.2]}},
+                        {"id": "état \u2603\x01", "params": {"n1": 1, "n2": 1, "mc": [0.6, 0]}},
+                        {"id": 2.5, "params": {"n1": 1.4, "n2": 1.2, "m1": [0.3, 0.1]}},
+                        {"params": {"n1": 0.5, "n2": 0.5}}])
+        code, out = run(["classify", "--method", method, "--input", str(f)], capsys)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        for line in lines:
+            assert json.dumps(strict_json(line)) + "\n" == line
+        records = [json.loads(line) for line in lines]
+        assert [r["id"] for r in records] == [7, None, "état \u2603\x01", 2.5, None]
+        assert records[0]["physical"] is False and records[0]["margin_separable"] is None
+        assert records[1]["fallbacks"] == ([] if method == "eig" else ["physical"])
+
     def test_output_file_deterministic(self, tmp_path, capsys):
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [VACUUM_REC, ENTANGLED_REC])
@@ -421,7 +442,8 @@ class TestSample:
         summary = json.loads(lines[-1])["summary"]
         assert summary["prep_and_entangled"] == 0
         assert summary["method_disagreements_off_boundary"] == 0
-        for line in lines:  # written as json.dumps writes them
+        assert summary["separable_not_prep_witness"] is not None
+        for line in lines:  # written as json.dumps writes them, the witness too
             assert json.dumps(strict_json(line)) + "\n" == line
 
     def test_output_independent_of_batch_size(self, tmp_path, monkeypatch):
@@ -538,7 +560,7 @@ class TestSample:
                                  "prep_and_entangled", "method_disagreements_off_boundary"), 0)
         summary["separable_not_prep_witness"] = None
         closed, eig = cli._columns(closed), cli._columns(eig)
-        cli._tally(summary, ['{"n1": 1}'] * 4, closed, eig, cli._agree(closed, eig))
+        cli._tally(summary, lambda k: '{"n1": 1}', closed, eig, cli._agree(closed, eig))
         assert summary == {"separable": 4, "entangled": 0, "p_representable": 0,
                            "separable_not_prep": 4, "prep_and_entangled": 0,
                            "method_disagreements_off_boundary": 1,
@@ -1298,14 +1320,15 @@ class TestWriteFailures:
         self.check(proc.returncode, err.decode())
 
 
-# Every command that writes a whole output, and sample, which writes per batch
-# (two batches here)
+# Every command that writes a whole output, a sample run of one batch, which
+# is one too, and a longer sample run, which writes per batch (two batches here)
 REWRITES = {
     "classify": ["classify", "--method", "both"],
     "invariants": ["invariants"],
     "transform": ["transform", "--reduce", "--theta1", "0.3", "--phi2", "1.1"],
     "sweep": ["sweep", "--axis1", "m1:0:1.2:7", "--axis2", "mc:0:0.9:5"],
     "sample": ["sample", "--count", str(cli.SAMPLE_BATCH + 5), "--seed", "3"],
+    "sample-one-batch": ["sample", "--count", "30", "--seed", "3"],
 }
 
 
@@ -1329,7 +1352,8 @@ class TestOutputRewrite:
     """An output written over an existing, longer file holds the bytes of a
     fresh write, and a write that fails part-way leaves nothing of the old
     contents.  A whole output goes in place over an existing regular file;
-    ``sample``, stdout and devices are truncated at open."""
+    a ``sample`` run of more than one batch, stdout and devices are
+    truncated at open."""
 
     def argv(self, tmp_path, name):
         argv = REWRITES[name]
@@ -1372,6 +1396,18 @@ class TestOutputRewrite:
         assert out.read_bytes() == fresh
         assert calls == [False, name != "sample"]
 
+    def test_failed_one_batch_sample_leaves_the_file(self, tmp_path, monkeypatch, capsys):
+        """A sample run of one batch evaluates all of its states before it
+        opens its output: a draw that fails leaves an existing file as it
+        was.  Seed 3's first reject-mode draw is unphysical."""
+        out = self.stale(tmp_path, 0)
+        old = out.read_bytes()
+        monkeypatch.setattr(symplectic, "MAX_DRAWS", 1)
+        argv = ["sample", "--count", "30", "--seed", "3", "--mode", "reject"]
+        assert main([*argv, "--output", str(out)]) == 5
+        assert capsys.readouterr().err == "internal error: no physical state found in 1 draws\n"
+        assert out.read_bytes() == old
+
     def test_in_place_open_keeps_the_old_bytes(self, tmp_path):
         out = self.stale(tmp_path, 0)
         old = out.read_bytes()
@@ -1392,8 +1428,8 @@ class TestOutputRewrite:
 
     @pytest.mark.parametrize("name", REWRITES)
     def test_write_failing_part_way(self, tmp_path, monkeypatch, capsys, name):
-        """The first write is the whole output (``sample``'s first batch), so
-        the file holds its first 100 characters and nothing else."""
+        """The first write is the whole output (a streamed ``sample``'s first
+        batch), so the file holds its first 100 characters and nothing else."""
         argv = self.argv(tmp_path, name)
         fresh = self.fresh(tmp_path, argv)
         out = self.stale(tmp_path, len(fresh))
@@ -1409,7 +1445,7 @@ class TestOutputRewrite:
         assert out.read_bytes() == fresh[:100]
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="no file-size limit")
-    @pytest.mark.parametrize("name", ["classify", "sample"])
+    @pytest.mark.parametrize("name", ["classify", "sample", "sample-one-batch"])
     def test_file_size_limit_part_way(self, tmp_path, name):
         """A real write that fails part-way: past the file-size limit the
         kernel writes what fits and then fails with EFBIG, and the flush at

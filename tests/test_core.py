@@ -555,6 +555,8 @@ class TestClassify:
                 classify(p, method=method, tol_psd=tol)
             with pytest.raises(InvalidParameterError, match=re.escape(message)):
                 core.classify_batch([REF, p], method=method, tol_psd=tol)
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            core.classify_batch([], method=method, tol_psd=tol)  # no state is read
         assert classify(REF, method=method, tol_psd=0.0).physical
 
     def test_methods_agree_on_reference(self):
