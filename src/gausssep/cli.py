@@ -19,8 +19,9 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
 Every subcommand parses its arguments and input, evaluates its states and
 hands its output to one writer (``_write_output``), the only code that
 opens and closes an output: one string for the whole output, written with
-one call and in place over an existing regular file, or, from a ``sample``
-run longer than one batch, one string per batch, truncated at open.
+one call, in place, and cut at its end where the file opened is a regular
+one, or, from a ``sample`` run longer than one batch, one string per batch,
+truncated at open.
 ``load_states`` reads an input file into columns: the ids, and the states
 as one ``core._ParamArrays``.  It checks each record's layout and numbers
 as it reads it (``record_to_params``), then the finiteness and occupations
@@ -279,20 +280,14 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
     return ids, q
 
 
-def _is_regular_file(path: str | None) -> bool:
-    try:
-        return path not in (None, "-") and stat.S_ISREG(os.stat(path).st_mode)
-    except OSError:  # no such file yet, or one ``open`` reports on its own
-        return False
-
-
-def _open_output(path: str | None, in_place: bool = False):
+def _open_output(path: str | None, whole: bool):
     """(stream, close) of the output ``path``: stdout for None or '-', which
-    is not closed; else the file, for text, truncated at open unless
-    ``in_place``, when its old bytes stay until the writer cuts them."""
+    is not closed; else the file, for text, truncated at open unless it
+    takes a ``whole`` output, when its old bytes stay until the writer cuts
+    them."""
     if path is None or path == "-":
         return sys.stdout, False
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0) | (0 if in_place else os.O_TRUNC)
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0) | (0 if whole else os.O_TRUNC)
     try:
         fd = os.open(path, flags, 0o666)
         try:
@@ -311,29 +306,25 @@ def _write_output(path: str | None, text) -> None:
     written one call each: the batches of a ``sample`` run of more than
     ``SAMPLE_BATCH`` states, whose shorter runs are whole outputs.
 
-    A whole output to an existing regular file is written in place: the
-    file is opened without truncating it, written from its start and cut at
-    the bytes written, also when a write fails, so it never keeps a tail of
-    its old contents.  Any other output, streamed ones too, is truncated at
-    open, so a streamed run killed part-way never ends with an older run's
-    records.  A failed write, flush or close (a full disk, a closed pipe)
-    is a ParseError."""
+    A whole output is written in place: the file is opened without
+    truncating it and written from its start, and where ``os.fstat`` says
+    the file opened is a regular one, it is cut at the bytes written, also
+    when a write fails, so it never keeps a tail of its old contents.  A
+    streamed output is truncated at open, so a streamed run killed part-way
+    never ends with an older run's records.  Stdout is never cut.  A failed
+    write, flush or close (a full disk, a closed pipe) is a ParseError."""
     whole = isinstance(text, str)
-    in_place = whole and _is_regular_file(path)
-    out, close = _open_output(path, in_place)
+    out, close = _open_output(path, whole)
     try:
         try:
-            if in_place:
-                try:
-                    out.write(text)
-                    out.flush()
-                finally:
-                    fd = out.fileno()  # its offset: the bytes that reached the file
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-            else:
+            try:
                 for chunk in (text,) if whole else text:
                     out.write(chunk)
                 out.flush()
+            finally:
+                if whole and close and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    fd = out.fileno()  # its offset: the bytes that reached the file
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         finally:
             if close:
                 out.close()

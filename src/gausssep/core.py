@@ -32,24 +32,25 @@ fold column from the closed form's array pass over the batch, the same
 pass the n2 bounds read, and the entries without a closed form from the
 exact fold's array pass; ``n2_folds`` is its one-element view.  A batch
 builds its (N, 4, 4) covariance stack once, read-only, at its first use;
-the oracle rows and the invariant-form reduction of ``symplectic`` index
-that one stack.  Every operation is elementwise or per matrix, so a
-state's result does not depend on the other states in its batch, bit for
-bit.
+the oracle rows of all three criteria and the invariant-form reduction of
+``symplectic`` index that one stack.  Every operation is elementwise or per
+matrix, so a state's result does not depend on the other states in its
+batch, bit for bit.
 
-Separability is physicality of the partial transpose (Simon's criterion), so
-it has no code of its own: both its margins are the physicality code run on
-the mirrored arrays (``_ParamArrays.mirror``: ms <-> mc swapped, m2
+Physicality and P-representability are one positivity question at two
+shifts, so they share one closed form: the parameters (a, s, c, h, e, x0)
+of their ``_Family`` (a = d or d', the determinant of the shifted mode-1
+block), built by one formula at each shift (``_families``).  Separability
+is physicality of the partial transpose (Simon's criterion), so it has no
+code of its own: both its margins are the physicality code run on the
+mirrored states (``_ParamArrays.mirror``: ms <-> mc swapped, m2
 conjugated; ``GaussianParams.mirror`` is its one-element view), the closed
-form with the mirrored intermediates (s, conj(c), d), the oracle on their
-covariance.  That covariance is T V T, the matrix with the rows and columns
-of mode 2 swapped (index permutation [0, 1, 3, 2]); once E/2 is added, bit
-for bit.  Complex products are computed on the (re, im) float pairs, with the
-groupings of ``_intermediates``, so that the mirrored intermediates are the
-exact conjugates; numpy's vectorised complex kernels do not guarantee that.
-Physicality and P-representability share one closed form, in the
-parameters (a, s, c, h, e, x0) of their ``_Family`` (a = d or d', the
-determinant of the shifted mode-1 block).  Its n2 bound is
+form with the mirrored family (s, conj(c), d), the oracle on T V T of the
+batch's one stack: the rows and columns of mode 2 swapped (index
+permutation [0, 1, 3, 2]), the mirrored covariance bit for bit.  Complex
+products are computed on the (re, im) float pairs, with the groupings of
+``_families``, so that the mirrored families are the exact conjugates;
+numpy's vectorised complex kernels do not guarantee that.  Its n2 bound is
 
     n2 >= x0 + s/a + sqrt( (e (1 - delta/a))^2 + |m2 - c/a|^2 ),
 
@@ -67,7 +68,7 @@ divides by a, and only inside the band does ``_split_folds`` avoid the
 division.  A fold is ``inf`` where its criterion's one mode-1 rule fails,
 the rule the closed margins apply too; ``prep_below_sep`` counts the
 P-fold as below the S-fold only by more than ``FOLD_GAP_RTOL`` * max(1,
-S-fold).  Non-finite intermediates, bounds or oracle margins raise
+S-fold).  Non-finite families, bounds or oracle margins raise
 ``OverflowError`` for the whole batch, and a non-finite exact fold for the
 state that reads it.
 """
@@ -320,29 +321,42 @@ class _ParamArrays(NamedTuple):
         return V
 
 
-class _Intermediates(NamedTuple):
-    """The intermediates of the closed-form bounds of N states: (s, c, d) of
-    the physicality/separability family and (s_p, c_p, d_p) of the
-    P-representability family, c and c_p as (re, im) pairs."""
+class _Family(NamedTuple):
+    """One criterion's n2 fold over N states, in x = n2 - x0, where its
+    determinant is a quadratic a x^2 - 2s x + ..., and a is that of the
+    shifted mode-1 block A = h I + [[e, m1], [conj(m1), -e]]: (h, e, x0) =
+    (n1, 1/2, 0) for physicality, (n1 - 1/2, 0, 1/2) for P-representability
+    (``_families``); c is an (re, im) pair.  ``name`` names its bound in
+    errors.  Physicality's, mirrored, is separability's."""
 
+    name: str
+    a: np.ndarray
     s: np.ndarray
     c: tuple[np.ndarray, np.ndarray]
-    d: np.ndarray
-    s_p: np.ndarray
-    c_p: tuple[np.ndarray, np.ndarray]
-    d_p: np.ndarray
+    h: np.ndarray
+    e: float
+    x0: float
 
-    def mirror(self) -> "_Intermediates":
-        """The intermediates of the mirrored arrays: c and c' conjugate, the
-        rest is invariant (bit for bit, by the groupings in
-        ``_intermediates``)."""
-        return self._replace(c=_conj(self.c), c_p=_conj(self.c_p))
+    def mirror(self) -> "_Family":
+        """The family of the mirrored states: c conjugates, the rest is
+        invariant (bit for bit, by the groupings in ``_families``)."""
+        return self._replace(c=_conj(self.c))
+
+    def mode1_fails(self) -> np.ndarray:
+        """Where A >= 0 fails, so that no n2 meets the criterion (fold inf):
+        a < -TOL_SING, or h < 0 (n1 < 1/2; only P's h can be negative) off
+        the degenerate band |a| <= TOL_SING.  Inside the band the
+        eigen-oracle decides, or ``_split_folds`` for the exact fold."""
+        return (self.a < -TOL_SING) | ((self.a > TOL_SING) & (self.h < 0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _intermediates(q: _ParamArrays) -> _Intermediates:
-    """(s, c, d) and the primed P-representability family of every row;
-    OverflowError if any of them is not finite."""
+def _families(q: _ParamArrays) -> tuple[_Family, _Family]:
+    """The (physicality, P-representability) families of every row, from
+    one formula at each family's shift: a = h h - e e - |m1|^2,
+    s = h (|mc|^2 + |ms|^2) - 2 Re(mc ms conj(m1)) and
+    c = 2h conj(ms) mc - mc^2 conj(m1) - conj(ms)^2 m1 (the paper's
+    d, s, c and d', s', c').  OverflowError if any of them is not finite."""
     n1, m1, ms, mc = q.n1, q.m1, q.ms, q.mc
     # Groupings below are chosen so that swapping ms <-> mc yields the exact
     # complex conjugate bit for bit (the mirror identity is tested exactly).
@@ -351,21 +365,17 @@ def _intermediates(q: _ParamArrays) -> _Intermediates:
     ms_mc = _mul(_conj(ms), mc)
     sq_mc, sq_ms = _mul(_mul(mc, mc), _conj(m1)), _mul(_mul(_conj(ms), _conj(ms)), m1)
     squares = sq_mc[0] + sq_ms[0], sq_mc[1] + sq_ms[1]
-    h = n1 - 0.5
-    im = _Intermediates(
-        s=n1 * cross - re3,
-        c=_sub((2.0 * n1 * ms_mc[0], 2.0 * n1 * ms_mc[1]), squares),
-        d=n1 * n1 - 0.25 - _abs2(m1),
-        s_p=h * cross - re3,
-        c_p=_sub((2.0 * h * ms_mc[0], 2.0 * h * ms_mc[1]), squares),
-        d_p=h * h - _abs2(m1),
-    )
-    finite = np.logical_and.reduce(
-        [np.isfinite(x) for x in (im.s, *im.c, im.d, im.s_p, *im.c_p, im.d_p)])
+    m1_2 = _abs2(m1)
+    families = []
+    for name, e, x0 in (("physicality bound", 0.5, 0.0), ("P-representability bound", 0.0, 0.5)):
+        h = n1 - x0
+        families.append(_Family(name, h * h - e * e - m1_2, h * cross - re3,
+                                _sub((2.0 * h * ms_mc[0], 2.0 * h * ms_mc[1]), squares), h, e, x0))
+    finite = np.logical_and.reduce([np.isfinite(x) for f in families for x in (f.s, *f.c, f.a)])
     if not finite.all():
         i = int(np.argmin(finite))
         raise OverflowError(f"closed-form intermediates overflow for state {i} of the batch")
-    return im
+    return tuple(families)
 
 
 class _Batch:
@@ -383,8 +393,8 @@ class _Batch:
         return cls(_ParamArrays.of(params))
 
     @cached_property
-    def im(self) -> _Intermediates:
-        return _intermediates(self.q)
+    def families(self) -> tuple[_Family, _Family]:
+        return _families(self.q)
 
     @cached_property
     def covariance(self) -> np.ndarray:
@@ -396,9 +406,9 @@ class _Batch:
 
     @cached_property
     def mirror(self) -> "_Batch":
-        """The mirrored states, whose intermediates are ``im.mirror()``."""
+        """The mirrored states, whose families are ``families`` mirrored."""
         mirrored = _Batch(self.q.mirror())
-        mirrored.im = self.im.mirror()
+        mirrored.families = tuple(f.mirror() for f in self.families)
         return mirrored
 
     def evaluated(self, key, compute, *args):
@@ -489,37 +499,6 @@ def _checked(x: np.ndarray, defined: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-class _Family(NamedTuple):
-    """One criterion's n2 fold in x = n2 - x0, where its determinant is a
-    quadratic a x^2 - 2s x + ..., and a is that of the shifted mode-1 block
-    A = h I + [[e, m1], [conj(m1), -e]]: (d, s, c, n1, 1/2, 0) for
-    physicality, (d', s', c', n1 - 1/2, 0, 1/2) for P-representability.
-    On ``(q.mirror(), im.mirror())`` physicality's is separability's."""
-
-    a: np.ndarray
-    s: np.ndarray
-    c: tuple[np.ndarray, np.ndarray]
-    h: np.ndarray
-    e: float
-    x0: float
-
-    @classmethod
-    def of(cls, q: _ParamArrays, im: _Intermediates, prep: bool) -> "_Family":
-        if prep:
-            return cls(im.d_p, im.s_p, im.c_p, q.n1 - 0.5, 0.0, 0.5)
-        return cls(im.d, im.s, im.c, q.n1, 0.5, 0.0)
-
-    def mode1_fails(self) -> np.ndarray:
-        """Where A >= 0 fails, so that no n2 meets the criterion (fold inf):
-        a < -TOL_SING, or h < 0 (n1 < 1/2; only P's h can be negative) off
-        the degenerate band |a| <= TOL_SING.  Inside the band the
-        eigen-oracle decides, or ``_split_folds`` for the exact fold."""
-        return (self.a < -TOL_SING) | ((self.a > TOL_SING) & (self.h < 0.0))
-
-
-_BOUND_NAMES = ("physicality bound", "P-representability bound")  # by prep
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _bound(q: _ParamArrays, f: _Family):
     """(bound, defined): the smallest n2 at which the criterion of ``f``
@@ -539,18 +518,18 @@ def _bound(q: _ParamArrays, f: _Family):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _literal_prep_fold(q: _ParamArrays, im: _Intermediates):
-    """(fold, defined): the published P-fold, defined where d' > TOL_SING."""
-    defined = im.d_p > TOL_SING
-    d = np.where(defined, im.d_p, np.nan)
-    return im.s_p / d + _abs(_sub(q.m2, im.c_p)) / d + 0.5, defined
+def _literal_prep_fold(q: _ParamArrays, f: _Family):
+    """(fold, defined): the published P-fold of the P family ``f``, defined where d' > TOL_SING."""
+    defined = f.a > TOL_SING
+    d = np.where(defined, f.a, np.nan)
+    return f.s / d + _abs(_sub(q.m2, f.c)) / d + 0.5, defined
 
 
 # name -> (fold, defined) of a batch, as in DegenerateBoundError's and OverflowError's messages
 _CLOSED_FORMS = {
-    "physicality bound": lambda b: _bound(b.q, _Family.of(b.q, b.im, False)),
-    "P-representability bound": lambda b: _bound(b.q, _Family.of(b.q, b.im, True)),
-    "literal P-fold": lambda b: _literal_prep_fold(b.q, b.im),
+    "physicality bound": lambda b: _bound(b.q, b.families[0]),
+    "P-representability bound": lambda b: _bound(b.q, b.families[1]),
+    "literal P-fold": lambda b: _literal_prep_fold(b.q, b.families[1]),
 }
 
 
@@ -567,8 +546,8 @@ def _scalar_bound(what: str, p: GaussianParams | _Row) -> float:
     batch, i = _row(p)
     fold, defined = _closed_column(batch, what)
     if not defined[i]:
-        im = batch.im
-        raise DegenerateBoundError(what, im.d[i], im.d_p[i], batch.q.n1[i])
+        phys, prep = batch.families
+        raise DegenerateBoundError(what, phys.a[i], prep.a[i], batch.q.n1[i])
     b = float(fold[i])
     if not math.isfinite(b):
         raise OverflowError(f"{what} overflows")
@@ -586,22 +565,20 @@ def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     return _scalar_bound("physicality bound", p)
 
 
-def _closed_margin(q: _ParamArrays, im: _Intermediates, prep: bool) -> np.ndarray:
-    """Closed-form margin of each row of ``q`` from its intermediates
-    ``im``, of P-representability if ``prep``, else of physicality (on
-    ``(q.mirror(), im.mirror())``, of separability); NaN exactly where
-    |a| <= TOL_SING (degenerate)."""
-    f = _Family.of(q, im, prep)
+def _closed_margin(q: _ParamArrays, f: _Family) -> np.ndarray:
+    """Closed-form margin of the criterion of the family ``f`` for each row
+    of ``q`` (on ``(q.mirror(), f.mirror())`` physicality's is
+    separability's); NaN exactly where |a| <= TOL_SING (degenerate)."""
     m1_margin = q.n1 - np.sqrt(_abs2(q.m1) + f.e * f.e) - f.x0
-    bound = _checked(*_bound(q, f), _BOUND_NAMES[prep])
+    bound = _checked(*_bound(q, f), f.name)
     return np.where(f.mode1_fails(), m1_margin, np.minimum(m1_margin, q.n2 - bound))
 
 
-def _closed_margins(q: _ParamArrays, im: _Intermediates):
+def _closed_margins(q: _ParamArrays, families: tuple[_Family, _Family]):
     """(physical, separable, prep) closed-form margins of every row."""
-    return (_closed_margin(q, im, False),
-            _closed_margin(q.mirror(), im.mirror(), False),
-            _closed_margin(q, im, True))
+    phys, prep = families
+    return (_closed_margin(q, phys), _closed_margin(q.mirror(), phys.mirror()),
+            _closed_margin(q, prep))
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +598,7 @@ def _prep_margin_eig(V: np.ndarray):
 
 
 _ORACLE = "eigen-oracle"  # as in its OverflowError: "eigen-oracle overflows"
+_T = [0, 1, 3, 2]  # T V T of a stack V: the index permutation of the partial transpose
 
 
 # Fallback tuple by bit mask: bit k set means criterion _CRITERIA[k] fell back.
@@ -637,21 +615,27 @@ def _check_tol_psd(tol: float, name: str = "tol_psd") -> None:
         raise InvalidParameterError(f"{name} must be finite and >= 0, got {tol}")
 
 
+def _check_route(method: str, tol_psd: float) -> None:
+    """The one rule for a classification's arguments: ValueError for an
+    unknown ``method``, then ``_check_tol_psd`` of ``tol_psd``."""
+    if method not in (METHOD_CLOSED, METHOD_EIG):
+        raise ValueError(f"unknown method {method!r}")
+    _check_tol_psd(tol_psd)
+
+
 def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
-    """The Verdict of every state of ``batch``, in one array pass, for a
-    ``tol_psd`` that passes ``_check_tol_psd``.  An ``OverflowError`` from
-    any state's closed form or oracle margin is raised for the whole batch.
+    """The Verdict of every state of ``batch``, in one array pass, once its
+    arguments pass ``_check_route``.  An ``OverflowError`` from any state's
+    closed form or oracle margin is raised for the whole batch.
 
     The records are built in one ``Verdict._make`` pass over the result
     columns: ``physical`` and the margins as Python values by ``tolist``,
     each answer by ``_ANSWERS`` from an int8 code column (2 where the state
     is unphysical), and ``method`` and ``fallbacks`` by the fallback code."""
-    if method not in (METHOD_CLOSED, METHOD_EIG):
-        raise ValueError(f"unknown method {method!r}")
-    _check_tol_psd(tol_psd)
+    _check_route(method, tol_psd)
     q = batch.q
     if method == METHOD_CLOSED:
-        phys, sep, prep = _closed_margins(q, batch.im)
+        phys, sep, prep = _closed_margins(q, batch.families)
     else:
         phys, sep, prep = (np.full(len(q.n1), np.nan) for _ in range(3))
 
@@ -663,11 +647,11 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     physical = phys >= -tol_psd
     need_sep = np.isnan(sep) & physical
     need_prep = np.isnan(prep) & physical
-    # Separability is physicality of the mirror, on both routes.  Its rows
-    # build their own stack: ``batch.mirror`` would compute the closed-form
-    # intermediates, which the oracle route never needs.
+    # Separability is physicality of the mirror, on both routes: the
+    # mirror's covariance is T V T, the batch's rows with mode 2's rows and
+    # columns swapped, bit for bit.
     if need_sep.any():
-        sep[need_sep] = _checked(_physical_margin_eig(q.mirror().take(need_sep).covariance()),
+        sep[need_sep] = _checked(_physical_margin_eig(batch.covariance[need_sep][:, _T][:, :, _T]),
                                  ..., _ORACLE)
     if need_prep.any():
         prep[need_prep] = _checked(_prep_margin_eig(batch.covariance[need_prep]), ..., _ORACLE)
@@ -715,7 +699,7 @@ def classify_batch(params: Sequence[GaussianParams], method: str = METHOD_CLOSED
 def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     """``classify`` of every state of ``batch``: the routes classified on
     one batch share its covariance stack."""
-    _check_tol_psd(tol_psd)  # here too: an empty batch reads no row
+    _check_route(method, tol_psd)  # here too: an empty batch reads no row
     return list(map(classify, batch.rows(), itertools.repeat(method), itertools.repeat(tol_psd)))
 
 
@@ -730,33 +714,31 @@ def literal_prep_fold(p: GaussianParams | _Row) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _exact_folds(batch: _Batch, prep: bool) -> list[float]:
-    """The exact n2 fold of every state of ``batch``: the smallest n2 >= 0
-    with V - I/2 >= 0 if ``prep``, else with V + E/2 >= 0; ``inf`` where no
-    n2 works, NaN where the arithmetic overflows.
+def _exact_folds(batch: _Batch, f: _Family) -> list[float]:
+    """The exact n2 fold of the family ``f`` for every state of ``batch``:
+    the smallest n2 >= 0 with V + E/2 >= 0, or V - I/2 >= 0 for P; ``inf``
+    where no n2 works, NaN where the arithmetic overflows.
 
     n2 enters the matrix as n2 times a projector, so no eigenvalue falls as
     n2 grows: the valid n2 are [fold, inf), and the fold is the larger root
     of the determinant (Simon's criterion).  In x = n2 - x0 that is a
-    quadratic a x^2 + b x + ..., b = -2s, in the criterion's ``_Family``.
+    quadratic a x^2 + b x + ..., b = -2s, in the family's terms.
     Off the band |a| <= TOL_SING the root is the closed bound, read from
     the batch's ``_closed_column``; inside it A is taken as singular
     (``_split_folds``).  It is ``inf`` where the mode-1 rule fails."""
-    q = batch.q
-    f = _Family.of(q, batch.im, prep)
-    x, _ = _closed_column(batch, _BOUND_NAMES[prep])
+    x, _ = _closed_column(batch, f.name)
     fails = f.mode1_fails()
     band = np.abs(f.a) <= TOL_SING
     if band.any():
-        split, none = _split_folds(q, f.c, f.h, f.e)
+        split, none = _split_folds(batch.q, f)
         x = np.where(band, split + f.x0, x)
         fails = fails | band & none
     return np.where(fails, np.inf, np.where(np.isfinite(x), x, np.nan)).tolist()
 
 
-def _split_folds(q: _ParamArrays, c, h: np.ndarray, e: float):
+def _split_folds(q: _ParamArrays, f: _Family):
     """(x, none) of ``_exact_folds`` for every row, taking the shifted
-    mode-1 block A = h I + [[e, m1], [conj(m1), -e]] as singular.
+    mode-1 block A = h I + [[e, m1], [conj(m1), -e]] of ``f`` as singular.
 
     No n2 works (``none``) where A is not positive semidefinite within
     TOL_PSD: its smaller eigenvalue h - sqrt(e^2 + |m1|^2) is below
@@ -767,7 +749,7 @@ def _split_folds(q: _ParamArrays, c, h: np.ndarray, e: float):
     n2 works; at a zero slope u splits off, and the fold is that of the
     block left, V2 + shift - C+ A C / t^2 >= 0 (A / t^2 is the
     pseudo-inverse of A): x = lambda_max(M), M = C+ A C / t^2 minus
-    V2 + shift at x = 0, whose entries are those of the intermediates, as
+    V2 + shift at x = 0, whose entries are those of the family, as
     C+ A C = t C+ C - C+ adj(A) C.  Where t <= 0, A is 0 within TOL_PSD,
     and the block left is V2 + shift if C = 0, else no n2 works.  A
     positive slope, which a positive semidefinite A cannot give, is
@@ -775,30 +757,31 @@ def _split_folds(q: _ParamArrays, c, h: np.ndarray, e: float):
     one.
 
     Here b is recomputed with the moduli squared as x^2 + y^2, not through
-    ``hypot`` as in ``_intermediates``: a polynomial in the parameters, it
+    ``hypot`` as in ``_families``: a polynomial in the parameters, it
     is 0 exactly where the cross block is, and wherever its exact value is
     0 and the inputs are short dyadics, which keep every product exact."""
-    m2, t = q.m2, 2.0 * h
+    m2, t = q.m2, 2.0 * f.h
     mc2, ms2 = (z[0] * z[0] + z[1] * z[1] for z in (q.mc, q.ms))
     delta, cross = mc2 - ms2, mc2 + ms2
-    s = h * cross - 2.0 * _mul(_mul(q.mc, q.ms), _conj(q.m1))[0]  # s, or s' for P
+    s = f.h * cross - 2.0 * _mul(_mul(q.mc, q.ms), _conj(q.m1))[0]
     t2 = t * t
     ms_mc = _mul(_conj(q.ms), q.mc)
-    w = _sub(m2, _div(_sub((2.0 * t * ms_mc[0], 2.0 * t * ms_mc[1]), c), t2))
-    x = np.where(t > 0.0, (t * cross - s) / t2 + np.hypot(e * (1.0 + delta / t2), _abs(w)),
-                 np.hypot(e, _abs(m2)))
-    indefinite = h - np.hypot(e, _abs(q.m1)) < -TOL_PSD
+    w = _sub(m2, _div(_sub((2.0 * t * ms_mc[0], 2.0 * t * ms_mc[1]), f.c), t2))
+    x = np.where(t > 0.0, (t * cross - s) / t2 + np.hypot(f.e * (1.0 + delta / t2), _abs(w)),
+                 np.hypot(f.e, _abs(m2)))
+    indefinite = f.h - np.hypot(f.e, _abs(q.m1)) < -TOL_PSD
     return x, indefinite | (s > 0.0) | (t <= 0.0) & (cross != 0.0)
 
 
-# criterion -> whether its fold is that of P-representability
-_N2_CRITERIA = {"physical": False, "p_representable": True}
+# criterion -> the index of its family in ``_Batch.families``
+_N2_CRITERIA = {"physical": 0, "p_representable": 1}
 
 
 def _exact_fold_column(batch: _Batch, criterion: str) -> list[float]:
     """``_exact_folds`` of ``criterion`` over ``batch``, evaluated once per
     batch; KeyError for an unknown criterion."""
-    return batch.evaluated(criterion, _exact_folds, _N2_CRITERIA[criterion])
+    k = _N2_CRITERIA[criterion]
+    return batch.evaluated(criterion, _exact_folds, batch.families[k])
 
 
 def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
@@ -841,7 +824,7 @@ def _n2_folds(batch: _Batch):
     fold arrays and an (N,) mask of the states where any fold had no closed
     form.
 
-    The closed forms are one array pass each, in the order intermediates,
+    The closed forms are one array pass each, in the order families,
     physicality, mirror, P-fold (so the first ``OverflowError`` is that of
     the first pass that overflows), shared with the per-state bounds'
     reads.  The entries whose closed form is NaN take the exact fold of

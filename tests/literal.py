@@ -30,6 +30,20 @@ def covariance(p) -> np.ndarray:
     )
 
 
+def closed_form_terms(p) -> tuple[tuple, tuple]:
+    """((s, c, d), (s', c', d')) of the parameter set ``p``: the terms of
+    the paper's closed-form n2 bounds of physicality and of
+    P-representability, in Python complex arithmetic."""
+    n1, m1, ms, mc = p.n1, p.m1, p.ms, p.mc
+    s = n1 * (abs(mc) ** 2 + abs(ms) ** 2) - 2 * (mc * ms * m1.conjugate()).real
+    c = 2 * n1 * ms.conjugate() * mc - mc ** 2 * m1.conjugate() - ms.conjugate() ** 2 * m1
+    d = n1 ** 2 - 1 / 4 - abs(m1) ** 2
+    s_p = (n1 - 1 / 2) * (abs(mc) ** 2 + abs(ms) ** 2) - 2 * (mc * ms * m1.conjugate()).real
+    c_p = 2 * (n1 - 1 / 2) * ms.conjugate() * mc - mc ** 2 * m1.conjugate() - ms.conjugate() ** 2 * m1
+    d_p = (n1 - 1 / 2) ** 2 - abs(m1) ** 2
+    return (s, c, d), (s_p, c_p, d_p)
+
+
 def partial_transpose(V: np.ndarray) -> np.ndarray:
     """T V T of a matrix, or of each matrix of a stack: the partial
     phase-space mirror on mode 2, as the index permutation ``PT_PERM``."""

@@ -73,7 +73,7 @@ def test_oracle_equivalence_campaign():
     eig = np.column_stack(batch_margins_eig(V))
     # The library's closed-form (physical, separable, prep) margins in one
     # batch, NaN where degenerate: the closed-form path is not defined there.
-    closed = np.column_stack(core._closed_margins(q, core._intermediates(q)))
+    closed = np.column_stack(core._closed_margins(q, core._families(q)))
 
     off_boundary = np.all(np.abs(eig) > core.BOUNDARY_BAND, axis=1)
     differ = (closed >= -core.TOL_PSD) != (eig >= -core.TOL_PSD)
@@ -228,15 +228,16 @@ def test_fig1_fold_structure(tmp_path):
 
 
 def test_mirror_identity_campaign():
-    """separability closed form (from the intermediates of p) == physicality
-    closed form of the mirrored parameters on 10^5 draws, bit for bit, in
-    one batch of the array core; both are NaN exactly where degenerate."""
+    """separability closed form (from the mirrored physicality family of p)
+    == physicality closed form of the mirrored parameters on 10^5 draws, bit
+    for bit, in one batch of the array core; both are NaN exactly where
+    degenerate."""
     rng = np.random.default_rng(555)
     n = 100_000
     a = symplectic._random_box(rng, n)  # n box draws (physical or not)
     q = a.mirror()
-    sep = core._closed_margin(q, core._intermediates(a).mirror(), False)
-    assert sep.tobytes() == core._closed_margin(q, core._intermediates(q), False).tobytes()
+    sep = core._closed_margin(q, core._families(a)[0].mirror())
+    assert sep.tobytes() == core._closed_margin(q, core._families(q)[0]).tobytes()
     checked = np.count_nonzero(~np.isnan(sep))
     assert checked > 0.99 * n
     report(f"mirror-identity (n={n}, exact float equality)")

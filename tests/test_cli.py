@@ -516,15 +516,15 @@ class TestSample:
         that the routes disagree off the band."""
         margin = core._closed_margin
         monkeypatch.setattr(core, "_closed_margin",
-                            lambda q, im, prep: margin(q, im, prep) if prep else -margin(q, im, prep))
+                            lambda q, f: margin(q, f) if f.x0 else -margin(q, f))  # x0 = 1/2: P
 
     def skew_closed(self, monkeypatch):
         """Leave every third closed physicality margin undecided, so that it
         falls back to the oracle, and negate the separability margins."""
         margins = core._closed_margins
 
-        def skewed(q, im):
-            phys, sep, prep = margins(q, im)
+        def skewed(q, families):
+            phys, sep, prep = margins(q, families)
             phys[::3] = np.nan
             return phys, -sep, prep
 
@@ -1351,9 +1351,10 @@ class _FailingWrite:
 class TestOutputRewrite:
     """An output written over an existing, longer file holds the bytes of a
     fresh write, and a write that fails part-way leaves nothing of the old
-    contents.  A whole output goes in place over an existing regular file;
-    a ``sample`` run of more than one batch, stdout and devices are
-    truncated at open."""
+    contents.  A whole output goes in place and is cut at the bytes written
+    where the file opened is a regular one; a ``sample`` run of more than
+    one batch is truncated at open instead, and stdout and devices are
+    never cut."""
 
     def argv(self, tmp_path, name):
         argv = REWRITES[name]
@@ -1375,15 +1376,15 @@ class TestOutputRewrite:
         return out
 
     def spy(self, monkeypatch):
-        """The ``in_place`` argument of each ``_open_output`` call."""
+        """The length of each ``os.ftruncate`` call: where an output is cut."""
         calls = []
-        open_output = cli._open_output
+        ftruncate = os.ftruncate
 
-        def spied(path, in_place=False):
-            calls.append(in_place)
-            return open_output(path, in_place)
+        def spied(fd, length):
+            calls.append(length)
+            return ftruncate(fd, length)
 
-        monkeypatch.setattr(cli, "_open_output", spied)
+        monkeypatch.setattr(os, "ftruncate", spied)
         return calls
 
     @pytest.mark.parametrize("name", REWRITES)
@@ -1394,7 +1395,7 @@ class TestOutputRewrite:
         out = self.stale(tmp_path, len(fresh))
         assert main([*argv, "--output", str(out)]) == 0
         assert out.read_bytes() == fresh
-        assert calls == [False, name != "sample"]
+        assert calls == ([] if name == "sample" else [len(fresh)] * 2)
 
     def test_failed_one_batch_sample_leaves_the_file(self, tmp_path, monkeypatch, capsys):
         """A sample run of one batch evaluates all of its states before it
@@ -1411,7 +1412,7 @@ class TestOutputRewrite:
     def test_in_place_open_keeps_the_old_bytes(self, tmp_path):
         out = self.stale(tmp_path, 0)
         old = out.read_bytes()
-        stream, close = cli._open_output(str(out), in_place=True)
+        stream, close = cli._open_output(str(out), whole=True)
         stream.close()
         assert close and out.read_bytes() == old
 
@@ -1424,7 +1425,7 @@ class TestOutputRewrite:
         assert capsysbinary.readouterr().out == fresh
         assert main([*argv, "--output", os.devnull]) == 0
         assert capsysbinary.readouterr().out == b""
-        assert calls == [False, False]
+        assert calls == []
 
     @pytest.mark.parametrize("name", REWRITES)
     def test_write_failing_part_way(self, tmp_path, monkeypatch, capsys, name):

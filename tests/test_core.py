@@ -365,7 +365,7 @@ class TestPhysicality:
 
     def test_vacuum_routes_to_oracle(self):
         q = core._ParamArrays.of([VACUUM])
-        assert np.isnan(core._closed_margin(q, core._intermediates(q), False)[0])
+        assert np.isnan(core._closed_margin(q, core._families(q)[0])[0])
         v = classify(VACUUM, method=core.METHOD_EIG)
         assert v.physical
         assert v.margin_physical == pytest.approx(0.0, abs=1e-14)
@@ -426,7 +426,7 @@ class TestPRepresentability:
         """The closed-form P bound of the batch and the exact P-fold agree
         on the frozen threshold."""
         q = core._ParamArrays.of([REF])
-        bound, _ = core._bound(q, core._Family.of(q, core._intermediates(q), True))
+        bound, _ = core._bound(q, core._families(q)[1])
         assert bound[0] == pytest.approx(REF_PREP_BOUND, abs=1e-12)
         assert core.bisect_n2_threshold(REF, "p_representable") == pytest.approx(
             REF_PREP_BOUND, abs=1e-12)
@@ -435,9 +435,9 @@ class TestPRepresentability:
         # n1 - 1/2 - |m1| = -0.3 < 0 although d' = 0.09 > 0: no n2 gives V - I/2 >= 0
         p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
         q = core._ParamArrays.of([p])
-        im = core._intermediates(q)
-        assert im.d_p[0] > 0
-        assert math.isnan(core._bound(q, core._Family.of(q, im, True))[0][0])
+        _, prep = core._families(q)
+        assert prep.a[0] > 0
+        assert math.isnan(core._bound(q, prep)[0][0])
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
 
     def test_near_vacuum_mode1_falls_back(self):
@@ -445,7 +445,7 @@ class TestPRepresentability:
         # decide the mode-1 rule; the correlations make the state entangled,
         # hence not P-representable, which only the oracle sees.
         p = GaussianParams(0.49999999999999994, 0.501, mc=9e-6)
-        assert abs(core._intermediates(core._ParamArrays.of([p])).d_p[0]) <= core.TOL_SING
+        assert abs(core._families(core._ParamArrays.of([p]))[1].a[0]) <= core.TOL_SING
         vc = classify(p)
         ve = classify(p, method=core.METHOD_EIG)
         assert "p_representable" in vc.fallbacks
@@ -498,37 +498,43 @@ class TestClassify:
         assert v.physical and v.separable and v.p_representable
 
     def test_covariance_built_only_for_the_oracle(self, monkeypatch):
+        """A batch builds one covariance stack, and only for the oracle: its
+        separability rows are T V T of that stack, and their margins are
+        bit for bit those of the literal partial transpose."""
         built = []
         real = core._ParamArrays.covariance
         monkeypatch.setattr(core._ParamArrays, "covariance",
                             lambda q: built.append(real(q)) or built[-1])
 
         def expect(*states):  # not build_covariance: it is a view of the patched method
-            return [literal.covariance(p)[None].tobytes() for p in states]
+            return [np.stack([literal.covariance(p) for p in states]).tobytes()]
 
         classify(REF)  # closed form, no fallback
         assert built == []
-        classify(VACUUM)  # all three fall back: p's covariance once, the mirror's once
-        assert [V.tobytes() for V in built] == expect(VACUUM, VACUUM.mirror())
+        classify(VACUUM)  # all three fall back: p's covariance once
+        assert [V.tobytes() for V in built] == expect(VACUUM)
         built.clear()
         classify(REF, method=core.METHOD_EIG)
-        assert [V.tobytes() for V in built] == expect(REF, REF.mirror())
+        assert [V.tobytes() for V in built] == expect(REF)
         built.clear()
-        core.classify_batch([REF, VACUUM], method=core.METHOD_EIG)  # one stack each per batch
-        assert [V.tobytes() for V in built] == [
-            np.stack([literal.covariance(p) for p in states]).tobytes()
-            for states in ([REF, VACUUM], [REF.mirror(), VACUUM.mirror()])]
+        states = [*MIXED, *UNPHYSICAL, *D_ZERO]
+        verdicts = core.classify_batch(states, method=core.METHOD_EIG)  # one stack per batch
+        assert [V.tobytes() for V in built] == expect(*states)
+        physical = [v.physical for v in verdicts]
+        assert not all(physical)
+        sep = np.linalg.eigvalsh(literal.partial_transpose(built[0][physical]) + E / 2)[:, 0]
+        assert np.array([v.margin_separable for v in verdicts])[physical].tobytes() == sep.tobytes()
         built.clear()
         classify(GaussianParams(0.4, 1.0), method=core.METHOD_EIG)  # unphysical: one oracle
         assert len(built) == 1
 
     def test_batch_evaluates_once(self, monkeypatch):
         """The batch entry points read every state out of one array pass:
-        the intermediates are computed once per batch, and the sweep's
-        mirrored states conjugate them instead of computing their own."""
+        the families are computed once per batch, and the sweep's mirrored
+        states conjugate them instead of computing their own."""
         sizes = []
-        real = core._intermediates
-        monkeypatch.setattr(core, "_intermediates", lambda q: sizes.append(len(q.n1)) or real(q))
+        real = core._families
+        monkeypatch.setattr(core, "_families", lambda q: sizes.append(len(q.n1)) or real(q))
         states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.4, 1.0)]
         core.classify_batch(states)
         assert sizes == [len(states)]
@@ -542,6 +548,8 @@ class TestClassify:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             classify(VACUUM, method="guess")
+        with pytest.raises(ValueError, match="unknown method 'guess'"):
+            core.classify_batch([], method="guess")  # no state is read
 
     @pytest.mark.parametrize("method", [core.METHOD_CLOSED, core.METHOD_EIG])
     @pytest.mark.parametrize("tol", [-1.0, -5.0, math.nan, math.inf])
@@ -623,7 +631,7 @@ class TestFolds:
     def test_no_fold_when_mode1_fails(self, p):
         """d < 0 just past the mode-1 limit: no n2 is physical, so every fold
         is inf, not a large finite number found by bracket doubling."""
-        assert core._intermediates(core._ParamArrays.of([p])).d[0] < -core.TOL_SING
+        assert core._families(core._ParamArrays.of([p]))[0].a[0] < -core.TOL_SING
         assert core.bisect_n2_threshold(p, "physical") == math.inf
         assert core.n2_folds(p) == (math.inf, math.inf, math.inf, True)
 
@@ -641,7 +649,7 @@ class TestFolds:
         ms = 0.375 - 0.25j
         p = GaussianParams(0.5 + k, 1.0, m1=k * unit, m2=0.5 + 0.125j, ms=ms,
                            mc=unit * ms.conjugate())
-        assert core._intermediates(core._ParamArrays.of([p])).d_p[0] == 0.0
+        assert core._families(core._ParamArrays.of([p]))[1].a[0] == 0.0
         V = build_covariance(p)
         C = V[:2, 2:]
         M = C.conj().T @ np.linalg.pinv(V[:2, :2] - I2 / 2) @ C - (V[2:, 2:] - p.n2 * I2)
@@ -657,7 +665,7 @@ class TestFolds:
     def test_no_prep_fold_for_an_indefinite_block_in_the_band(self, p):
         """|d'| <= TOL_SING, yet V1 - I/2 has an eigenvalue near -1e-7, far
         below -TOL_PSD: no n2 gives V - I/2 >= 0."""
-        assert abs(core._intermediates(core._ParamArrays.of([p])).d_p[0]) <= core.TOL_SING
+        assert abs(core._families(core._ParamArrays.of([p]))[1].a[0]) <= core.TOL_SING
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
         assert core.n2_folds(p)[2] == math.inf
         for n2 in (1e2, 1e3, 1e4):

@@ -36,14 +36,33 @@ def param_sets(draw, n_lo=0.4, n_hi=3.0, m_max=1.0):
 
 @given(param_sets())
 def test_mirror_identity_exact(p):
-    """separability closed form (physicality on the mirrored intermediates of
-    p) == physicality closed form of the mirrored parameters, bit for bit,
-    in the array core; both are NaN where degenerate."""
+    """separability closed form (physicality on the mirrored physicality
+    family of p) == physicality closed form of the mirrored parameters, bit
+    for bit, in the array core; both are NaN where degenerate."""
     a = core._ParamArrays.of([p])
     q = a.mirror()
-    sep = core._closed_margin(q, core._intermediates(a).mirror(), False)
-    assert np.array_equal(sep, core._closed_margin(q, core._intermediates(q), False),
-                          equal_nan=True)
+    sep = core._closed_margin(q, core._families(a)[0].mirror())
+    assert np.array_equal(sep, core._closed_margin(q, core._families(q)[0]), equal_nan=True)
+
+
+@st.composite
+def dyadic_complexes(draw):
+    """k/16 times a + ib, for a Pythagorean pair (a, b), turned by a power
+    of i: its real part, imaginary part and modulus are short dyadics."""
+    a, b = draw(st.sampled_from([(1, 0), (3, 4), (5, 12), (8, 15)]))  # moduli 1, 5, 13, 17
+    k = draw(st.integers(-16, 16))
+    return complex(k * a / 16, k * b / 16) * draw(st.sampled_from([1, 1j, -1, -1j]))
+
+
+@given(st.integers(0, 64), dyadic_complexes(), dyadic_complexes(), dyadic_complexes())
+def test_families_are_the_papers_terms(k, m1, ms, mc):
+    """On short dyadic inputs, where every product, sum and modulus is
+    exact, ``_families`` gives the paper's (s, c, d) and (s', c', d') of
+    ``literal.closed_form_terms`` exactly, at h = n1 and n1 - 1/2."""
+    p = GaussianParams(k / 16, 1.0, m1=m1, ms=ms, mc=mc)
+    families = core._families(core._ParamArrays.of([p]))
+    for f, (s, c, d), h in zip(families, literal.closed_form_terms(p), (p.n1, p.n1 - 0.5)):
+        assert (f.s[0], complex(f.c[0][0], f.c[1][0]), f.a[0], f.h[0]) == (s, c, d, h)
 
 
 @st.composite
@@ -292,12 +311,12 @@ def test_exact_fold_off_the_band_is_the_closed_bound(p):
     fold of each criterion is its closed bound bit for bit: physicality on
     ``p`` and on ``p.mirror()``, and P-representability."""
     q = core._ParamArrays.of([p])
-    im = core._intermediates(q)
-    assume(im.d[0] > core.TOL_SING)
+    phys, prep = core._families(q)
+    assume(phys.a[0] > core.TOL_SING)
     for state in (p, p.mirror()):
         assert bits(core.bisect_n2_threshold(state, "physical")) == bits(
             core.physicality_bound_n2(state))
-    bound, defined = core._bound(q, core._Family.of(q, im, True))
+    bound, defined = core._bound(q, prep)
     if defined[0]:
         assert bits(core.bisect_n2_threshold(p, "p_representable")) == bits(bound[0])
 
