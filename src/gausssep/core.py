@@ -30,7 +30,10 @@ batch (``_Row``), which it reads out of that batch's array pass;
 array passes each run once (``_Batch``).  ``n2_folds_batch`` reads each
 fold column from the closed form's array pass over the batch, the same
 pass the n2 bounds read, and the entries without a closed form from the
-exact fold's array pass; ``n2_folds`` is its one-element view.  A batch
+exact fold's array pass: the P column in one masked read, the physicality
+and separability columns state by state, through ``physicality_bound_n2``
+and ``bisect_n2_threshold``, whose calls the benchmark's tracer counts;
+``n2_folds`` is its one-element view.  A batch
 builds its (N, 4, 4) covariance stack once, read-only, at its first use;
 the oracle rows of all three criteria and the invariant-form reduction of
 ``symplectic`` index that one stack.  Every operation is elementwise or per
@@ -70,7 +73,7 @@ the rule the closed margins apply too; ``prep_below_sep`` counts the
 P-fold as below the S-fold only by more than ``FOLD_GAP_RTOL`` * max(1,
 S-fold).  Non-finite families, bounds or oracle margins raise
 ``OverflowError`` for the whole batch, and a non-finite exact fold for the
-state that reads it.
+first state of its column that has one.
 """
 
 from __future__ import annotations
@@ -709,7 +712,10 @@ def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
 
 def literal_prep_fold(p: GaussianParams | _Row) -> float:
     """The published P-fold: s'/d' + |m2 - c'|/d' + 1/2 (kept literal for the
-    fold-comparison figure; its dips below the S-fold are unphysical)."""
+    fold-comparison figure; its dips below the S-fold are unphysical).
+    DegenerateBoundError where d' <= TOL_SING.  The sweep does not call it:
+    ``_n2_folds`` reads its column, and fills the entries it lacks, by
+    array pass."""
     return _scalar_bound("literal P-fold", p)
 
 
@@ -810,13 +816,13 @@ def prep_below_sep(prep, sep):
     return prep < sep - gap
 
 
-def _n2_fold(bound, p: _Row, criterion: str) -> float:
-    """``bound`` of ``p``, or where it has none the exact fold of
-    ``criterion`` (``bisect_n2_threshold``)."""
+def _n2_fold(p: _Row) -> float:
+    """The physicality bound of ``p``, or where it has none its exact fold
+    (``bisect_n2_threshold``)."""
     try:
-        return bound(p)
+        return physicality_bound_n2(p)
     except DegenerateBoundError:
-        return bisect_n2_threshold(p, criterion)
+        return bisect_n2_threshold(p, "physical")
 
 
 def _n2_folds(batch: _Batch):
@@ -829,27 +835,35 @@ def _n2_folds(batch: _Batch):
     the first pass that overflows), shared with the per-state bounds'
     reads.  The entries whose closed form is NaN take the exact fold of
     their criterion, itself one array pass per batch and criterion
-    (``_exact_folds``), run here before the entries are read: ``inf`` where
-    the mode-1 rule fails.  They still read it per state, through the
-    bound's ``DegenerateBoundError`` and ``bisect_n2_threshold``, because
-    the benchmark's tracer counts those calls."""
-    folds = ((batch, "physicality bound", physicality_bound_n2, "physical"),
-             (batch.mirror, "physicality bound", physicality_bound_n2, "physical"),
-             (batch, "literal P-fold", literal_prep_fold, "p_representable"))
-    closed = [_checked(*_closed_column(bt, what), what) for bt, what, _, _ in folds]
+    (``_exact_folds``): ``inf`` where the mode-1 rule fails.  The P column
+    takes its missing entries in one masked read of that pass.  The
+    physicality and separability columns still read theirs per state,
+    through the bound's ``DegenerateBoundError`` and
+    ``bisect_n2_threshold``, because the benchmark's tracer counts those
+    calls; a NaN exact fold is the ``OverflowError`` of its first state,
+    raised in the column order phys, sep, P."""
+    folds = ((batch, "physicality bound"), (batch.mirror, "physicality bound"),
+             (batch, "literal P-fold"))
+    closed = [_checked(*_closed_column(bt, what), what) for bt, what in folds]
     degenerate = np.zeros(len(batch.q.n1), dtype=bool)
     out = []
-    for fold, (bt, _, bound, criterion) in zip(closed, folds):
+    for fold, bt in zip(closed, (batch, batch.mirror)):
         fold = fold.copy()  # the batch's bound reads keep the closed form, NaN included
         missing = np.isnan(fold)
         rows = np.flatnonzero(missing).tolist()
         if rows:
-            _exact_fold_column(bt, criterion)  # its one array pass, before the per-state reads
+            _exact_fold_column(bt, "physical")  # its one array pass, before the per-state reads
         for i in rows:
-            fold[i] = _n2_fold(bound, _Row(bt, i), criterion)
+            fold[i] = _n2_fold(_Row(bt, i))
         degenerate |= missing
         out.append(fold)
-    return (*out, degenerate)
+    prep, missing = closed[2], np.isnan(closed[2])
+    if missing.any():
+        prep = np.where(missing, _exact_fold_column(batch, "p_representable"), prep)
+        overflow = np.isnan(prep)
+        if overflow.any():
+            raise OverflowError(f"n2 fold overflows for state {int(overflow.argmax())} of the batch")
+    return (*out, prep, degenerate | missing)
 
 
 def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
@@ -868,6 +882,7 @@ def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
 def n2_folds_batch(params: Sequence[GaussianParams]):
     """``n2_folds`` of every parameter set in ``params``, as three (N,)
     fold arrays and an (N,) degenerate mask: each closed form and each
-    exact fold is one array pass over them, and only the entries without a
-    closed form are read per state."""
+    exact fold is one array pass over them.  Only the physicality and
+    separability entries without a closed form are read per state, for
+    the benchmark's tracer (``_n2_folds``)."""
     return _n2_folds(_Batch.of(params))

@@ -1,15 +1,20 @@
 """References for the suite that share no code with the package: the
-paper's definitions written out entry by entry.
+paper's definitions written out entry by entry, and an exact positivity
+test in rational arithmetic.  One exception, ``prep_folds``, keeps the
+package's former per-state P-fold path as the reference of its array pass.
 
 The module is not named ``reference``: the benchmark's tests import their
 own ``reference`` module under that top-level name in the same test run.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from gausssep.errors import DomainError
+from gausssep import core
+from gausssep.errors import DegenerateBoundError, DomainError
 
 Z = np.diag([1.0, -1.0])  # E = Z (+) Z
 PT_PERM = [0, 1, 3, 2]  # swaps the two rows and the two columns of mode 2: V -> T V T
@@ -42,6 +47,68 @@ def closed_form_terms(p) -> tuple[tuple, tuple]:
     c_p = 2 * (n1 - 1 / 2) * ms.conjugate() * mc - mc ** 2 * m1.conjugate() - ms.conjugate() ** 2 * m1
     d_p = (n1 - 1 / 2) ** 2 - abs(m1) ** 2
     return (s, c, d), (s_p, c_p, d_p)
+
+
+def covariance_exact(p, n2=None) -> list[list[tuple[Fraction, Fraction]]]:
+    """``covariance(p)`` with every entry an exact (re, im) pair of
+    ``Fraction``s, and n2 replaced by the rational ``n2`` if it is given."""
+    def z(c, sign=1):
+        return Fraction(c.real), sign * Fraction(c.imag)
+
+    def conj(c):
+        return z(c, -1)
+
+    n1 = z(p.n1)
+    n2 = z(p.n2) if n2 is None else (Fraction(n2), Fraction(0))
+    m1, m2, ms, mc = p.m1, p.m2, p.ms, p.mc
+    return [
+        [n1, z(m1), z(ms), z(mc)],
+        [conj(m1), n1, conj(mc), conj(ms)],
+        [conj(ms), z(mc), n2, z(m2)],
+        [conj(mc), z(ms), conj(m2), n2],
+    ]
+
+
+def _determinant(M, rows) -> tuple[Fraction, Fraction]:
+    """The determinant of the principal submatrix ``rows`` of ``M``, whose
+    entries are (re, im) pairs, by the Leibniz sum."""
+    re_total = im_total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        re, im = Fraction(1), Fraction(0)
+        for r, c in enumerate(perm):
+            x, y = M[rows[r]][rows[c]]
+            re, im = re * x - im * y, re * y + im * x
+        sign = -1 if inversions % 2 else 1
+        re_total += sign * re
+        im_total += sign * im
+    return re_total, im_total
+
+
+def psd_exact(M) -> bool:
+    """Whether the Hermitian 4x4 matrix ``M``, its entries (re, im) pairs of
+    rationals, is positive semidefinite: exactly when its 15 principal
+    minors are all >= 0.  Each minor of a Hermitian matrix is real."""
+    minors = [_determinant(M, rows)
+              for k in range(1, 5) for rows in itertools.combinations(range(4), k)]
+    assert all(im == 0 for _, im in minors)
+    return all(re >= 0 for re, _ in minors)
+
+
+def prep_folds(params) -> list[float]:
+    """The sweep's P-fold of every state of ``params``, read state by state
+    out of one batch as the package once did: the literal published P-fold
+    where it is defined, else the exact fold.  Raises what those reads
+    raise, for the first state that raises."""
+    batch = core._Batch.of(params)
+    folds = []
+    for i in range(len(params)):
+        row = core._Row(batch, i)
+        try:
+            folds.append(core.literal_prep_fold(row))
+        except DegenerateBoundError:
+            folds.append(core.bisect_n2_threshold(row, "p_representable"))
+    return folds
 
 
 def partial_transpose(V: np.ndarray) -> np.ndarray:

@@ -33,6 +33,9 @@ REF_PREP_BOUND = 1.0
 # m1 = sqrt(3/4) + eps puts n1 = 1 just past the mode-1 limit: d = -1.7 eps.
 NEAR_D0 = [GaussianParams(1, 1, m1=math.sqrt(0.75) + eps, m2=0.3, ms=0.1, mc=0.4)
            for eps in (1e-11, 1e-7, 1e-5)]
+# d' = 0 in floats (n1 - 1/2 = |m1| = 2^-40) with the cross block split off:
+# the exact P-fold overflows, and only the P column's.
+P_OVERFLOW = GaussianParams(0.5 + 2.0 ** -40, 1.0, m1=2.0 ** -40, ms=2.0 ** 500, mc=2.0 ** 500)
 
 
 class TestCanonicalMatrices:
@@ -685,6 +688,27 @@ class TestFolds:
         phys, sep, prep, degenerate = core.n2_folds_batch(states)
         assert degenerate.tolist() == [False] + [True] * (len(states) - 1)
         assert prep[-2] == 1.5 and phys[-1] == math.inf
+
+    def test_prep_column_is_one_masked_read(self, monkeypatch):
+        """The P column takes its entries without a literal fold from the
+        exact fold's array pass in one masked read: no per-state
+        ``literal_prep_fold`` or P ``bisect_n2_threshold`` call.  The
+        physicality and separability columns still read theirs per state,
+        and a NaN exact P-fold is the OverflowError of its first state,
+        raised after them."""
+        calls = []
+        real = core.bisect_n2_threshold
+        monkeypatch.setattr(core, "literal_prep_fold", lambda p: calls.append(("literal", p.index)))
+        monkeypatch.setattr(core, "bisect_n2_threshold",
+                            lambda p, what: calls.append((what, p.index)) or real(p, what))
+        states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.5, 1.0, m1=0.5),
+                  GaussianParams(0.75, 1.0, m1=0.25)]
+        core.n2_folds_batch(states)
+        assert calls and {what for what, _ in calls} == {"physical"}
+        calls.clear()
+        with pytest.raises(OverflowError, match=r"^n2 fold overflows for state 1 of the batch$"):
+            core.n2_folds_batch([REF, P_OVERFLOW, VACUUM, P_OVERFLOW])
+        assert calls == [("physical", i) for i in (1, 2, 3)] * 2  # phys, then sep
 
     def test_degenerate_bound_message(self):
         """The message is built only when it is read, with the same text."""

@@ -1,8 +1,10 @@
 """Property-based cross-validation of the closed forms against the oracle."""
 
 import dataclasses
+import itertools
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,6 +277,94 @@ def test_exact_folds_on_degenerate_states_match_oracle(p):
         else:
             assert fold_margin(state, criterion, fold * (1 + 1e-7)) >= -core.TOL_PSD
             assert fold_margin(state, criterion, fold * (1 - 1e-7)) < 0
+
+
+# d' = 0 in floats (n1 - 1/2 = |m1| = 2^-40) with the cross block split off
+# (slope 0): its exact P-fold, (t cross - s) / t^2 with t = 2^-39 and
+# cross = 2^1001, overflows, while its physicality folds are inf.
+P_OVERFLOW = GaussianParams(0.5 + 2.0 ** -40, 1.0, m1=2.0 ** -40, ms=2.0 ** 500, mc=2.0 ** 500)
+
+
+@st.composite
+def prep_fold_rows(draw):
+    """A state whose literal P-fold is defined (d' > TOL_SING), one whose
+    mode-1 rule fails (d' < 0), one exactly in the band (d' = 0 from short
+    dyadics: n1 = 1/2 +- r with |m1| = r, the cross block drawn or split
+    off), or now and then ``P_OVERFLOW``."""
+    kind = draw(st.sampled_from(["defined"] * 3 + ["fails"] * 3 + ["band"] * 3 + ["overflow"]))
+    unit = draw(st.sampled_from([1, -1, 1j, -1j]))
+    n2 = draw(st.floats(0.4, 3.0))
+    m2, ms, mc = draw(complexes(1.0)), draw(complexes(1.0)), draw(complexes(1.0))
+    if kind == "defined":  # d' >= 1/16 - 2 (0.15)^2
+        n1, m1 = draw(st.floats(0.75, 3.0)), draw(complexes(0.15))
+        return GaussianParams(n1, n2, m1=m1, m2=m2, ms=ms, mc=mc)
+    if kind == "fails":  # d' = r^2 - (|r| + delta)^2 <= -1e-4
+        r = draw(st.floats(-0.1, 0.5))
+        return GaussianParams(0.5 + r, n2, m1=(abs(r) + draw(st.floats(0.01, 1.0))) * unit,
+                              m2=m2, ms=ms, mc=mc)
+    if kind == "band":
+        r = draw(st.integers(0, 32)) / 64
+        m2, ms, mc = draw(eighths()), draw(eighths()), draw(eighths())
+        if draw(st.booleans()):
+            mc = unit * ms.conjugate()
+        n1 = 0.5 + draw(st.sampled_from([r, -r]))
+        return GaussianParams(n1, n2, m1=r * unit, m2=m2, ms=ms, mc=mc)
+    return P_OVERFLOW
+
+
+@given(st.lists(prep_fold_rows(), min_size=1, max_size=8))
+@example([GaussianParams(1.0, 1.0), P_OVERFLOW, GaussianParams(0.5, 1.0, m2=0.25), P_OVERFLOW])
+@settings(max_examples=150, deadline=None)
+def test_batch_prep_folds_equal_the_per_state_reads(params):
+    """The sweep's P column, ``n2_folds_batch(...)[2]``, takes the entries
+    without a literal fold from the exact fold's array pass in one masked
+    read.  It equals the former per-state reads (``literal.prep_folds``)
+    bit for bit, inf included; where those reads raise, the batch raises
+    the same error, with the same text."""
+    try:
+        expected = literal.prep_folds(params)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as info:
+            core.n2_folds_batch(params)
+        assert str(info.value) == str(exc)
+        return
+    prep = core.n2_folds_batch(params)[2]
+    assert [bits(x) for x in prep.tolist()] == [bits(x) for x in expected]
+
+
+def test_exact_prep_folds_pass_the_exact_referee():
+    """Every P entry that the sweep takes from the exact fold (d' <=
+    TOL_SING), on a dyadic grid of exact band rows (d' = 0) and mode-1
+    failures (d' < 0), is checked in rational arithmetic
+    (``literal.psd_exact``): for a finite fold f, V - I/2 is positive
+    semidefinite at n2 = f (1 + 2^-20) and not at f (1 - 2^-20); for an
+    infinite one it is not at n2 = 2^40."""
+    params = []
+    for r, sign, excess, unit, (ms, split), mc_unit, m2 in itertools.product(
+            [0.0, 0.125, 0.375], [1, -1], [0.0, 0.125], [1, 1j], [(0, False), (0.375 - 0.25j, False),
+            (0.375 - 0.25j, True)], [0, 0.125], [0, 0.5 + 0.125j]):
+        mc = unit * ms.conjugate() if split else mc_unit
+        params.append(GaussianParams(0.5 + sign * r, 1.0, m1=(r + excess) * unit, m2=m2, ms=ms, mc=mc))
+    params = [p for p in dict.fromkeys(params) if literal.closed_form_terms(p)[1][2] <= core.TOL_SING]
+    prep = core.n2_folds_batch(params)[2]
+    half, step = Fraction(1, 2), Fraction(1, 2 ** 20)
+
+    def p_psd(p, n2):
+        M = literal.covariance_exact(p, n2)
+        for i in range(4):
+            M[i][i] = (M[i][i][0] - half, M[i][i][1])
+        return literal.psd_exact(M)
+
+    finite = 0
+    for p, f in zip(params, prep.tolist()):
+        if math.isinf(f):
+            assert not p_psd(p, Fraction(2 ** 40))
+        else:
+            finite += 1
+            assert f > 0 and p_psd(p, Fraction(f) * (1 + step))
+            assert not p_psd(p, Fraction(f) * (1 - step))
+    kinds = {literal.closed_form_terms(p)[1][2] == 0 for p in params}
+    assert kinds == {True, False} and 0 < finite < len(params)
 
 
 @st.composite
