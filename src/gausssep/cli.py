@@ -51,11 +51,11 @@ that their errors come first.  ``sample`` draws (one
 classifies (both routes on one batch) and formats its states per batch of
 ``SAMPLE_BATCH`` (1024), so its memory does not grow with ``--count``.
 
-The text layer makes Python calls per record, not per value.  A JSONL line
-is decoded by the ``json`` module's C scanner, called directly
-(``_jsonl_records``); a line it does not read to its end, such as one with
-whitespace around its value or one that is not JSON, goes through
-``json.loads`` (``_parse_json``), whose value or error it is.
+The text layer makes Python calls per record, not per value.  A JSONL line,
+which ends at "\\n" only, is decoded by the ``json`` module's C scanner,
+called directly (``_jsonl_records``); a line it does not read to its end,
+such as one with whitespace around its value or one that is not JSON, goes
+through ``json.loads`` (``_parse_json``), whose value or error it is.
 ``record_to_params`` reads a record's values in one pass with direct type
 tests, and a matrix's 16 cells into one ``np.array`` call; a location is
 built only for the error it names.  The JSON records are formatted from
@@ -222,8 +222,11 @@ def _jsonl_records(text: str, path: str):
     parses the line: by the ``json`` module's scanner, called directly,
     when the line is one JSON value and nothing else; any other line (a
     value with whitespace around it, or no value) goes through
-    ``_parse_json``, for its value or for ``json.loads``'s error."""
-    for n, line in enumerate(text.splitlines(), start=1):
+    ``_parse_json``, for its value or for ``json.loads``'s error.  Lines end
+    at "\\n" only, as in JSON Lines: U+2028, U+2029 and U+0085 are valid
+    inside a JSON string, and a form feed or other separator between two
+    values leaves them one line that is not JSON."""
+    for n, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             where = f"{path}:{n}"
             try:
@@ -419,12 +422,6 @@ def _classify_lines(ids: list, verdicts: list[Verdict], eig: list[Verdict] | Non
         map(_BOOL.__getitem__, _agree(closed, eig)))))
 
 
-def _params_json(q: core._ParamArrays) -> list[str]:
-    """Each parameter set of ``q`` as the JSON object {"n1": .., "n2": ..,
-    "m1": [re, im], .., "mc": [re, im]}."""
-    return list(map(_P.__mod__, zip(*_param_args(q))))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -506,13 +503,14 @@ def _seed(seed: int | None) -> int:
     return seed
 
 
-def _tally(summary: dict, params, closed: list[tuple], eig: list[tuple],
+def _tally(summary: dict, q: core._ParamArrays, closed: list[tuple], eig: list[tuple],
            agree: list[bool]) -> None:
-    """Add one batch to the ``sample`` summary: the counts from the oracle's
-    answers, the first separable state k that is not P-representable as the
-    witness (``params(k)``, its params object), and the disagreements off the
-    boundary band.  A state lies on the band if any oracle margin that is not
-    NaN has |m| <= BOUNDARY_BAND; one whose closed route fell back does not count."""
+    """Add one batch, the states ``q``, to the ``sample`` summary: the counts
+    from the oracle's answers, the first separable state that is not
+    P-representable as the witness (its params object, from its ten
+    columns), and the disagreements off the boundary band.  A state lies on
+    the band if any oracle margin that is not NaN has |m| <= BOUNDARY_BAND;
+    one whose closed route fell back does not count."""
     _, separable, prep, *margins, _, _ = eig
     pairs = list(zip(separable, prep))
     summary["separable"] += separable.count(True)
@@ -521,7 +519,10 @@ def _tally(summary: dict, params, closed: list[tuple], eig: list[tuple],
     summary["separable_not_prep"] += pairs.count((True, False))
     summary["prep_and_entangled"] += pairs.count((False, True))
     if summary["separable_not_prep_witness"] is None and (True, False) in pairs:
-        summary["separable_not_prep_witness"] = json.loads(params(pairs.index((True, False))))
+        k = pairs.index((True, False))
+        n1, n2, *m = (float(x[k]) for x in q.columns())
+        summary["separable_not_prep_witness"] = {"n1": n1, "n2": n2, "m1": m[0:2], "m2": m[2:4],
+                                                 "ms": m[4:6], "mc": m[6:8]}
     margins = np.nan_to_num(np.array(margins), nan=np.inf)  # a NaN margin is off the band
     on_band = (np.abs(margins) <= core.BOUNDARY_BAND).any(axis=0)
     fell_back = np.fromiter(map(len, closed[-1]), dtype=np.intp, count=len(agree)) > 0
@@ -557,7 +558,7 @@ def cmd_sample(args) -> int:
             closed, eig = (_columns(core._classified(batch, method, args.tol_psd))
                            for method in (core.METHOD_CLOSED, core.METHOD_EIG))
             agree = _agree(closed, eig)
-            _tally(summary, lambda k: _params_json(q.take([k]))[0], closed, eig, agree)
+            _tally(summary, q, closed, eig, agree)
             yield "".join(map(_SAMPLE.__mod__, zip(
                 range(start, start + len(agree)), *_param_args(q), *_verdict_args(closed),
                 *_verdict_args(eig), map(_BOOL.__getitem__, agree))))

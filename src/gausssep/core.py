@@ -23,16 +23,18 @@ the eigen-oracle runs one ``eigvalsh`` over the stacked (N, 4, 4) matrices.
 ``build_covariance`` is its one-element view, and ``params_from_covariance``
 reads a matrix through the stack reader ``_ParamArrays.read_stack``.
 ``classify_batch`` and ``n2_folds_batch`` are the batch entry points.  The
-per-state API (``classify``, the n2 bounds and ``bisect_n2_threshold``)
-takes a parameter set, evaluated as a one-element batch, or a state of a
-batch (``_Row``), which it reads out of that batch's array pass;
-``classify_batch`` is ``classify`` over every state of one batch, whose
-array passes each run once (``_Batch``).  ``n2_folds_batch`` reads each
-fold column from the closed form's array pass over the batch, the same
-pass the n2 bounds read, and the entries without a closed form from the
-exact fold's array pass: the P column in one masked read, the physicality
-and separability columns state by state, through ``physicality_bound_n2``
-and ``bisect_n2_threshold``, whose calls the benchmark's tracer counts;
+per-state API (``classify``, ``physicality_bound_n2`` and
+``bisect_n2_threshold``) takes a parameter set, evaluated as a one-element
+batch, or a state of a batch (``_Row``), which it reads out of that batch's
+array pass; ``classify_batch`` is ``classify`` over every state of one
+batch, whose array passes each run once (``_Batch``).  ``n2_folds_batch``
+reads each fold column from the closed form's array pass over the batch
+(the physicality bound's is the pass ``physicality_bound_n2`` reads; the
+P column's is the literal published P-fold, which has no per-state view),
+and the entries without a closed form from the exact fold's array pass:
+the P column in one masked read, the physicality and separability columns
+state by state, through ``physicality_bound_n2`` and
+``bisect_n2_threshold``, whose calls the benchmark's tracer counts;
 ``n2_folds`` is its one-element view.  A batch
 builds its (N, 4, 4) covariance stack once, read-only, at its first use;
 the oracle rows of all three criteria and the invariant-form reduction of
@@ -522,7 +524,9 @@ def _bound(q: _ParamArrays, f: _Family):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _literal_prep_fold(q: _ParamArrays, f: _Family):
-    """(fold, defined): the published P-fold of the P family ``f``, defined where d' > TOL_SING."""
+    """(fold, defined): the published P-fold s'/d' + |m2 - c'|/d' + 1/2 of the
+    P family ``f``, defined where d' > TOL_SING (kept literal for the
+    fold-comparison figure; its dips below the S-fold are unphysical)."""
     defined = f.a > TOL_SING
     d = np.where(defined, f.a, np.nan)
     return f.s / d + _abs(_sub(q.m2, f.c)) / d + 0.5, defined
@@ -542,30 +546,24 @@ def _closed_column(batch: _Batch, what: str):
     return batch.evaluated(what, _CLOSED_FORMS[what])
 
 
-def _scalar_bound(what: str, p: GaussianParams | _Row) -> float:
-    """The closed form ``what`` of the state ``p``, read from one
-    evaluation over its batch; DegenerateBoundError where it has none,
-    OverflowError where it overflows."""
-    batch, i = _row(p)
-    fold, defined = _closed_column(batch, what)
-    if not defined[i]:
-        phys, prep = batch.families
-        raise DegenerateBoundError(what, phys.a[i], prep.a[i], batch.q.n1[i])
-    b = float(fold[i])
-    if not math.isfinite(b):
-        raise OverflowError(f"{what} overflows")
-    return b
-
-
 def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     """Smallest n2 compatible with V + E/2 >= 0, at fixed remaining parameters.
 
     Requires d = n1^2 - 1/4 - |m1|^2 > 0; degenerate or negative d raises
     DegenerateBoundError (negative d means the mode-1 condition already
-    fails, so no n2 bound exists).  The separability bound is this function
-    applied to ``p.mirror()``.
+    fails, so no n2 bound exists), and an overflowing bound OverflowError.
+    The bound is read from one evaluation over the batch of ``p``.  The
+    separability bound is this function applied to ``p.mirror()``.
     """
-    return _scalar_bound("physicality bound", p)
+    batch, i = _row(p)
+    fold, defined = _closed_column(batch, "physicality bound")
+    if not defined[i]:
+        phys, prep = batch.families
+        raise DegenerateBoundError("physicality bound", phys.a[i], prep.a[i], batch.q.n1[i])
+    b = float(fold[i])
+    if not math.isfinite(b):
+        raise OverflowError("physicality bound overflows")
+    return b
 
 
 def _closed_margin(q: _ParamArrays, f: _Family) -> np.ndarray:
@@ -710,15 +708,6 @@ def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
 # n2 folds for the sweep
 
 
-def literal_prep_fold(p: GaussianParams | _Row) -> float:
-    """The published P-fold: s'/d' + |m2 - c'|/d' + 1/2 (kept literal for the
-    fold-comparison figure; its dips below the S-fold are unphysical).
-    DegenerateBoundError where d' <= TOL_SING.  The sweep does not call it:
-    ``_n2_folds`` reads its column, and fills the entries it lacks, by
-    array pass."""
-    return _scalar_bound("literal P-fold", p)
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _exact_folds(batch: _Batch, f: _Family) -> list[float]:
     """The exact n2 fold of the family ``f`` for every state of ``batch``:
@@ -832,7 +821,7 @@ def _n2_folds(batch: _Batch):
 
     The closed forms are one array pass each, in the order families,
     physicality, mirror, P-fold (so the first ``OverflowError`` is that of
-    the first pass that overflows), shared with the per-state bounds'
+    the first pass that overflows), shared with ``physicality_bound_n2``'s
     reads.  The entries whose closed form is NaN take the exact fold of
     their criterion, itself one array pass per batch and criterion
     (``_exact_folds``): ``inf`` where the mode-1 rule fails.  The P column

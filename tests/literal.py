@@ -1,7 +1,10 @@
 """References for the suite that share no code with the package: the
 paper's definitions written out entry by entry, and an exact positivity
-test in rational arithmetic.  One exception, ``prep_folds``, keeps the
-package's former per-state P-fold path as the reference of its array pass.
+test in rational arithmetic (``psd_exact``) with the three criteria
+decided by it (``physical_exact``, ``separable_exact``, ``prep_exact``),
+the referee of both classification routes.  One exception,
+``prep_folds``, reads the sweep's P-fold state by state from the
+package's per-state views, as the reference of the P column's array pass.
 
 The module is not named ``reference``: the benchmark's tests import their
 own ``reference`` module under that top-level name in the same test run.
@@ -14,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from gausssep import core
-from gausssep.errors import DegenerateBoundError, DomainError
+from gausssep.errors import DomainError
 
 Z = np.diag([1.0, -1.0])  # E = Z (+) Z
 PT_PERM = [0, 1, 3, 2]  # swaps the two rows and the two columns of mode 2: V -> T V T
@@ -95,19 +98,51 @@ def psd_exact(M) -> bool:
     return all(re >= 0 for re, _ in minors)
 
 
+E_HALF = (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(-1, 2))  # E/2, E = Z (+) Z
+MINUS_HALF = (Fraction(-1, 2),) * 4  # -I/2
+
+
+def _shifted_psd(M, shift) -> bool:
+    """``psd_exact`` of the exact matrix ``M`` plus diag(``shift``)."""
+    return psd_exact([[(re + shift[i], im) if i == j else (re, im)
+                       for j, (re, im) in enumerate(row)] for i, row in enumerate(M)])
+
+
+def physical_exact(p) -> bool:
+    """Whether the parameter set ``p`` is physical, V + E/2 >= 0, decided
+    exactly."""
+    return _shifted_psd(covariance_exact(p), E_HALF)
+
+
+def separable_exact(p) -> bool:
+    """Whether ``p`` passes Simon's separability criterion, T V T + E/2 >=
+    0 with T V T the mode-2 mirror (``PT_PERM``), decided exactly."""
+    M = covariance_exact(p)
+    return _shifted_psd([[M[i][j] for j in PT_PERM] for i in PT_PERM], E_HALF)
+
+
+def prep_exact(p, n2=None) -> bool:
+    """Whether ``p``, with n2 replaced by the rational ``n2`` if it is given,
+    is P-representable, V - I/2 >= 0, decided exactly."""
+    return _shifted_psd(covariance_exact(p, n2), MINUS_HALF)
+
+
 def prep_folds(params) -> list[float]:
-    """The sweep's P-fold of every state of ``params``, read state by state
-    out of one batch as the package once did: the literal published P-fold
-    where it is defined, else the exact fold.  Raises what those reads
-    raise, for the first state that raises."""
+    """The sweep's P-fold of every state of ``params``, read state by state:
+    the literal published P-fold from the state's own one-element batch
+    where it is defined (OverflowError where it is not finite), else the
+    exact fold of the state's row of one batch of ``params``.  Raises what
+    those reads raise, for the first state that raises."""
     batch = core._Batch.of(params)
     folds = []
-    for i in range(len(params)):
-        row = core._Row(batch, i)
-        try:
-            folds.append(core.literal_prep_fold(row))
-        except DegenerateBoundError:
-            folds.append(core.bisect_n2_threshold(row, "p_representable"))
+    for i, p in enumerate(params):
+        fold, defined = core._closed_column(core._Batch.of([p]), "literal P-fold")
+        if not defined[0]:
+            folds.append(core.bisect_n2_threshold(core._Row(batch, i), "p_representable"))
+        elif math.isfinite(fold[0]):
+            folds.append(float(fold[0]))
+        else:
+            raise OverflowError("literal P-fold overflows")
     return folds
 
 

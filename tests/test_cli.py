@@ -206,7 +206,9 @@ def squeezed_form_rec(rec_id, form_params, *angles):
     """A record of ``form_params`` under the local symplectic of ``angles``."""
     S = symplectic.make_local_symplectic(*angles)
     p = core.params_from_covariance(symplectic.apply_local(S, core.build_covariance(form_params)))
-    return {"id": rec_id, "params": json.loads(cli._params_json(core._ParamArrays.of([p]))[0])}
+    return {"id": rec_id, "params": {"n1": p.n1, "n2": p.n2,
+                                     **{k: [getattr(p, k).real, getattr(p, k).imag]
+                                        for k in ("m1", "m2", "ms", "mc")}}}
 
 
 # Squeezed invariant forms (the reduction applies; vphi = 0), generic states
@@ -560,11 +562,14 @@ class TestSample:
                                  "prep_and_entangled", "method_disagreements_off_boundary"), 0)
         summary["separable_not_prep_witness"] = None
         closed, eig = cli._columns(closed), cli._columns(eig)
-        cli._tally(summary, lambda k: '{"n1": 1}', closed, eig, cli._agree(closed, eig))
+        q = core._ParamArrays.from_rows([[k, 0.5, 1, -2, 3, -4, 5, -6, 7, -0.0] for k in range(4)])
+        cli._tally(summary, q, closed, eig, cli._agree(closed, eig))
         assert summary == {"separable": 4, "entangled": 0, "p_representable": 0,
                            "separable_not_prep": 4, "prep_and_entangled": 0,
                            "method_disagreements_off_boundary": 1,
-                           "separable_not_prep_witness": {"n1": 1}}
+                           "separable_not_prep_witness": {"n1": 0.0, "n2": 0.5, "m1": [1.0, -2.0],
+                                                          "m2": [3.0, -4.0], "ms": [5.0, -6.0],
+                                                          "mc": [7.0, -0.0]}}
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         o1, o2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -1058,6 +1063,7 @@ class TestExitCodes:
 ODD_REC = {"id": "a", "params": {"n1": 1.0, "n2": 1.5, "mc": [0.2, 0.1]}}
 ODD_LINE = json.dumps(ODD_REC)
 READ_ARGVS = [["classify", "--method", "both"], ["invariants"], ["transform", "--reduce"]]
+LINE_SEPARATORS = "\u2028\u2029\x85"  # valid raw inside a JSON string; str.splitlines splits at them
 
 
 def identity_matrix(cell=None, at=(1, 2)):
@@ -1085,10 +1091,12 @@ BIG = "9" * 400
 @pytest.mark.parametrize("text, records", [
     ("  " + ODD_LINE + "  ", [ODD_REC]),
     ("\t" + ODD_LINE + " \t", [ODD_REC]),
-    # str.splitlines splits on these, and so the reader does
-    (ODD_LINE + "\x0c" + ODD_LINE, [ODD_REC, ODD_REC]),
-    (ODD_LINE + "\x1c" + ODD_LINE, [ODD_REC, ODD_REC]),
-    (ODD_LINE + "\u2028" + ODD_LINE, [ODD_REC, ODD_REC]),
+    # a line ends at "\n", and "\r\n" and "\r" read as "\n", as in text mode
+    (ODD_LINE + "\r\n" + ODD_LINE, [ODD_REC, ODD_REC]),
+    (ODD_LINE + "\r" + ODD_LINE, [ODD_REC, ODD_REC]),
+    # but nothing else ends one: a line separator inside a string is part of it
+    *((json.dumps({**ODD_REC, "id": "a%sb" % c}, ensure_ascii=False), [{**ODD_REC, "id": "a%sb" % c}])
+      for c in LINE_SEPARATORS),
     # bare numbers, ints included, are real matrix cells
     (json.dumps({"matrix": [[float(r == c) for c in range(4)] for r in range(4)]}),
      [{"matrix": identity_matrix()}]),
@@ -1103,8 +1111,23 @@ def test_odd_line_reads_as_its_records(tmp_path, text, records):
         assert _main([*argv, "--input", str(f)]) == _main([*argv, "--input", str(g)])
 
 
+@pytest.mark.parametrize("sep", LINE_SEPARATORS)
+def test_line_separator_in_an_id_is_echoed(tmp_path, sep):
+    """A raw U+2028, U+2029 or U+0085 in a string leaves its record one
+    line, and every command echoes the id as ``json.dumps`` writes it."""
+    f = tmp_path / "in.jsonl"
+    rec_id = "a%sb" % sep
+    f.write_text(json.dumps({**ODD_REC, "id": rec_id}, ensure_ascii=False) + "\n", encoding="utf-8")
+    for argv in READ_ARGVS:
+        code, out, err = _main([*argv, "--input", str(f)])
+        assert (code, err, out.count("\n")) == (0, "", 1)
+        assert out.startswith('{"id": %s, ' % json.dumps(rec_id))
+
+
 @pytest.mark.parametrize("text, code, err", [
     ("\ufeff" + ODD_LINE, *json_error("\ufeff" + ODD_LINE)),
+    # str.splitlines splits on these, but a JSONL line ends at "\n" only
+    *((ODD_LINE + c + ODD_LINE, *json_error(ODD_LINE + c + ODD_LINE)) for c in "\x0c\x1c\u2028"),
     ("[" * 100000, *json_error("[" * 100000)),
     ('{"a": ' * 5000, *json_error('{"a": ' * 5000)),
     (ODD_LINE + " " + ODD_LINE, *json_error(ODD_LINE + " " + ODD_LINE)),
@@ -1618,7 +1641,7 @@ def test_params_json_is_json_dumps(rows):
     q = core._ParamArrays.from_rows(rows)
     forms = [{"n1": n1, "n2": n2, **{k: m[2 * i:2 * i + 2] for i, k in enumerate(_PARAMS[2:])}}
              for n1, n2, *m in rows]
-    assert cli._params_json(q) == [json.dumps(form) for form in forms]
+    assert [cli._P % row for row in zip(*cli._param_args(q))] == [json.dumps(form) for form in forms]
 
 
 _ALL_EDGE_FLOATS = [*_EDGE_FLOATS, math.inf, -math.inf]

@@ -691,14 +691,12 @@ class TestFolds:
 
     def test_prep_column_is_one_masked_read(self, monkeypatch):
         """The P column takes its entries without a literal fold from the
-        exact fold's array pass in one masked read: no per-state
-        ``literal_prep_fold`` or P ``bisect_n2_threshold`` call.  The
-        physicality and separability columns still read theirs per state,
-        and a NaN exact P-fold is the OverflowError of its first state,
-        raised after them."""
+        exact fold's array pass in one masked read: no per-state P
+        ``bisect_n2_threshold`` call.  The physicality and separability
+        columns still read theirs per state, and a NaN exact P-fold is the
+        OverflowError of its first state, raised after them."""
         calls = []
         real = core.bisect_n2_threshold
-        monkeypatch.setattr(core, "literal_prep_fold", lambda p: calls.append(("literal", p.index)))
         monkeypatch.setattr(core, "bisect_n2_threshold",
                             lambda p, what: calls.append((what, p.index)) or real(p, what))
         states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.5, 1.0, m1=0.5),
@@ -711,13 +709,13 @@ class TestFolds:
         assert calls == [("physical", i) for i in (1, 2, 3)] * 2  # phys, then sep
 
     def test_degenerate_bound_message(self):
-        """The message is built only when it is read, with the same text."""
-        with pytest.raises(DegenerateBoundError) as info:
-            core.literal_prep_fold(GaussianParams(0.2, 1.0, m1=0.5))
-        assert str(info.value) == "no literal P-fold: d = -4.600e-01, d' = -1.600e-01, n1 = 0.2"
+        """The message is built only when it is read, with the same text;
+        a bound that overflows is an OverflowError of its own text."""
         with pytest.raises(DegenerateBoundError) as info:
             core.physicality_bound_n2(GaussianParams(0.5, 1.0, m1=1e-7))
         assert str(info.value) == "no physicality bound: d = -1.000e-14, d' = -1.000e-14, n1 = 0.5"
+        with pytest.raises(OverflowError, match=r"^physicality bound overflows$"):
+            core.physicality_bound_n2(GaussianParams(1.0, 1.0, m1=0.5, mc=1e154))
 
 
 def test_public_surface():
@@ -735,6 +733,7 @@ def test_public_surface():
                "partial_transpose", "decompose_blocks", "prep_bound_n2",
                "random_local_symplectic", "T", "X", "I2", "_require_hermitian", "Z",
                "_physical_bound", "_prep_bound", "_physical_mode1_fails", "_prep_mode1_fails",
-               "_physical_margin_closed", "_prep_margin_closed")
+               "_physical_margin_closed", "_prep_margin_closed", "literal_prep_fold",
+               "_scalar_bound")
     for module in (gausssep, core, symplectic, errors):
         assert [name for name in removed if hasattr(module, name)] == []
