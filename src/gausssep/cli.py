@@ -74,7 +74,9 @@ flags by lookup and each line with one format call.
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
 (``ParseError``), 3 invalid parameters, 4 domain error, 5 internal
-assertion.  A numeric ``OverflowError`` exits 4, as a domain error.
+assertion.  A numeric ``OverflowError`` exits 4, as a domain error; one
+raised by an input value (a JSON int beyond float range) names the value's
+location.
 """
 
 from __future__ import annotations
@@ -117,15 +119,27 @@ _MATRIX_ENDS = [8, 16, 24, 32]  # where each row of a 4x4 matrix ends among its 
 
 def _to_floats(values: list) -> int:
     """Make the JSON numbers of ``values`` floats, in place and in order, up
-    to the first value that is not one; return its index, or -1.  ``json``
-    parses a number to an int or a float (a bool is neither here); an int
-    beyond float range raises OverflowError when it is reached."""
+    to the first value that is not one or is an int beyond float range;
+    return its index, or -1.  ``json`` parses a number to an int or a float
+    (a bool is neither here)."""
     for k, v in enumerate(values):
         if type(v) is not float:
             if type(v) is not int:
                 return k
-            values[k] = float(v)
+            try:
+                values[k] = float(v)
+            except OverflowError:
+                return k
     return -1
+
+
+def _value_error(where: str, v) -> Exception:
+    """The error of the value ``v`` at which ``_to_floats`` stopped, located
+    at ``where``: OverflowError for an int beyond float range, else
+    ParseError."""
+    if type(v) is int:
+        return OverflowError(f"{where}: int too large to convert to float")
+    return ParseError(f"{where}: expected a number, got {v!r}")
 
 
 def record_to_params(record: dict, where: str):
@@ -137,7 +151,8 @@ def record_to_params(record: dict, where: str):
     columns.
 
     The values are read in one pass and checked in order: the first one
-    that is not a JSON number is reported, by its location, which is built
+    that is not a JSON number (a ParseError) or is an int beyond float
+    range (an OverflowError) is reported, by its location, which is built
     only then.  A value is a number, or for the complex parameters and the
     matrix cells an [re, im] pair of numbers."""
     if not isinstance(record, dict):
@@ -170,7 +185,7 @@ def record_to_params(record: dict, where: str):
                 values += (z, 0.0)
         bad = _to_floats(values)
         if bad >= 0:
-            raise ParseError(f"{where}.{_FIELDS[bad]}: expected a number, got {values[bad]!r}")
+            raise _value_error(f"{where}.{_FIELDS[bad]}", values[bad])
         if len(raw) > known:  # n1 and n2 are required: any other key is unknown
             unknown = raw.keys() - {"n1", "n2", "m1", "m2", "ms", "mc"}
             raise ParseError(f"{where}: unknown key(s) in 'params': "
@@ -192,7 +207,7 @@ def record_to_params(record: dict, where: str):
     if bad >= 0:
         i = bisect.bisect_right(ends, bad)
         j = (bad - (ends[i - 1] if i else 0)) // 2
-        raise ParseError(f"{where}[{i}][{j}]: expected a number, got {values[bad]!r}")
+        raise _value_error(f"{where}[{i}][{j}]", values[bad])
     if not_iterable is not None:
         raise ParseError(f"{where}: bad matrix: {not_iterable}") from not_iterable
     if ends != _MATRIX_ENDS:

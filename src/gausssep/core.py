@@ -92,12 +92,13 @@ import numpy as np
 
 from .errors import DegenerateBoundError, InvalidParameterError, StructuralError
 
-# Absolute tolerances on 4x4 matrices, but for TOL_PATTERN, which scales per entry.
+# Absolute tolerances on 4x4 matrices, but for TOL_HERM and TOL_PATTERN, which scale
+# per entry (``_rebuild_residual``): entry (i, j) of a matrix against its rebuild B,
+# relative to max(1, sqrt(|B_ii| |B_jj|)).
 TOL_PSD = 1e-10
-TOL_HERM = 1e-12
+TOL_HERM = 1e-12  # B = V+: Hermiticity in ``symplectic.invariants``
 TOL_SING = 1e-12
-TOL_PATTERN = 1e-9  # entry (i, j) of a matrix against the rebuild B of its parameters,
-                    # relative to max(1, sqrt(|B_ii| |B_jj|))
+TOL_PATTERN = 1e-9  # B rebuilt from the parameters read off the matrix
 BOUNDARY_BAND = 1e-8  # |oracle margin| at or below this lies on a decision boundary
 FOLD_GAP_RTOL = 1e-12  # relative gap below which the sweep's P- and S-folds tie
 
@@ -447,10 +448,12 @@ def build_covariance(p: GaussianParams) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _rebuild_residual(V: np.ndarray, B: np.ndarray):
+def _rebuild_residual(V: np.ndarray, B: np.ndarray, tol: float = TOL_PATTERN):
     """(max |V - B| over all 16 entries, whether every entry (i, j) is
-    within TOL_PATTERN * max(1, sqrt(|B_ii| |B_jj|))) per matrix of an
-    (N, 4, 4) stack V and the stack B of its rebuilds, as (N,) arrays.
+    within tol * max(1, sqrt(|B_ii| |B_jj|))) per matrix of an (N, 4, 4)
+    stack V and the stack B of its rebuilds, as (N,) arrays: the
+    package's one per-entry rule, with TOL_PATTERN for the structural rule
+    and TOL_HERM for ``symplectic.invariants``' Hermiticity (B = V+).
 
     The tolerance of an entry scales with the two diagonal entries it
     couples, so a rounding-level residual in the block of a large mode
@@ -460,7 +463,7 @@ def _rebuild_residual(V: np.ndarray, B: np.ndarray):
     infinite entry of V is never its own excuse.  A NaN entry of V fails.
     """
     scale = np.sqrt(np.abs(np.diagonal(B, axis1=-2, axis2=-1)))
-    tol = TOL_PATTERN * np.maximum(1.0, scale[..., :, None] * scale[..., None, :])
+    tol = tol * np.maximum(1.0, scale[..., :, None] * scale[..., None, :])
     dev = np.abs(V - B)
     residual = dev.max(axis=(-2, -1), initial=0.0)
     ok = (dev <= tol).all(axis=(-2, -1))

@@ -11,8 +11,10 @@ P-representability coincide.
 The invariants, ``apply_local`` and the reduction work on (N, 4, 4) stacks
 as on one matrix, with the same stacked operations, so a state's result
 does not depend on its stack.  ``invariants`` takes matrices from outside
-the package, so it checks their shape and Hermiticity itself and reads the
-blocks V1, V2 and C by slicing.  ``reduce_to_invariant_form`` reads a state
+the package, so it checks their shape and Hermiticity itself, Hermiticity
+by the per-entry rule every matrix reader of the package uses
+(``core._rebuild_residual``, at TOL_HERM), and reads the blocks V1, V2 and
+C by slicing.  ``reduce_to_invariant_form`` reads a state
 of a batch (``core._Row``) out of one array pass of the reduction over the
 batch's covariance stack (``core._Batch.covariance``); a lone parameter set
 is a one-element batch.  That pass makes one eigen-oracle call over the
@@ -183,18 +185,24 @@ def _product(a: tuple, b: tuple) -> tuple:
 def invariants(V: np.ndarray) -> SymplecticInvariants:
     """I1..I4 of a matrix, as floats, or of each matrix of an (N, 4, 4)
     stack, as (N,) arrays, by the same stacked operations; StructuralError
-    if V is not a 4x4 Hermitian matrix or a stack of them (a NaN entry
-    fails), OverflowError if any invariant is not finite.  The
-    determinants are closed-form 2x2 ones (``_det2``): a pivoting
+    if V is not a 4x4 Hermitian matrix or a stack of them, naming a
+    stack's first failing matrix, OverflowError if any invariant is not
+    finite.  Hermitian means V rebuilds as V+ under the package's one
+    per-entry rule (``core._rebuild_residual``) with TOL_HERM: |V_ij -
+    conj(V_ji)| <= TOL_HERM * max(1, sqrt(|V_ii V_jj|)), so a matrix that
+    is Hermitian to rounding passes at any scale, and a NaN entry fails.
+    The determinants are closed-form 2x2 ones (``_det2``): a pivoting
     ``np.linalg.det`` divides by a subnormal pivot.  I4 = Re Tr(P Q), with
     P = V1 (Z C Z) and Q = V2 (Z C+ Z), written out entry by entry; Z M Z
     only flips the sign of M's off-diagonal entries."""
     V = np.asarray(V, dtype=complex)
     if V.ndim < 2 or V.shape[-2:] != (4, 4):
         raise StructuralError(f"expected a 4x4 matrix or a stack of them, got shape {V.shape}")
-    dev = np.abs(V - V.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if not dev <= core.TOL_HERM:
-        raise StructuralError(f"matrix is not Hermitian: max deviation {dev:.3e}")
+    dev, ok = core._rebuild_residual(V, V.conj().swapaxes(-1, -2), core.TOL_HERM)
+    if not ok.all():
+        k = int(np.argmin(ok.ravel()))  # the first failing matrix, in C order
+        which = "matrix" if V.ndim == 2 else f"matrix {k} of the stack"
+        raise StructuralError(f"{which} is not Hermitian: max deviation {dev.ravel()[k]:.3e}")
     V1, V2, C = V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
     i1, i2, i3 = _det2(V1), _det2(V2), _det2(C)
     # on float (re, im) pairs: numpy's complex kernels for a stack and for

@@ -108,16 +108,17 @@ def _shifted_psd(M, shift) -> bool:
                        for j, (re, im) in enumerate(row)] for i, row in enumerate(M)])
 
 
-def physical_exact(p) -> bool:
-    """Whether the parameter set ``p`` is physical, V + E/2 >= 0, decided
-    exactly."""
-    return _shifted_psd(covariance_exact(p), E_HALF)
+def physical_exact(p, n2=None) -> bool:
+    """Whether the parameter set ``p``, with n2 replaced by the rational
+    ``n2`` if it is given, is physical, V + E/2 >= 0, decided exactly."""
+    return _shifted_psd(covariance_exact(p, n2), E_HALF)
 
 
-def separable_exact(p) -> bool:
-    """Whether ``p`` passes Simon's separability criterion, T V T + E/2 >=
-    0 with T V T the mode-2 mirror (``PT_PERM``), decided exactly."""
-    M = covariance_exact(p)
+def separable_exact(p, n2=None) -> bool:
+    """Whether ``p``, with n2 replaced by the rational ``n2`` if it is
+    given, passes Simon's separability criterion, T V T + E/2 >= 0 with
+    T V T the mode-2 mirror (``PT_PERM``), decided exactly."""
+    M = covariance_exact(p, n2)
     return _shifted_psd([[M[i][j] for j in PT_PERM] for i in PT_PERM], E_HALF)
 
 

@@ -915,6 +915,24 @@ class TestExitCodes:
         assert main(["classify", "--input", str(f), "--format", fmt]) == 3
         assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "json"])
+    @pytest.mark.parametrize("record, at", [
+        ({"params": {"n1": 1, "n2": 10**400}}, ".n2"),
+        ({"matrix": [[1, 0, 0, 0], [0, 1, 0, [0, 10**400]], [0, 0, 1, 0], [0, 0, 0, 1]]}, "[1][3]"),
+    ])
+    def test_huge_int_is_located_exit_4(self, tmp_path, capsys, fmt, record, at):
+        records = [VACUUM_REC, record, ENTANGLED_REC]
+        f = tmp_path / f"in.{fmt}"
+        if fmt == "jsonl":
+            write_jsonl(f, records)
+            where = f"{f}:2"
+        else:
+            f.write_text(json.dumps({"states": records}))
+            where = f"{f} states[1]"
+        assert main(["classify", "--input", str(f), "--format", fmt]) == 4
+        assert capsys.readouterr().err == (
+            f"error: numeric overflow: {where}{at}: int too large to convert to float\n")
+
     @pytest.mark.parametrize("lines, code, message", [
         # a record that fails its column checks comes before a later parse error
         (['{"params": {"n1": -1, "n2": 1}}', "{broken"], 3, "1: occupations must be nonnegative"),
@@ -1137,9 +1155,11 @@ def test_line_separator_in_an_id_is_echoed(tmp_path, sep):
     ('{"params": {"n1": 1, "n2": 1, "mc": [-Infinity, 0]}}', 3, "error: {f}:1: parameters must "
      "be finite, got GaussianParams(n1=1.0, n2=1.0, m1=0j, m2=0j, ms=0j, mc=(-inf+0j))\n"),
     ('{"params": {"n1": %s, "n2": 1}}' % ("1" * 400), 4,
-     "error: numeric overflow: int too large to convert to float\n"),
+     "error: numeric overflow: {f}:1.n1: int too large to convert to float\n"),
     ('{"params": {"n1": %s, "n2": "x"}}' % BIG, 4,
-     "error: numeric overflow: int too large to convert to float\n"),
+     "error: numeric overflow: {f}:1.n1: int too large to convert to float\n"),
+    ('{"params": {"n1": 1, "n2": 1, "mc": [0, %s]}}' % BIG, 4,
+     "error: numeric overflow: {f}:1.mc: int too large to convert to float\n"),
     ('{"params": null}', 2, "error: {f}:1: 'params' must be an object\n"),
     ('{"params": {"n1": 1, "n2": 1, "m1": [true, 0]}}', 2,
      "error: {f}:1.m1: expected a number, got True\n"),
@@ -1153,9 +1173,11 @@ def test_line_separator_in_an_id_is_echoed(tmp_path, sep):
     (json.dumps({"matrix": identity_matrix([0.0, False], at=(2, 1))}), 2,
      "error: {f}:1[2][1]: expected a number, got False\n"),
     ('{"matrix": [[%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % BIG, 4,
-     "error: numeric overflow: int too large to convert to float\n"),
+     "error: numeric overflow: {f}:1[0][0]: int too large to convert to float\n"),
     ('{"matrix": [[%s, "x", 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % BIG, 4,
-     "error: numeric overflow: int too large to convert to float\n"),
+     "error: numeric overflow: {f}:1[0][0]: int too large to convert to float\n"),
+    ('{"matrix": [[1, 0, 0, 0], [0, 1, 0, [0, %s]], [0, 0, 1, 0], [0, 0, 0, 1]]}' % BIG, 4,
+     "error: numeric overflow: {f}:1[1][3]: int too large to convert to float\n"),
     ('{"matrix": [["x", %s, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % BIG, 2,
      "error: {f}:1[0][0]: expected a number, got 'x'\n"),
     ('{"matrix": [[1, "z", 0, 0], 7, [0, 0, 1, 0], [0, 0, 0, 1]]}', 2,
@@ -1190,7 +1212,7 @@ def test_long_int_past_the_parser_limit(tmp_path):
     except ValueError:
         expected = json_error(line)
     else:
-        expected = 4, "error: numeric overflow: int too large to convert to float\n"
+        expected = 4, "error: numeric overflow: {f}:1.n1: int too large to convert to float\n"
     code, err = expected
     assert _main(["classify", "--input", str(f)]) == (code, "", err.format(f=f))
 

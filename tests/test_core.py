@@ -265,6 +265,13 @@ class TestDecomposeBlocks:
             symplectic.invariants(M)
         with pytest.raises(StructuralError, match="not Hermitian"):
             symplectic.invariants(np.stack([np.eye(4), M]))
+        # at scale 1e6 an entry's tolerance is TOL_HERM * 1e6: just above it fails
+        M = 1e6 * np.eye(4, dtype=complex)
+        M[0, 1] = 1.01e-6
+        with pytest.raises(StructuralError, match=r"^matrix is not Hermitian: max deviation 1\.010e-06$"):
+            symplectic.invariants(M)
+        M[0, 1] = 0.99e-6
+        assert symplectic.invariants(M).i1 == 1e12
 
     def test_nan_entry_rejected(self):
         M = np.eye(4, dtype=complex)

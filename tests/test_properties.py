@@ -346,18 +346,48 @@ def test_exact_prep_folds_pass_the_exact_referee():
         mc = unit * ms.conjugate() if split else mc_unit
         params.append(GaussianParams(0.5 + sign * r, 1.0, m1=(r + excess) * unit, m2=m2, ms=ms, mc=mc))
     params = [p for p in dict.fromkeys(params) if literal.closed_form_terms(p)[1][2] <= core.TOL_SING]
-    prep = core.n2_folds_batch(params)[2]
-    step = Fraction(1, 2 ** 20)
-    finite = 0
-    for p, f in zip(params, prep.tolist()):
-        if math.isinf(f):
-            assert not literal.prep_exact(p, Fraction(2 ** 40))
-        else:
-            finite += 1
-            assert f > 0 and literal.prep_exact(p, Fraction(f) * (1 + step))
-            assert not literal.prep_exact(p, Fraction(f) * (1 - step))
+    finite = assert_folds_pass_the_referee(params, core.n2_folds_batch(params)[2], literal.prep_exact)
     kinds = {literal.closed_form_terms(p)[1][2] == 0 for p in params}
     assert kinds == {True, False} and 0 < finite < len(params)
+
+
+def assert_folds_pass_the_referee(params, folds, referee) -> int:
+    """Check each fold f of ``folds`` against the exact ``referee`` of its
+    state of ``params``: for a finite f, the criterion holds at n2 = f (1 +
+    2^-20) and not at f (1 - 2^-20); for an infinite one it fails at n2 =
+    2^40.  Returns the number of finite folds."""
+    step = Fraction(1, 2 ** 20)
+    finite = 0
+    for p, f in zip(params, folds.tolist()):
+        if math.isinf(f):
+            assert not referee(p, Fraction(2 ** 40))
+        else:
+            finite += 1
+            assert f > 0 and referee(p, Fraction(f) * (1 + step))
+            assert not referee(p, Fraction(f) * (1 - step))
+    return finite
+
+
+def test_exact_physicality_and_separability_folds_pass_the_exact_referee():
+    """Every physicality and separability entry that the sweep takes from
+    the exact fold (d <= TOL_SING), on a dyadic grid of exact band rows (d
+    = 0: n1^2 - |m1|^2 = 1/4) and mode-1 failures (d < 0), is checked in
+    rational arithmetic (``literal.physical_exact``, V + E/2, and
+    ``literal.separable_exact``, T V T + E/2), as the P entries are.  A
+    band row's fold is finite only where its cross block is 0: otherwise
+    the null vector of the singular mode-1 block couples to mode 2."""
+    params = list(dict.fromkeys(
+        GaussianParams(n1, 1.0, m1=r * unit, m2=m2, ms=ms, mc=mc)
+        for (n1, r), unit, (ms, mc), m2 in itertools.product(
+            [(0.5, 0.0), (0.625, 0.375), (1.0625, 0.9375), (0.5, 0.125), (0.625, 0.5), (0.375, 0.0)],
+            [1, 1j], [(0, 0), (0.375 - 0.25j, 0), (0, 0.125j)], [0, 0.375, 0.5 + 0.125j])))
+    d = [literal.closed_form_terms(p)[0][2] for p in params]
+    assert max(d) == 0.0 and min(d) < 0.0
+    phys, sep, _, degenerate = core.n2_folds_batch(params)
+    assert degenerate.all()
+    for folds, referee in ((phys, literal.physical_exact), (sep, literal.separable_exact)):
+        finite = assert_folds_pass_the_referee(params, folds, referee)
+        assert 0 < finite < len(params)
 
 
 REFEREES = (literal.physical_exact, literal.separable_exact, literal.prep_exact)

@@ -12,6 +12,7 @@ from gausssep.errors import (
     InvalidParameterError,
     PrescriptionInapplicableError,
     SamplingBudgetError,
+    StructuralError,
 )
 from gausssep.symplectic import (
     FORM1,
@@ -196,6 +197,29 @@ class TestInvariants:
             B = V[:, i:i + 2, j:j + 2]
             closed = (B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]).real
             assert (closed == (inv.i1, inv.i2, inv.i3)[k]).all()
+
+    def test_stack_names_its_first_failing_matrix(self):
+        V = np.stack([np.eye(4, dtype=complex)] * 4)
+        V[2, 1, 3] = V[3, 0, 1] = 1e-3
+        with pytest.raises(StructuralError, match=r"^matrix 2 of the stack is not Hermitian: "
+                                                  r"max deviation 1\.000e-03$"):
+            invariants(V)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 70.0), st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    def test_plain_local_transform_keeps_the_invariants_at_any_scale(self, e, u):
+        """A state with n1 = n, n2 in [n, 2n] and cross terms up to 0.3 n,
+        n from 1 to 1e70, conjugated by a fixed local symplectic as a plain
+        S+ V S (Hermitian to rounding only), is accepted, and its I1..I4 are
+        the untransformed state's within 1e-9 of n^2 (n^4 for I4)."""
+        n = 10.0 ** e
+        mc, ms = (0.3 * n * r * np.exp(2j * math.pi * a) for r, a in ((u[1], u[2]), (u[3], u[4])))
+        V = build_covariance(GaussianParams(n, n * (1 + u[0]), ms=ms, mc=mc))
+        S = make_local_symplectic(0.7, 0.3, 1.1, 0.4, 2.0, 0.5).realized
+        a, b = invariants(V), invariants(S.conj().T @ V @ S)
+        for x, y, scale in zip((a.i1, a.i2, a.i3, a.i4), (b.i1, b.i2, b.i3, b.i4),
+                               (n**2, n**2, n**2, n**4)):
+            assert abs(x - y) <= 1e-9 * scale
 
     def test_invariance_under_conjugation(self):
         rng = np.random.default_rng(23)
