@@ -18,10 +18,9 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
 
 Every subcommand parses its arguments and input, evaluates its states and
 hands its output to one writer (``_write_output``), the only code that
-opens and closes an output: one string for the whole output, written with
-one call, in place, and cut at its end where the file opened is a regular
-one, or, from a ``sample`` run longer than one batch, one string per batch,
-truncated at open.
+opens and closes an output: one string for the whole output, or one per
+batch of a ``sample`` run longer than one batch, each written with one call,
+in place, and cut after it where the file opened is a regular one.
 ``load_states`` reads an input file into columns: the ids, and the states
 as one ``core._ParamArrays``.  It checks each record's layout and numbers
 as it reads it (``record_to_params``), then the finiteness and occupations
@@ -74,9 +73,10 @@ flags by lookup and each line with one format call.
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
 (``ParseError``), 3 invalid parameters, 4 domain error, 5 internal
-assertion.  A numeric ``OverflowError`` exits 4, as a domain error; one
-raised by an input value (a JSON int beyond float range) names the value's
-location.
+assertion.  An input number beyond float range is an invalid parameter
+(exit 3) however it is spelled: a float reads as inf and fails finiteness,
+and a JSON int fails its read, which names the value's location.  Any other
+numeric ``OverflowError`` exits 4, as a domain error.
 """
 
 from __future__ import annotations
@@ -135,10 +135,10 @@ def _to_floats(values: list) -> int:
 
 def _value_error(where: str, v) -> Exception:
     """The error of the value ``v`` at which ``_to_floats`` stopped, located
-    at ``where``: OverflowError for an int beyond float range, else
-    ParseError."""
+    at ``where``: InvalidParameterError for an int beyond float range, as
+    for a non-finite value, else ParseError."""
     if type(v) is int:
-        return OverflowError(f"{where}: int too large to convert to float")
+        return InvalidParameterError(f"{where}: int too large to convert to float")
     return ParseError(f"{where}: expected a number, got {v!r}")
 
 
@@ -152,9 +152,9 @@ def record_to_params(record: dict, where: str):
 
     The values are read in one pass and checked in order: the first one
     that is not a JSON number (a ParseError) or is an int beyond float
-    range (an OverflowError) is reported, by its location, which is built
-    only then.  A value is a number, or for the complex parameters and the
-    matrix cells an [re, im] pair of numbers."""
+    range (an InvalidParameterError) is reported, by its location, which
+    is built only then.  A value is a number, or for the complex parameters
+    and the matrix cells an [re, im] pair of numbers."""
     if not isinstance(record, dict):
         raise ParseError(f"{where}: expected an object")
     rec_id = record.get("id")
@@ -257,7 +257,8 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
 
     Each record is read by ``record_to_params``; JSONL lines are parsed
     lazily, each just before its record is read.  The first record that
-    fails to parse or read (a ParseError or OverflowError) ends the reading.
+    fails to parse or read (a ParseError, or an InvalidParameterError for an
+    int beyond float range) ends the reading.
     Finiteness and occupations are then checked on the (N, 10) array of the
     records read, and the structural rule in one pass over the stack of
     their matrices (``core._ParamArrays.from_records``).  The earliest
@@ -287,7 +288,7 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
             ids.append(rec_id)
             wheres.append(where)
             values.append(v)
-    except (ParseError, OverflowError) as exc:
+    except (ParseError, InvalidParameterError) as exc:
         held = exc
     q, failure = core._ParamArrays.from_records(values)
     if failure is not None:
@@ -298,14 +299,13 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
     return ids, q
 
 
-def _open_output(path: str | None, whole: bool):
+def _open_output(path: str | None):
     """(stream, close) of the output ``path``: stdout for None or '-', which
-    is not closed; else the file, for text, truncated at open unless it
-    takes a ``whole`` output, when its old bytes stay until the writer cuts
-    them."""
+    is not closed; else the file, for text, opened without truncating it:
+    its old bytes stay until the writer cuts them."""
     if path is None or path == "-":
         return sys.stdout, False
-    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0) | (0 if whole else os.O_TRUNC)
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
         fd = os.open(path, flags, 0o666)
         try:
@@ -318,31 +318,30 @@ def _open_output(path: str | None, whole: bool):
 
 
 def _write_output(path: str | None, text) -> None:
-    """Write ``text`` to ``path`` (stdout for None or '-') and flush it: the
-    one place an output is opened and closed.  ``text`` is either a whole
-    output, one string written with one call, or an iterable of strings
-    written one call each: the batches of a ``sample`` run of more than
-    ``SAMPLE_BATCH`` states, whose shorter runs are whole outputs.
+    """Write ``text`` to ``path`` (stdout for None or '-'): the one place an
+    output is opened and closed.  ``text`` is one string, a whole output, or
+    an iterable of them: the batches, then the summary line, of a ``sample``
+    run of more than ``SAMPLE_BATCH`` states.
 
-    A whole output is written in place: the file is opened without
-    truncating it and written from its start, and where ``os.fstat`` says
-    the file opened is a regular one, it is cut at the bytes written, also
-    when a write fails, so it never keeps a tail of its old contents.  A
-    streamed output is truncated at open, so a streamed run killed part-way
-    never ends with an older run's records.  Stdout is never cut.  A failed
-    write, flush or close (a full disk, a closed pipe) is a ParseError."""
-    whole = isinstance(text, str)
-    out, close = _open_output(path, whole)
+    Each string is written with one call and flushed, in place from the
+    start of a file opened without truncating it.  Where ``os.fstat`` says
+    that file is a regular one, it is cut at the bytes that reached it after
+    every write, also a failed one, so from its first write on it holds no
+    tail of its old contents, and a run that fails before that leaves it as
+    it was.  Stdout is never cut.  A failed write, flush or close (a full
+    disk, a closed pipe) is a ParseError."""
+    out, close = _open_output(path)
     try:
         try:
-            try:
-                for chunk in (text,) if whole else text:
+            cut = close and stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+            for chunk in (text,) if isinstance(text, str) else text:
+                try:
                     out.write(chunk)
-                out.flush()
-            finally:
-                if whole and close and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                    fd = out.fileno()  # its offset: the bytes that reached the file
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+                    out.flush()
+                finally:
+                    if cut:
+                        fd = out.fileno()  # its offset: the bytes that reached the file
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         finally:
             if close:
                 out.close()
