@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Compare the CLI's output bytes and exit codes of two source trees.
+
+Usage: python scripts/compare_outputs.py BASE_TREE
+
+For every workload of ``perfbench/generate.py`` at seeds 1 and 2, the
+inputs are generated once, by the generator of the tree holding this
+script, and every plan command and the set-up command run in that tree and
+in BASE_TREE: one interpreter per tree and workload, which imports that
+tree's ``src`` and calls ``gausssep.cli.main`` in-process, command after
+command.  The commands whose exit code or output bytes differ are listed
+as Markdown, printed and appended to the file named by
+``$GITHUB_STEP_SUMMARY`` when it is set.  The exit status is 0 whatever
+differs, since a fix may change bytes on purpose; it is 1 only when the
+comparison itself cannot run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+WORKLOADS = ("classify-mixed", "sample-campaign", "sweep-grid", "forms")
+SEEDS = (1, 2)
+TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Runs the JSON list of argument lists on stdin through ``main``, quietly;
+# prints where ``gausssep`` was imported from and the exit code of each.
+RUNNER = r"""
+import contextlib, io, json, sys
+import gausssep
+from gausssep.cli import main
+codes = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a bug in that tree, reported as its result
+            code = "raised " + type(exc).__name__
+    codes.append(code)
+json.dump({"package": gausssep.__file__, "codes": codes}, sys.stdout)
+"""
+
+
+def plan_commands(tree: str, workload: str, seed: int, inputs: str) -> list[list[str]]:
+    """The plan and set-up argument lists of ``workload`` at ``seed``, whose
+    inputs ``tree``'s generator writes into ``inputs``."""
+    subprocess.run([sys.executable, os.path.join(tree, "perfbench", "generate.py"),
+                    "--workload", workload, "--seed", str(seed), "--out", inputs],
+                   check=True, stdout=subprocess.DEVNULL)
+    with open(os.path.join(inputs, "plan.json"), encoding="utf-8") as fh:
+        plan = json.load(fh)
+    return [c["argv"] for c in plan["commands"]] + [plan["setup_argv"]]
+
+
+def with_output(argv: list[str], out: str) -> list[str]:
+    """``argv`` writing its ``--output`` file into the directory ``out``."""
+    k = argv.index("--output") + 1
+    return [*argv[:k], os.path.join(out, os.path.basename(argv[k])), *argv[k + 1:]]
+
+
+def run_tree(tree: str, argvs: list[list[str]], out: str) -> list:
+    """The exit code of each of ``argvs`` run in one interpreter on ``tree``'s
+    package, with outputs in ``out``."""
+    os.makedirs(out)
+    src = os.path.join(os.path.abspath(tree), "src")
+    proc = subprocess.run([sys.executable, "-c", RUNNER], cwd=out, check=True, text=True,
+                          input=json.dumps([with_output(a, out) for a in argvs]),
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    result = json.loads(proc.stdout)
+    if not result["package"].startswith(src + os.sep):
+        raise RuntimeError(f"{tree}: imported gausssep from {result['package']}")
+    return result["codes"]
+
+
+def read(path: str) -> bytes | None:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
+def compare(base: str, new: str, work: str) -> tuple[int, list[str]]:
+    """(number of commands, a Markdown row per command that differs)."""
+    total, rows = 0, []
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            here = os.path.join(work, f"{workload}-{seed}")
+            argvs = plan_commands(new, workload, seed, os.path.join(here, "inputs"))
+            codes = {name: run_tree(tree, argvs, os.path.join(here, name))
+                     for name, tree in (("base", base), ("new", new))}
+            for argv, code_base, code_new in zip(argvs, codes["base"], codes["new"]):
+                total += 1
+                name = os.path.basename(argv[argv.index("--output") + 1])
+                same = (read(os.path.join(here, "base", name))
+                        == read(os.path.join(here, "new", name)))
+                if code_base != code_new or not same:
+                    shown = " ".join(os.path.basename(a) if os.sep in a else a for a in argv)
+                    rows.append(f"| {workload} | {seed} | `{shown}` | {code_base} | {code_new} "
+                                f"| {'same' if same else 'differ'} |")
+    return total, rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="the source tree to compare against")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as work:
+        total, rows = compare(args.base, TREE, work)
+    lines = [f"### Output bytes against the base tree: {len(rows)} of {total} commands differ", ""]
+    if rows:
+        lines += ["| workload | seed | command | base exit | new exit | output |",
+                  "|---|---|---|---|---|---|", *rows]
+    else:
+        lines.append("Every plan and set-up command wrote the base tree's bytes and exit code.")
+    text = "\n".join(lines) + "\n"
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a", encoding="utf-8") as fh:
+            fh.write(text)
+    print(text, end="")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -72,11 +72,12 @@ flags by lookup and each line with one format call.
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
-(``ParseError``), 3 invalid parameters, 4 domain error, 5 internal
-assertion.  An input number beyond float range is an invalid parameter
-(exit 3) however it is spelled: a float reads as inf and fails finiteness,
-and a JSON int fails its read, which names the value's location.  Any other
-numeric ``OverflowError`` exits 4, as a domain error.
+(``ParseError``), 3 invalid parameters (a non-finite ``transform`` angle
+among them), 4 domain error, 5 internal assertion.  An input number
+beyond float range is an invalid parameter (exit 3) however it is
+spelled: a float reads as inf and fails finiteness, and a JSON int fails
+its read, which names the value's location.  Any other numeric
+``OverflowError`` exits 4, as a domain error.
 """
 
 from __future__ import annotations

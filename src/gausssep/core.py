@@ -27,20 +27,22 @@ per-state API (``classify``, ``physicality_bound_n2`` and
 ``bisect_n2_threshold``) takes a parameter set, evaluated as a one-element
 batch, or a state of a batch (``_Row``), which it reads out of that batch's
 array pass; ``classify_batch`` is ``classify`` over every state of one
-batch, whose array passes each run once (``_Batch``).  ``n2_folds_batch``
-reads each fold column from the closed form's array pass over the batch
-(the physicality bound's is the pass ``physicality_bound_n2`` reads; the
-P column's is the literal published P-fold, which has no per-state view),
-and the entries without a closed form from the exact fold's array pass:
-the P column in one masked read, the physicality and separability columns
-state by state, through ``physicality_bound_n2`` and
+batch.  A batch (``_Batch``) runs each array pass once: the families,
+the covariance stack and the mirror batch as cached properties, any other
+pass under the key ``(compute, *args)``.  So one bound column per family
+and batch (``_bound``) serves the closed margins, the n2 views and the
+sweep, separability's being physicality's on the mirror batch.
+``n2_folds_batch`` takes the entries without a closed form from the exact
+fold's array pass: the P column (the literal published P-fold, which has
+no per-state view) in one masked read, the physicality and separability
+columns state by state, through ``physicality_bound_n2`` and
 ``bisect_n2_threshold``, whose calls the benchmark's tracer counts;
-``n2_folds`` is its one-element view.  A batch
-builds its (N, 4, 4) covariance stack once, read-only, at its first use;
-the oracle rows of all three criteria and the invariant-form reduction of
-``symplectic`` index that one stack.  Every operation is elementwise or per
-matrix, so a state's result does not depend on the other states in its
-batch, bit for bit.
+``n2_folds`` is its one-element view.  A batch builds its (N, 4, 4)
+covariance stack once, read-only, at its first use; the oracle rows of all
+three criteria and the invariant-form reduction of ``symplectic`` index
+that one stack.  Every operation is elementwise or per matrix, so a
+state's result does not depend on the other states in its batch, bit for
+bit.
 
 Physicality and P-representability are one positivity question at two
 shifts, so they share one closed form: the parameters (a, s, c, h, e, x0)
@@ -50,12 +52,13 @@ is physicality of the partial transpose (Simon's criterion), so it has no
 code of its own: both its margins are the physicality code run on the
 mirrored states (``_ParamArrays.mirror``: ms <-> mc swapped, m2
 conjugated; ``GaussianParams.mirror`` is its one-element view), the closed
-form with the mirrored family (s, conj(c), d), the oracle on T V T of the
-batch's one stack: the rows and columns of mode 2 swapped (index
-permutation [0, 1, 3, 2]), the mirrored covariance bit for bit.  Complex
-products are computed on the (re, im) float pairs, with the groupings of
-``_families``, so that the mirrored families are the exact conjugates;
-numpy's vectorised complex kernels do not guarantee that.  Its n2 bound is
+form on the mirror batch (``_Batch.mirror``), whose family is (s,
+conj(c), d), the oracle on T V T of the batch's one stack: the rows and
+columns of mode 2 swapped (index permutation [0, 1, 3, 2]), the mirrored
+covariance bit for bit.  Complex products are computed on the (re, im)
+float pairs, with the groupings of ``_families``, so that the mirrored
+families are the exact conjugates; numpy's vectorised complex kernels do
+not guarantee that.  Its n2 bound is
 
     n2 >= x0 + s/a + sqrt( (e (1 - delta/a))^2 + |m2 - c/a|^2 ),
 
@@ -385,10 +388,12 @@ def _families(q: _ParamArrays) -> tuple[_Family, _Family]:
 
 
 class _Batch:
-    """N states as ``_ParamArrays``.  Each array evaluation over them, and
-    their covariance stack, is built once, at its first use, and kept; the
-    per-state functions read a state of the batch (a ``_Row``) out of these
-    evaluations."""
+    """N states as ``_ParamArrays`` and their array passes, each run once, at
+    its first use, and kept.  A pass without arguments is a cached property
+    (``families``, ``covariance``, ``mirror``); a pass ``compute(batch,
+    *args)`` is kept under the key ``(compute, *args)`` (``evaluated``).
+    The per-state functions read a state of the batch (a ``_Row``) out of
+    these passes."""
 
     def __init__(self, q: _ParamArrays):
         self.q = q
@@ -417,11 +422,14 @@ class _Batch:
         mirrored.families = tuple(f.mirror() for f in self.families)
         return mirrored
 
-    def evaluated(self, key, compute, *args):
-        """``compute(self, *args)``, run once per ``key``."""
-        value = self._values.get(key)
-        if value is None:
-            value = self._values[key] = compute(self, *args)
+    def evaluated(self, key: tuple):
+        """``compute(self, *args)`` of the key ``(compute, *args)``, run
+        once per key."""
+        try:
+            return self._values[key]
+        except KeyError:
+            pass
+        value = self._values[key] = key[0](self, *key[1:])
         return value
 
     def rows(self) -> list["_Row"]:
@@ -508,13 +516,15 @@ def _checked(x: np.ndarray, defined: np.ndarray, what: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _bound(q: _ParamArrays, f: _Family):
-    """(bound, defined): the smallest n2 at which the criterion of ``f``
+def _bound(batch: _Batch, k: int):
+    """(bound, defined) of every state of ``batch``: the smallest n2 at
+    which the criterion of family k (0 physicality, 1 P-representability)
     holds, x0 + s/a + sqrt((e (1 - delta/a))^2 + |m2 - c/a|^2), defined
     where a > TOL_SING and the mode-1 rule holds, NaN elsewhere.  The root
     is hypot(e (1 - delta/a), |m2 - c/a|) where the sum of the squares
     overflows but its terms do not.  Not checked: where it overflows, it is
-    not finite."""
+    not finite.  Read through ``evaluated``, once per family and batch."""
+    q, f = batch.q, batch.families[k]
     defined = (f.a > TOL_SING) & (f.h >= 0.0)
     a = np.where(defined, f.a, np.nan)
     r = _abs(_sub(q.m2, _div(f.c, a)))
@@ -526,27 +536,14 @@ def _bound(q: _ParamArrays, f: _Family):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _literal_prep_fold(q: _ParamArrays, f: _Family):
-    """(fold, defined): the published P-fold s'/d' + |m2 - c'|/d' + 1/2 of the
-    P family ``f``, defined where d' > TOL_SING (kept literal for the
-    fold-comparison figure; its dips below the S-fold are unphysical)."""
+def _literal_prep_fold(batch: _Batch):
+    """(fold, defined): the published P-fold s'/d' + |m2 - c'|/d' + 1/2 of
+    every state of ``batch``, defined where d' > TOL_SING (kept literal for
+    the fold-comparison figure; its dips below the S-fold are unphysical)."""
+    q, f = batch.q, batch.families[1]
     defined = f.a > TOL_SING
     d = np.where(defined, f.a, np.nan)
     return f.s / d + _abs(_sub(q.m2, f.c)) / d + 0.5, defined
-
-
-# name -> (fold, defined) of a batch, as in DegenerateBoundError's and OverflowError's messages
-_CLOSED_FORMS = {
-    "physicality bound": lambda b: _bound(b.q, b.families[0]),
-    "P-representability bound": lambda b: _bound(b.q, b.families[1]),
-    "literal P-fold": lambda b: _literal_prep_fold(b.q, b.families[1]),
-}
-
-
-def _closed_column(batch: _Batch, what: str):
-    """(fold, defined) of the closed form ``what`` over ``batch``,
-    evaluated once per batch, not checked."""
-    return batch.evaluated(what, _CLOSED_FORMS[what])
 
 
 def physicality_bound_n2(p: GaussianParams | _Row) -> float:
@@ -555,11 +552,11 @@ def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     Requires d = n1^2 - 1/4 - |m1|^2 > 0; degenerate or negative d raises
     DegenerateBoundError (negative d means the mode-1 condition already
     fails, so no n2 bound exists), and an overflowing bound OverflowError.
-    The bound is read from one evaluation over the batch of ``p``.  The
+    The bound is read from the batch's bound column (``_bound``).  The
     separability bound is this function applied to ``p.mirror()``.
     """
-    batch, i = _row(p)
-    fold, defined = _closed_column(batch, "physicality bound")
+    batch, i = p if type(p) is _Row else _row(p)
+    fold, defined = batch.evaluated((_bound, 0))
     if not defined[i]:
         phys, prep = batch.families
         raise DegenerateBoundError("physicality bound", phys.a[i], prep.a[i], batch.q.n1[i])
@@ -569,20 +566,21 @@ def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     return b
 
 
-def _closed_margin(q: _ParamArrays, f: _Family) -> np.ndarray:
-    """Closed-form margin of the criterion of the family ``f`` for each row
-    of ``q`` (on ``(q.mirror(), f.mirror())`` physicality's is
-    separability's); NaN exactly where |a| <= TOL_SING (degenerate)."""
+def _closed_margin(batch: _Batch, k: int) -> np.ndarray:
+    """Closed-form margin of the criterion of family k for every state of
+    ``batch``, from the batch's bound column (on ``batch.mirror``
+    physicality's is separability's); NaN exactly where |a| <= TOL_SING
+    (degenerate)."""
+    q, f = batch.q, batch.families[k]
     m1_margin = q.n1 - np.sqrt(_abs2(q.m1) + f.e * f.e) - f.x0
-    bound = _checked(*_bound(q, f), f.name)
+    bound = _checked(*batch.evaluated((_bound, k)), f.name)
     return np.where(f.mode1_fails(), m1_margin, np.minimum(m1_margin, q.n2 - bound))
 
 
-def _closed_margins(q: _ParamArrays, families: tuple[_Family, _Family]):
-    """(physical, separable, prep) closed-form margins of every row."""
-    phys, prep = families
-    return (_closed_margin(q, phys), _closed_margin(q.mirror(), phys.mirror()),
-            _closed_margin(q, prep))
+def _closed_margins(batch: _Batch):
+    """(physical, separable, prep) closed-form margins of every state of
+    ``batch``; separability's is physicality's on ``batch.mirror``."""
+    return _closed_margin(batch, 0), _closed_margin(batch.mirror, 0), _closed_margin(batch, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +635,10 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     each answer by ``_ANSWERS`` from an int8 code column (2 where the state
     is unphysical), and ``method`` and ``fallbacks`` by the fallback code."""
     _check_route(method, tol_psd)
-    q = batch.q
     if method == METHOD_CLOSED:
-        phys, sep, prep = _closed_margins(q, batch.families)
+        phys, sep, prep = _closed_margins(batch)
     else:
-        phys, sep, prep = (np.full(len(q.n1), np.nan) for _ in range(3))
+        phys, sep, prep = (np.full(len(batch.q.n1), np.nan) for _ in range(3))
 
     # The eigen-oracle decides the rows where the closed form is degenerate
     # or not used, on rows of the batch's covariance stack.
@@ -689,7 +686,7 @@ def classify(p: GaussianParams | _Row, method: str = METHOD_CLOSED,
     method and tolerance.
     """
     batch, i = p if type(p) is _Row else _row(p)
-    return batch.evaluated((method, tol_psd), _verdicts, method, tol_psd)[i]
+    return batch.evaluated((_verdicts, method, tol_psd))[i]
 
 
 def classify_batch(params: Sequence[GaussianParams], method: str = METHOD_CLOSED,
@@ -712,19 +709,21 @@ def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _exact_folds(batch: _Batch, f: _Family) -> list[float]:
-    """The exact n2 fold of the family ``f`` for every state of ``batch``:
-    the smallest n2 >= 0 with V + E/2 >= 0, or V - I/2 >= 0 for P; ``inf``
-    where no n2 works, NaN where the arithmetic overflows.
+def _exact_folds(batch: _Batch, k: int) -> list[float]:
+    """The exact n2 fold of family k (0 physicality, 1 P-representability)
+    for every state of ``batch``: the smallest n2 >= 0 with V + E/2 >= 0, or
+    V - I/2 >= 0 for P; ``inf`` where no n2 works, NaN where the arithmetic
+    overflows.
 
     n2 enters the matrix as n2 times a projector, so no eigenvalue falls as
     n2 grows: the valid n2 are [fold, inf), and the fold is the larger root
     of the determinant (Simon's criterion).  In x = n2 - x0 that is a
     quadratic a x^2 + b x + ..., b = -2s, in the family's terms.
     Off the band |a| <= TOL_SING the root is the closed bound, read from
-    the batch's ``_closed_column``; inside it A is taken as singular
+    the batch's bound column (``_bound``); inside it A is taken as singular
     (``_split_folds``).  It is ``inf`` where the mode-1 rule fails."""
-    x, _ = _closed_column(batch, f.name)
+    f = batch.families[k]
+    x, _ = batch.evaluated((_bound, k))
     fails = f.mode1_fails()
     band = np.abs(f.a) <= TOL_SING
     if band.any():
@@ -775,13 +774,6 @@ def _split_folds(q: _ParamArrays, f: _Family):
 _N2_CRITERIA = {"physical": 0, "p_representable": 1}
 
 
-def _exact_fold_column(batch: _Batch, criterion: str) -> list[float]:
-    """``_exact_folds`` of ``criterion`` over ``batch``, evaluated once per
-    batch; KeyError for an unknown criterion."""
-    k = _N2_CRITERIA[criterion]
-    return batch.evaluated(criterion, _exact_folds, batch.families[k])
-
-
 def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
     """Smallest n2 >= 0 at which ``criterion`` holds, ``inf`` if none does.
 
@@ -792,8 +784,8 @@ def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
     arithmetic overflows.  Nothing is bisected: the name stays only because
     the benchmark's tracer wraps this function by name.
     """
-    batch, i = _row(p)
-    fold = _exact_fold_column(batch, criterion)[i]
+    batch, i = p if type(p) is _Row else _row(p)
+    fold = batch.evaluated((_exact_folds, _N2_CRITERIA[criterion]))[i]
     if fold != fold:
         raise OverflowError(f"n2 fold overflows for state {i} of the batch")
     return fold
@@ -824,8 +816,10 @@ def _n2_folds(batch: _Batch):
 
     The closed forms are one array pass each, in the order families,
     physicality, mirror, P-fold (so the first ``OverflowError`` is that of
-    the first pass that overflows), shared with ``physicality_bound_n2``'s
-    reads.  The entries whose closed form is NaN take the exact fold of
+    the first pass that overflows): the physicality and separability
+    columns are the physicality bound columns of ``batch`` and
+    ``batch.mirror``, which the closed margins and ``physicality_bound_n2``
+    read too.  The entries whose closed form is NaN take the exact fold of
     their criterion, itself one array pass per batch and criterion
     (``_exact_folds``): ``inf`` where the mode-1 rule fails.  The P column
     takes its missing entries in one masked read of that pass.  The
@@ -834,9 +828,9 @@ def _n2_folds(batch: _Batch):
     ``bisect_n2_threshold``, because the benchmark's tracer counts those
     calls; a NaN exact fold is the ``OverflowError`` of its first state,
     raised in the column order phys, sep, P."""
-    folds = ((batch, "physicality bound"), (batch.mirror, "physicality bound"),
-             (batch, "literal P-fold"))
-    closed = [_checked(*_closed_column(bt, what), what) for bt, what in folds]
+    closed = [_checked(*batch.evaluated((_bound, 0)), "physicality bound"),
+              _checked(*batch.mirror.evaluated((_bound, 0)), "physicality bound"),
+              _checked(*batch.evaluated((_literal_prep_fold,)), "literal P-fold")]
     degenerate = np.zeros(len(batch.q.n1), dtype=bool)
     out = []
     for fold, bt in zip(closed, (batch, batch.mirror)):
@@ -844,14 +838,14 @@ def _n2_folds(batch: _Batch):
         missing = np.isnan(fold)
         rows = np.flatnonzero(missing).tolist()
         if rows:
-            _exact_fold_column(bt, "physical")  # its one array pass, before the per-state reads
+            bt.evaluated((_exact_folds, 0))  # its one array pass, before the per-state reads
         for i in rows:
             fold[i] = _n2_fold(_Row(bt, i))
         degenerate |= missing
         out.append(fold)
     prep, missing = closed[2], np.isnan(closed[2])
     if missing.any():
-        prep = np.where(missing, _exact_fold_column(batch, "p_representable"), prep)
+        prep = np.where(missing, batch.evaluated((_exact_folds, 1)), prep)
         overflow = np.isnan(prep)
         if overflow.any():
             raise OverflowError(f"n2 fold overflows for state {int(overflow.argmax())} of the batch")

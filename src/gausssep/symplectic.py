@@ -48,6 +48,7 @@ from . import core
 from .core import GaussianParams
 from .errors import (
     DomainError,
+    InvalidParameterError,
     PrescriptionInapplicableError,
     SamplingBudgetError,
     StructuralError,
@@ -98,7 +99,7 @@ def make_local_symplectic(
 ) -> LocalSymplectic:
     for v in (theta1, phi1, vphi1, theta2, phi2, vphi2):
         if not math.isfinite(v):
-            raise DomainError(f"symplectic parameters must be finite, got {v!r}")
+            raise InvalidParameterError(f"symplectic parameters must be finite, got {v!r}")
     return LocalSymplectic(theta1, phi1, vphi1, theta2, phi2, vphi2)
 
 
@@ -318,9 +319,9 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
     (``core._Row``), read out of one array pass over the batch, run at the
     batch's first call.
     """
-    batch, i = core._row(p)
+    batch, i = p if type(p) is core._Row else core._row(p)
     margin, angles, finite, form1, nu1, nu2, mu, valid, residual, ok = (
-        batch.evaluated(_reductions, _reductions)[i])
+        batch.evaluated((_reductions,))[i])
     if not math.isfinite(margin):
         raise OverflowError("eigen-oracle overflows")
     if not margin >= -core.TOL_PSD:

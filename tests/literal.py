@@ -137,7 +137,7 @@ def prep_folds(params) -> list[float]:
     batch = core._Batch.of(params)
     folds = []
     for i, p in enumerate(params):
-        fold, defined = core._closed_column(core._Batch.of([p]), "literal P-fold")
+        fold, defined = core._Batch.of([p]).evaluated((core._literal_prep_fold,))
         if not defined[0]:
             folds.append(core.bisect_n2_threshold(core._Row(batch, i), "p_representable"))
         elif math.isfinite(fold[0]):

@@ -73,7 +73,7 @@ def test_oracle_equivalence_campaign():
     eig = np.column_stack(batch_margins_eig(V))
     # The library's closed-form (physical, separable, prep) margins in one
     # batch, NaN where degenerate: the closed-form path is not defined there.
-    closed = np.column_stack(core._closed_margins(q, core._families(q)))
+    closed = np.column_stack(core._closed_margins(core._Batch(q)))
 
     off_boundary = np.all(np.abs(eig) > core.BOUNDARY_BAND, axis=1)
     differ = (closed >= -core.TOL_PSD) != (eig >= -core.TOL_PSD)
@@ -235,9 +235,8 @@ def test_mirror_identity_campaign():
     rng = np.random.default_rng(555)
     n = 100_000
     a = symplectic._random_box(rng, n)  # n box draws (physical or not)
-    q = a.mirror()
-    sep = core._closed_margin(q, core._families(a)[0].mirror())
-    assert sep.tobytes() == core._closed_margin(q, core._families(q)[0]).tobytes()
+    sep = core._closed_margin(core._Batch(a).mirror, 0)
+    assert sep.tobytes() == core._closed_margin(core._Batch(a.mirror()), 0).tobytes()
     checked = np.count_nonzero(~np.isnan(sep))
     assert checked > 0.99 * n
     report(f"mirror-identity (n={n}, exact float equality)")

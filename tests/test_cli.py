@@ -150,8 +150,9 @@ class TestClassify:
         assert_batch_equals_singles(tmp_path, ["classify", "--method", "both"], records)
 
     def test_both_routes_share_one_batch(self, tmp_path, monkeypatch):
-        # one read of the file's columns, one batch and one input stack for
-        # both routes (the exact-d0 record makes the closed route need it)
+        # one read of the file's columns, one batch (and its mirror, for the
+        # closed route's separability) and one input stack for both routes
+        # (the exact-d0 record makes the closed route need it)
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [*FORMS_RECS, {"id": "d0", "params": {"n1": 0.5, "n2": 0.8, "ms": [0.1, 0.2]}},
                         {"id": "vac", "matrix": [[[float(r == c) / 2, 0.0] for c in range(4)]
@@ -169,7 +170,7 @@ class TestClassify:
                             lambda batch, q: calls.append("batch") or real_init(batch, q))
         argv = ["classify", "--method", "both", "--input", str(f)]
         assert main([*argv, "--output", str(tmp_path / "out.jsonl")]) == 0
-        assert sorted(calls) == ["batch", "columns"]
+        assert sorted(calls) == ["batch", "batch", "columns"]
         assert [V.tobytes() for V in built].count(inputs) == 1
 
     @pytest.mark.parametrize("method", ["closed", "eig", "both"])
@@ -354,6 +355,17 @@ class TestTransform:
         assert captured.out == ""
         assert captured.err == "error: numeric overflow: local symplectic transform overflows\n"
 
+    @pytest.mark.parametrize("angle", ["--theta1=nan", "--theta1=inf", "--phi2=-inf"])
+    def test_non_finite_angle_exit_3(self, tmp_path, capsys, angle):
+        # an invalid parameter, as a non-finite value in a record is; no output is opened
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [{"params": {"n1": 1, "n2": 1}}])
+        out = tmp_path / "out.jsonl"
+        assert main(["transform", "--input", str(f), angle, "--output", str(out)]) == 3
+        err = f"error: symplectic parameters must be finite, got {angle.split('=')[1]}\n"
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
     def test_reduce_reports_a_failing_transform_after_the_records_before_it(self, tmp_path,
                                                                              capsys):
         # record 0 transforms and reduces; record 1's transform overflows and
@@ -518,15 +530,15 @@ class TestSample:
         that the routes disagree off the band."""
         margin = core._closed_margin
         monkeypatch.setattr(core, "_closed_margin",
-                            lambda q, f: margin(q, f) if f.x0 else -margin(q, f))  # x0 = 1/2: P
+                            lambda batch, k: margin(batch, k) if k else -margin(batch, k))  # k = 1: P
 
     def skew_closed(self, monkeypatch):
         """Leave every third closed physicality margin undecided, so that it
         falls back to the oracle, and negate the separability margins."""
         margins = core._closed_margins
 
-        def skewed(q, families):
-            phys, sep, prep = margins(q, families)
+        def skewed(batch):
+            phys, sep, prep = margins(batch)
             phys[::3] = np.nan
             return phys, -sep, prep
 
@@ -1634,6 +1646,67 @@ def test_cli_fuzz(records):
                 assert (code, "", err) == alone
             for line in out.splitlines(keepends=True):
                 assert json.dumps(strict_json(line)) + "\n" == line
+
+
+# Values at the extremes, as JSON text: floats from 5e-324 to the largest
+# finite one of either sign, -0.0, a float spelling past the float range,
+# and ints up to 10^400.
+_extreme_floats = st.one_of(
+    st.floats(5e-324, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.sampled_from([0.0, -0.0]))
+_extreme_numbers = st.one_of(
+    _extreme_floats.map(repr), st.sampled_from(["1.8e308", "-1.8e308"]),
+    st.integers(-10**400, 10**400).map(str))
+_extreme_complex = st.one_of(_extreme_numbers, st.lists(_extreme_numbers, min_size=2, max_size=2))
+
+
+def _json_text(v) -> str:
+    """The JSON text of ``v``, whose numbers are already JSON text."""
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_json_text, v)) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(x)}" for k, x in v.items()) + "}"
+    return v
+
+
+@st.composite
+def _extreme_records(draw):
+    """The JSON text of a params record or of a 4x4 matrix record, with
+    extreme values; some matrices are the covariance of a valid state."""
+    kind = draw(st.sampled_from(["params", "matrix", "state"]))
+    if kind == "params":
+        optional = draw(st.lists(st.sampled_from(_PARAMS[2:]), unique=True))
+        record = {"params": {"n1": draw(_extreme_numbers), "n2": draw(_extreme_numbers),
+                             **{k: draw(_extreme_complex) for k in optional}}}
+    elif kind == "matrix":
+        record = {"matrix": [[draw(_extreme_complex) for _ in range(4)] for _ in range(4)]}
+    else:
+        n = st.one_of(st.floats(0.0, 3.0), _extreme_floats.map(abs))
+        z = st.builds(complex, st.one_of(st.floats(-1.5, 1.5), _extreme_floats),
+                      st.one_of(st.floats(-1.5, 1.5), _extreme_floats))
+        V = core.build_covariance(GaussianParams(draw(n), draw(n), *(draw(z) for _ in range(4))))
+        record = {"matrix": [[[repr(c.real), repr(c.imag)] for c in row] for row in V.tolist()]}
+    return _json_text(record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_extreme_records(), min_size=1, max_size=3))
+def test_cli_fuzz_extreme_values(lines):
+    """Extreme magnitudes give a documented exit code through ``main``, never
+    an exception, on every reading command, and every line of a successful
+    run is strict JSON: no NaN and no Infinity."""
+    with tempfile.TemporaryDirectory() as tmp:
+        f = os.path.join(tmp, "in.jsonl")
+        with open(f, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+        for argv in (["classify", "--method", "closed"], ["classify", "--method", "eig"],
+                     ["classify", "--method", "both"], ["invariants"],
+                     ["transform", "--theta1", "0.4", "--phi2", "0.3", "--reduce"]):
+            code, out, _ = _main([*argv, "--input", f])
+            assert code in (0, 2, 3, 4, 5)
+            if code == 0:
+                for line in out.splitlines():
+                    strict_json(line)
 
 
 # ---------------------------------------------------------------------------

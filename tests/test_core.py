@@ -374,8 +374,7 @@ class TestPhysicality:
         assert min_eigenvalue_hermitian((V + E / 2)[None])[0] >= -core.TOL_PSD
 
     def test_vacuum_routes_to_oracle(self):
-        q = core._ParamArrays.of([VACUUM])
-        assert np.isnan(core._closed_margin(q, core._families(q)[0])[0])
+        assert np.isnan(core._closed_margin(core._Batch.of([VACUUM]), 0)[0])
         v = classify(VACUUM, method=core.METHOD_EIG)
         assert v.physical
         assert v.margin_physical == pytest.approx(0.0, abs=1e-14)
@@ -435,8 +434,7 @@ class TestPRepresentability:
     def test_reference_state_prep_bound(self):
         """The closed-form P bound of the batch and the exact P-fold agree
         on the frozen threshold."""
-        q = core._ParamArrays.of([REF])
-        bound, _ = core._bound(q, core._families(q)[1])
+        bound, _ = core._bound(core._Batch.of([REF]), 1)
         assert bound[0] == pytest.approx(REF_PREP_BOUND, abs=1e-12)
         assert core.bisect_n2_threshold(REF, "p_representable") == pytest.approx(
             REF_PREP_BOUND, abs=1e-12)
@@ -444,10 +442,9 @@ class TestPRepresentability:
     def test_no_prep_bound_below_half(self):
         # n1 - 1/2 - |m1| = -0.3 < 0 although d' = 0.09 > 0: no n2 gives V - I/2 >= 0
         p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
-        q = core._ParamArrays.of([p])
-        _, prep = core._families(q)
-        assert prep.a[0] > 0
-        assert math.isnan(core._bound(q, prep)[0][0])
+        batch = core._Batch.of([p])
+        assert batch.families[1].a[0] > 0
+        assert math.isnan(core._bound(batch, 1)[0][0])
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
 
     def test_near_vacuum_mode1_falls_back(self):
@@ -554,6 +551,20 @@ class TestClassify:
         sizes.clear()
         core.classify_batch(states, method=core.METHOD_EIG)  # the oracle route needs none
         assert sizes == []
+
+    def test_one_bound_column_per_family_and_batch(self, monkeypatch):
+        """The closed margins, the sweep's folds and the per-state bound read
+        one ``_bound`` column per family and batch: physicality on the batch
+        and on its mirror, and P, on states with d > 0, d = 0 and d < 0."""
+        calls = []
+        real = core._bound
+        monkeypatch.setattr(core, "_bound", lambda *args: calls.append(args) or real(*args))
+        batch = core._Batch.of([REF, GaussianParams(0.5, 0.8, ms=0.1 + 0.2j),
+                                GaussianParams(1, 1, m1=1.1)])
+        core._classified(batch, core.METHOD_CLOSED, core.TOL_PSD)
+        core._n2_folds(batch)
+        core.physicality_bound_n2(core._Row(batch, 0))
+        assert calls == [(batch, 0), (batch.mirror, 0), (batch, 1)]
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -42,9 +42,8 @@ def test_mirror_identity_exact(p):
     family of p) == physicality closed form of the mirrored parameters, bit
     for bit, in the array core; both are NaN where degenerate."""
     a = core._ParamArrays.of([p])
-    q = a.mirror()
-    sep = core._closed_margin(q, core._families(a)[0].mirror())
-    assert np.array_equal(sep, core._closed_margin(q, core._families(q)[0]), equal_nan=True)
+    sep = core._closed_margin(core._Batch(a).mirror, 0)
+    assert np.array_equal(sep, core._closed_margin(core._Batch(a.mirror()), 0), equal_nan=True)
 
 
 @st.composite
@@ -471,13 +470,12 @@ def test_exact_fold_off_the_band_is_the_closed_bound(p):
     """Off the band |a| > TOL_SING, where the mode-1 rule holds, the exact
     fold of each criterion is its closed bound bit for bit: physicality on
     ``p`` and on ``p.mirror()``, and P-representability."""
-    q = core._ParamArrays.of([p])
-    phys, prep = core._families(q)
-    assume(phys.a[0] > core.TOL_SING)
+    batch = core._Batch.of([p])
+    assume(batch.families[0].a[0] > core.TOL_SING)
     for state in (p, p.mirror()):
         assert bits(core.bisect_n2_threshold(state, "physical")) == bits(
             core.physicality_bound_n2(state))
-    bound, defined = core._bound(q, prep)
+    bound, defined = core._bound(batch, 1)
     if defined[0]:
         assert bits(core.bisect_n2_threshold(p, "p_representable")) == bits(bound[0])
 

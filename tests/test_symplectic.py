@@ -91,7 +91,7 @@ class TestLocalSymplectic:
         assert np.linalg.det(S[2:, 2:]) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError):
             make_local_symplectic(math.inf)
 
 
