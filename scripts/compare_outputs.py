@@ -6,9 +6,9 @@ Usage: python scripts/compare_outputs.py BASE_TREE
 For every workload of ``perfbench/generate.py`` at seeds 1 and 2, the
 inputs are generated once, by the generator of the tree holding this
 script, and every plan command and the set-up command run in that tree and
-in BASE_TREE: one interpreter per tree and workload, which imports that
-tree's ``src`` and calls ``gausssep.cli.main`` in-process, command after
-command.  The commands whose exit code or output bytes differ are listed
+in BASE_TREE, with the workload's ``EXTRA`` commands, which no plan runs:
+one interpreter per tree and workload, which imports that tree's ``src``
+and calls ``gausssep.cli.main`` in-process, command after command.  The commands whose exit code or output bytes differ are listed
 as Markdown, printed and appended to the file named by
 ``$GITHUB_STEP_SUMMARY`` when it is set.  The exit status is 0 whatever
 differs, since a fix may change bytes on purpose; it is 1 only when the
@@ -27,6 +27,11 @@ import tempfile
 WORKLOADS = ("classify-mixed", "sample-campaign", "sweep-grid", "forms")
 SEEDS = (1, 2)
 TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Commands of the path no plan takes, run at each seed with the workload's
+# plan: a ``sample`` of two batches (``SAMPLE_BATCH`` is 1024) in each mode
+EXTRA = {"sample-campaign": [["sample", "--count", "1100", "--mode", mode, "--seed", "{seed}",
+                              "--output", f"sample-{mode}-1100.out"]
+                             for mode in ("construct", "reject")]}
 
 # Runs the JSON list of argument lists on stdin through ``main``, quietly;
 # prints where ``gausssep`` was imported from and the exit code of each.
@@ -49,14 +54,15 @@ json.dump({"package": gausssep.__file__, "codes": codes}, sys.stdout)
 
 
 def plan_commands(tree: str, workload: str, seed: int, inputs: str) -> list[list[str]]:
-    """The plan and set-up argument lists of ``workload`` at ``seed``, whose
-    inputs ``tree``'s generator writes into ``inputs``."""
+    """The plan, set-up and ``EXTRA`` argument lists of ``workload`` at
+    ``seed``, whose inputs ``tree``'s generator writes into ``inputs``."""
     subprocess.run([sys.executable, os.path.join(tree, "perfbench", "generate.py"),
                     "--workload", workload, "--seed", str(seed), "--out", inputs],
                    check=True, stdout=subprocess.DEVNULL)
     with open(os.path.join(inputs, "plan.json"), encoding="utf-8") as fh:
         plan = json.load(fh)
-    return [c["argv"] for c in plan["commands"]] + [plan["setup_argv"]]
+    extra = [[a.format(seed=seed) for a in argv] for argv in EXTRA.get(workload, [])]
+    return [c["argv"] for c in plan["commands"]] + [plan["setup_argv"]] + extra
 
 
 def with_output(argv: list[str], out: str) -> list[str]:
@@ -119,7 +125,7 @@ def main() -> int:
         lines += ["| workload | seed | command | base exit | new exit | output |",
                   "|---|---|---|---|---|---|", *rows]
     else:
-        lines.append("Every plan and set-up command wrote the base tree's bytes and exit code.")
+        lines.append("Every command wrote the base tree's bytes and exit code.")
     text = "\n".join(lines) + "\n"
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:

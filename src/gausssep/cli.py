@@ -18,18 +18,20 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
 
 Every subcommand parses its arguments and input, evaluates its states and
 hands its output to one writer (``_write_output``), the only code that
-opens and closes an output: one string for the whole output, or one per
-batch of a ``sample`` run longer than one batch, each written with one call,
-in place, and cut after it where the file opened is a regular one.
+opens and closes an output, as a stream of strings: the whole output as
+one string, or one per batch of a ``sample`` run.  The writer builds the
+first string before it opens the output, then writes each with one call,
+in place, and cuts the file after it where the file opened is a regular one.
 ``load_states`` reads an input file into columns: the ids, and the states
 as one ``core._ParamArrays``.  It checks each record's layout and numbers
 as it reads it (``record_to_params``), then the finiteness and occupations
 of all of them on their (N, 10) array and the structural rule in one pass
 over the stack of their matrices (``core._ParamArrays.from_records``); a
 failing file reports its first failing record, named by its location, with
-the error of its own columns.  Every command but a streamed ``sample``
-evaluates all of its states before it opens its output, so an evaluation
-error, like a parse error, exits before any record is written:
+the error of its own columns.  Every command evaluates the states of its
+first output string before it opens its output, which for every command but
+a ``sample`` run of more than one batch is all of them, so an evaluation
+error there, like a parse error, exits before the output is opened:
 ``classify`` classifies by each route on one ``core._Batch`` of the file,
 whose covariance stack both routes share, and ``sweep`` checks its grid's
 point count against ``SWEEP_MAX_POINTS`` from the axis specs alone, then
@@ -48,7 +50,8 @@ matrix fails, with its error; the records before it are reduced first, so
 that their errors come first.  ``sample`` draws (one
 ``symplectic._random_states`` call, whose arrays it classifies directly),
 classifies (both routes on one batch) and formats its states per batch of
-``SAMPLE_BATCH`` (1024), so its memory does not grow with ``--count``.
+``SAMPLE_BATCH`` (1024), one output string each, the summary line at the
+end of the last, so its memory does not grow with ``--count``.
 
 The text layer makes Python calls per record, not per value.  A JSONL line,
 which ends at "\\n" only, is decoded by the ``json`` module's C scanner,
@@ -91,6 +94,7 @@ import operator
 import os
 import stat
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -318,11 +322,13 @@ def _open_output(path: str | None):
         raise ParseError(f"cannot open output {path}: {exc}") from exc
 
 
-def _write_output(path: str | None, text) -> None:
-    """Write ``text`` to ``path`` (stdout for None or '-'): the one place an
-    output is opened and closed.  ``text`` is one string, a whole output, or
-    an iterable of them: the batches, then the summary line, of a ``sample``
-    run of more than ``SAMPLE_BATCH`` states.
+def _write_output(path: str | None, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` (stdout for None or '-'):
+    the one place an output is opened and closed.  ``chunks`` is an iterable
+    of at least one string: a one-element list of a whole output, or the
+    batches of a ``sample`` run, each built as it is drawn.  The first
+    string is built before the output is opened, so an error that ends a
+    run before then, like a parse error, neither opens nor creates it.
 
     Each string is written with one call and flushed, in place from the
     start of a file opened without truncating it.  Where ``os.fstat`` says
@@ -331,11 +337,13 @@ def _write_output(path: str | None, text) -> None:
     tail of its old contents, and a run that fails before that leaves it as
     it was.  Stdout is never cut.  A failed write, flush or close (a full
     disk, a closed pipe) is a ParseError."""
+    chunks = iter(chunks)
+    first = next(chunks)
     out, close = _open_output(path)
     try:
         try:
             cut = close and stat.S_ISREG(os.fstat(out.fileno()).st_mode)
-            for chunk in (text,) if isinstance(text, str) else text:
+            for chunk in chain((first,), chunks):
                 try:
                     out.write(chunk)
                     out.flush()
@@ -448,7 +456,7 @@ def cmd_classify(args) -> int:
     method = core.METHOD_EIG if args.method == "eig" else core.METHOD_CLOSED
     verdicts = core._classified(batch, method, args.tol_psd)
     eig = core._classified(batch, core.METHOD_EIG, args.tol_psd) if args.method == "both" else None
-    _write_output(args.output, "".join(_classify_lines(ids, verdicts, eig)))
+    _write_output(args.output, ["".join(_classify_lines(ids, verdicts, eig))])
     return EXIT_OK
 
 
@@ -457,7 +465,7 @@ def cmd_invariants(args) -> int:
     inv = symplectic.invariants(q.covariance())
     lines = map('{"id": %s, "i1": %s, "i2": %s, "i3": %s, "i4": %s}\n'.__mod__, zip(
         _ids(ids), *(_column(x.tolist()) for x in (inv.i1, inv.i2, inv.i3, inv.i4))))
-    _write_output(args.output, "".join(lines))
+    _write_output(args.output, ["".join(lines)])
     return EXIT_OK
 
 
@@ -498,7 +506,7 @@ def cmd_transform(args) -> int:
         columns.append(_reductions_json(reductions))
     line = ('{"id": %s, "transformed_params": ' + _P
             + (', "reduction": %s}\n' if args.reduce else '}\n'))
-    _write_output(args.output, "".join(map(line.__mod__, zip(*columns))))
+    _write_output(args.output, ["".join(map(line.__mod__, zip(*columns)))])
     return EXIT_OK
 
 
@@ -550,7 +558,8 @@ def cmd_sample(args) -> int:
     record per state, then the summary line.  Each batch of ``SAMPLE_BATCH``
     is drawn in one array pass (the states of one-at-a-time draws), classified
     on one ``core._Batch``, tallied (``_tally``) and formatted with one format
-    call per line.  One batch is a whole output; more are written one call each.
+    call per line.  Each batch is one string of the output, written with one
+    call before the next batch is drawn; the summary line ends the last one.
     Exit 5 after the summary when the oracle finds a P-representable
     entangled state or the routes disagree off the boundary band."""
     if args.count < 1:
@@ -566,7 +575,8 @@ def cmd_sample(args) -> int:
     }
 
     def batches():
-        """Each batch's record lines as one string, then the summary line."""
+        """Each batch's record lines as one string, the last batch's with the
+        summary line after them."""
         for start in range(0, args.count, SAMPLE_BATCH):
             q = symplectic._random_states(rng, min(SAMPLE_BATCH, args.count - start), args.mode)
             batch = core._Batch(q)
@@ -574,12 +584,12 @@ def cmd_sample(args) -> int:
                            for method in (core.METHOD_CLOSED, core.METHOD_EIG))
             agree = _agree(closed, eig)
             _tally(summary, q, closed, eig, agree)
-            yield "".join(map(_SAMPLE.__mod__, zip(
+            yield "".join([*map(_SAMPLE.__mod__, zip(
                 range(start, start + len(agree)), *_param_args(q), *_verdict_args(closed),
-                *_verdict_args(eig), map(_BOOL.__getitem__, agree))))
-        yield json.dumps({"summary": summary}) + "\n"
+                *_verdict_args(eig), map(_BOOL.__getitem__, agree))),
+                "" if start + SAMPLE_BATCH < args.count else json.dumps({"summary": summary}) + "\n"])
 
-    _write_output(args.output, "".join(batches()) if args.count <= SAMPLE_BATCH else batches())
+    _write_output(args.output, batches())
     if summary["prep_and_entangled"] or summary["method_disagreements_off_boundary"]:
         return EXIT_INTERNAL
     return EXIT_OK
@@ -684,7 +694,7 @@ def cmd_sweep(args) -> int:
     rows = map(row, *_axis_columns(axes),
                *(map(float.__repr__, x.tolist()) for x in (phys, sep, prep)),
                *(map(_FLAG.__getitem__, x.tolist()) for x in (flag, degenerate)))
-    _write_output(args.output, "".join([row(*axis_names, *_SWEEP_COLUMNS), *rows]))
+    _write_output(args.output, ["".join([row(*axis_names, *_SWEEP_COLUMNS), *rows])])
     return EXIT_OK
 
 
@@ -753,6 +763,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every option that takes a float, by each prefix argparse matches it by
+# (``--tol`` for ``--tol-psd``); ``_joined`` joins a negative value to it
+_FLOAT_OPTIONS = frozenset(name[:k] for name in (
+    "--tol-psd", "--theta1", "--phi1", "--vphi1", "--theta2", "--phi2", "--vphi2", "--n1")
+    for k in range(3, len(name) + 1))
+
+
+def _joined(argv) -> list[str]:
+    """``argv`` with each value that reads as a negative float joined to the
+    float option before it, as in ``--theta1=-1e-3``, so it reads as its
+    ``=`` spelling does.  argparse takes a token that starts with a dash for
+    a value only in plain decimal notation (``-1``, ``-.5``), and for an
+    option otherwise: ``-1e-3``, ``-inf``, ``-nan``."""
+    out = []
+    for arg in argv:
+        if arg[:1] == "-" and out and out[-1] in _FLOAT_OPTIONS:
+            try:
+                float(arg)
+            except ValueError:  # not a number: an option, as argparse reads it
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """``build_parser()``, built once per process: parsing leaves it as it was."""
@@ -760,7 +797,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except OverflowError as exc:

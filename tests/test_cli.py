@@ -1255,6 +1255,57 @@ def error_alone(record):
     return alone.value
 
 
+class TestNegativeOptionValues:
+    """A negative value of a float option reads, in any spelling ``float``
+    reads (``-1e-3``, ``-inf``, ``-nan``), as its ``--option=value``
+    spelling does, though argparse takes a dash-led token for a value only
+    in plain decimal notation."""
+
+    def outcome(self, tmp_path, capsys, argv, name):
+        """(exit code, stderr, output bytes or None) of ``argv``."""
+        out = tmp_path / name
+        try:
+            code = main([*argv, "--output", str(out)])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
+
+    @pytest.mark.parametrize("argv, option, value, code", [
+        (["transform"], "--theta1", "-1e-3", 0),
+        (["transform"], "--theta1", "-inf", 3),
+        (["transform"], "--phi2", "-nan", 3),
+        (["classify"], "--tol-psd", "-1e-3", 3),
+        (["classify"], "--tol", "-1E-3", 3),  # an abbreviation, as argparse matches it
+        (["sample", "--count", "5"], "--tol-psd", "-inf", 3),
+        (["sweep", "--axis1", "m1:0:1:3"], "--n1", "-1e-3", 3),
+    ])
+    def test_spaced_as_joined(self, tmp_path, capsys, argv, option, value, code):
+        if argv[0] in ("transform", "classify"):
+            f = tmp_path / "in.jsonl"
+            write_jsonl(f, [VACUUM_REC, ENTANGLED_REC])
+            argv = [*argv, "--input", str(f)]
+        spaced = self.outcome(tmp_path, capsys, [*argv, option, value], "spaced.out")
+        joined = self.outcome(tmp_path, capsys, [*argv, f"{option}={value}"], "joined.out")
+        assert spaced == joined
+        assert spaced[0] == code and (spaced[2] is None) == (code != 0)
+
+    def test_not_a_number_is_an_option(self, tmp_path, capsys):
+        f = tmp_path / "in.jsonl"
+        write_jsonl(f, [VACUUM_REC])
+        code, err, out = self.outcome(tmp_path, capsys,
+                                      ["transform", "--input", str(f), "--theta1", "-x"], "x.out")
+        assert code == 2 and out is None
+        assert "argument --theta1: expected one argument" in err
+
+    def test_every_float_option_is_listed(self):
+        parser = cli.build_parser()
+        commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+        floats = {name for sp in commands.values() for action in sp._actions
+                  if action.type is float for name in action.option_strings}
+        # each by every prefix argparse matches it by
+        assert cli._FLOAT_OPTIONS == {name[:k] for name in floats for k in range(3, len(name) + 1)}
+
+
 NEGATIVE_N_MATRIX = core.build_covariance(GaussianParams(1.2, 0.9, m1=0.1, ms=0.2j, mc=0.3))
 NEGATIVE_N_MATRIX[2, 2] = NEGATIVE_N_MATRIX[3, 3] = -0.5  # the pattern holds; n2 = -0.5 is invalid
 BAD_PARAMS = {"params": {"n1": 1, "n2": -0.5, "mc": [0.2, 0.1]}}
@@ -1377,8 +1428,8 @@ class TestWriteFailures:
 
 
 # Every command that writes a whole output, a sample run of one batch, which
-# is one too, and a longer sample run, which writes per batch (two batches here)
-# and then its summary line
+# is one too, and a longer sample run, which writes one string per batch (two
+# batches here), the summary line at the end of the last
 REWRITES = {
     "classify": ["classify", "--method", "both"],
     "invariants": ["invariants"],
@@ -1452,33 +1503,37 @@ class TestOutputRewrite:
         assert main([*argv, "--output", str(out)]) == 0
         assert out.read_bytes() == fresh
         ends = [len(fresh)]  # one cut per write call: where each write's bytes end
-        if name == "sample":
-            lines = fresh.splitlines(keepends=True)
-            ends = [len(b"".join(lines[:n])) for n in (cli.SAMPLE_BATCH, len(lines) - 1)] + ends
+        if name == "sample":  # one write per batch, the summary in the last
+            ends = [len(b"".join(fresh.splitlines(keepends=True)[:cli.SAMPLE_BATCH]))] + ends
         assert calls == ends * 2
 
     def failed_sample(self, tmp_path, monkeypatch, capsys, count):
-        """Run a sample of ``count`` states whose first draw fails over an
-        existing file, and check that the file is as it was.  Seed 3's first
-        reject-mode draw is unphysical."""
+        """Run a sample of ``count`` states whose first draw fails, over an
+        existing file and over a missing path, and check that the file is as
+        it was and the path still missing.  Seed 3's first reject-mode draw
+        is unphysical."""
         out = self.stale(tmp_path, 0)
         old = out.read_bytes()
+        missing = tmp_path / "missing.out"
         monkeypatch.setattr(symplectic, "MAX_DRAWS", 1)
         argv = ["sample", "--count", str(count), "--seed", "3", "--mode", "reject"]
-        assert main([*argv, "--output", str(out)]) == 5
-        assert capsys.readouterr().err == "internal error: no physical state found in 1 draws\n"
+        for path in (out, missing):
+            assert main([*argv, "--output", str(path)]) == 5
+            assert capsys.readouterr().err == "internal error: no physical state found in 1 draws\n"
         assert out.read_bytes() == old
+        assert not missing.exists()
 
     def test_failed_one_batch_sample_leaves_the_file(self, tmp_path, monkeypatch, capsys):
         """A sample run of one batch evaluates all of its states before it
         opens its output: a draw that fails leaves an existing file as it
-        was."""
+        was, and creates no file."""
         self.failed_sample(tmp_path, monkeypatch, capsys, 30)
 
     def test_failed_streamed_sample_leaves_the_file(self, tmp_path, monkeypatch, capsys):
-        """A longer sample run opens its output before its first batch is
-        drawn, without truncating it: a draw that fails before the first
-        write leaves an existing file as it was."""
+        """A longer sample run builds its first batch's string before it
+        opens its output, as every output's first string is: a draw that
+        fails in the first batch leaves an existing file as it was, and
+        creates no file."""
         self.failed_sample(tmp_path, monkeypatch, capsys, cli.SAMPLE_BATCH + 5)
 
     @pytest.mark.parametrize("name", REWRITES)
@@ -1520,8 +1575,9 @@ class TestOutputRewrite:
 
     @pytest.mark.parametrize("name", REWRITES)
     def test_write_failing_part_way(self, tmp_path, monkeypatch, capsys, name):
-        """The first write is the whole output (a streamed ``sample``'s first
-        batch), so the file holds its first 100 characters and nothing else."""
+        """The first write is the output's first string: the whole output,
+        or a ``sample`` run's first batch, so the file holds its first 100
+        characters and nothing else."""
         argv = self.argv(tmp_path, name)
         fresh = self.fresh(tmp_path, argv)
         out = self.stale(tmp_path, len(fresh))
