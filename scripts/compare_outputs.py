@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the CLI's output bytes and exit codes of two source trees.
+"""Compare the CLI's output bytes, exit codes and stderr of two source trees.
 
 Usage: python scripts/compare_outputs.py BASE_TREE
 
@@ -8,8 +8,12 @@ inputs are generated once, by the generator of the tree holding this
 script, and every plan command and the set-up command run in that tree and
 in BASE_TREE, with the workload's ``EXTRA`` commands, which no plan runs:
 one interpreter per tree and workload, which imports that tree's ``src``
-and calls ``gausssep.cli.main`` in-process, command after command.  The commands whose exit code or output bytes differ are listed
-as Markdown, printed and appended to the file named by
+and calls ``gausssep.cli.main`` in-process, command after command.  At each
+seed the error-path group (``ERRORS``) runs the same way: the reading
+commands on small files this script writes, with ids of every JSON kind and
+malformed records, and ``sweep`` with a parameter named twice.  The
+commands whose exit code, output bytes or stderr differ are listed as
+Markdown, printed and appended to the file named by
 ``$GITHUB_STEP_SUMMARY`` when it is set.  The exit status is 0 whatever
 differs, since a fix may change bytes on purpose; it is 1 only when the
 comparison itself cannot run.
@@ -25,6 +29,7 @@ import sys
 import tempfile
 
 WORKLOADS = ("classify-mixed", "sample-campaign", "sweep-grid", "forms")
+ERRORS = "error-paths"
 SEEDS = (1, 2)
 TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Commands of the path no plan takes, run at each seed with the workload's
@@ -33,23 +38,45 @@ EXTRA = {"sample-campaign": [["sample", "--count", "1100", "--mode", mode, "--se
                               "--output", f"sample-{mode}-1100.out"]
                              for mode in ("construct", "reject")]}
 
+# The JSONL text of each input file of the error-path group: ids of every
+# JSON kind (the strings' non-ASCII characters raw, U+2028 among them), then
+# one malformed record per file
+_STATE = '"params": {"n1": 1, "n2": 1, "mc": [0.6, 0]}'
+_IDS = ("7", "-0.0", "2.5", "1e308", "123456789012345678901234567890", "true", "false",
+        "null", '"\u00e9tat \u2603\\u0001"', '"line\u2028separator"', '[1, "a"]',
+        '{"k": [null]}')
+_ROW = "[[1, 0], [0, 0], [0, 0], [0, 0]]"
+ERROR_INPUTS = {
+    "ids": "".join(f'{{"id": {i}, {_STATE}}}\n' for i in _IDS) + f"{{{_STATE}}}\n",
+    "nan-id": f'{{"id": [1, NaN], {_STATE}}}\n',
+    "ragged": '{"matrix": [%s, [[0, 0], [1, 0], [0, 0]], %s, %s]}\n' % (_ROW, _ROW, _ROW),
+    "matrix-4x3": '{"matrix": [%s]}\n' % ", ".join(["[[1, 0], [0, 0], [0, 0]]"] * 4),
+    "matrix-not-list": '{"matrix": 5}\n',
+}
+ERROR_READERS = (["classify", "--method", "both"], ["invariants"], ["transform", "--reduce"])
+ERROR_SWEEPS = (["--n1", "3", "--fixed", "n1=2", "--axis1", "m1:0:0.5:2", "--fixed", "m2=1"],
+                ["--n1", "2", "--axis1", "n1:0.75:4:3"],
+                ["--fig1", "--n1", "2"])
+
 # Runs the JSON list of argument lists on stdin through ``main``, quietly;
-# prints where ``gausssep`` was imported from and the exit code of each.
+# prints where ``gausssep`` was imported from and the exit code and stderr
+# of each.
 RUNNER = r"""
 import contextlib, io, json, sys
 import gausssep
 from gausssep.cli import main
-codes = []
+results = []
 for argv in json.load(sys.stdin):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:  # a bug in that tree, reported as its result
             code = "raised " + type(exc).__name__
-    codes.append(code)
-json.dump({"package": gausssep.__file__, "codes": codes}, sys.stdout)
+    results.append([code, err.getvalue()])
+json.dump({"package": gausssep.__file__, "results": results}, sys.stdout)
 """
 
 
@@ -65,6 +92,21 @@ def plan_commands(tree: str, workload: str, seed: int, inputs: str) -> list[list
     return [c["argv"] for c in plan["commands"]] + [plan["setup_argv"]] + extra
 
 
+def error_commands(inputs: str) -> list[list[str]]:
+    """The argument lists of the error-path group, whose input files are
+    written into ``inputs``."""
+    os.makedirs(inputs)
+    argvs = []
+    for name, text in ERROR_INPUTS.items():
+        path = os.path.join(inputs, f"{name}.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        argvs += [[*argv, "--input", path, "--output", f"{name}-{argv[0]}.out"]
+                  for argv in ERROR_READERS]
+    return argvs + [["sweep", *argv, "--output", f"sweep-{k}.out"]
+                    for k, argv in enumerate(ERROR_SWEEPS)]
+
+
 def with_output(argv: list[str], out: str) -> list[str]:
     """``argv`` writing its ``--output`` file into the directory ``out``."""
     k = argv.index("--output") + 1
@@ -72,8 +114,8 @@ def with_output(argv: list[str], out: str) -> list[str]:
 
 
 def run_tree(tree: str, argvs: list[list[str]], out: str) -> list:
-    """The exit code of each of ``argvs`` run in one interpreter on ``tree``'s
-    package, with outputs in ``out``."""
+    """The [exit code, stderr] of each of ``argvs`` run in one interpreter on
+    ``tree``'s package, with outputs in ``out``."""
     os.makedirs(out)
     src = os.path.join(os.path.abspath(tree), "src")
     proc = subprocess.run([sys.executable, "-c", RUNNER], cwd=out, check=True, text=True,
@@ -82,7 +124,7 @@ def run_tree(tree: str, argvs: list[list[str]], out: str) -> list:
     result = json.loads(proc.stdout)
     if not result["package"].startswith(src + os.sep):
         raise RuntimeError(f"{tree}: imported gausssep from {result['package']}")
-    return result["codes"]
+    return result["results"]
 
 
 def read(path: str) -> bytes | None:
@@ -96,21 +138,25 @@ def read(path: str) -> bytes | None:
 def compare(base: str, new: str, work: str) -> tuple[int, list[str]]:
     """(number of commands, a Markdown row per command that differs)."""
     total, rows = 0, []
-    for workload in WORKLOADS:
+    for workload in (*WORKLOADS, ERRORS):
         for seed in SEEDS:
             here = os.path.join(work, f"{workload}-{seed}")
-            argvs = plan_commands(new, workload, seed, os.path.join(here, "inputs"))
-            codes = {name: run_tree(tree, argvs, os.path.join(here, name))
-                     for name, tree in (("base", base), ("new", new))}
-            for argv, code_base, code_new in zip(argvs, codes["base"], codes["new"]):
+            inputs = os.path.join(here, "inputs")
+            argvs = (error_commands(inputs) if workload == ERRORS
+                     else plan_commands(new, workload, seed, inputs))
+            results = {name: run_tree(tree, argvs, os.path.join(here, name))
+                       for name, tree in (("base", base), ("new", new))}
+            for argv, (code_base, err_base), (code_new, err_new) in zip(
+                    argvs, results["base"], results["new"]):
                 total += 1
                 name = os.path.basename(argv[argv.index("--output") + 1])
                 same = (read(os.path.join(here, "base", name))
                         == read(os.path.join(here, "new", name)))
-                if code_base != code_new or not same:
+                if code_base != code_new or not same or err_base != err_new:
                     shown = " ".join(os.path.basename(a) if os.sep in a else a for a in argv)
                     rows.append(f"| {workload} | {seed} | `{shown}` | {code_base} | {code_new} "
-                                f"| {'same' if same else 'differ'} |")
+                                f"| {'same' if same else 'differ'} "
+                                f"| {'same' if err_base == err_new else 'differ'} |")
     return total, rows
 
 
@@ -122,10 +168,10 @@ def main() -> int:
         total, rows = compare(args.base, TREE, work)
     lines = [f"### Output bytes against the base tree: {len(rows)} of {total} commands differ", ""]
     if rows:
-        lines += ["| workload | seed | command | base exit | new exit | output |",
-                  "|---|---|---|---|---|---|", *rows]
+        lines += ["| workload | seed | command | base exit | new exit | output | stderr |",
+                  "|---|---|---|---|---|---|---|", *rows]
     else:
-        lines.append("Every command wrote the base tree's bytes and exit code.")
+        lines.append("Every command wrote the base tree's bytes, exit code and stderr.")
     text = "\n".join(lines) + "\n"
     summary = os.environ.get("GITHUB_STEP_SUMMARY")
     if summary:

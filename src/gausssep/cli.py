@@ -22,13 +22,14 @@ opens and closes an output, as a stream of strings: the whole output as
 one string, or one per batch of a ``sample`` run.  The writer builds the
 first string before it opens the output, then writes each with one call,
 in place, and cuts the file after it where the file opened is a regular one.
-``load_states`` reads an input file into columns: the ids, and the states
-as one ``core._ParamArrays``.  It checks each record's layout and numbers
-as it reads it (``record_to_params``), then the finiteness and occupations
-of all of them on their (N, 10) array and the structural rule in one pass
-over the stack of their matrices (``core._ParamArrays.from_records``); a
-failing file reports its first failing record, named by its location, with
-the error of its own columns.  Every command evaluates the states of its
+``load_states`` reads an input file into columns: the ids, each as the
+JSON text it is echoed as, and the states as one ``core._ParamArrays``.
+It checks each record's layout, id and numbers as it reads it
+(``record_to_params``), then the finiteness and occupations of all of them
+on their (N, 10) array and the structural rule in one pass over the stack
+of their matrices (``core._ParamArrays.from_records``); a failing file
+reports its first failing record, named by its location, with the error of
+its own columns.  Every command evaluates the states of its
 first output string before it opens its output, which for every command but
 a ``sample`` run of more than one batch is all of them, so an evaluation
 error there, like a parse error, exits before the output is opened:
@@ -59,16 +60,18 @@ called directly (``_jsonl_records``); a line it does not read to its end,
 such as one with whitespace around its value or one that is not JSON, goes
 through ``json.loads`` (``_parse_json``), whose value or error it is.
 ``record_to_params`` reads a record's values in one pass with direct type
-tests, and a matrix's 16 cells into one ``np.array`` call; a location is
-built only for the error it names.  The JSON records are formatted from
-columns, with the bytes ``json.dumps`` would write for the same values as
-a dict: each record by one ``%`` call on its kind's template, built from
-shared fragments (``_P``, ``_V``).  A float column goes in as floats (``%s``
-of a float is its ``float.__repr__``), or as ``_floats`` strings if it
-holds a value that is not finite (a NaN margin is null); a string id by
-the encoder ``json.dumps`` calls for it (``_ids``); answers, methods and
-fallback tuples by lookup.  Verdicts are read as columns (``_columns``),
-which also give ``methods_agree`` and ``sample``'s ``agree`` and summary.  ``sweep`` formats each
+tests, into a tuple of floats (a matrix's 32, which ``load_states`` stacks
+with the file's other matrices in one array call), and encodes its id once;
+a location is built only for the error it names.  The JSON records are
+formatted from columns, with the bytes ``json.dumps`` would write for the
+same values as a dict: each record by one ``%`` call on its kind's
+template, built from shared fragments (``_P``, ``_V``).  A float column
+goes in as floats (``%s`` of a float is its ``float.__repr__``), or as
+``_floats`` strings if it holds a value that is not finite (a NaN margin
+is null); an id as the text ``record_to_params`` encoded it to; answers,
+methods and fallback tuples by lookup.  Verdicts are read as columns
+(``_columns``), which also give ``methods_agree`` and ``sample``'s
+``agree`` and summary.  ``sweep`` formats each
 fold column in one ``float.__repr__`` pass (an infinite fold is ``inf``,
 not JSON's ``Infinity``), each axis's values once (``_axis_columns``), its
 flags by lookup and each line with one format call.
@@ -148,12 +151,16 @@ def _value_error(where: str, v) -> Exception:
 
 
 def record_to_params(record: dict, where: str):
-    """(id, values) of one record: the ten floats of a "params" record in the
-    order of ``core._ParamArrays.columns``, or the 4x4 complex matrix of a
-    "matrix" record.  Only what the record shows by itself is checked here:
-    its layout, ids and numbers, and a matrix's shape.  ``load_states``
-    checks finiteness, occupations and matrix structure on the file's
-    columns.
+    """(id, values) of one record.  The id is the JSON text it is echoed as,
+    the bytes ``json.dumps`` writes for it ("null" if it is absent); an id
+    that is not JSON, such as one holding NaN, is a ParseError.  The values
+    are a tuple of floats: the ten of a "params" record in the order of
+    ``core._ParamArrays.columns``, or the 32 of a "matrix" record, re and
+    im of its 16 cells row by row.  Only what the record shows by itself is
+    checked here: its layout, id and numbers, and a matrix's shape, which is
+    reported from its row lengths: "rows of 4, 3, 4, 4 cells" for ragged
+    rows, else "must be 4x4, got shape (r, c)".  ``load_states`` checks
+    finiteness, occupations and matrix structure on the file's columns.
 
     The values are read in one pass and checked in order: the first one
     that is not a JSON number (a ParseError) or is an int beyond float
@@ -163,11 +170,11 @@ def record_to_params(record: dict, where: str):
     if not isinstance(record, dict):
         raise ParseError(f"{where}: expected an object")
     rec_id = record.get("id")
-    if not isinstance(rec_id, (str, type(None))):
-        try:
-            json.dumps(rec_id, allow_nan=False)  # it is echoed, and NaN is not JSON
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad id: {exc}") from exc
+    try:  # a string by the encoder json.dumps calls for one; NaN is not JSON
+        rec_id = (encode_basestring_ascii(rec_id) if type(rec_id) is str
+                  else json.dumps(rec_id, allow_nan=False))
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad id: {exc}") from exc
     has_params = "params" in record
     has_matrix = "matrix" in record
     if has_params == has_matrix:
@@ -215,16 +222,12 @@ def record_to_params(record: dict, where: str):
         raise _value_error(f"{where}[{i}][{j}]", values[bad])
     if not_iterable is not None:
         raise ParseError(f"{where}: bad matrix: {not_iterable}") from not_iterable
-    if ends != _MATRIX_ENDS:
-        # not 4 rows of 4 cells: the shape, or numpy's error, of the nested lists
-        rows = (values[a:b] for a, b in zip([0, *ends], ends))
-        try:
-            M = np.array([[complex(re, im) for re, im in zip(r[::2], r[1::2])] for r in rows],
-                         dtype=complex)
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad matrix: {exc}") from exc
-        raise ParseError(f"{where}: matrix must be 4x4, got shape {M.shape}")
-    return rec_id, np.array(values).view(complex).reshape(4, 4)
+    if ends != _MATRIX_ENDS:  # not 4 rows of 4 cells
+        cells = [(b - a) // 2 for a, b in zip([0, *ends], ends)]
+        if len(set(cells)) > 1:
+            raise ParseError(f"{where}: bad matrix: rows of {', '.join(map(str, cells))} cells")
+        raise ParseError(f"{where}: matrix must be 4x4, got shape {(len(cells), *cells[:1])}")
+    return rec_id, tuple(values)
 
 
 def _parse_json(text: str, where: str):
@@ -257,8 +260,8 @@ def _jsonl_records(text: str, path: str):
 
 
 def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
-    """The ids and the parameters, as columns, of every record of ``path`` in
-    ``fmt`` ("json" or "jsonl").
+    """The ids, each as the JSON text it is echoed as, and the parameters, as
+    columns, of every record of ``path`` in ``fmt`` ("json" or "jsonl").
 
     Each record is read by ``record_to_params``; JSONL lines are parsed
     lazily, each just before its record is read.  The first record that
@@ -387,12 +390,6 @@ def _column(xs, fix=_NUMBER):
     return xs if all(map(math.isfinite, xs)) else _floats(xs, fix)
 
 
-def _ids(ids: list) -> list[str]:
-    """``json.dumps`` of each record id: a string through the encoder that
-    ``json.dumps`` calls for one."""
-    return [encode_basestring_ascii(i) if type(i) is str else json.dumps(i) for i in ids]
-
-
 # ``json.dumps`` of every method, fallback tuple and invariant form a record can carry
 _CONSTANT = {value: json.dumps(value) for value in (
     core.METHOD_CLOSED, core.METHOD_EIG, *core._FALLBACKS, symplectic.FORM1, symplectic.FORM2)}
@@ -438,10 +435,10 @@ def _classify_lines(ids: list, verdicts: list[Verdict], eig: list[Verdict] | Non
     ``--method both``, whose closed-form verdicts are ``verdicts``."""
     closed = _columns(verdicts)
     if eig is None:
-        return list(map(_CLASSIFY.__mod__, zip(_ids(ids), *_verdict_args(closed))))
+        return list(map(_CLASSIFY.__mod__, zip(ids, *_verdict_args(closed))))
     eig = _columns(eig)
     return list(map(_CLASSIFY_BOTH.__mod__, zip(
-        _ids(ids), *_verdict_args(closed), *_verdict_args(eig),
+        ids, *_verdict_args(closed), *_verdict_args(eig),
         map(_BOOL.__getitem__, _agree(closed, eig)))))
 
 
@@ -464,7 +461,7 @@ def cmd_invariants(args) -> int:
     ids, q = load_states(args.input, args.format)
     inv = symplectic.invariants(q.covariance())
     lines = map('{"id": %s, "i1": %s, "i2": %s, "i3": %s, "i4": %s}\n'.__mod__, zip(
-        _ids(ids), *(_column(x.tolist()) for x in (inv.i1, inv.i2, inv.i3, inv.i4))))
+        ids, *(_column(x.tolist()) for x in (inv.i1, inv.i2, inv.i3, inv.i4))))
     _write_output(args.output, ["".join(lines)])
     return EXIT_OK
 
@@ -501,7 +498,7 @@ def cmd_transform(args) -> int:
     reductions = [_reduction(row) for row in batch.rows()[:k]] if args.reduce else []
     if failure is not None:  # after the errors of the records before it
         raise failure[1]
-    columns = [_ids(ids), *_param_args(t)]
+    columns = [ids, *_param_args(t)]
     if args.reduce:
         columns.append(_reductions_json(reductions))
     line = ('{"id": %s, "transformed_params": ' + _P
@@ -656,8 +653,8 @@ def _axis_columns(axes) -> list[list[str]]:
 
 
 def cmd_sweep(args) -> int:
-    names: list[str] = []  # every parameter given by --fixed or an axis, in order
-    assignment: dict[str, float] = {"n1": args.n1, "n2": 1.0}
+    names: list[str] = [] if args.n1 is None else ["n1"]  # every parameter given, in order
+    assignment: dict[str, float] = {"n1": 1.0 if args.n1 is None else args.n1, "n2": 1.0}
     for item in args.fixed or []:
         if "=" not in item:
             raise ParseError(f"--fixed expects name=value, got {item!r}")
@@ -680,7 +677,7 @@ def cmd_sweep(args) -> int:
     names += axis_names
     twice = sorted({name for name in names if names.count(name) > 1})
     if twice:
-        raise ParseError(f"{', '.join(twice)} named twice across --axis1, --axis2 and --fixed")
+        raise ParseError(f"{', '.join(twice)} named twice across --n1, --fixed, --axis1 and --axis2")
     if args.fig1:
         # Fold comparison of the published figure: m1 = 0.5, m2 = 1, no cross
         # correlations, swept over the mode-1 occupation.
@@ -754,8 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fix a parameter (repeatable)")
     sp.add_argument("--axis1", metavar="NAME:MIN:MAX:STEPS")
     sp.add_argument("--axis2", metavar="NAME:MIN:MAX:STEPS")
-    sp.add_argument("--n1", type=float, default=1.0,
-                    help="mode-1 occupation when not fixed or swept")
+    sp.add_argument("--n1", type=float,
+                    help="mode-1 occupation (default 1), unless --fixed or an axis sets it")
     sp.add_argument("--fig1", action="store_true",
                     help="preset: m1=0.5, m2=1, sweep n1 (S/P fold comparison)")
     sp.set_defaults(func=cmd_sweep)

@@ -248,15 +248,18 @@ class _ParamArrays(NamedTuple):
 
     @classmethod
     def from_records(cls, values):
-        """(parameters, failure) of N records, each the tuple of ten floats
-        of a parameter set, in the order of ``columns``, or a 4x4 matrix,
-        read by one ``read_stack`` over all of them; ``failure`` is their
-        ``first_error``, whose structural rule covers the matrices only."""
-        at = [k for k, v in enumerate(values) if type(v) is not tuple]
-        cols = np.array([v if type(v) is tuple else (0.0,) * 10 for v in values], float).reshape(-1, 10)
+        """(parameters, failure) of N records, each a tuple of floats: the ten
+        of a parameter set, in the order of ``columns``, or the 32 of a 4x4
+        matrix, re and im of its cells row by row.  The matrices are built
+        as one (M, 4, 4) stack, in one array call, and read by one
+        ``read_stack``; ``failure`` is the records' ``first_error``, whose
+        structural rule covers the matrices only."""
+        at = [k for k, v in enumerate(values) if len(v) != 10]
+        cols = np.array([v if len(v) == 10 else (0.0,) * 10 for v in values], float).reshape(-1, 10)
         residual, ok = np.zeros(len(cols)), np.ones(len(cols), dtype=bool)
         if at:
-            qm, residual[at], ok[at] = cls.read_stack(np.array([values[k] for k in at]))
+            V = np.array([values[k] for k in at]).view(complex).reshape(-1, 4, 4)
+            qm, residual[at], ok[at] = cls.read_stack(V)
             cols[at] = np.column_stack(qm.columns())
         q = cls.from_rows(cols)
         return q, q.first_error(ok, residual)

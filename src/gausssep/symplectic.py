@@ -379,8 +379,8 @@ def _uniform_columns(rng: np.random.Generator, n: int, bounds) -> np.ndarray:
     return rng.uniform(low, high, size=(n, len(bounds))).T.copy()
 
 
-def _random_box(rng: np.random.Generator, n: int, n_lo: float = 0.4, n_hi: float = 3.0,
-                m_max: float = 1.0) -> core._ParamArrays:
+def _random_box(rng: np.random.Generator, n: int, n_lo: float, n_hi: float,
+                m_max: float) -> core._ParamArrays:
     """n unconstrained box draws (physical or not) as arrays: n1, n2 in
     [n_lo, n_hi], then m1, m2, ms, mc with moduli in [0, m_max] and uniform
     phases, each state from one row of ten uniforms."""

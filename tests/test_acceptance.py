@@ -68,7 +68,7 @@ def test_oracle_equivalence_campaign():
     rng = np.random.default_rng(20260823)
     n = 100_000
     # n box draws (physical or not) in one batch
-    q = symplectic._random_box(rng, n)
+    q = symplectic._random_box(rng, n, 0.4, 3.0, 1.0)
     V = q.covariance()
     eig = np.column_stack(batch_margins_eig(V))
     # The library's closed-form (physical, separable, prep) margins in one
@@ -234,7 +234,7 @@ def test_mirror_identity_campaign():
     degenerate."""
     rng = np.random.default_rng(555)
     n = 100_000
-    a = symplectic._random_box(rng, n)  # n box draws (physical or not)
+    a = symplectic._random_box(rng, n, 0.4, 3.0, 1.0)  # n box draws (physical or not)
     sep = core._closed_margin(core._Batch(a).mirror, 0)
     assert sep.tobytes() == core._closed_margin(core._Batch(a.mirror()), 0).tobytes()
     checked = np.count_nonzero(~np.isnan(sep))

@@ -480,7 +480,8 @@ class TestBatchSampling:
     def test_box_batch_is_the_one_at_a_time_stream(self):
         a, b, c = (np.random.default_rng(21) for _ in range(3))
         batch = symplectic._random_box(a, 40, 0.4, 3.0, 1.0).params()
-        assert bits(batch) == bits([symplectic._random_box(b, 1).params()[0] for _ in range(40)])
+        assert bits(batch) == bits([symplectic._random_box(b, 1, 0.4, 3.0, 1.0).params()[0]
+                                    for _ in range(40)])
         assert bits(batch) == bits([one_at_a_time_box(c, 0.4, 3.0, 1.0) for _ in range(40)])
         assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
 
