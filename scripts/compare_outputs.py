@@ -32,11 +32,18 @@ WORKLOADS = ("classify-mixed", "sample-campaign", "sweep-grid", "forms")
 ERRORS = "error-paths"
 SEEDS = (1, 2)
 TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# Commands of the path no plan takes, run at each seed with the workload's
-# plan: a ``sample`` of two batches (``SAMPLE_BATCH`` is 1024) in each mode
+# Commands of the paths no plan takes, run at each seed with the workload's
+# plan: a ``sample`` of two batches (``SAMPLE_BATCH`` is 1024) in each mode,
+# and two sweeps whose folds are mostly exact folds: 441 of 861 rows
+# degenerate (1 with d = 0, 31 with d' = 0, 210 with P's h < 0; 55 P-folds
+# below the S-fold) and 341 of 561 (11 with d' = 0, 110 with h < 0)
 EXTRA = {"sample-campaign": [["sample", "--count", "1100", "--mode", mode, "--seed", "{seed}",
                               "--output", f"sample-{mode}-1100.out"]
-                             for mode in ("construct", "reject")]}
+                             for mode in ("construct", "reject")],
+         "sweep-grid": [["sweep", "--axis1", "n1:0:2:41", "--axis2", "m1:0:1:21", "--fixed", "ms=0.3",
+                         "--fixed", "mc=0.2", "--fixed", "m2=0.2", "--output", "sweep-band-n1-m1.csv"],
+                        ["sweep", "--axis1", "n1:0.25:1.5:51", "--axis2", "mc:0:1:11", "--fixed",
+                         "m1=0.5", "--fixed", "m2=1", "--output", "sweep-band-n1-mc.csv"]]}
 
 # The JSONL text of each input file of the error-path group: ids of every
 # JSON kind (the strings' non-ASCII characters raw, U+2028 among them), then

@@ -27,33 +27,39 @@ per-state API (``classify``, ``physicality_bound_n2`` and
 ``bisect_n2_threshold``) takes a parameter set, evaluated as a one-element
 batch, or a state of a batch (``_Row``), which it reads out of that batch's
 array pass; ``classify_batch`` is ``classify`` over every state of one
-batch.  A batch (``_Batch``) runs each array pass once: the families,
-the covariance stack and the mirror batch as cached properties, any other
-pass under the key ``(compute, *args)``.  So one bound column per family
-and batch (``_bound``) serves the closed margins, the n2 views and the
-sweep, separability's being physicality's on the mirror batch.
-``n2_folds_batch`` takes the entries without a closed form from the exact
-fold's array pass: the P column (the literal published P-fold, which has
-no per-state view) in one masked read, the physicality and separability
-columns state by state, through ``physicality_bound_n2`` and
-``bisect_n2_threshold``, whose calls the benchmark's tracer counts;
-``n2_folds`` is its one-element view.  A batch builds its (N, 4, 4)
-covariance stack once, read-only, at its first use; the oracle rows of all
-three criteria and the invariant-form reduction of ``symplectic`` index
-that one stack.  Every operation is elementwise or per matrix, so a
-state's result does not depend on the other states in its batch, bit for
-bit.
+batch.  A batch (``_Batch``) runs each array pass once: the families and
+the covariance stack as cached properties, any other pass under the key
+``(compute, *args)``.  The closed form is one pass per batch over three
+criterion rows, physicality, separability and P-representability
+(``_Batch.families``), so one bound pass (``_bound``) serves the closed
+margins, the n2 views and the sweep, and one exact-fold pass
+(``_exact_folds``) the sweep's degenerate entries.  ``n2_folds_batch``
+takes the entries without a closed form from the exact fold's pass: the
+P column (the literal published P-fold, which has no per-state view) in
+one masked read, the physicality and separability columns state by
+state, through ``physicality_bound_n2`` and ``bisect_n2_threshold``,
+whose calls the benchmark's tracer counts; the separability entries are
+read on the mirror batch (``_Batch.mirror``), whose states are read out
+of the batch's passes, rows in the order (1, 0, 2): it runs none of its
+own.  ``n2_folds`` is its one-element view.  A batch builds its
+(N, 4, 4) covariance stack once, read-only, at its first use; the oracle
+rows of all three criteria and the invariant-form reduction of
+``symplectic`` index that one stack.  Every operation is elementwise or
+per matrix, so a state's result does not depend on the other states in
+its batch, bit for bit.
 
 Physicality and P-representability are one positivity question at two
 shifts, so they share one closed form: the parameters (a, s, c, h, e, x0)
-of their ``_Family`` (a = d or d', the determinant of the shifted mode-1
-block), built by one formula at each shift (``_families``).  Separability
-is physicality of the partial transpose (Simon's criterion), so it has no
-code of its own: both its margins are the physicality code run on the
-mirrored states (``_ParamArrays.mirror``: ms <-> mc swapped, m2
-conjugated; ``GaussianParams.mirror`` is its one-element view), the closed
-form on the mirror batch (``_Batch.mirror``), whose family is (s,
-conj(c), d), the oracle on T V T of the batch's one stack: the rows and
+of their rows of the ``_Family`` (a = d or d', the determinant of the
+shifted mode-1 block), built by one formula at each row's shift
+(``_families``).  Separability is physicality of the partial transpose
+(Simon's criterion), so it has no code of its own: both its margins are
+the physicality code run on the mirrored states (``_ParamArrays.mirror``:
+ms <-> mc swapped, m2 conjugated; ``GaussianParams.mirror`` is its
+one-element view).  The closed form's separability row is the physicality
+family of the mirrored states, (s, conj(c), d), read with m2 conjugated
+and delta negated, and the oracle's rows are T V T of the batch's one
+stack: the rows and
 columns of mode 2 swapped (index permutation [0, 1, 3, 2]), the mirrored
 covariance bit for bit.  Complex products are computed on the (re, im)
 float pairs, with the groupings of ``_families``, so that the mirrored
@@ -334,25 +340,19 @@ class _ParamArrays(NamedTuple):
 
 
 class _Family(NamedTuple):
-    """One criterion's n2 fold over N states, in x = n2 - x0, where its
-    determinant is a quadratic a x^2 - 2s x + ..., and a is that of the
-    shifted mode-1 block A = h I + [[e, m1], [conj(m1), -e]]: (h, e, x0) =
-    (n1, 1/2, 0) for physicality, (n1 - 1/2, 0, 1/2) for P-representability
-    (``_families``); c is an (re, im) pair.  ``name`` names its bound in
-    errors.  Physicality's, mirrored, is separability's."""
+    """The closed-form families of N states as (3, N) arrays, one row per
+    criterion: physicality, separability and P-representability.  In
+    x = n2 - x0 each row's determinant is a quadratic a x^2 - 2s x + ...,
+    where a is that of the shifted mode-1 block A = h I + [[e, m1],
+    [conj(m1), -e]]: (h, e, x0) = (n1, 1/2, 0) for physicality and
+    separability, (n1 - 1/2, 0, 1/2) for P-representability, with e and x0
+    the (3, 1) columns ``_E`` and ``_X0`` (``_families``); c is an (re, im)
+    pair."""
 
-    name: str
     a: np.ndarray
     s: np.ndarray
     c: tuple[np.ndarray, np.ndarray]
     h: np.ndarray
-    e: float
-    x0: float
-
-    def mirror(self) -> "_Family":
-        """The family of the mirrored states: c conjugates, the rest is
-        invariant (bit for bit, by the groupings in ``_families``)."""
-        return self._replace(c=_conj(self.c))
 
     def mode1_fails(self) -> np.ndarray:
         """Where A >= 0 fails, so that no n2 meets the criterion (fold inf):
@@ -362,13 +362,26 @@ class _Family(NamedTuple):
         return (self.a < -TOL_SING) | ((self.a > TOL_SING) & (self.h < 0.0))
 
 
+# The criterion rows of a batch's closed-form passes: physicality, separability, P,
+# their shifts and the names of their bounds in errors.  Separability's is
+# physicality's on the mirrored states, whose c and m2 are conjugated and whose
+# delta = |mc|^2 - |ms|^2 is negated (``_SIGN``).
+_BOUND_NAMES = ("physicality bound", "physicality bound", "P-representability bound")
+_E = np.array([[0.5], [0.5], [0.0]])
+_X0 = np.array([[0.0], [0.0], [0.5]])
+_SIGN = np.array([[1.0], [-1.0], [1.0]])
+_MIRROR_ROWS = (1, 0, 2)  # a mirror batch's criterion rows, in its parent's passes
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _families(q: _ParamArrays) -> tuple[_Family, _Family]:
-    """The (physicality, P-representability) families of every row, from
-    one formula at each family's shift: a = h h - e e - |m1|^2,
-    s = h (|mc|^2 + |ms|^2) - 2 Re(mc ms conj(m1)) and
-    c = 2h conj(ms) mc - mc^2 conj(m1) - conj(ms)^2 m1 (the paper's
-    d, s, c and d', s', c').  OverflowError if any of them is not finite."""
+def _families(q: _ParamArrays) -> _Family:
+    """The (physicality, separability, P-representability) families of every
+    row, from one formula at each criterion row's shift: a = h h - e e -
+    |m1|^2, s = h (|mc|^2 + |ms|^2) - 2 Re(mc ms conj(m1)) and
+    c = 2h conj(ms) mc - mc^2 conj(m1) - conj(ms)^2 m1 (the paper's d, s, c
+    and d', s', c'), with c conjugated on separability's row: bit for bit
+    the physicality family of the mirrored states.  OverflowError if any of
+    them is not finite."""
     n1, m1, ms, mc = q.n1, q.m1, q.ms, q.mc
     # Groupings below are chosen so that swapping ms <-> mc yields the exact
     # complex conjugate bit for bit (the mirror identity is tested exactly).
@@ -377,37 +390,37 @@ def _families(q: _ParamArrays) -> tuple[_Family, _Family]:
     ms_mc = _mul(_conj(ms), mc)
     sq_mc, sq_ms = _mul(_mul(mc, mc), _conj(m1)), _mul(_mul(_conj(ms), _conj(ms)), m1)
     squares = sq_mc[0] + sq_ms[0], sq_mc[1] + sq_ms[1]
-    m1_2 = _abs2(m1)
-    families = []
-    for name, e, x0 in (("physicality bound", 0.5, 0.0), ("P-representability bound", 0.0, 0.5)):
-        h = n1 - x0
-        families.append(_Family(name, h * h - e * e - m1_2, h * cross - re3,
-                                _sub((2.0 * h * ms_mc[0], 2.0 * h * ms_mc[1]), squares), h, e, x0))
-    finite = np.logical_and.reduce([np.isfinite(x) for f in families for x in (f.s, *f.c, f.a)])
+    h = n1 - _X0
+    re, im = _sub((2.0 * h * ms_mc[0], 2.0 * h * ms_mc[1]), squares)
+    f = _Family(h * h - _E * _E - _abs2(m1), h * cross - re3, (re, _SIGN * im), h)
+    finite = (np.isfinite(f.s) & np.isfinite(re) & np.isfinite(im) & np.isfinite(f.a)).all(axis=0)
     if not finite.all():
         i = int(np.argmin(finite))
         raise OverflowError(f"closed-form intermediates overflow for state {i} of the batch")
-    return tuple(families)
+    return f
 
 
 class _Batch:
     """N states as ``_ParamArrays`` and their array passes, each run once, at
     its first use, and kept.  A pass without arguments is a cached property
-    (``families``, ``covariance``, ``mirror``); a pass ``compute(batch,
-    *args)`` is kept under the key ``(compute, *args)`` (``evaluated``).
-    The per-state functions read a state of the batch (a ``_Row``) out of
-    these passes."""
+    (``families``, ``covariance``); a pass ``compute(batch, *args)`` is kept
+    under the key ``(compute, *args)`` (``evaluated``).  The closed-form
+    passes (``_bound``, ``_exact_folds``) run over the three criterion rows
+    of ``families`` at once.  The per-state functions read a state of the
+    batch (a ``_Row``) out of these passes; a state of a ``mirror`` batch
+    out of its ``parent``'s."""
 
-    def __init__(self, q: _ParamArrays):
+    def __init__(self, q: _ParamArrays, parent: "_Batch | None" = None):
         self.q = q
         self._values: dict = {}
+        self.parent = parent
 
     @classmethod
     def of(cls, params: Sequence[GaussianParams]) -> "_Batch":
         return cls(_ParamArrays.of(params))
 
     @cached_property
-    def families(self) -> tuple[_Family, _Family]:
+    def families(self) -> _Family:
         return _families(self.q)
 
     @cached_property
@@ -418,12 +431,15 @@ class _Batch:
         V.flags.writeable = False
         return V
 
-    @cached_property
+    @property
     def mirror(self) -> "_Batch":
-        """The mirrored states, whose families are ``families`` mirrored."""
-        mirrored = _Batch(self.q.mirror())
-        mirrored.families = tuple(f.mirror() for f in self.families)
-        return mirrored
+        """The mirrored states, a new batch at each read, whose ``parent``
+        is this batch.  Separability is physicality of the mirror, so the
+        per-state functions read its states out of this batch's closed-form
+        passes, rows in the order (1, 0, 2) (``_MIRROR_ROWS``), and it runs
+        none of its own.  It is not kept here, so that no batch is in a
+        reference cycle and each is freed as soon as it is dropped."""
+        return _Batch(self.q.mirror(), self)
 
     def evaluated(self, key: tuple):
         """``compute(self, *args)`` of the key ``(compute, *args)``, run
@@ -519,23 +535,26 @@ def _checked(x: np.ndarray, defined: np.ndarray, what: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _bound(batch: _Batch, k: int):
-    """(bound, defined) of every state of ``batch``: the smallest n2 at
-    which the criterion of family k (0 physicality, 1 P-representability)
-    holds, x0 + s/a + sqrt((e (1 - delta/a))^2 + |m2 - c/a|^2), defined
-    where a > TOL_SING and the mode-1 rule holds, NaN elsewhere.  The root
-    is hypot(e (1 - delta/a), |m2 - c/a|) where the sum of the squares
-    overflows but its terms do not.  Not checked: where it overflows, it is
-    not finite.  Read through ``evaluated``, once per family and batch."""
-    q, f = batch.q, batch.families[k]
+def _bound(batch: _Batch):
+    """(bound, defined), two (3, N) arrays over the criterion rows of
+    ``batch`` (physicality, separability, P-representability): the smallest
+    n2 at which each criterion holds, x0 + s/a + sqrt((e (1 - delta/a))^2 +
+    |m2 - c/a|^2), defined where a > TOL_SING and the mode-1 rule holds, NaN
+    elsewhere; on separability's row m2 is conjugated and delta negated.
+    The root is hypot(e (1 - delta/a), |m2 - c/a|) where the sum of the
+    squares overflows but its terms do not.  Not checked: where it
+    overflows, it is not finite.  Read through ``evaluated``, once per
+    batch."""
+    q, f = batch.q, batch.families
     defined = (f.a > TOL_SING) & (f.h >= 0.0)
     a = np.where(defined, f.a, np.nan)
-    r = _abs(_sub(q.m2, _div(f.c, a)))
+    r = _abs(_sub((q.m2[0], _SIGN * q.m2[1]), _div(f.c, a)))
+    t = _E * (1.0 - _SIGN * (_abs2(q.mc) - _abs2(q.ms)) / a)
     # P's e = 0 drops the term, and sqrt(fl(r^2)) = r: its bound is 1/2 + s'/d' + |m2 - c'/d'|.
-    t = f.e * (1.0 - (_abs2(q.mc) - _abs2(q.ms)) / a) if f.e else 0.0
+    t[2] = 0.0
     r2 = t * t + r * r
     root = np.where(np.isinf(r2) & np.isfinite(t) & np.isfinite(r), np.hypot(t, r), np.sqrt(r2))
-    return f.x0 + f.s / a + root, defined
+    return _X0 + f.s / a + root, defined
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -543,10 +562,10 @@ def _literal_prep_fold(batch: _Batch):
     """(fold, defined): the published P-fold s'/d' + |m2 - c'|/d' + 1/2 of
     every state of ``batch``, defined where d' > TOL_SING (kept literal for
     the fold-comparison figure; its dips below the S-fold are unphysical)."""
-    q, f = batch.q, batch.families[1]
-    defined = f.a > TOL_SING
-    d = np.where(defined, f.a, np.nan)
-    return f.s / d + _abs(_sub(q.m2, f.c)) / d + 0.5, defined
+    q, f = batch.q, batch.families
+    defined = f.a[2] > TOL_SING
+    d = np.where(defined, f.a[2], np.nan)
+    return f.s[2] / d + _abs(_sub(q.m2, (f.c[0][2], f.c[1][2]))) / d + 0.5, defined
 
 
 def physicality_bound_n2(p: GaussianParams | _Row) -> float:
@@ -555,35 +574,38 @@ def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     Requires d = n1^2 - 1/4 - |m1|^2 > 0; degenerate or negative d raises
     DegenerateBoundError (negative d means the mode-1 condition already
     fails, so no n2 bound exists), and an overflowing bound OverflowError.
-    The bound is read from the batch's bound column (``_bound``).  The
-    separability bound is this function applied to ``p.mirror()``.
+    The bound is read from the batch's bound pass (``_bound``).  The
+    separability bound is this function applied to ``p.mirror()``, which on
+    a batch's mirror reads the separability row of the batch's pass.
     """
     batch, i = p if type(p) is _Row else _row(p)
-    fold, defined = batch.evaluated((_bound, 0))
-    if not defined[i]:
-        phys, prep = batch.families
-        raise DegenerateBoundError("physicality bound", phys.a[i], prep.a[i], batch.q.n1[i])
-    b = float(fold[i])
+    k = 0
+    if batch.parent is not None:
+        batch, k = batch.parent, _MIRROR_ROWS[k]
+    fold, defined = batch.evaluated((_bound,))
+    if not defined.item(k, i):
+        a = batch.families.a
+        raise DegenerateBoundError("physicality bound", a.item(0, i), a.item(2, i),
+                                   batch.q.n1.item(i))
+    b = fold.item(k, i)
     if not math.isfinite(b):
         raise OverflowError("physicality bound overflows")
     return b
 
 
-def _closed_margin(batch: _Batch, k: int) -> np.ndarray:
-    """Closed-form margin of the criterion of family k for every state of
-    ``batch``, from the batch's bound column (on ``batch.mirror``
-    physicality's is separability's); NaN exactly where |a| <= TOL_SING
-    (degenerate)."""
-    q, f = batch.q, batch.families[k]
-    m1_margin = q.n1 - np.sqrt(_abs2(q.m1) + f.e * f.e) - f.x0
-    bound = _checked(*batch.evaluated((_bound, k)), f.name)
+def _closed_margins(batch: _Batch) -> np.ndarray:
+    """The (physical, separable, prep) closed-form margins of every state of
+    ``batch``, a (3, N) array over its criterion rows, from its one bound
+    pass: the smaller of the mode-1 margin and n2 minus the bound, the
+    mode-1 margin where the mode-1 rule fails, and NaN exactly where
+    |a| <= TOL_SING (degenerate).  A bound that overflows raises
+    ``OverflowError``, the first row's first."""
+    q, f = batch.q, batch.families
+    m1_margin = q.n1 - np.sqrt(_abs2(q.m1) + _E * _E) - _X0
+    bound, defined = batch.evaluated((_bound,))
+    for k, name in enumerate(_BOUND_NAMES):
+        _checked(bound[k], defined[k], name)
     return np.where(f.mode1_fails(), m1_margin, np.minimum(m1_margin, q.n2 - bound))
-
-
-def _closed_margins(batch: _Batch):
-    """(physical, separable, prep) closed-form margins of every state of
-    ``batch``; separability's is physicality's on ``batch.mirror``."""
-    return _closed_margin(batch, 0), _closed_margin(batch.mirror, 0), _closed_margin(batch, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -712,33 +734,35 @@ def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _exact_folds(batch: _Batch, k: int) -> list[float]:
-    """The exact n2 fold of family k (0 physicality, 1 P-representability)
-    for every state of ``batch``: the smallest n2 >= 0 with V + E/2 >= 0, or
-    V - I/2 >= 0 for P; ``inf`` where no n2 works, NaN where the arithmetic
-    overflows.
+def _exact_folds(batch: _Batch) -> list[list[float]]:
+    """The exact n2 folds of every state of ``batch``, as three lists over
+    its criterion rows (physicality, separability, P-representability): the
+    smallest n2 >= 0 with V + E/2 >= 0, T V T + E/2 >= 0 or V - I/2 >= 0;
+    ``inf`` where no n2 works, NaN where the arithmetic overflows.
 
     n2 enters the matrix as n2 times a projector, so no eigenvalue falls as
     n2 grows: the valid n2 are [fold, inf), and the fold is the larger root
     of the determinant (Simon's criterion).  In x = n2 - x0 that is a
     quadratic a x^2 + b x + ..., b = -2s, in the family's terms.
     Off the band |a| <= TOL_SING the root is the closed bound, read from
-    the batch's bound column (``_bound``); inside it A is taken as singular
+    the batch's bound pass (``_bound``); inside it A is taken as singular
     (``_split_folds``).  It is ``inf`` where the mode-1 rule fails."""
-    f = batch.families[k]
-    x, _ = batch.evaluated((_bound, k))
+    f = batch.families
+    x, _ = batch.evaluated((_bound,))
     fails = f.mode1_fails()
     band = np.abs(f.a) <= TOL_SING
     if band.any():
         split, none = _split_folds(batch.q, f)
-        x = np.where(band, split + f.x0, x)
+        x = np.where(band, split + _X0, x)
         fails = fails | band & none
     return np.where(fails, np.inf, np.where(np.isfinite(x), x, np.nan)).tolist()
 
 
 def _split_folds(q: _ParamArrays, f: _Family):
-    """(x, none) of ``_exact_folds`` for every row, taking the shifted
-    mode-1 block A = h I + [[e, m1], [conj(m1), -e]] of ``f`` as singular.
+    """(x, none) of ``_exact_folds``, two (3, N) arrays over the criterion
+    rows ``f``, taking each row's shifted mode-1 block A = h I + [[e, m1],
+    [conj(m1), -e]] as singular.  On separability's row m2 and ms conj(mc)
+    are conjugated and delta is negated, as on the mirrored states.
 
     No n2 works (``none``) where A is not positive semidefinite within
     TOL_PSD: its smaller eigenvalue h - sqrt(e^2 + |m1|^2) is below
@@ -760,21 +784,21 @@ def _split_folds(q: _ParamArrays, f: _Family):
     ``hypot`` as in ``_families``: a polynomial in the parameters, it
     is 0 exactly where the cross block is, and wherever its exact value is
     0 and the inputs are short dyadics, which keep every product exact."""
-    m2, t = q.m2, 2.0 * f.h
+    m2, t = (q.m2[0], _SIGN * q.m2[1]), 2.0 * f.h
     mc2, ms2 = (z[0] * z[0] + z[1] * z[1] for z in (q.mc, q.ms))
-    delta, cross = mc2 - ms2, mc2 + ms2
+    delta, cross = _SIGN * (mc2 - ms2), mc2 + ms2
     s = f.h * cross - 2.0 * _mul(_mul(q.mc, q.ms), _conj(q.m1))[0]
     t2 = t * t
     ms_mc = _mul(_conj(q.ms), q.mc)
-    w = _sub(m2, _div(_sub((2.0 * t * ms_mc[0], 2.0 * t * ms_mc[1]), f.c), t2))
-    x = np.where(t > 0.0, (t * cross - s) / t2 + np.hypot(f.e * (1.0 + delta / t2), _abs(w)),
-                 np.hypot(f.e, _abs(m2)))
-    indefinite = f.h - np.hypot(f.e, _abs(q.m1)) < -TOL_PSD
+    w = _sub(m2, _div(_sub((2.0 * t * ms_mc[0], 2.0 * t * (_SIGN * ms_mc[1])), f.c), t2))
+    x = np.where(t > 0.0, (t * cross - s) / t2 + np.hypot(_E * (1.0 + delta / t2), _abs(w)),
+                 np.hypot(_E, _abs(m2)))
+    indefinite = f.h - np.hypot(_E, _abs(q.m1)) < -TOL_PSD
     return x, indefinite | (s > 0.0) | (t <= 0.0) & (cross != 0.0)
 
 
-# criterion -> the index of its family in ``_Batch.families``
-_N2_CRITERIA = {"physical": 0, "p_representable": 1}
+# criterion -> its row in the batch's closed-form passes
+_N2_CRITERIA = {"physical": 0, "p_representable": 2}
 
 
 def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
@@ -788,7 +812,10 @@ def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
     the benchmark's tracer wraps this function by name.
     """
     batch, i = p if type(p) is _Row else _row(p)
-    fold = batch.evaluated((_exact_folds, _N2_CRITERIA[criterion]))[i]
+    k = _N2_CRITERIA[criterion]
+    if batch.parent is not None:
+        batch, k = batch.parent, _MIRROR_ROWS[k]
+    fold = batch.evaluated((_exact_folds,))[k][i]
     if fold != fold:
         raise OverflowError(f"n2 fold overflows for state {i} of the batch")
     return fold
@@ -817,42 +844,40 @@ def _n2_folds(batch: _Batch):
     fold arrays and an (N,) mask of the states where any fold had no closed
     form.
 
-    The closed forms are one array pass each, in the order families,
-    physicality, mirror, P-fold (so the first ``OverflowError`` is that of
-    the first pass that overflows): the physicality and separability
-    columns are the physicality bound columns of ``batch`` and
-    ``batch.mirror``, which the closed margins and ``physicality_bound_n2``
-    read too.  The entries whose closed form is NaN take the exact fold of
-    their criterion, itself one array pass per batch and criterion
-    (``_exact_folds``): ``inf`` where the mode-1 rule fails.  The P column
-    takes its missing entries in one masked read of that pass.  The
-    physicality and separability columns still read theirs per state,
-    through the bound's ``DegenerateBoundError`` and
-    ``bisect_n2_threshold``, because the benchmark's tracer counts those
-    calls; a NaN exact fold is the ``OverflowError`` of its first state,
-    raised in the column order phys, sep, P."""
-    closed = [_checked(*batch.evaluated((_bound, 0)), "physicality bound"),
-              _checked(*batch.mirror.evaluated((_bound, 0)), "physicality bound"),
-              _checked(*batch.evaluated((_literal_prep_fold,)), "literal P-fold")]
-    degenerate = np.zeros(len(batch.q.n1), dtype=bool)
-    out = []
-    for fold, bt in zip(closed, (batch, batch.mirror)):
-        fold = fold.copy()  # the batch's bound reads keep the closed form, NaN included
-        missing = np.isnan(fold)
-        rows = np.flatnonzero(missing).tolist()
-        if rows:
-            bt.evaluated((_exact_folds, 0))  # its one array pass, before the per-state reads
-        for i in rows:
-            fold[i] = _n2_fold(_Row(bt, i))
-        degenerate |= missing
-        out.append(fold)
-    prep, missing = closed[2], np.isnan(closed[2])
+    The physicality and separability columns are rows of the batch's one
+    bound pass, which the closed margins and ``physicality_bound_n2`` read
+    too, and the P column is the literal P-fold: the first ``OverflowError``
+    is that of the families, then of physicality, separability and the
+    P-fold.  The entries whose closed form is NaN take the exact fold of
+    their criterion, from the batch's one exact-fold pass (``_exact_folds``):
+    ``inf`` where the mode-1 rule fails.  The P column takes its missing
+    entries in one masked read of that pass.  The physicality and
+    separability columns still read theirs per state, through the bound's
+    ``DegenerateBoundError`` and ``bisect_n2_threshold`` (on ``batch`` and
+    ``batch.mirror``), because the benchmark's tracer counts those calls; a
+    NaN exact fold is the ``OverflowError`` of its first state, raised in
+    the column order phys, sep, P."""
+    bound, defined = batch.evaluated((_bound,))
+    _checked(bound[:2], defined[:2], "physicality bound")
+    prep = _checked(*batch.evaluated((_literal_prep_fold,)), "literal P-fold")
+    missing = np.isnan(bound[:2])
+    out = bound[:2].copy()  # the batch's bound pass keeps the closed form, NaN included
     if missing.any():
-        prep = np.where(missing, batch.evaluated((_exact_folds, 1)), prep)
+        batch.evaluated((_exact_folds,))  # its one array pass, before the per-state reads
+    for k in (0, 1):
+        rows = np.flatnonzero(missing[k]).tolist()
+        if rows:
+            bt = batch.mirror if k else batch
+            # tuple.__new__ skips the NamedTuple's Python __new__, as in ``_Batch.rows``
+            out[k, rows] = [_n2_fold(tuple.__new__(_Row, (bt, i))) for i in rows]
+    degenerate = missing[0] | missing[1]
+    missing = np.isnan(prep)
+    if missing.any():
+        prep = np.where(missing, batch.evaluated((_exact_folds,))[2], prep)
         overflow = np.isnan(prep)
         if overflow.any():
             raise OverflowError(f"n2 fold overflows for state {int(overflow.argmax())} of the batch")
-    return (*out, prep, degenerate | missing)
+    return out[0], out[1], prep, degenerate | missing
 
 
 def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:

@@ -228,15 +228,21 @@ def test_fig1_fold_structure(tmp_path):
 
 
 def test_mirror_identity_campaign():
-    """separability closed form (from the mirrored physicality family of p)
-    == physicality closed form of the mirrored parameters on 10^5 draws, bit
-    for bit, in one batch of the array core; both are NaN exactly where
-    degenerate."""
+    """The separability row of the closed-form pass over p (physicality's
+    family with c conjugated, m2 conjugated and delta negated) == the
+    physicality row of the pass over the mirrored parameters on 10^5 draws,
+    bit for bit, for the bound and where it is defined, the closed margin
+    and the exact fold; the margins are NaN exactly where degenerate."""
     rng = np.random.default_rng(555)
     n = 100_000
     a = symplectic._random_box(rng, n, 0.4, 3.0, 1.0)  # n box draws (physical or not)
-    sep = core._closed_margin(core._Batch(a).mirror, 0)
-    assert sep.tobytes() == core._closed_margin(core._Batch(a.mirror()), 0).tobytes()
-    checked = np.count_nonzero(~np.isnan(sep))
+
+    def rows(batch, k):
+        bound, defined = core._bound(batch)
+        return [np.asarray(x[k]).tobytes()
+                for x in (bound, defined, core._closed_margins(batch), core._exact_folds(batch))]
+
+    assert rows(core._Batch(a), 1) == rows(core._Batch(a.mirror()), 0)
+    checked = np.count_nonzero(~np.isnan(core._closed_margins(core._Batch(a))[1]))
     assert checked > 0.99 * n
     report(f"mirror-identity (n={n}, exact float equality)")

@@ -162,9 +162,10 @@ class TestClassify:
         assert_batch_equals_singles(tmp_path, ["classify", "--method", "both"], records)
 
     def test_both_routes_share_one_batch(self, tmp_path, monkeypatch):
-        # one read of the file's columns, one batch (and its mirror, for the
-        # closed route's separability) and one input stack for both routes
-        # (the exact-d0 record makes the closed route need it)
+        # one read of the file's columns, one batch (no mirror batch: the
+        # closed route's separability is a row of the batch's closed-form
+        # pass) and one input stack for both routes (the exact-d0 record
+        # makes the closed route need it)
         f = tmp_path / "in.jsonl"
         write_jsonl(f, [*FORMS_RECS, {"id": "d0", "params": {"n1": 0.5, "n2": 0.8, "ms": [0.1, 0.2]}},
                         {"id": "vac", "matrix": [[[float(r == c) / 2, 0.0] for c in range(4)]
@@ -182,7 +183,7 @@ class TestClassify:
                             lambda batch, q: calls.append("batch") or real_init(batch, q))
         argv = ["classify", "--method", "both", "--input", str(f)]
         assert main([*argv, "--output", str(tmp_path / "out.jsonl")]) == 0
-        assert sorted(calls) == ["batch", "batch", "columns"]
+        assert sorted(calls) == ["batch", "columns"]
         assert [V.tobytes() for V in built].count(inputs) == 1
 
     @pytest.mark.parametrize("method", ["closed", "eig", "both"])
@@ -439,7 +440,8 @@ class TestTransform:
         assert main([*argv, "--output", str(tmp_path / "out.jsonl")]) == 0
         assert [V.tobytes() for V in built].count(inputs) == 1
 
-    @pytest.mark.parametrize("argv", [["invariants"], ["transform", "--reduce"]])
+    @pytest.mark.parametrize("argv", [["invariants"], ["transform", "--reduce"],
+                                      ["classify", "--method", "both"]])
     def test_empty_input_writes_nothing(self, tmp_path, capsys, argv):
         f = tmp_path / "in.jsonl"
         f.write_text("")
@@ -556,9 +558,9 @@ class TestSample:
     def negate_closed(self, monkeypatch):
         """Negate the closed-form physicality and separability margins, so
         that the routes disagree off the band."""
-        margin = core._closed_margin
-        monkeypatch.setattr(core, "_closed_margin",
-                            lambda batch, k: margin(batch, k) if k else -margin(batch, k))  # k = 1: P
+        margins = core._closed_margins
+        monkeypatch.setattr(core, "_closed_margins",
+                            lambda batch: margins(batch) * [[-1.0], [-1.0], [1.0]])  # row 2: P
 
     def skew_closed(self, monkeypatch):
         """Leave every third closed physicality margin undecided, so that it

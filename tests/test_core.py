@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -374,7 +376,7 @@ class TestPhysicality:
         assert min_eigenvalue_hermitian((V + E / 2)[None])[0] >= -core.TOL_PSD
 
     def test_vacuum_routes_to_oracle(self):
-        assert np.isnan(core._closed_margin(core._Batch.of([VACUUM]), 0)[0])
+        assert np.isnan(core._closed_margins(core._Batch.of([VACUUM]))[0, 0])
         v = classify(VACUUM, method=core.METHOD_EIG)
         assert v.physical
         assert v.margin_physical == pytest.approx(0.0, abs=1e-14)
@@ -434,8 +436,8 @@ class TestPRepresentability:
     def test_reference_state_prep_bound(self):
         """The closed-form P bound of the batch and the exact P-fold agree
         on the frozen threshold."""
-        bound, _ = core._bound(core._Batch.of([REF]), 1)
-        assert bound[0] == pytest.approx(REF_PREP_BOUND, abs=1e-12)
+        bound, _ = core._bound(core._Batch.of([REF]))
+        assert bound[2, 0] == pytest.approx(REF_PREP_BOUND, abs=1e-12)
         assert core.bisect_n2_threshold(REF, "p_representable") == pytest.approx(
             REF_PREP_BOUND, abs=1e-12)
 
@@ -443,8 +445,8 @@ class TestPRepresentability:
         # n1 - 1/2 - |m1| = -0.3 < 0 although d' = 0.09 > 0: no n2 gives V - I/2 >= 0
         p = GaussianParams(0.2, 1.0, m2=0.3, mc=0.1)
         batch = core._Batch.of([p])
-        assert batch.families[1].a[0] > 0
-        assert math.isnan(core._bound(batch, 1)[0][0])
+        assert batch.families.a[2, 0] > 0
+        assert math.isnan(core._bound(batch)[0][2, 0])
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
 
     def test_near_vacuum_mode1_falls_back(self):
@@ -452,7 +454,7 @@ class TestPRepresentability:
         # decide the mode-1 rule; the correlations make the state entangled,
         # hence not P-representable, which only the oracle sees.
         p = GaussianParams(0.49999999999999994, 0.501, mc=9e-6)
-        assert abs(core._families(core._ParamArrays.of([p]))[1].a[0]) <= core.TOL_SING
+        assert abs(core._families(core._ParamArrays.of([p])).a[2, 0]) <= core.TOL_SING
         vc = classify(p)
         ve = classify(p, method=core.METHOD_EIG)
         assert "p_representable" in vc.fallbacks
@@ -537,34 +539,87 @@ class TestClassify:
 
     def test_batch_evaluates_once(self, monkeypatch):
         """The batch entry points read every state out of one array pass:
-        the families are computed once per batch, and the sweep's mirrored
-        states conjugate them instead of computing their own."""
-        sizes = []
-        real = core._families
+        the families of the three criterion rows are computed once per
+        batch, and the sweep's mirrored states, read state by state where
+        separability is degenerate, compute none of their own."""
+        sizes, parents = [], []
+        real, real_fold = core._families, core._n2_fold
         monkeypatch.setattr(core, "_families", lambda q: sizes.append(len(q.n1)) or real(q))
+        monkeypatch.setattr(core, "_n2_fold", lambda p: parents.append(p.batch.parent) or real_fold(p))
         states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.4, 1.0)]
         core.classify_batch(states)
         assert sizes == [len(states)]
         sizes.clear()
-        core.n2_folds_batch(states)
+        batch = core._Batch.of(states)
+        core._n2_folds(batch)
+        assert batch in parents  # VACUUM's d = 0: its separability entry is read on the mirror
         assert sizes == [len(states)]
         sizes.clear()
         core.classify_batch(states, method=core.METHOD_EIG)  # the oracle route needs none
         assert sizes == []
 
-    def test_one_bound_column_per_family_and_batch(self, monkeypatch):
-        """The closed margins, the sweep's folds and the per-state bound read
-        one ``_bound`` column per family and batch: physicality on the batch
-        and on its mirror, and P, on states with d > 0, d = 0 and d < 0."""
+    def test_one_closed_form_pass_per_batch(self, monkeypatch):
+        """The closed margins, the sweep's folds and the per-state reads run
+        one closed-form pass per batch over its three criterion rows, and
+        none on ``batch.mirror``, on states with d > 0, d = 0 and d < 0: one
+        bound pass and one exact-fold pass, whose band rows make one
+        ``_split_folds`` call."""
         calls = []
-        real = core._bound
-        monkeypatch.setattr(core, "_bound", lambda *args: calls.append(args) or real(*args))
+        for name in ("_families", "_bound", "_exact_folds", "_split_folds", "_literal_prep_fold"):
+            real = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *args, name=name, real=real:
+                                calls.append((name, args[0])) or real(*args))
         batch = core._Batch.of([REF, GaussianParams(0.5, 0.8, ms=0.1 + 0.2j),
                                 GaussianParams(1, 1, m1=1.1)])
         core._classified(batch, core.METHOD_CLOSED, core.TOL_PSD)
         core._n2_folds(batch)
         core.physicality_bound_n2(core._Row(batch, 0))
-        assert calls == [(batch, 0), (batch.mirror, 0), (batch, 1)]
+        mirror = batch.mirror
+        core.physicality_bound_n2(core._Row(mirror, 0))
+        with pytest.raises(DegenerateBoundError):
+            core.physicality_bound_n2(core._Row(mirror, 1))
+        assert core.bisect_n2_threshold(core._Row(mirror, 2), "physical") == math.inf
+        assert calls == [("_families", batch.q), ("_bound", batch), ("_literal_prep_fold", batch),
+                         ("_exact_folds", batch), ("_split_folds", batch.q)]
+        assert mirror._values == {} and vars(mirror).keys() == {"q", "_values", "parent"}
+
+    def test_batches_form_no_reference_cycle(self):
+        """A batch, and a batch with its mirror, are freed by reference
+        counting alone once dropped, whatever passes they ran: a cycle
+        would keep every batch of a run alive until the cyclic collector
+        runs."""
+        states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.4, 1.0)]
+        gc.disable()
+        try:
+            for run in (lambda b: core._classified(b, core.METHOD_CLOSED, core.TOL_PSD),
+                        lambda b: core._classified(b, core.METHOD_EIG, core.TOL_PSD),
+                        core._n2_folds):
+                batch = core._Batch.of(states)
+                run(batch)
+                mirror = batch.mirror
+                core.physicality_bound_n2(core._Row(mirror, 0))
+                refs = weakref.ref(batch), weakref.ref(mirror)
+                del batch, mirror
+                assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_mirror_reads_the_separability_rows(self):
+        """A state of ``batch.mirror`` reads the separability row of the
+        batch's passes, the physicality row of its own mirrored batch, bit
+        for bit: the bound, its ``DegenerateBoundError`` and the exact fold."""
+        states = [REF, GaussianParams(0.5, 0.8, m2=0.25j, ms=0.1 + 0.2j, mc=0.3),
+                  GaussianParams(1, 1, m1=1.1, mc=0.2)]
+        batch = core._Batch.of(states)
+
+        def read(p):
+            try:
+                return [np.float64(core.physicality_bound_n2(p)).tobytes()]
+            except DegenerateBoundError as exc:
+                return [str(exc), np.float64(core.bisect_n2_threshold(p, "physical")).tobytes()]
+
+        for i, p in enumerate(states):
+            assert read(core._Row(batch.mirror, i)) == read(p.mirror())
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -652,7 +707,7 @@ class TestFolds:
     def test_no_fold_when_mode1_fails(self, p):
         """d < 0 just past the mode-1 limit: no n2 is physical, so every fold
         is inf, not a large finite number found by bracket doubling."""
-        assert core._families(core._ParamArrays.of([p]))[0].a[0] < -core.TOL_SING
+        assert core._families(core._ParamArrays.of([p])).a[0, 0] < -core.TOL_SING
         assert core.bisect_n2_threshold(p, "physical") == math.inf
         assert core.n2_folds(p) == (math.inf, math.inf, math.inf, True)
 
@@ -670,7 +725,7 @@ class TestFolds:
         ms = 0.375 - 0.25j
         p = GaussianParams(0.5 + k, 1.0, m1=k * unit, m2=0.5 + 0.125j, ms=ms,
                            mc=unit * ms.conjugate())
-        assert core._families(core._ParamArrays.of([p]))[1].a[0] == 0.0
+        assert core._families(core._ParamArrays.of([p])).a[2, 0] == 0.0
         V = build_covariance(p)
         C = V[:2, 2:]
         M = C.conj().T @ np.linalg.pinv(V[:2, :2] - I2 / 2) @ C - (V[2:, 2:] - p.n2 * I2)
@@ -686,7 +741,7 @@ class TestFolds:
     def test_no_prep_fold_for_an_indefinite_block_in_the_band(self, p):
         """|d'| <= TOL_SING, yet V1 - I/2 has an eigenvalue near -1e-7, far
         below -TOL_PSD: no n2 gives V - I/2 >= 0."""
-        assert abs(core._families(core._ParamArrays.of([p]))[1].a[0]) <= core.TOL_SING
+        assert abs(core._families(core._ParamArrays.of([p])).a[2, 0]) <= core.TOL_SING
         assert core.bisect_n2_threshold(p, "p_representable") == math.inf
         assert core.n2_folds(p)[2] == math.inf
         for n2 in (1e2, 1e3, 1e4):
@@ -706,6 +761,28 @@ class TestFolds:
         phys, sep, prep, degenerate = core.n2_folds_batch(states)
         assert degenerate.tolist() == [False] + [True] * (len(states) - 1)
         assert prep[-2] == 1.5 and phys[-1] == math.inf
+
+    def test_empty_batch(self):
+        """A batch of no states runs the (3, 0) pass: four empty columns,
+        three empty margin rows and three empty fold rows."""
+        phys, sep, prep, degenerate = core.n2_folds_batch([])
+        assert [(x.shape, x.dtype.kind) for x in (phys, sep, prep, degenerate)] == [
+            ((0,), "f"), ((0,), "f"), ((0,), "f"), ((0,), "b")]
+        batch = core._Batch.of([])
+        assert core._closed_margins(batch).shape == (3, 0)
+        assert core._exact_folds(batch) == [[], [], []]
+
+    @pytest.mark.parametrize("p, criterion, expected", [
+        (REF, "p_representable", REF_PREP_BOUND), (NEAR_D0[0], "physical", math.inf),
+        (GaussianParams(0.2, 1.0, m2=0.3, mc=0.1), "p_representable", math.inf)])
+    def test_fold_is_a_python_float(self, p, criterion, expected):
+        """``bisect_n2_threshold`` returns a Python float, ``inf`` included,
+        on a state alone and on a state of a batch and of its mirror."""
+        batch = core._Batch.of([REF, p])
+        for row in (p, core._Row(batch, 1), core._Row(batch.mirror, 1)):
+            fold = core.bisect_n2_threshold(row, criterion)
+            assert type(fold) is float
+        assert core.bisect_n2_threshold(p, criterion) == pytest.approx(expected, abs=1e-12)
 
     def test_prep_column_is_one_masked_read(self, monkeypatch):
         """The P column takes its entries without a literal fold from the
@@ -752,6 +829,6 @@ def test_public_surface():
                "random_local_symplectic", "T", "X", "I2", "_require_hermitian", "Z",
                "_physical_bound", "_prep_bound", "_physical_mode1_fails", "_prep_mode1_fails",
                "_physical_margin_closed", "_prep_margin_closed", "literal_prep_fold",
-               "_scalar_bound")
+               "_scalar_bound", "_closed_margin")
     for module in (gausssep, core, symplectic, errors):
         assert [name for name in removed if hasattr(module, name)] == []

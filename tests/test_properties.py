@@ -37,13 +37,23 @@ def param_sets(draw, n_lo=0.4, n_hi=3.0, m_max=1.0):
 
 
 @given(param_sets())
+@example(GaussianParams(0.5, 1.0, m2=0.25 + 0.5j, ms=0.125 - 0.25j, mc=0.375 + 0.125j))  # d = 0
+@example(GaussianParams(0.625, 0.75, m1=0.375j, m2=-0.5, ms=0.25, mc=0.5 - 0.25j))  # d = 0
+@example(GaussianParams(0.75, 1.25, m1=0.25, m2=0.125j, ms=0.5j, mc=0.25 + 0.25j))  # d' = 0
 def test_mirror_identity_exact(p):
-    """separability closed form (physicality on the mirrored physicality
-    family of p) == physicality closed form of the mirrored parameters, bit
-    for bit, in the array core; both are NaN where degenerate."""
+    """The separability row of the closed-form pass over p (physicality's
+    family with c conjugated, m2 conjugated and delta negated) == the
+    physicality row of the pass over the mirrored parameters, bit for bit:
+    the bound and where it is defined, the closed margin (NaN where
+    degenerate) and the exact fold, inside the band too."""
     a = core._ParamArrays.of([p])
-    sep = core._closed_margin(core._Batch(a).mirror, 0)
-    assert np.array_equal(sep, core._closed_margin(core._Batch(a.mirror()), 0), equal_nan=True)
+
+    def rows(batch, k):
+        bound, defined = core._bound(batch)
+        return [np.asarray(x[k]).tobytes()
+                for x in (bound, defined, core._closed_margins(batch), core._exact_folds(batch))]
+
+    assert rows(core._Batch(a), 1) == rows(core._Batch(a.mirror()), 0)
 
 
 @st.composite
@@ -59,11 +69,15 @@ def dyadic_complexes(draw):
 def test_families_are_the_papers_terms(k, m1, ms, mc):
     """On short dyadic inputs, where every product, sum and modulus is
     exact, ``_families`` gives the paper's (s, c, d) and (s', c', d') of
-    ``literal.closed_form_terms`` exactly, at h = n1 and n1 - 1/2."""
+    ``literal.closed_form_terms`` exactly, at h = n1 and n1 - 1/2, on the
+    physicality and P rows, and on the separability row the (s, c, d) of
+    the mirrored parameters."""
     p = GaussianParams(k / 16, 1.0, m1=m1, ms=ms, mc=mc)
-    families = core._families(core._ParamArrays.of([p]))
-    for f, (s, c, d), h in zip(families, literal.closed_form_terms(p), (p.n1, p.n1 - 0.5)):
-        assert (f.s[0], complex(f.c[0][0], f.c[1][0]), f.a[0], f.h[0]) == (s, c, d, h)
+    f = core._families(core._ParamArrays.of([p]))
+    (phys, prep), (sep, _) = literal.closed_form_terms(p), literal.closed_form_terms(p.mirror())
+    for row, (s, c, d), h in zip(range(3), (phys, sep, prep), (p.n1, p.n1, p.n1 - 0.5)):
+        assert (f.s[row, 0], complex(f.c[0][row, 0], f.c[1][row, 0]), f.a[row, 0],
+                f.h[row, 0]) == (s, c, d, h)
 
 
 @st.composite
@@ -471,13 +485,13 @@ def test_exact_fold_off_the_band_is_the_closed_bound(p):
     fold of each criterion is its closed bound bit for bit: physicality on
     ``p`` and on ``p.mirror()``, and P-representability."""
     batch = core._Batch.of([p])
-    assume(batch.families[0].a[0] > core.TOL_SING)
+    assume(batch.families.a[0, 0] > core.TOL_SING)
     for state in (p, p.mirror()):
         assert bits(core.bisect_n2_threshold(state, "physical")) == bits(
             core.physicality_bound_n2(state))
-    bound, defined = core._bound(batch, 1)
-    if defined[0]:
-        assert bits(core.bisect_n2_threshold(p, "p_representable")) == bits(bound[0])
+    bound, defined = core._bound(batch)
+    if defined[2, 0]:
+        assert bits(core.bisect_n2_threshold(p, "p_representable")) == bits(bound[2, 0])
 
 
 @given(st.lists(st.one_of(st.floats(), st.sampled_from([-0.0, -5e-324])), min_size=10, max_size=10))
