@@ -6,7 +6,8 @@ Usage: python scripts/compare_outputs.py BASE_TREE
 For every workload of ``perfbench/generate.py`` at seeds 1 and 2, the
 inputs are generated once, by the generator of the tree holding this
 script, and every plan command and the set-up command run in that tree and
-in BASE_TREE, with the workload's ``EXTRA`` commands, which no plan runs:
+in BASE_TREE, with the workload's ``EXTRA`` commands, which no plan runs
+(those that take no seed at the first seed only):
 one interpreter per tree and workload, which imports that tree's ``src``
 and calls ``gausssep.cli.main`` in-process, command after command.  At each
 seed the error-path group (``ERRORS``) runs the same way: the reading
@@ -32,18 +33,22 @@ WORKLOADS = ("classify-mixed", "sample-campaign", "sweep-grid", "forms")
 ERRORS = "error-paths"
 SEEDS = (1, 2)
 TREE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# Commands of the paths no plan takes, run at each seed with the workload's
-# plan: a ``sample`` of two batches (``SAMPLE_BATCH`` is 1024) in each mode,
-# and two sweeps whose folds are mostly exact folds: 441 of 861 rows
-# degenerate (1 with d = 0, 31 with d' = 0, 210 with P's h < 0; 55 P-folds
-# below the S-fold) and 341 of 561 (11 with d' = 0, 110 with h < 0)
+# Commands of the paths no plan takes, run with the workload's plan, at each
+# seed if they read ``{seed}`` and at the first seed only if not: a
+# ``sample`` of two batches (``SAMPLE_BATCH`` is 1024) in each mode; two
+# sweeps whose folds are mostly exact folds: 441 of 861 rows degenerate (1
+# with d = 0, 31 with d' = 0, 210 with P's h < 0; 55 P-folds below the
+# S-fold) and 341 of 561 (11 with d' = 0, 110 with h < 0); and a 2 x 37
+# sweep, whose axis 2 is longer than its axis 1 (44 of 74 rows degenerate)
 EXTRA = {"sample-campaign": [["sample", "--count", "1100", "--mode", mode, "--seed", "{seed}",
                               "--output", f"sample-{mode}-1100.out"]
                              for mode in ("construct", "reject")],
          "sweep-grid": [["sweep", "--axis1", "n1:0:2:41", "--axis2", "m1:0:1:21", "--fixed", "ms=0.3",
                          "--fixed", "mc=0.2", "--fixed", "m2=0.2", "--output", "sweep-band-n1-m1.csv"],
                         ["sweep", "--axis1", "n1:0.25:1.5:51", "--axis2", "mc:0:1:11", "--fixed",
-                         "m1=0.5", "--fixed", "m2=1", "--output", "sweep-band-n1-mc.csv"]]}
+                         "m1=0.5", "--fixed", "m2=1", "--output", "sweep-band-n1-mc.csv"],
+                        ["sweep", "--axis1", "ms:0:0.6:2", "--axis2", "m1:0:1.2:37", "--fixed",
+                         "mc=0.3", "--fixed", "m2=0.4", "--output", "sweep-2x37.csv"]]}
 
 # The JSONL text of each input file of the error-path group: ids of every
 # JSON kind (the strings' non-ASCII characters raw, U+2028 among them), then
@@ -95,7 +100,8 @@ def plan_commands(tree: str, workload: str, seed: int, inputs: str) -> list[list
                    check=True, stdout=subprocess.DEVNULL)
     with open(os.path.join(inputs, "plan.json"), encoding="utf-8") as fh:
         plan = json.load(fh)
-    extra = [[a.format(seed=seed) for a in argv] for argv in EXTRA.get(workload, [])]
+    extra = [[a.format(seed=seed) for a in argv] for argv in EXTRA.get(workload, [])
+             if seed == SEEDS[0] or "{seed}" in argv]
     return [c["argv"] for c in plan["commands"]] + [plan["setup_argv"]] + extra
 
 

@@ -73,8 +73,9 @@ methods and fallback tuples by lookup.  Verdicts are read as columns
 (``_columns``), which also give ``methods_agree`` and ``sample``'s
 ``agree`` and summary.  ``sweep`` formats each
 fold column in one ``float.__repr__`` pass (an infinite fold is ``inf``,
-not JSON's ``Infinity``), each axis's values once (``_axis_columns``), its
-flags by lookup and each line with one format call.
+not JSON's ``Infinity``), each axis's values once (``_axis_columns``) and
+its flags by lookup; each line is one ``",".join`` of its fields, and the
+output, the header and those lines each ended by "\\r\\n", one join.
 
 Exit codes: 0 success, else the ``exit_code`` of the package error raised
 (``errors``): 2 unreadable, malformed or unwritable input or output
@@ -595,7 +596,7 @@ def cmd_sample(args) -> int:
 SWEEPABLE = ("n1", "m1", "m2", "ms", "mc")
 # Most grid points one sweep evaluates: the product of its axes' steps.  A
 # 1000 x 1000 sweep (an 83 MB CSV, joined into one string before it is
-# written) peaks at about 470 MB RSS, so this keeps it below a gigabyte.
+# written) peaks at about 490 MB RSS, so this keeps it below a gigabyte.
 SWEEP_MAX_POINTS = 10**6
 
 
@@ -611,6 +612,8 @@ def _parse_axis(spec: str) -> tuple[str, float, float, int]:
         raise ParseError(f"cannot sweep {name!r}; choose one of {SWEEPABLE}")
     if steps < 2 or not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ParseError(f"axis spec needs steps >= 2 and finite min < max, got {spec!r}")
+    if not math.isfinite(hi - lo):  # linspace's steps would be inf or nan
+        raise ParseError(f"axis spec {spec!r}: max - min overflows")
     return name, lo, hi, steps
 
 
@@ -622,12 +625,15 @@ _FLAG = ("0", "1")
 def _sweep_grid(axes, assignment: dict[str, float]) -> core._ParamArrays:
     """The parameters of the grid: the points of ``itertools.product`` over
     the axes (axis 1 outer), with every other parameter taken from
-    ``assignment`` (0 if it is not there); no imaginary parts.  Every
-    parameter set is checked as ``GaussianParams`` checks it: the first
-    invalid one raises its error."""
-    points = [g.ravel() for g in np.meshgrid(*(grid for _, grid in axes), indexing="ij")]
-    columns = dict(zip((name for name, _ in axes), points))
-    n = points[0].size
+    ``assignment`` (0 if it is not there); no imaginary parts.  An axis's
+    column is its values laid along its own dimension of the grid, broadcast
+    over the other axes and copied out once, in C order.  Every parameter
+    set is checked as ``GaussianParams`` checks it: the first invalid one
+    raises its error."""
+    sizes = [grid.size for _, grid in axes]
+    n = math.prod(sizes)
+    columns = {name: np.broadcast_to(grid.reshape(-1, *[1] * (len(axes) - k - 1)), sizes).ravel()
+               for k, (name, grid) in enumerate(axes)}
     zero = np.zeros(n)
 
     def column(name):
@@ -683,15 +689,18 @@ def cmd_sweep(args) -> int:
         # correlations, swept over the mode-1 occupation.
         assignment = {"m1": 0.5, "m2": 1.0, **assignment}
 
-    axes = [(name, np.linspace(lo, hi, steps)) for name, lo, hi, steps in specs]
+    with np.errstate(over="ignore"):  # a last step beyond float range is set to max
+        axes = [(name, np.linspace(lo, hi, steps)) for name, lo, hi, steps in specs]
     phys, sep, prep, degenerate = core._n2_folds(core._Batch(_sweep_grid(axes, assignment)))
     flag = core.prep_below_sep(prep, sep)
-    # one CSV row, as ``csv.writer`` writes fields that need no quoting
-    row = (",".join(["{}"] * (len(axes) + len(_SWEEP_COLUMNS))) + "\r\n").format
-    rows = map(row, *_axis_columns(axes),
-               *(map(float.__repr__, x.tolist()) for x in (phys, sep, prep)),
-               *(map(_FLAG.__getitem__, x.tolist()) for x in (flag, degenerate)))
-    _write_output(args.output, ["".join([row(*axis_names, *_SWEEP_COLUMNS), *rows])])
+    # the lines as ``csv.writer`` writes fields that need no quoting, the
+    # header first; the empty last item ends the last line in the join,
+    # where a "\r\n" added after it would copy the whole text once more
+    lines = map(",".join, zip(*_axis_columns(axes),
+                              *(map(float.__repr__, x.tolist()) for x in (phys, sep, prep)),
+                              *(map(_FLAG.__getitem__, x.tolist()) for x in (flag, degenerate))))
+    header = ",".join([*axis_names, *_SWEEP_COLUMNS])
+    _write_output(args.output, ["\r\n".join(chain((header,), lines, ("",)))])
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -811,6 +812,23 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: numeric overflow: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis, code, message", [
+        # max - min is inf: linspace's steps would be nan, a point never given
+        ("mc:-1e308:1e308:2", 2, "axis spec 'mc:-1e308:1e308:2': max - min overflows"),
+        # linspace's last step overflows before it is set to max
+        ("n1:0:1.7976931348623157e308:4", 4,
+         "numeric overflow: closed-form intermediates overflow for state 1 of the batch"),
+    ], ids=["span", "last-step"])
+    def test_axis_near_float_limit_warns_nothing(self, tmp_path, capsys, axis, code, message):
+        """An axis whose span or last step overflows reports its own error,
+        with no numpy warning, before the output is opened."""
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--axis1", axis, "--output", str(out)]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, axes, base", [
         # rows whose mode-1 rule fails (m1 > sqrt(3)/2 at n1 = 1)
         (["--axis1", "m1:0:1.2:7", "--axis2", "mc:0:1:3", "--n1", "1"],
@@ -846,13 +864,21 @@ class TestSweep:
         # non-dyadic steps: each axis value is some repr, not a short decimal
         (["--axis1", "m1:0:1.2:7", "--axis2", "mc:0:0.9:5", "--fixed", "m2=0.3"],
          [("m1", (0, 1.2, 7)), ("mc", (0, 0.9, 5))], {"n1": 1.0, "m2": 0.3}),
-    ], ids=["fig1", "two-axes"])
-    def test_csv_is_csv_writer_of_batch_folds(self, tmp_path, argv, axes, base):
+        # axis 2 longer than axis 1: the point order is not that of the transposed grid
+        (["--axis1", "ms:0:0.5:2", "--axis2", "m2:0:1:9", "--n1", "1.5"],
+         [("ms", (0, 0.5, 2)), ("m2", (0, 1, 9))], {"n1": 1.5}),
+        (["--axis1", "mc:0:1.1:13", "--fixed", "m1=0.4", "--fixed", "m2=0.2"],
+         [("mc", (0, 1.1, 13))], {"n1": 1.0, "m1": 0.4, "m2": 0.2}),
+    ], ids=["fig1", "two-axes", "axis2-longer", "one-axis-mc"])
+    def test_csv_is_csv_writer_of_batch_folds(self, tmp_path, capsysbinary, argv, axes, base):
         """The file is what ``csv.writer`` writes for the header and, in the
         order of ``itertools.product`` over the axes (axis 1 outer), the
-        repr of each point's values and of ``core.n2_folds_batch``."""
+        repr of each point's values and of ``core.n2_folds_batch``; with
+        ``--output -`` stdout gets the same bytes."""
         out = tmp_path / "s.csv"
         assert main(["sweep", *argv, "--output", str(out)]) == 0
+        assert main(["sweep", *argv, "--output", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
         names = [name for name, _ in axes]
         points = list(itertools.product(*(np.linspace(*spec).tolist() for _, spec in axes)))
         params = [GaussianParams(**{"n2": 1.0, **base, **dict(zip(names, point))})
