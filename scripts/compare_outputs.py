@@ -12,7 +12,8 @@ one interpreter per tree and workload, which imports that tree's ``src``
 and calls ``gausssep.cli.main`` in-process, command after command.  At each
 seed the error-path group (``ERRORS``) runs the same way: the reading
 commands on small files this script writes, with ids of every JSON kind and
-malformed records, and ``sweep`` with a parameter named twice.  The
+malformed records, ``sweep`` with a parameter named twice, and argparse's
+usage errors (``USAGE_ERRORS``), whose stderr is the parser's.  The
 commands whose exit code, output bytes or stderr differ are listed as
 Markdown, printed and appended to the file named by
 ``$GITHUB_STEP_SUMMARY`` when it is set.  The exit status is 0 whatever
@@ -69,6 +70,16 @@ ERROR_READERS = (["classify", "--method", "both"], ["invariants"], ["transform",
 ERROR_SWEEPS = (["--n1", "3", "--fixed", "n1=2", "--axis1", "m1:0:0.5:2", "--fixed", "m2=1"],
                 ["--n1", "2", "--axis1", "n1:0.75:4:3"],
                 ["--fig1", "--n1", "2"])
+# Argument lists that argparse rejects (exit 2), each with an ``--output``
+# that names it, but the empty one: there an ``--output``'s value would be
+# read as the subcommand
+USAGE_ERRORS = ([],
+                ["frobnicate", "--output", "usage-unknown-command.out"],
+                ["sweep", "--axis1", "m1:0:1:3", "--bogus", "--output", "usage-unrecognized.out"],
+                ["sweep", "--output", "usage-missing-value.out", "--axis1"],
+                ["classify", "--output", "usage-missing-input.out"],
+                ["classify", "--method", "guess", "--output", "usage-bad-choice.out"],
+                ["sample", "--count", "1.5", "--output", "usage-bad-int.out"])
 
 # Runs the JSON list of argument lists on stdin through ``main``, quietly;
 # prints where ``gausssep`` was imported from and the exit code and stderr
@@ -117,13 +128,21 @@ def error_commands(inputs: str) -> list[list[str]]:
         argvs += [[*argv, "--input", path, "--output", f"{name}-{argv[0]}.out"]
                   for argv in ERROR_READERS]
     return argvs + [["sweep", *argv, "--output", f"sweep-{k}.out"]
-                    for k, argv in enumerate(ERROR_SWEEPS)]
+                    for k, argv in enumerate(ERROR_SWEEPS)] + list(USAGE_ERRORS)
+
+
+def output_name(argv: list[str]) -> str | None:
+    """The file name of ``argv``'s ``--output``, or None if it has none."""
+    return os.path.basename(argv[argv.index("--output") + 1]) if "--output" in argv else None
 
 
 def with_output(argv: list[str], out: str) -> list[str]:
-    """``argv`` writing its ``--output`` file into the directory ``out``."""
+    """``argv`` writing its ``--output`` file, if it has one, into the
+    directory ``out``."""
+    if "--output" not in argv:
+        return argv
     k = argv.index("--output") + 1
-    return [*argv[:k], os.path.join(out, os.path.basename(argv[k])), *argv[k + 1:]]
+    return [*argv[:k], os.path.join(out, output_name(argv)), *argv[k + 1:]]
 
 
 def run_tree(tree: str, argvs: list[list[str]], out: str) -> list:
@@ -162,9 +181,9 @@ def compare(base: str, new: str, work: str) -> tuple[int, list[str]]:
             for argv, (code_base, err_base), (code_new, err_new) in zip(
                     argvs, results["base"], results["new"]):
                 total += 1
-                name = os.path.basename(argv[argv.index("--output") + 1])
-                same = (read(os.path.join(here, "base", name))
-                        == read(os.path.join(here, "new", name)))
+                name = output_name(argv)
+                same = name is None or (read(os.path.join(here, "base", name))
+                                        == read(os.path.join(here, "new", name)))
                 if code_base != code_new or not same or err_base != err_new:
                     shown = " ".join(os.path.basename(a) if os.sep in a else a for a in argv)
                     rows.append(f"| {workload} | {seed} | `{shown}` | {code_base} | {code_new} "

@@ -16,12 +16,17 @@ sweep       emit a CSV of n2 lower-bound folds over a parameter grid
             below the S-fold (``core.prep_below_sep``, which ignores
             rounding-level ties) mark operators that are not physical states.
 
+An argv that starts with a subcommand is parsed once, by that
+subcommand's parser (``_parse``); any other, and one that parser leaves
+tokens of, goes to the full parser, whose help and errors it then gets.
 Every subcommand parses its arguments and input, evaluates its states and
 hands its output to one writer (``_write_output``), the only code that
 opens and closes an output, as a stream of strings: the whole output as
 one string, or one per batch of a ``sample`` run.  The writer builds the
 first string before it opens the output, then writes each with one call,
-in place, and cuts the file after it where the file opened is a regular one.
+to stdout's text stream or as UTF-8 bytes by ``os.write`` on the file's
+descriptor, in place, and cuts the file after it where the file opened is
+a regular one.
 ``load_states`` reads an input file into columns: the ids, each as the
 JSON text it is echoed as, and the states as one ``core._ParamArrays``.
 It checks each record's layout, id and numbers as it reads it
@@ -308,20 +313,38 @@ def load_states(path: str, fmt: str) -> tuple[list, core._ParamArrays]:
     return ids, q
 
 
+class _Descriptor:
+    """A file output: strings written to its descriptor as UTF-8 bytes, each
+    by ``os.write`` calls until all of its bytes are written, with no buffer
+    in between, so there is nothing to flush."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def fileno(self) -> int:
+        return self._fd
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode("utf-8"))
+        while data:  # a write may take fewer bytes than it was given
+            data = data[os.write(self._fd, data):]
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+
 def _open_output(path: str | None):
     """(stream, close) of the output ``path``: stdout for None or '-', which
-    is not closed; else the file, for text, opened without truncating it:
-    its old bytes stay until the writer cuts them."""
+    is not closed; else the file, as a ``_Descriptor``, opened without
+    truncating it: its old bytes stay until the writer cuts them."""
     if path is None or path == "-":
         return sys.stdout, False
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
-        fd = os.open(path, flags, 0o666)
-        try:
-            return open(fd, "w", encoding="utf-8", newline=""), True
-        except BaseException:
-            os.close(fd)
-            raise
+        return _Descriptor(os.open(path, flags, 0o666)), True
     except OSError as exc:
         raise ParseError(f"cannot open output {path}: {exc}") from exc
 
@@ -334,13 +357,16 @@ def _write_output(path: str | None, chunks) -> None:
     string is built before the output is opened, so an error that ends a
     run before then, like a parse error, neither opens nor creates it.
 
-    Each string is written with one call and flushed, in place from the
-    start of a file opened without truncating it.  Where ``os.fstat`` says
-    that file is a regular one, it is cut at the bytes that reached it after
-    every write, also a failed one, so from its first write on it holds no
-    tail of its old contents, and a run that fails before that leaves it as
-    it was.  Stdout is never cut.  A failed write, flush or close (a full
-    disk, a closed pipe) is a ParseError."""
+    Each string is written with one ``write`` call and flushed: to stdout
+    through its text stream, to a file as its UTF-8 bytes, by ``os.write``
+    on its descriptor until every byte is written (``_Descriptor``), in
+    place from the start of the file, which is opened without truncating it.
+    Where ``os.fstat`` says that file is a regular one, it is cut at the
+    bytes that reached it after every string, also one whose write failed,
+    so from its first write on it holds no tail of its old contents, and a
+    run that fails before that leaves it as it was.  Stdout is never cut.
+    A failed write, flush or close (a full disk, a closed pipe) is a
+    ParseError."""
     chunks = iter(chunks)
     first = next(chunks)
     out, close = _open_output(path)
@@ -802,8 +828,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by its name: the ``choices`` of the
+    subparsers action of ``_parser()``, the parsers it hands its tokens to."""
+    return next(action.choices for action in _parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``_parser().parse_args(argv)`` returns, in one parse
+    where ``argv`` starts with a subcommand: that subcommand's parser reads
+    the rest of it, as the full parser would hand it on after a scan of
+    every token, and ``command`` is set to the subcommand.  Any other argv,
+    and one that the subcommand's parser leaves tokens of, goes to the full
+    parser, so help, usage and every error keep its bytes."""
+    command = _commands().get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
+    """Run the command of ``argv`` (``sys.argv[1:]`` for None), parsed by
+    ``_parse`` once its negative float values are joined to their options
+    (``_joined``), and return its exit code; a usage error or help exits
+    through argparse's ``SystemExit``."""
+    args = _parse(_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except OverflowError as exc:

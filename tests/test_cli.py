@@ -1563,6 +1563,24 @@ class TestOutputRewrite:
             ends = [len(b"".join(fresh.splitlines(keepends=True)[:cli.SAMPLE_BATCH]))] + ends
         assert calls == ends * 2
 
+    @pytest.mark.parametrize("name", REWRITES)
+    def test_short_writes_are_written_on(self, tmp_path, monkeypatch, name):
+        """``os.write`` may take fewer bytes than it is given: with at most 7
+        bytes taken per call, the file still ends as a fresh write, cut
+        once per string, at its end."""
+        argv = self.argv(tmp_path, name)
+        fresh = self.fresh(tmp_path, argv)
+        out = self.stale(tmp_path, len(fresh))
+        os_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: os_write(fd, data[:7]))
+        calls = self.spy(monkeypatch)
+        assert main([*argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == fresh
+        ends = [len(fresh)]
+        if name == "sample":  # one string per batch, the summary in the last
+            ends = [len(b"".join(fresh.splitlines(keepends=True)[:cli.SAMPLE_BATCH]))] + ends
+        assert calls == ends
+
     def failed_sample(self, tmp_path, monkeypatch, capsys, count):
         """Run a sample of ``count`` states whose first draw fails, over an
         existing file and over a missing path, and check that the file is as
@@ -1669,6 +1687,82 @@ class TestOutputRewrite:
         assert proc.returncode == 2
         assert "cannot write output" in proc.stderr and "Traceback" not in proc.stderr
         assert out.read_bytes() == fresh[:limit]
+
+
+# One argv of each command the benchmark workloads' plans and set-up
+# commands run, the ``REWRITES`` argvs, and a negative float value that
+# ``_joined`` joins to its option
+PARSED = [
+    ["classify", "--method", "both", "--input", "states-000.jsonl", "--output", "classify-000.out"],
+    ["sample", "--mode", "construct", "--count", "250", "--seed", "1114088974", "--output",
+     "sample-construct-000.out"],
+    ["sample", "--mode", "reject", "--count", "250", "--seed", "902", "--output",
+     "sample-reject-000.out"],
+    ["sample", "--mode", "construct", "--count", "1", "--seed", "1", "--output", "setup.out"],
+    ["sweep", "--axis1", "m1:0:1.2:40", "--axis2", "mc:0.0:0.030769230769230767:2", "--n1", "1.0",
+     "--fixed", "m2=0.224208", "--output", "sweep-grid-000.csv"],
+    ["sweep", "--fig1", "--output", "sweep-fig1.csv"],
+    ["sweep", "--axis1", "mc:0:1.2:2", "--n1", "1.0", "--fixed", "m2=0.224208", "--output",
+     "setup.out"],
+    ["invariants", "--input", "states-000.jsonl", "--output", "invariants-000.out"],
+    ["transform", "--input", "states-000.jsonl", "--theta1", "0.4", "--phi2", "0.3", "--reduce",
+     "--output", "transform-000.out"],
+    *([*argv, "--input", "in.jsonl"] if argv[0] in ("classify", "invariants", "transform") else argv
+      for argv in REWRITES.values()),
+    ["transform", "--input", "in.jsonl", "--theta1", "-1e-3"],
+]
+
+# Help and usage errors: the full parser's exit code, stdout and stderr
+USAGE = {
+    "no-arguments": [],
+    "unknown-command": ["frobnicate", "--input", "in.jsonl"],
+    "help": ["--help"],
+    "help-before-command": ["-h", "classify"],
+    "command-help": ["classify", "-h"],
+    "unrecognized": ["sweep", "--axis1", "m1:0:1:3", "--bogus"],
+    "missing-value": ["sweep", "--axis1"],
+    "missing-input": ["classify"],
+    "bad-choice": ["classify", "--input", "in.jsonl", "--method", "guess"],
+    "bad-int": ["sample", "--count", "1.5"],
+}
+
+
+class TestParse:
+    """An argv that starts with a subcommand is parsed once, by that
+    subcommand's parser, into the namespace the full parser gives it; help
+    and usage errors are the full parser's, byte for byte."""
+
+    @pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+    def test_one_parse_gives_the_full_parsers_namespace(self, monkeypatch, argv):
+        called = []  # the namespace each command is called with, in place of running it
+        for parser in cli._commands().values():
+            monkeypatch.setitem(parser._defaults, "func", lambda args: called.append(args) or 0)
+        full = cli._parser()
+        with monkeypatch.context() as m:
+            m.setattr(full, "parse_known_args", lambda *a, **k: pytest.fail("a second parse"))
+            assert main(argv) == 0
+        expected = full.parse_args(cli._joined(argv))
+        assert called == [expected]
+        assert called[0].command == argv[0]
+
+    @staticmethod
+    def outcome(parse, argv, capsysbinary):
+        """(exit code, stdout, stderr) of ``parse(argv)``, which exits."""
+        with pytest.raises(SystemExit) as exited:
+            parse(argv)
+        return (exited.value.code, *capsysbinary.readouterr())
+
+    @pytest.mark.parametrize("argv", USAGE.values(), ids=USAGE)
+    def test_help_and_usage_errors_are_the_full_parsers(self, capsysbinary, argv):
+        got = self.outcome(main, argv, capsysbinary)
+        assert got == self.outcome(cli._parser().parse_args, cli._joined(argv), capsysbinary)
+        code, out, err = got
+        assert (code, bool(out), bool(err)) in ((0, True, False), (2, False, True))
+
+    def test_commands_are_the_registered_parsers(self):
+        parser = cli._parser()
+        assert cli._commands() is next(a.choices for a in parser._actions
+                                       if isinstance(a.choices, dict))
 
 
 # ---------------------------------------------------------------------------
