@@ -9,8 +9,9 @@ script, and every plan command and the set-up command run in that tree and
 in BASE_TREE, with the workload's ``EXTRA`` commands, which no plan runs
 (those that take no seed at the first seed only):
 one interpreter per tree and workload, which imports that tree's ``src``
-and calls ``gausssep.cli.main`` in-process, command after command.  At each
-seed the error-path group (``ERRORS``) runs the same way: the reading
+and calls ``gausssep.cli.main`` in-process, command after command.  At the
+first seed, as none of its commands reads the seed, the error-path group
+(``ERRORS``) runs the same way: the reading
 commands on small files this script writes, with ids of every JSON kind and
 malformed records, ``sweep`` with a parameter named twice, and argparse's
 usage errors (``USAGE_ERRORS``), whose stderr is the parser's.  The
@@ -171,7 +172,7 @@ def compare(base: str, new: str, work: str) -> tuple[int, list[str]]:
     """(number of commands, a Markdown row per command that differs)."""
     total, rows = 0, []
     for workload in (*WORKLOADS, ERRORS):
-        for seed in SEEDS:
+        for seed in SEEDS if workload != ERRORS else SEEDS[:1]:
             here = os.path.join(work, f"{workload}-{seed}")
             inputs = os.path.join(here, "inputs")
             argvs = (error_commands(inputs) if workload == ERRORS

@@ -54,10 +54,12 @@ of one record's checks: the transform, the read of its parameters, the
 reduction.  The transform pass returns the first record whose transformed
 matrix fails, with its error; the records before it are reduced first, so
 that their errors come first.  ``sample`` draws (one
-``symplectic._random_states`` call, whose arrays it classifies directly),
-classifies (both routes on one batch) and formats its states per batch of
-``SAMPLE_BATCH`` (1024), one output string each, the summary line at the
-end of the last, so its memory does not grow with ``--count``.
+``symplectic._random_states`` call, whose ``core._Batch`` it classifies,
+with the covariance stack and, in reject mode, the physicality oracle
+margins the sampler built), classifies (both routes on that batch) and
+formats its states per batch of ``SAMPLE_BATCH`` (1024), one output string
+each, the summary line at the end of the last, so its memory does not grow
+with ``--count``.
 
 The text layer makes Python calls per record, not per value.  A JSONL line,
 which ends at "\\n" only, is decoded by the ``json`` module's C scanner,
@@ -581,8 +583,8 @@ def cmd_sample(args) -> int:
     """Draw ``--count`` states, classify each by both routes and write one
     record per state, then the summary line.  Each batch of ``SAMPLE_BATCH``
     is drawn in one array pass (the states of one-at-a-time draws), classified
-    on one ``core._Batch``, tallied (``_tally``) and formatted with one format
-    call per line.  Each batch is one string of the output, written with one
+    on the ``core._Batch`` the sampler returns, tallied (``_tally``) and
+    formatted with one format call per line.  Each batch is one string of the output, written with one
     call before the next batch is drawn; the summary line ends the last one.
     Exit 5 after the summary when the oracle finds a P-representable
     entangled state or the routes disagree off the boundary band."""
@@ -602,8 +604,8 @@ def cmd_sample(args) -> int:
         """Each batch's record lines as one string, the last batch's with the
         summary line after them."""
         for start in range(0, args.count, SAMPLE_BATCH):
-            q = symplectic._random_states(rng, min(SAMPLE_BATCH, args.count - start), args.mode)
-            batch = core._Batch(q)
+            batch = symplectic._random_states(rng, min(SAMPLE_BATCH, args.count - start), args.mode)
+            q = batch.q
             closed, eig = (_columns(core._classified(batch, method, args.tol_psd))
                            for method in (core.METHOD_CLOSED, core.METHOD_EIG))
             agree = _agree(closed, eig)

@@ -42,9 +42,12 @@ whose calls the benchmark's tracer counts; the separability entries are
 read on the mirror batch (``_Batch.mirror``), whose states are read out
 of the batch's passes, rows in the order (1, 0, 2): it runs none of its
 own.  ``n2_folds`` is its one-element view.  A batch builds its
-(N, 4, 4) covariance stack once, read-only, at its first use; the oracle
-rows of all three criteria and the invariant-form reduction of
-``symplectic`` index that one stack.  Every operation is elementwise or
+(N, 4, 4) covariance stack once, read-only, at its first use, unless its
+maker (the sampler) hands it the stack it built; the oracle rows of all
+three criteria and the invariant-form reduction of ``symplectic`` index
+that one stack.  The eigen-oracle route and the reduction read
+physicality from one oracle pass over it (``_physical_oracle``), which
+the reject sampler hands its batch too.  Every operation is elementwise or
 per matrix, so a state's result does not depend on the other states in
 its batch, bit for bit.
 
@@ -242,15 +245,17 @@ class _ParamArrays(NamedTuple):
 
     @classmethod
     def read_stack(cls, V: np.ndarray):
-        """(parameters, residual, ok): the parameters read off each matrix V
-        of an (N, 4, 4) stack (n1 = V[0, 0].real, n2 = V[2, 2].real, m1, m2,
-        ms, mc = V[0, 1], V[2, 3], V[0, 2], V[0, 3]), and per matrix the
-        ``_rebuild_residual`` of the structural rule and whether it passes.
-        Nothing is checked here."""
+        """(parameters, residual, ok, rebuilt): the parameters read off each
+        matrix V of an (N, 4, 4) stack (n1 = V[0, 0].real, n2 = V[2, 2].real,
+        m1, m2, ms, mc = V[0, 1], V[2, 3], V[0, 2], V[0, 3]), per matrix the
+        ``_rebuild_residual`` of the structural rule and whether it passes,
+        and the stack the rule compares V with, ``covariance`` of the
+        parameters.  Nothing is checked here."""
         q = cls(V[:, 0, 0].real.copy(), V[:, 2, 2].real.copy(),
                 *((V[:, i, j].real.copy(), V[:, i, j].imag.copy())
                   for i, j in ((0, 1), (2, 3), (0, 2), (0, 3))))
-        return (q, *_rebuild_residual(V, q.covariance()))
+        B = q.covariance()
+        return (q, *_rebuild_residual(V, B), B)
 
     @classmethod
     def from_records(cls, values):
@@ -265,7 +270,7 @@ class _ParamArrays(NamedTuple):
         residual, ok = np.zeros(len(cols)), np.ones(len(cols), dtype=bool)
         if at:
             V = np.array([values[k] for k in at]).view(complex).reshape(-1, 4, 4)
-            qm, residual[at], ok[at] = cls.read_stack(V)
+            qm, residual[at], ok[at], _ = cls.read_stack(V)
             cols[at] = np.column_stack(qm.columns())
         q = cls.from_rows(cols)
         return q, q.first_error(ok, residual)
@@ -408,12 +413,24 @@ class _Batch:
     passes (``_bound``, ``_exact_folds``) run over the three criterion rows
     of ``families`` at once.  The per-state functions read a state of the
     batch (a ``_Row``) out of these passes; a state of a ``mirror`` batch
-    out of its ``parent``'s."""
+    out of its ``parent``'s.
 
-    def __init__(self, q: _ParamArrays, parent: "_Batch | None" = None):
+    A maker that already holds the states' covariance stack (the sampler)
+    passes it as ``covariance``, and their physicality oracle margins as
+    ``physical``, the ``(_physical_oracle,)`` pass: each must be what the
+    batch would compute, bit for bit.  Both are kept read-only."""
+
+    def __init__(self, q: _ParamArrays, parent: "_Batch | None" = None,
+                 covariance: np.ndarray | None = None, physical: np.ndarray | None = None):
         self.q = q
         self._values: dict = {}
         self.parent = parent
+        if covariance is not None:
+            covariance.flags.writeable = False
+            self.covariance = covariance  # a cached property's value, as if it had run
+        if physical is not None:
+            physical.flags.writeable = False
+            self._values[(_physical_oracle,)] = physical
 
     @classmethod
     def of(cls, params: Sequence[GaussianParams]) -> "_Batch":
@@ -510,7 +527,7 @@ def params_from_covariance(V: np.ndarray) -> GaussianParams:
     V = np.asarray(V, dtype=complex)
     if V.shape != (4, 4):
         raise StructuralError(f"expected a 4x4 matrix, got shape {V.shape}")
-    q, residual, ok = _ParamArrays.read_stack(V[None])
+    q, residual, ok, _ = _ParamArrays.read_stack(V[None])
     return q.validated(ok, residual).params()[0]
 
 
@@ -620,6 +637,14 @@ def _physical_margin_eig(V: np.ndarray):
     return min_eigenvalue_hermitian(V + E / 2)
 
 
+def _physical_oracle(batch: _Batch) -> np.ndarray:
+    """The physicality oracle margin of every state of ``batch``, one call
+    over its covariance stack.  Not checked: each reader checks the margins
+    it reads (``_verdicts``, ``symplectic._reductions``).  Read through
+    ``evaluated``, once per batch, or given by the batch's maker."""
+    return _physical_margin_eig(batch.covariance)
+
+
 def _prep_margin_eig(V: np.ndarray):
     return min_eigenvalue_hermitian(V - I4 / 2)
 
@@ -655,29 +680,32 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     arguments pass ``_check_route``.  An ``OverflowError`` from any state's
     closed form or oracle margin is raised for the whole batch.
 
-    The records are built in one ``Verdict._make`` pass over the result
-    columns: ``physical`` and the margins as Python values by ``tolist``,
-    each answer by ``_ANSWERS`` from an int8 code column (2 where the state
-    is unphysical), and ``method`` and ``fallbacks`` by the fallback code."""
+    The records are built in one pass over the result columns, each by
+    ``tuple.__new__`` as in ``_Batch.rows``: ``physical`` and the margins
+    as Python values by ``tolist``, each answer by ``_ANSWERS`` from an
+    int8 code column (2 where the state is unphysical), and ``method`` and
+    ``fallbacks`` by the fallback code."""
     _check_route(method, tol_psd)
+    # The eigen-oracle decides the rows where the closed form is degenerate
+    # or not used, on rows of the batch's covariance stack; the eigen-oracle
+    # route reads physicality from the batch's one oracle pass.
     if method == METHOD_CLOSED:
         phys, sep, prep = _closed_margins(batch)
+        need_phys = np.isnan(phys)
+        if need_phys.any():
+            phys[need_phys] = _checked(_physical_margin_eig(batch.covariance[need_phys]), ...,
+                                       _ORACLE)
     else:
-        phys, sep, prep = (np.full(len(batch.q.n1), np.nan) for _ in range(3))
-
-    # The eigen-oracle decides the rows where the closed form is degenerate
-    # or not used, on rows of the batch's covariance stack.
-    need_phys = np.isnan(phys)
-    if need_phys.any():
-        phys[need_phys] = _checked(_physical_margin_eig(batch.covariance[need_phys]), ..., _ORACLE)
+        phys = _checked(batch.evaluated((_physical_oracle,)), ..., _ORACLE)
+        sep, prep = np.full(len(phys), np.nan), np.full(len(phys), np.nan)
     physical = phys >= -tol_psd
     need_sep = np.isnan(sep) & physical
     need_prep = np.isnan(prep) & physical
     # Separability is physicality of the mirror, on both routes: the
     # mirror's covariance is T V T, the batch's rows with mode 2's rows and
-    # columns swapped, bit for bit.
+    # columns swapped, bit for bit, gathered in one indexing step.
     if need_sep.any():
-        sep[need_sep] = _checked(_physical_margin_eig(batch.covariance[need_sep][:, _T][:, :, _T]),
+        sep[need_sep] = _checked(_physical_margin_eig(batch.covariance[np.ix_(need_sep, _T, _T)]),
                                  ..., _ORACLE)
     if need_prep.any():
         prep[need_prep] = _checked(_prep_margin_eig(batch.covariance[need_prep]), ..., _ORACLE)
@@ -692,9 +720,9 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
         separable, p_representable = (
             map(_ANSWERS.__getitem__, np.where(physical, m >= -tol_psd, 2).astype(np.int8).tolist())
             for m in (sep, prep))
-    return list(map(Verdict._make, zip(physical.tolist(), separable, p_representable,
-                                       phys.tolist(), sep.tolist(), prep.tolist(),
-                                       methods, fallbacks)))
+    return list(map(tuple.__new__, itertools.repeat(Verdict), zip(
+        physical.tolist(), separable, p_representable, phys.tolist(), sep.tolist(), prep.tolist(),
+        methods, fallbacks)))
 
 
 def classify(p: GaussianParams | _Row, method: str = METHOD_CLOSED,

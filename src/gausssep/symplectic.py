@@ -27,13 +27,18 @@ pass's columns, kept as values and raised by the read of that state, so
 one state's error never stops the others' reads.
 
 ``random_physical_states`` is the one sampler entry point, and
-``_random_states`` its array form, which ``gausssep sample`` classifies
-directly.  It draws a batch of N states in one array pass (the reject sampler one per block of
-candidates): the uniforms in one generator call, the symplectics,
-covariances and eigen-oracle margins as (N, 4, 4) stacks.  The states and
-the generator's end state are those of N one-at-a-time draws, bit for bit,
-so they do not depend on how the draws are split into calls; one state is
-``random_physical_states(rng, 1, mode)[0]``.
+``_random_states`` its array form, which returns the ``core._Batch`` that
+``gausssep sample`` classifies.  It draws a batch of N states in one array
+pass (the reject sampler one per block of candidates): the uniforms in one
+generator call, the symplectics, covariances and eigen-oracle margins as
+(N, 4, 4) stacks.  The batch holds the covariance stack the sampler built,
+read-only (the construct sampler's structural rebuild, the accepted rows of
+the reject sampler's block stacks), and in reject mode the physicality
+oracle margins it accepted the states by, so that no stack is built and no
+physicality eigensolve is run twice between draw and verdict.  The states
+and the generator's end state are those of N one-at-a-time draws, bit for
+bit, so they do not depend on how the draws are split into calls; one
+state is ``random_physical_states(rng, 1, mode)[0]``.
 """
 
 from __future__ import annotations
@@ -132,7 +137,7 @@ def _transform_stack(S: LocalSymplectic, V: np.ndarray):
     fails), whose error is ``apply_local``'s OverflowError where its matrix
     is not finite."""
     W = _conjugate(S.realized, V)
-    t, residual, ok = core._ParamArrays.read_stack(W)
+    t, residual, ok, _ = core._ParamArrays.read_stack(W)
     failure = t.first_error(ok, residual)
     if failure is not None and not np.isfinite(W[failure[0]]).all():
         failure = failure[0], OverflowError("local symplectic transform overflows")
@@ -260,12 +265,13 @@ def _squeeze_columns(n: np.ndarray, m: tuple, r: np.ndarray, rows: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def _reductions(batch: core._Batch) -> list[tuple]:
     """One array pass of the reduction over every state of ``batch``: per
-    state, its physicality oracle margin (not finite where the oracle
-    overflows), its squeeze angles (theta1, phi1, theta2, phi2) or the
-    error that leaves them undefined, whether its transformed matrix is
-    finite, whether it goes to form 1, nu1, nu2, mu, whether its form's
-    parameters are valid (``GaussianParams`` accepts them), the residual
-    and whether that passes the structural rule.
+    state, its physicality oracle margin (the batch's
+    ``core._physical_oracle`` pass; not finite where the oracle overflows),
+    its squeeze angles (theta1, phi1, theta2, phi2) or the error that
+    leaves them undefined, whether its transformed matrix is finite,
+    whether it goes to form 1, nu1, nu2, mu, whether its form's parameters
+    are valid (``GaussianParams`` accepts them), the residual and whether
+    that passes the structural rule.
 
     Nothing is raised here: ``reduce_to_invariant_form`` raises each
     state's errors in order.  The oracle is one call over the stack, and a
@@ -281,7 +287,7 @@ def _reductions(batch: core._Batch) -> list[tuple]:
     ``abs``.
     """
     q, V = batch.q, batch.covariance
-    margins = core._physical_margin_eig(V).tolist()
+    margins = batch.evaluated((core._physical_oracle,)).tolist()
     r1, r2 = core._abs(q.m1), core._abs(q.m2)
     bad1, bad2 = (r1 > 0.0) & (r1 >= q.n1), (r2 > 0.0) & (r2 >= q.n2)
     undefined = bad1 | bad2
@@ -390,10 +396,11 @@ def _random_box(rng: np.random.Generator, n: int, n_lo: float, n_hi: float,
     return core._ParamArrays(n1, n2, *((z.real.copy(), z.imag.copy()) for z in m))
 
 
-def _construct(rng: np.random.Generator, n: int) -> core._ParamArrays:
+def _construct(rng: np.random.Generator, n: int) -> core._Batch:
     """n thermal states conjugated by a random local symplectic and a random
     two-mode mixer, read off and checked as ``core.params_from_covariance``
-    reads and checks one matrix."""
+    reads and checks one matrix, as a batch whose covariance stack is the
+    rebuild that check compares the matrices with."""
     two_pi = 2 * math.pi
     nu1, nu2, theta1, theta2, phi1, vphi1, phi2, vphi2, r, gamma = _uniform_columns(
         rng, n, [(0.5, NU_MAX)] * 2 + [(0.0, THETA_MAX)] * 2 + [(0.0, two_pi)] * 4
@@ -402,13 +409,14 @@ def _construct(rng: np.random.Generator, n: int) -> core._ParamArrays:
     V[:, 0, 0] = V[:, 1, 1] = nu1
     V[:, 2, 2] = V[:, 3, 3] = nu2
     V = _conjugate(_local_matrix(theta1, phi1, vphi1, theta2, phi2, vphi2), V)
-    q, residual, ok = core._ParamArrays.read_stack(_conjugate(two_mode_mixer(r, gamma), V))
-    return q.validated(ok, residual)
+    q, residual, ok, B = core._ParamArrays.read_stack(_conjugate(two_mode_mixer(r, gamma), V))
+    return core._Batch(q.validated(ok, residual), covariance=B)
 
 
-def _reject(rng: np.random.Generator, n: int) -> core._ParamArrays:
+def _reject(rng: np.random.Generator, n: int) -> core._Batch:
     """The first n draws from ``REJECT_BOX`` that the eigen-oracle calls
-    physical.
+    physical, as a batch that holds their covariance stack and physicality
+    oracle margins: the accepted rows of each block's.
 
     Candidates are drawn and checked in blocks of at most ``REJECT_BLOCK``
     (one eigen-oracle call each), never past the ``MAX_DRAWS`` budget of
@@ -416,7 +424,7 @@ def _reject(rng: np.random.Generator, n: int) -> core._ParamArrays:
     again up to it from the generator state saved before it, so the
     generator ends where one-at-a-time draws leave it.
     """
-    blocks = [core._ParamArrays.from_rows([])]
+    blocks = [(core._ParamArrays.from_rows([]), np.empty((0, 4, 4), complex), np.empty(0))]
     accepted = 0
     since = 0  # draws since the last accepted one
     while accepted < n:
@@ -427,19 +435,25 @@ def _reject(rng: np.random.Generator, n: int) -> core._ParamArrays:
             raise SamplingBudgetError(f"no physical state found in {MAX_DRAWS} draws")
         start = rng.bit_generator.state
         q = _random_box(rng, size, *REJECT_BOX)
-        hits = np.flatnonzero(core._physical_margin_eig(q.covariance()) >= -core.TOL_PSD)
+        V = q.covariance()
+        margins = core._physical_margin_eig(V)
+        hits = np.flatnonzero(margins >= -core.TOL_PSD)
         if hits.size >= need:
             hits = hits[:need]
             rng.bit_generator.state = start
             _random_box(rng, hits[-1] + 1, *REJECT_BOX)
         since = size - 1 - hits[-1] if hits.size else since + size
-        blocks.append(q.take(hits).validated())
+        blocks.append((q.take(hits).validated(), V[hits], margins[hits]))
         accepted += hits.size
-    return core._ParamArrays.concatenate(blocks)
+    qs, Vs, margins = zip(*blocks)
+    return core._Batch(core._ParamArrays.concatenate(qs), covariance=np.concatenate(Vs),
+                       physical=np.concatenate(margins))
 
 
-def _random_states(rng: np.random.Generator, n: int, mode: str) -> core._ParamArrays:
-    """``random_physical_states`` as ``core._ParamArrays``."""
+def _random_states(rng: np.random.Generator, n: int, mode: str) -> core._Batch:
+    """``random_physical_states`` as the ``core._Batch`` that ``gausssep
+    sample`` classifies, which holds the sampler's covariance stack (and in
+    reject mode its physicality oracle margins)."""
     if n < 0:
         raise ValueError(f"cannot draw {n} states")
     if mode == "construct":
@@ -465,4 +479,4 @@ def random_physical_states(rng: np.random.Generator, n: int,
     accept iff the eigen-oracle says physical, within ``MAX_DRAWS`` draws
     per state (else SamplingBudgetError), one pass per block of candidates.
     """
-    return _random_states(rng, n, mode).params()
+    return _random_states(rng, n, mode).q.params()

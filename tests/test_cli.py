@@ -510,6 +510,36 @@ class TestSample:
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0].splitlines()) == 21
 
+    def test_reject_solves_physicality_once_per_state(self, tmp_path, monkeypatch):
+        """A two-batch reject run hands the eigensolver each candidate once
+        while drawing, and each accepted state twice while classifying (its
+        separability and P-representability); its physicality is the margin
+        the sampler accepted it by."""
+        monkeypatch.setattr(cli, "SAMPLE_BATCH", 16)
+        counts = {"draw": 0, "classify": 0}
+        phase = ["classify"]
+        solve, draw = core.min_eigenvalue_hermitian, symplectic._random_states
+
+        def counted(M):
+            counts[phase[0]] += len(M)
+            return solve(M)
+
+        def drawing(*args):
+            phase[0] = "draw"
+            try:
+                return draw(*args)
+            finally:
+                phase[0] = "classify"
+
+        monkeypatch.setattr(core, "min_eigenvalue_hermitian", counted)
+        monkeypatch.setattr(symplectic, "_random_states", drawing)
+        o = tmp_path / "s.jsonl"
+        assert main(["sample", "--count", "30", "--seed", "5", "--mode", "reject",
+                     "--output", str(o)]) == 0
+        records = [json.loads(line) for line in o.read_text().splitlines()[:-1]]
+        assert len(records) == 30 and not any(r["closed"]["fallbacks"] for r in records)
+        assert counts["draw"] >= 30 and counts["classify"] == 2 * 30
+
     @staticmethod
     def recount(lines, seed, mode):
         """The summary of ``sample``'s record lines, recounted record by

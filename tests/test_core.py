@@ -113,7 +113,7 @@ BROKEN_RELATIONS = [
 
 def stack_failure(*matrices):
     """``first_error`` of the parameters read off a stack of ``matrices``."""
-    q, residual, ok = core._ParamArrays.read_stack(np.stack(matrices))
+    q, residual, ok, _ = core._ParamArrays.read_stack(np.stack(matrices))
     return q.first_error(ok, residual)
 
 
@@ -148,7 +148,7 @@ class TestStructuralRule:
         for ij, dv in edits.items():
             bad[ij] += dv
         assert_fails_as_alone(stack_failure(good, bad, bad), 1, bad)
-        q, residual, ok = core._ParamArrays.read_stack(np.stack([good, build_covariance(REF)]))
+        q, residual, ok, _ = core._ParamArrays.read_stack(np.stack([good, build_covariance(REF)]))
         assert q.first_error(ok, residual) is None
         assert q.params() == [GENERIC, REF] == [params_from_covariance(good), REF]
 

@@ -339,6 +339,25 @@ class TestReduceToInvariantForm:
         with pytest.raises(DomainError):
             reduce_to_invariant_form(GaussianParams(0.4, 1.0))
 
+    def test_one_physicality_pass_for_reduction_and_oracle_route(self, monkeypatch):
+        """The reduction and the eigen-oracle route read physicality from
+        the batch's one oracle pass: one oracle call over its whole stack."""
+        calls = []
+        margin = core._physical_margin_eig
+        monkeypatch.setattr(core, "_physical_margin_eig",
+                            lambda V: calls.append(len(V)) or margin(V))
+        states = [GaussianParams(1.0, 1.0, mc=0.4), GaussianParams(0.4, 1.0),
+                  GaussianParams(1.1, 1.3, ms=0.1)]
+        batch = core._Batch.of(states)
+        rows = batch.rows()
+        forms = [reduce_to_invariant_form(rows[0]).form, reduce_to_invariant_form(rows[2]).form]
+        assert calls == [3]
+        verdicts = core._classified(batch, core.METHOD_EIG, core.TOL_PSD)
+        assert calls == [3, 2]  # then separability, on the two physical states
+        assert [v.physical for v in verdicts] == [True, False, True]
+        assert forms == [FORM1, FORM2]
+        assert repr(verdicts) == repr(core.classify_batch(states, core.METHOD_EIG))  # NaN margins
+
     def test_overcorrelated_mode_rejected(self):
         [(_, angles, *_)] = symplectic._reductions(
             core._Batch.of([GaussianParams(1.0, 1.0, m1=1.1)]))
@@ -525,9 +544,29 @@ class TestBatchSampling:
         as arrays, and leaves the generator where it leaves it."""
         monkeypatch.setattr(symplectic, "REJECT_BLOCK", 5)  # several blocks
         a, b = np.random.default_rng(9), np.random.default_rng(9)
-        q = symplectic._random_states(a, 23, mode)
+        q = symplectic._random_states(a, 23, mode).q
         assert bits(q.params()) == bits(random_physical_states(b, 23, mode))
         assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("block", [symplectic.REJECT_BLOCK, 5, 3])
+    @pytest.mark.parametrize("mode", ["construct", "reject"])
+    def test_batch_holds_the_samplers_stack(self, mode, block, monkeypatch):
+        """The batch ``_random_states`` returns holds the sampler's
+        covariance stack, read-only and bit for bit ``q.covariance()``, and
+        in reject mode the physicality oracle margins of its accepted
+        candidates, the oracle over that stack, bit for bit."""
+        monkeypatch.setattr(symplectic, "REJECT_BLOCK", block)
+        batch = symplectic._random_states(np.random.default_rng(13), 23, mode)
+        V = batch.covariance
+        assert not V.flags.writeable
+        assert V.shape == (23, 4, 4) and V.tobytes() == batch.q.covariance().tobytes()
+        seeded = batch._values.get((core._physical_oracle,))
+        if mode == "construct":
+            assert seeded is None
+        else:
+            assert not seeded.flags.writeable
+            assert seeded.tobytes() == core._physical_margin_eig(V).tobytes()
+            assert (seeded >= -core.TOL_PSD).all()
 
     @pytest.mark.parametrize("mode", ["construct", "reject"])
     def test_invalid_draw_raises_its_error(self, mode, monkeypatch):
