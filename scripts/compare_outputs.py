@@ -13,8 +13,10 @@ and calls ``gausssep.cli.main`` in-process, command after command.  At the
 first seed, as none of its commands reads the seed, the error-path group
 (``ERRORS``) runs the same way: the reading
 commands on small files this script writes, with ids of every JSON kind and
-malformed records, ``sweep`` with a parameter named twice, and argparse's
-usage errors (``USAGE_ERRORS``), whose stderr is the parser's.  The
+malformed records, ``sweep`` with a parameter named twice and ``sweep``
+on grids whose exact fold or physicality bound overflows (exit 4), and
+argparse's usage errors (``USAGE_ERRORS``), whose stderr is the parser's:
+308 commands in all.  The
 commands whose exit code, output bytes or stderr differ are listed as
 Markdown, printed and appended to the file named by
 ``$GITHUB_STEP_SUMMARY`` when it is set.  The exit status is 0 whatever
@@ -68,9 +70,16 @@ ERROR_INPUTS = {
     "matrix-not-list": '{"matrix": 5}\n',
 }
 ERROR_READERS = (["classify", "--method", "both"], ["invariants"], ["transform", "--reduce"])
+# ``sweep`` arguments that fail: the three ways to give n1 twice, then an
+# exact fold that overflows ("n2 fold overflows for state 0 of the batch")
+# and a physicality bound that overflows (exit 4)
 ERROR_SWEEPS = (["--n1", "3", "--fixed", "n1=2", "--axis1", "m1:0:0.5:2", "--fixed", "m2=1"],
                 ["--n1", "2", "--axis1", "n1:0.75:4:3"],
-                ["--fig1", "--n1", "2"])
+                ["--fig1", "--n1", "2"],
+                ["--n1", "0.5000000000009095", "--fixed", "m1=9.094947017729282e-13", "--fixed",
+                 "ms=3.273390607896142e150", "--fixed", "mc=3.273390607896142e150",
+                 "--axis1", "m2:0:1:2"],
+                ["--axis1", "mc:0:1e154:2", "--fixed", "m1=0.5"])
 # Argument lists that argparse rejects (exit 2), each with an ``--output``
 # that names it, but the empty one: there an ``--output``'s value would be
 # read as the subcommand

@@ -256,9 +256,11 @@ def _jsonl_records(text: str, path: str):
     ``_parse_json``, for its value or for ``json.loads``'s error.  Lines end
     at "\\n" only, as in JSON Lines: U+2028, U+2029 and U+0085 are valid
     inside a JSON string, and a form feed or other separator between two
-    values leaves them one line that is not JSON."""
+    values leaves them one line that is not JSON.  A line is blank only if
+    it holds nothing but JSON whitespace, spaces and tabs (a CR has been
+    read as "\\n"): one of only a form feed, NBSP or U+2028 is not JSON."""
     for n, line in enumerate(text.split("\n"), start=1):
-        if line.strip():
+        if line.strip(" \t"):
             where = f"{path}:{n}"
             try:
                 value, end = _scan_once(line, 0)

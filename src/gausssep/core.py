@@ -35,21 +35,20 @@ criterion rows, physicality, separability and P-representability
 margins, the n2 views and the sweep, and one exact-fold pass
 (``_exact_folds``) the sweep's degenerate entries.  ``n2_folds_batch``
 takes the entries without a closed form from the exact fold's pass: the
-P column (the literal published P-fold, which has no per-state view) in
-one masked read, the physicality and separability columns state by
-state, through ``physicality_bound_n2`` and ``bisect_n2_threshold``,
-whose calls the benchmark's tracer counts; the separability entries are
-read on the mirror batch (``_Batch.mirror``), whose states are read out
-of the batch's passes, rows in the order (1, 0, 2): it runs none of its
-own.  ``n2_folds`` is its one-element view.  A batch builds its
-(N, 4, 4) covariance stack once, read-only, at its first use, unless its
-maker (the sampler) hands it the stack it built; the oracle rows of all
-three criteria and the invariant-form reduction of ``symplectic`` index
-that one stack.  The eigen-oracle route and the reduction read
-physicality from one oracle pass over it (``_physical_oracle``), which
-the reject sampler hands its batch too.  Every operation is elementwise or
-per matrix, so a state's result does not depend on the other states in
-its batch, bit for bit.
+separability column (its row is bit for bit the physicality row of the
+mirrored states, so no mirrored batch is built) and the P column (the
+literal published P-fold, which has no per-state view) in one masked
+read each, the physicality column state by state, through
+``physicality_bound_n2`` and ``bisect_n2_threshold``, whose calls the
+benchmark's tracer counts.  ``n2_folds`` is its one-element view.  A
+batch builds its (N, 4, 4) covariance stack once, read-only, at its
+first use, unless its maker (the sampler) hands it the stack it built;
+the oracle rows of all three criteria and the invariant-form reduction
+of ``symplectic`` index that one stack.  The eigen-oracle route and the
+reduction read physicality from one oracle pass over it
+(``_physical_oracle``), which the reject sampler hands its batch too.
+Every operation is elementwise or per matrix, so a state's result does
+not depend on the other states in its batch, bit for bit.
 
 Physicality and P-representability are one positivity question at two
 shifts, so they share one closed form: the parameters (a, s, c, h, e, x0)
@@ -375,7 +374,6 @@ _BOUND_NAMES = ("physicality bound", "physicality bound", "P-representability bo
 _E = np.array([[0.5], [0.5], [0.0]])
 _X0 = np.array([[0.0], [0.0], [0.5]])
 _SIGN = np.array([[1.0], [-1.0], [1.0]])
-_MIRROR_ROWS = (1, 0, 2)  # a mirror batch's criterion rows, in its parent's passes
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -412,19 +410,17 @@ class _Batch:
     under the key ``(compute, *args)`` (``evaluated``).  The closed-form
     passes (``_bound``, ``_exact_folds``) run over the three criterion rows
     of ``families`` at once.  The per-state functions read a state of the
-    batch (a ``_Row``) out of these passes; a state of a ``mirror`` batch
-    out of its ``parent``'s.
+    batch (a ``_Row``) out of these passes.
 
     A maker that already holds the states' covariance stack (the sampler)
     passes it as ``covariance``, and their physicality oracle margins as
     ``physical``, the ``(_physical_oracle,)`` pass: each must be what the
     batch would compute, bit for bit.  Both are kept read-only."""
 
-    def __init__(self, q: _ParamArrays, parent: "_Batch | None" = None,
-                 covariance: np.ndarray | None = None, physical: np.ndarray | None = None):
+    def __init__(self, q: _ParamArrays, covariance: np.ndarray | None = None,
+                 physical: np.ndarray | None = None):
         self.q = q
         self._values: dict = {}
-        self.parent = parent
         if covariance is not None:
             covariance.flags.writeable = False
             self.covariance = covariance  # a cached property's value, as if it had run
@@ -447,16 +443,6 @@ class _Batch:
         V = self.q.covariance()
         V.flags.writeable = False
         return V
-
-    @property
-    def mirror(self) -> "_Batch":
-        """The mirrored states, a new batch at each read, whose ``parent``
-        is this batch.  Separability is physicality of the mirror, so the
-        per-state functions read its states out of this batch's closed-form
-        passes, rows in the order (1, 0, 2) (``_MIRROR_ROWS``), and it runs
-        none of its own.  It is not kept here, so that no batch is in a
-        reference cycle and each is freed as soon as it is dropped."""
-        return _Batch(self.q.mirror(), self)
 
     def evaluated(self, key: tuple):
         """``compute(self, *args)`` of the key ``(compute, *args)``, run
@@ -592,19 +578,16 @@ def physicality_bound_n2(p: GaussianParams | _Row) -> float:
     DegenerateBoundError (negative d means the mode-1 condition already
     fails, so no n2 bound exists), and an overflowing bound OverflowError.
     The bound is read from the batch's bound pass (``_bound``).  The
-    separability bound is this function applied to ``p.mirror()``, which on
-    a batch's mirror reads the separability row of the batch's pass.
+    separability bound is this function applied to ``p.mirror()``, bit for
+    bit the separability row of the pass over ``p``.
     """
     batch, i = p if type(p) is _Row else _row(p)
-    k = 0
-    if batch.parent is not None:
-        batch, k = batch.parent, _MIRROR_ROWS[k]
     fold, defined = batch.evaluated((_bound,))
-    if not defined.item(k, i):
+    if not defined.item(0, i):
         a = batch.families.a
         raise DegenerateBoundError("physicality bound", a.item(0, i), a.item(2, i),
                                    batch.q.n1.item(i))
-    b = fold.item(k, i)
+    b = fold.item(0, i)
     if not math.isfinite(b):
         raise OverflowError("physicality bound overflows")
     return b
@@ -762,8 +745,8 @@ def _classified(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _exact_folds(batch: _Batch) -> list[list[float]]:
-    """The exact n2 folds of every state of ``batch``, as three lists over
+def _exact_folds(batch: _Batch) -> np.ndarray:
+    """The exact n2 folds of every state of ``batch``, a (3, N) array over
     its criterion rows (physicality, separability, P-representability): the
     smallest n2 >= 0 with V + E/2 >= 0, T V T + E/2 >= 0 or V - I/2 >= 0;
     ``inf`` where no n2 works, NaN where the arithmetic overflows.
@@ -783,7 +766,7 @@ def _exact_folds(batch: _Batch) -> list[list[float]]:
         split, none = _split_folds(batch.q, f)
         x = np.where(band, split + _X0, x)
         fails = fails | band & none
-    return np.where(fails, np.inf, np.where(np.isfinite(x), x, np.nan)).tolist()
+    return np.where(fails, np.inf, np.where(np.isfinite(x), x, np.nan))
 
 
 def _split_folds(q: _ParamArrays, f: _Family):
@@ -833,17 +816,15 @@ def bisect_n2_threshold(p: GaussianParams | _Row, criterion: str) -> float:
     """Smallest n2 >= 0 at which ``criterion`` holds, ``inf`` if none does.
 
     ``criterion`` is "physical" or "p_representable"; separability's is
-    "physical" on ``p.mirror()``.  The fold is exact (``_exact_folds``),
+    "physical" on ``p.mirror()``, bit for bit the separability row of the
+    exact-fold pass over ``p``.  The fold is exact (``_exact_folds``),
     read from one array pass over the batch of ``p``; it is ``inf`` where
     the mode-1 condition fails, and an ``OverflowError`` where its
     arithmetic overflows.  Nothing is bisected: the name stays only because
     the benchmark's tracer wraps this function by name.
     """
     batch, i = p if type(p) is _Row else _row(p)
-    k = _N2_CRITERIA[criterion]
-    if batch.parent is not None:
-        batch, k = batch.parent, _MIRROR_ROWS[k]
-    fold = batch.evaluated((_exact_folds,))[k][i]
+    fold = batch.evaluated((_exact_folds,)).item(_N2_CRITERIA[criterion], i)
     if fold != fold:
         raise OverflowError(f"n2 fold overflows for state {i} of the batch")
     return fold
@@ -867,6 +848,20 @@ def _n2_fold(p: _Row) -> float:
         return bisect_n2_threshold(p, "physical")
 
 
+def _exact_filled(batch: _Batch, column: np.ndarray, k: int) -> np.ndarray:
+    """``column`` with its NaN entries taken from row k of the batch's
+    exact-fold pass (``_exact_folds``), in one masked read; a NaN exact fold
+    is the ``OverflowError`` of its first state."""
+    missing = np.isnan(column)
+    if not missing.any():
+        return column
+    column = np.where(missing, batch.evaluated((_exact_folds,))[k], column)
+    overflow = np.isnan(column)
+    if overflow.any():
+        raise OverflowError(f"n2 fold overflows for state {int(overflow.argmax())} of the batch")
+    return column
+
+
 def _n2_folds(batch: _Batch):
     """(phys, sep, prep, degenerate) of every state of ``batch``: three (N,)
     fold arrays and an (N,) mask of the states where any fold had no closed
@@ -878,34 +873,26 @@ def _n2_folds(batch: _Batch):
     is that of the families, then of physicality, separability and the
     P-fold.  The entries whose closed form is NaN take the exact fold of
     their criterion, from the batch's one exact-fold pass (``_exact_folds``):
-    ``inf`` where the mode-1 rule fails.  The P column takes its missing
-    entries in one masked read of that pass.  The physicality and
-    separability columns still read theirs per state, through the bound's
-    ``DegenerateBoundError`` and ``bisect_n2_threshold`` (on ``batch`` and
-    ``batch.mirror``), because the benchmark's tracer counts those calls; a
-    NaN exact fold is the ``OverflowError`` of its first state, raised in
-    the column order phys, sep, P."""
+    ``inf`` where the mode-1 rule fails.  The separability and P columns
+    take theirs in one masked read each (``_exact_filled``).  The
+    physicality column still reads its own per state, through the bound's
+    ``DegenerateBoundError`` and ``bisect_n2_threshold``, because the
+    benchmark's tracer counts those calls.  Both physicality rows have the
+    same a and h, so the separability bound is NaN exactly where the
+    physicality bound is.  A NaN exact fold is the ``OverflowError`` of its
+    first state, raised in the column order phys, sep, P."""
     bound, defined = batch.evaluated((_bound,))
     _checked(bound[:2], defined[:2], "physicality bound")
     prep = _checked(*batch.evaluated((_literal_prep_fold,)), "literal P-fold")
-    missing = np.isnan(bound[:2])
-    out = bound[:2].copy()  # the batch's bound pass keeps the closed form, NaN included
-    if missing.any():
+    degenerate = np.isnan(bound[0])
+    phys = bound[0].copy()  # the batch's bound pass keeps the closed form, NaN included
+    rows = np.flatnonzero(degenerate).tolist()
+    if rows:
         batch.evaluated((_exact_folds,))  # its one array pass, before the per-state reads
-    for k in (0, 1):
-        rows = np.flatnonzero(missing[k]).tolist()
-        if rows:
-            bt = batch.mirror if k else batch
-            # tuple.__new__ skips the NamedTuple's Python __new__, as in ``_Batch.rows``
-            out[k, rows] = [_n2_fold(tuple.__new__(_Row, (bt, i))) for i in rows]
-    degenerate = missing[0] | missing[1]
-    missing = np.isnan(prep)
-    if missing.any():
-        prep = np.where(missing, batch.evaluated((_exact_folds,))[2], prep)
-        overflow = np.isnan(prep)
-        if overflow.any():
-            raise OverflowError(f"n2 fold overflows for state {int(overflow.argmax())} of the batch")
-    return out[0], out[1], prep, degenerate | missing
+        # tuple.__new__ skips the NamedTuple's Python __new__, as in ``_Batch.rows``
+        phys[rows] = [_n2_fold(tuple.__new__(_Row, (batch, i))) for i in rows]
+    return (phys, _exact_filled(batch, bound[1], 1), _exact_filled(batch, prep, 2),
+            degenerate | np.isnan(prep))
 
 
 def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
@@ -924,7 +911,7 @@ def n2_folds(p: GaussianParams) -> tuple[float, float, float, bool]:
 def n2_folds_batch(params: Sequence[GaussianParams]):
     """``n2_folds`` of every parameter set in ``params``, as three (N,)
     fold arrays and an (N,) degenerate mask: each closed form and each
-    exact fold is one array pass over them.  Only the physicality and
-    separability entries without a closed form are read per state, for
-    the benchmark's tracer (``_n2_folds``)."""
+    exact fold is one array pass over them.  Only the physicality entries
+    without a closed form are read per state, for the benchmark's tracer
+    (``_n2_folds``)."""
     return _n2_folds(_Batch.of(params))

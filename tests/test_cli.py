@@ -1246,6 +1246,8 @@ def test_line_separator_in_an_id_is_echoed(tmp_path, sep):
     ("\ufeff" + ODD_LINE, *json_error("\ufeff" + ODD_LINE)),
     # str.splitlines splits on these, but a JSONL line ends at "\n" only
     *((ODD_LINE + c + ODD_LINE, *json_error(ODD_LINE + c + ODD_LINE)) for c in "\x0c\x1c\u2028"),
+    # a line is blank only if it holds nothing but spaces and tabs: str.strip strips these
+    *((c, *json_error(c)) for c in "\x0c\u00a0\u2028"),
     ("[" * 100000, *json_error("[" * 100000)),
     ('{"a": ' * 5000, *json_error('{"a": ' * 5000)),
     (ODD_LINE + " " + ODD_LINE, *json_error(ODD_LINE + " " + ODD_LINE)),

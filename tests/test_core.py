@@ -540,19 +540,19 @@ class TestClassify:
     def test_batch_evaluates_once(self, monkeypatch):
         """The batch entry points read every state out of one array pass:
         the families of the three criterion rows are computed once per
-        batch, and the sweep's mirrored states, read state by state where
-        separability is degenerate, compute none of their own."""
-        sizes, parents = [], []
+        batch, the sweep's included, whose degenerate physicality entries
+        are read state by state on the batch itself."""
+        sizes, batches = [], []
         real, real_fold = core._families, core._n2_fold
         monkeypatch.setattr(core, "_families", lambda q: sizes.append(len(q.n1)) or real(q))
-        monkeypatch.setattr(core, "_n2_fold", lambda p: parents.append(p.batch.parent) or real_fold(p))
+        monkeypatch.setattr(core, "_n2_fold", lambda p: batches.append(p.batch) or real_fold(p))
         states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.4, 1.0)]
         core.classify_batch(states)
         assert sizes == [len(states)]
         sizes.clear()
         batch = core._Batch.of(states)
         core._n2_folds(batch)
-        assert batch in parents  # VACUUM's d = 0: its separability entry is read on the mirror
+        assert batches and all(b is batch for b in batches)  # VACUUM's d = 0
         assert sizes == [len(states)]
         sizes.clear()
         core.classify_batch(states, method=core.METHOD_EIG)  # the oracle route needs none
@@ -560,10 +560,9 @@ class TestClassify:
 
     def test_one_closed_form_pass_per_batch(self, monkeypatch):
         """The closed margins, the sweep's folds and the per-state reads run
-        one closed-form pass per batch over its three criterion rows, and
-        none on ``batch.mirror``, on states with d > 0, d = 0 and d < 0: one
-        bound pass and one exact-fold pass, whose band rows make one
-        ``_split_folds`` call."""
+        one closed-form pass per batch over its three criterion rows, on
+        states with d > 0, d = 0 and d < 0: one bound pass and one
+        exact-fold pass, whose band rows make one ``_split_folds`` call."""
         calls = []
         for name in ("_families", "_bound", "_exact_folds", "_split_folds", "_literal_prep_fold"):
             real = getattr(core, name)
@@ -574,20 +573,16 @@ class TestClassify:
         core._classified(batch, core.METHOD_CLOSED, core.TOL_PSD)
         core._n2_folds(batch)
         core.physicality_bound_n2(core._Row(batch, 0))
-        mirror = batch.mirror
-        core.physicality_bound_n2(core._Row(mirror, 0))
         with pytest.raises(DegenerateBoundError):
-            core.physicality_bound_n2(core._Row(mirror, 1))
-        assert core.bisect_n2_threshold(core._Row(mirror, 2), "physical") == math.inf
+            core.physicality_bound_n2(core._Row(batch, 1))
+        assert core.bisect_n2_threshold(core._Row(batch, 2), "physical") == math.inf
         assert calls == [("_families", batch.q), ("_bound", batch), ("_literal_prep_fold", batch),
                          ("_exact_folds", batch), ("_split_folds", batch.q)]
-        assert mirror._values == {} and vars(mirror).keys() == {"q", "_values", "parent"}
 
     def test_batches_form_no_reference_cycle(self):
-        """A batch, and a batch with its mirror, are freed by reference
-        counting alone once dropped, whatever passes they ran: a cycle
-        would keep every batch of a run alive until the cyclic collector
-        runs."""
+        """A batch is freed by reference counting alone once dropped,
+        whatever passes it ran, per-state reads included: a cycle would
+        keep every batch of a run alive until the cyclic collector runs."""
         states = [REF, VACUUM, *NEAR_D0, GaussianParams(0.4, 1.0)]
         gc.disable()
         try:
@@ -596,30 +591,12 @@ class TestClassify:
                         core._n2_folds):
                 batch = core._Batch.of(states)
                 run(batch)
-                mirror = batch.mirror
-                core.physicality_bound_n2(core._Row(mirror, 0))
-                refs = weakref.ref(batch), weakref.ref(mirror)
-                del batch, mirror
-                assert [ref() for ref in refs] == [None, None]
+                core.physicality_bound_n2(core._Row(batch, 0))
+                ref = weakref.ref(batch)
+                del batch
+                assert ref() is None
         finally:
             gc.enable()
-
-    def test_mirror_reads_the_separability_rows(self):
-        """A state of ``batch.mirror`` reads the separability row of the
-        batch's passes, the physicality row of its own mirrored batch, bit
-        for bit: the bound, its ``DegenerateBoundError`` and the exact fold."""
-        states = [REF, GaussianParams(0.5, 0.8, m2=0.25j, ms=0.1 + 0.2j, mc=0.3),
-                  GaussianParams(1, 1, m1=1.1, mc=0.2)]
-        batch = core._Batch.of(states)
-
-        def read(p):
-            try:
-                return [np.float64(core.physicality_bound_n2(p)).tobytes()]
-            except DegenerateBoundError as exc:
-                return [str(exc), np.float64(core.bisect_n2_threshold(p, "physical")).tobytes()]
-
-        for i, p in enumerate(states):
-            assert read(core._Row(batch.mirror, i)) == read(p.mirror())
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -770,26 +747,27 @@ class TestFolds:
             ((0,), "f"), ((0,), "f"), ((0,), "f"), ((0,), "b")]
         batch = core._Batch.of([])
         assert core._closed_margins(batch).shape == (3, 0)
-        assert core._exact_folds(batch) == [[], [], []]
+        assert core._exact_folds(batch).shape == (3, 0)
 
     @pytest.mark.parametrize("p, criterion, expected", [
         (REF, "p_representable", REF_PREP_BOUND), (NEAR_D0[0], "physical", math.inf),
         (GaussianParams(0.2, 1.0, m2=0.3, mc=0.1), "p_representable", math.inf)])
     def test_fold_is_a_python_float(self, p, criterion, expected):
         """``bisect_n2_threshold`` returns a Python float, ``inf`` included,
-        on a state alone and on a state of a batch and of its mirror."""
+        on a state alone and on a state of a batch."""
         batch = core._Batch.of([REF, p])
-        for row in (p, core._Row(batch, 1), core._Row(batch.mirror, 1)):
+        for row in (p, core._Row(batch, 1)):
             fold = core.bisect_n2_threshold(row, criterion)
             assert type(fold) is float
         assert core.bisect_n2_threshold(p, criterion) == pytest.approx(expected, abs=1e-12)
 
     def test_prep_column_is_one_masked_read(self, monkeypatch):
-        """The P column takes its entries without a literal fold from the
-        exact fold's array pass in one masked read: no per-state P
-        ``bisect_n2_threshold`` call.  The physicality and separability
-        columns still read theirs per state, and a NaN exact P-fold is the
-        OverflowError of its first state, raised after them."""
+        """The separability and P columns take their entries without a
+        closed form from the exact fold's array pass in one masked read
+        each: no per-state separability or P ``bisect_n2_threshold`` call.
+        The physicality column still reads its own per state, and a NaN
+        exact P-fold is the OverflowError of its first state, raised after
+        the physicality reads."""
         calls = []
         real = core.bisect_n2_threshold
         monkeypatch.setattr(core, "bisect_n2_threshold",
@@ -801,7 +779,7 @@ class TestFolds:
         calls.clear()
         with pytest.raises(OverflowError, match=r"^n2 fold overflows for state 1 of the batch$"):
             core.n2_folds_batch([REF, P_OVERFLOW, VACUUM, P_OVERFLOW])
-        assert calls == [("physical", i) for i in (1, 2, 3)] * 2  # phys, then sep
+        assert calls == [("physical", i) for i in (1, 2, 3)]
 
     def test_degenerate_bound_message(self):
         """The message is built only when it is read, with the same text;
@@ -829,6 +807,7 @@ def test_public_surface():
                "random_local_symplectic", "T", "X", "I2", "_require_hermitian", "Z",
                "_physical_bound", "_prep_bound", "_physical_mode1_fails", "_prep_mode1_fails",
                "_physical_margin_closed", "_prep_margin_closed", "literal_prep_fold",
-               "_scalar_bound", "_closed_margin")
+               "_scalar_bound", "_closed_margin", "_MIRROR_ROWS")
     for module in (gausssep, core, symplectic, errors):
         assert [name for name in removed if hasattr(module, name)] == []
+    assert not hasattr(core._Batch, "mirror") and "parent" not in vars(core._Batch.of([]))

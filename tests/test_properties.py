@@ -292,6 +292,22 @@ def test_exact_folds_on_degenerate_states_match_oracle(p):
             assert fold_margin(state, criterion, fold * (1 - 1e-7)) < 0
 
 
+@given(st.lists(st.one_of(param_sets(), degenerate_sets()), min_size=1, max_size=8))
+@example([GaussianParams(0.5, 1.0, m2=0.25 + 0.5j, ms=0.125 - 0.25j, mc=0.375 + 0.125j),
+          GaussianParams(1.0, 1.0, m1=1.1, mc=0.2)])  # d = 0, d < 0
+@settings(max_examples=100, deadline=None)
+def test_sweep_separability_column_is_the_mirrors_physicality_column(ps):
+    """The sweep's separability column, read in one masked pass, is the
+    physicality column of the mirrored states, read state by state where
+    degenerate, bit for bit, band rows and ``inf`` folds included; and the
+    other way round.  Both batches flag the same degenerate states."""
+    phys, sep, _, degenerate = core.n2_folds_batch(ps)
+    m_phys, m_sep, _, m_degenerate = core.n2_folds_batch([p.mirror() for p in ps])
+    assert sep.tobytes() == m_phys.tobytes()
+    assert phys.tobytes() == m_sep.tobytes()
+    assert degenerate.tolist() == m_degenerate.tolist()
+
+
 # d' = 0 in floats (n1 - 1/2 = |m1| = 2^-40) with the cross block split off
 # (slope 0): its exact P-fold, (t cross - s) / t^2 with t = 2^-39 and
 # cross = 2^1001, overflows, while its physicality folds are inf.
