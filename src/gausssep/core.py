@@ -42,10 +42,10 @@ read each, the physicality column state by state, through
 ``physicality_bound_n2`` and ``bisect_n2_threshold``, whose calls the
 benchmark's tracer counts.  ``n2_folds`` is its one-element view.  A
 batch builds its (N, 4, 4) covariance stack once, read-only, at its
-first use, unless its maker (the sampler) hands it the stack it built;
-the oracle rows of all three criteria and the invariant-form reduction
-of ``symplectic`` index that one stack.  The eigen-oracle route and the
-reduction read physicality from one oracle pass over it
+first use, unless its maker (the reject sampler) hands it the stack it
+built; the oracle rows of all three criteria and the invariant-form
+reduction of ``symplectic`` index that one stack.  The eigen-oracle
+route and the reduction read physicality from one oracle pass over it
 (``_physical_oracle``), which the reject sampler hands its batch too.
 Every operation is elementwise or per matrix, so a state's result does
 not depend on the other states in its batch, bit for bit.
@@ -244,17 +244,15 @@ class _ParamArrays(NamedTuple):
 
     @classmethod
     def read_stack(cls, V: np.ndarray):
-        """(parameters, residual, ok, rebuilt): the parameters read off each
-        matrix V of an (N, 4, 4) stack (n1 = V[0, 0].real, n2 = V[2, 2].real,
-        m1, m2, ms, mc = V[0, 1], V[2, 3], V[0, 2], V[0, 3]), per matrix the
-        ``_rebuild_residual`` of the structural rule and whether it passes,
-        and the stack the rule compares V with, ``covariance`` of the
-        parameters.  Nothing is checked here."""
+        """(parameters, residual, ok): the parameters read off each matrix V
+        of an (N, 4, 4) stack (n1 = V[0, 0].real, n2 = V[2, 2].real, m1, m2,
+        ms, mc = V[0, 1], V[2, 3], V[0, 2], V[0, 3]), and per matrix the
+        ``_rebuild_residual`` of the structural rule and whether it passes.
+        Nothing is checked here."""
         q = cls(V[:, 0, 0].real.copy(), V[:, 2, 2].real.copy(),
                 *((V[:, i, j].real.copy(), V[:, i, j].imag.copy())
                   for i, j in ((0, 1), (2, 3), (0, 2), (0, 3))))
-        B = q.covariance()
-        return (q, *_rebuild_residual(V, B), B)
+        return (q, *_rebuild_residual(V, q.covariance()))
 
     @classmethod
     def from_records(cls, values):
@@ -269,7 +267,7 @@ class _ParamArrays(NamedTuple):
         residual, ok = np.zeros(len(cols)), np.ones(len(cols), dtype=bool)
         if at:
             V = np.array([values[k] for k in at]).view(complex).reshape(-1, 4, 4)
-            qm, residual[at], ok[at], _ = cls.read_stack(V)
+            qm, residual[at], ok[at] = cls.read_stack(V)
             cols[at] = np.column_stack(qm.columns())
         q = cls.from_rows(cols)
         return q, q.first_error(ok, residual)
@@ -412,10 +410,10 @@ class _Batch:
     of ``families`` at once.  The per-state functions read a state of the
     batch (a ``_Row``) out of these passes.
 
-    A maker that already holds the states' covariance stack (the sampler)
-    passes it as ``covariance``, and their physicality oracle margins as
-    ``physical``, the ``(_physical_oracle,)`` pass: each must be what the
-    batch would compute, bit for bit.  Both are kept read-only."""
+    A maker that already holds the states' covariance stack (the reject
+    sampler) passes it as ``covariance``, and their physicality oracle
+    margins as ``physical``, the ``(_physical_oracle,)`` pass: each must be
+    what the batch would compute, bit for bit.  Both are kept read-only."""
 
     def __init__(self, q: _ParamArrays, covariance: np.ndarray | None = None,
                  physical: np.ndarray | None = None):
@@ -513,7 +511,7 @@ def params_from_covariance(V: np.ndarray) -> GaussianParams:
     V = np.asarray(V, dtype=complex)
     if V.shape != (4, 4):
         raise StructuralError(f"expected a 4x4 matrix, got shape {V.shape}")
-    q, residual, ok, _ = _ParamArrays.read_stack(V[None])
+    q, residual, ok = _ParamArrays.read_stack(V[None])
     return q.validated(ok, residual).params()[0]
 
 
@@ -802,8 +800,10 @@ def _split_folds(q: _ParamArrays, f: _Family):
     t2 = t * t
     ms_mc = _mul(_conj(q.ms), q.mc)
     w = _sub(m2, _div(_sub((2.0 * t * ms_mc[0], 2.0 * t * (_SIGN * ms_mc[1])), f.c), t2))
+    # t <= 0 inside the band is P's row only, where e = 0: rows 0 and 1 have
+    # h = n1 >= 0, so there t <= 0 means n1 = 0 and a <= -1/4, off the band.
     x = np.where(t > 0.0, (t * cross - s) / t2 + np.hypot(_E * (1.0 + delta / t2), _abs(w)),
-                 np.hypot(_E, _abs(m2)))
+                 _abs(m2))
     indefinite = f.h - np.hypot(_E, _abs(q.m1)) < -TOL_PSD
     return x, indefinite | (s > 0.0) | (t <= 0.0) & (cross != 0.0)
 

@@ -29,16 +29,18 @@ one state's error never stops the others' reads.
 ``random_physical_states`` is the one sampler entry point, and
 ``_random_states`` its array form, which returns the ``core._Batch`` that
 ``gausssep sample`` classifies.  It draws a batch of N states in one array
-pass (the reject sampler one per block of candidates): the uniforms in one
-generator call, the symplectics, covariances and eigen-oracle margins as
-(N, 4, 4) stacks.  The batch holds the covariance stack the sampler built,
-read-only (the construct sampler's structural rebuild, the accepted rows of
-the reject sampler's block stacks), and in reject mode the physicality
-oracle margins it accepted the states by, so that no stack is built and no
-physicality eigensolve is run twice between draw and verdict.  The states
-and the generator's end state are those of N one-at-a-time draws, bit for
-bit, so they do not depend on how the draws are split into calls; one
-state is ``random_physical_states(rng, 1, mode)[0]``.
+pass (the reject sampler one per block of candidates), the uniforms in one
+generator call.  The construct sampler computes each state's ten
+parameters in closed form from its own ten uniforms, elementwise over the
+columns: no matrix is built or read back, and the batch builds its
+covariance stack from the parameters at its first use.  The reject sampler
+builds its candidates' (N, 4, 4) covariance stack and eigen-oracle margins,
+and its batch holds the accepted rows of both, read-only, so that no stack
+is built and no physicality eigensolve is run twice between draw and
+verdict.  The states and the generator's end state are those of N
+one-at-a-time draws, bit for bit, so they do not depend on how the draws
+are split into calls; one state is ``random_physical_states(rng, 1,
+mode)[0]``.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _transform_stack(S: LocalSymplectic, V: np.ndarray):
     fails), whose error is ``apply_local``'s OverflowError where its matrix
     is not finite."""
     W = _conjugate(S.realized, V)
-    t, residual, ok, _ = core._ParamArrays.read_stack(W)
+    t, residual, ok = core._ParamArrays.read_stack(W)
     failure = t.first_error(ok, residual)
     if failure is not None and not np.isfinite(W[failure[0]]).all():
         failure = failure[0], OverflowError("local symplectic transform overflows")
@@ -350,23 +352,6 @@ def reduce_to_invariant_form(p: GaussianParams | core._Row) -> InvariantFormResu
 # Random generation
 
 
-def two_mode_mixer(r, gamma) -> np.ndarray:
-    """Symplectic 4x4 two-mode-squeezing matrix coupling the modes, or an
-    (N, 4, 4) stack of them for (N,) arrays ``r`` and ``gamma``.
-
-    Satisfies M+ E M = E, so conjugation V -> M+ V M preserves physicality
-    while generating cross correlations.
-    """
-    ch, sh = np.cosh(r), np.sinh(r)
-    ep, em = np.exp(1j * gamma), np.exp(-1j * gamma)
-    M = np.zeros(np.shape(r) + (4, 4), dtype=complex)
-    for k in range(4):
-        M[..., k, k] = ch
-    M[..., 0, 3] = M[..., 2, 1] = em * sh
-    M[..., 1, 2] = M[..., 3, 0] = ep * sh
-    return M
-
-
 # The draws of random_physical_states.
 NU_MAX = 5.0  # construct: thermal occupations in [0.5, NU_MAX]
 THETA_MAX = 1.0  # construct: local squeezes in [0, THETA_MAX]
@@ -396,21 +381,52 @@ def _random_box(rng: np.random.Generator, n: int, n_lo: float, n_hi: float,
     return core._ParamArrays(n1, n2, *((z.real.copy(), z.imag.copy()) for z in m))
 
 
+def _squeezed_thermal(nu, theta, phase):
+    """(n, m) of the thermal mode nu I under the local squeeze of angle
+    theta and phase vphi - phi (``LocalSymplectic``): n = nu (c^2 + s^2)
+    and m = 2 nu c s e^{i phase}, c = cosh theta, s = sinh theta, m as an
+    (re, im) pair."""
+    c, s = np.cosh(theta), np.sinh(theta)
+    e = np.exp(1j * phase)
+    k = 2.0 * nu * c * s
+    return nu * (c * c + s * s), (k * e.real, k * e.imag)
+
+
 def _construct(rng: np.random.Generator, n: int) -> core._Batch:
-    """n thermal states conjugated by a random local symplectic and a random
-    two-mode mixer, read off and checked as ``core.params_from_covariance``
-    reads and checks one matrix, as a batch whose covariance stack is the
-    rebuild that check compares the matrices with."""
+    """n thermal states moved by a random local symplectic and a random
+    two-mode mixer, as a batch, each state's parameters in closed form from
+    its row of ten uniforms (``random_physical_states``).
+
+    A local squeeze S_i (``LocalSymplectic``) takes the thermal mode nu_i I
+    to n_i = nu_i (c_i^2 + s_i^2) and m_i = 2 nu_i c_i s_i e^{i (vphi_i -
+    phi_i)} (c_i = cosh theta_i, s_i = sinh theta_i); the two-mode mixer
+    M = [[ch, 0, 0, u sh], [0, ch, conj(u) sh, 0], [0, u sh, ch, 0],
+    [conj(u) sh, 0, 0, ch]] (ch = cosh r, sh = sinh r, u = e^{-i gamma})
+    then gives M+ V M the parameters n1' = ch^2 n1 + sh^2 n2, m1' = ch^2 m1
+    + sh^2 u^2 conj(m2), ms' = ch sh (conj(u) m1 + u conj(m2)) and mc' =
+    ch sh u (n1 + n2), and n2', m2' with the modes swapped.  The complex
+    products are taken on (re, im) float pairs; every row is checked by
+    ``first_error``."""
     two_pi = 2 * math.pi
     nu1, nu2, theta1, theta2, phi1, vphi1, phi2, vphi2, r, gamma = _uniform_columns(
         rng, n, [(0.5, NU_MAX)] * 2 + [(0.0, THETA_MAX)] * 2 + [(0.0, two_pi)] * 4
         + [(0.0, R_MAX), (0.0, two_pi)])
-    V = np.zeros((n, 4, 4), dtype=complex)
-    V[:, 0, 0] = V[:, 1, 1] = nu1
-    V[:, 2, 2] = V[:, 3, 3] = nu2
-    V = _conjugate(_local_matrix(theta1, phi1, vphi1, theta2, phi2, vphi2), V)
-    q, residual, ok, B = core._ParamArrays.read_stack(_conjugate(two_mode_mixer(r, gamma), V))
-    return core._Batch(q.validated(ok, residual), covariance=B)
+    (n1, m1), (n2, m2) = (_squeezed_thermal(*mode) for mode in
+                          ((nu1, theta1, vphi1 - phi1), (nu2, theta2, vphi2 - phi2)))
+    ch, sh = np.cosh(r), np.sinh(r)
+    ch2, sh2, chsh = ch * ch, sh * sh, ch * sh
+    e = np.exp(-1j * gamma)
+    u = e.real, e.imag
+    u2 = core._mul(u, u)
+    w1, w2 = core._mul(u2, core._conj(m2)), core._mul(u2, core._conj(m1))
+    v1, v2 = core._mul(core._conj(u), m1), core._mul(u, core._conj(m2))  # the terms of ms'
+    q = core._ParamArrays(
+        ch2 * n1 + sh2 * n2, ch2 * n2 + sh2 * n1,
+        tuple(ch2 * x + sh2 * y for x, y in zip(m1, w1)),
+        tuple(ch2 * x + sh2 * y for x, y in zip(m2, w2)),
+        tuple(chsh * (x + y) for x, y in zip(v1, v2)),
+        tuple(chsh * x * (n1 + n2) for x in u))
+    return core._Batch(q.validated())
 
 
 def _reject(rng: np.random.Generator, n: int) -> core._Batch:
@@ -452,8 +468,8 @@ def _reject(rng: np.random.Generator, n: int) -> core._Batch:
 
 def _random_states(rng: np.random.Generator, n: int, mode: str) -> core._Batch:
     """``random_physical_states`` as the ``core._Batch`` that ``gausssep
-    sample`` classifies, which holds the sampler's covariance stack (and in
-    reject mode its physicality oracle margins)."""
+    sample`` classifies, which in reject mode holds the sampler's covariance
+    stack and physicality oracle margins."""
     if n < 0:
         raise ValueError(f"cannot draw {n} states")
     if mode == "construct":
@@ -470,9 +486,10 @@ def random_physical_states(rng: np.random.Generator, n: int,
     are those of n one-at-a-time draws, bit for bit, so they do not depend
     on how a stream of draws is split into calls.
 
-    ``construct``: conjugate a diagonal thermal matrix by a random local
-    symplectic and a random two-mode mixer (physical by construction), in
-    one pass; each state takes one row of ten uniforms (nu1, nu2, theta1,
+    ``construct``: a thermal state moved by a random local symplectic and
+    a random two-mode mixer (physical by construction), its parameters
+    those of the conjugated matrix, in closed form (``_construct``), in one
+    pass; each state takes one row of ten uniforms (nu1, nu2, theta1,
     theta2, phi1, vphi1, phi2, vphi2, r, gamma).
     ``reject``: draw the ten uniforms of all six parameters from
     ``REJECT_BOX`` (n_i in [0.5, 3], |m| <= 1; see ``_random_box``) and

@@ -10,6 +10,7 @@ The module is not named ``reference``: the benchmark's tests import their
 own ``reference`` module under that top-level name in the same test run.
 """
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -151,6 +152,21 @@ def partial_transpose(V: np.ndarray) -> np.ndarray:
     """T V T of a matrix, or of each matrix of a stack: the partial
     phase-space mirror on mode 2, as the index permutation ``PT_PERM``."""
     return V[..., PT_PERM, :][..., :, PT_PERM]
+
+
+def two_mode_mixer(r: float, gamma: float) -> np.ndarray:
+    """The 4x4 two-mode-squeezing matrix M that couples the modes, with
+    ch = cosh r, sh = sinh r and u = e^{-i gamma}: symplectic (M+ E M = E),
+    so V -> M+ V M keeps a state physical while it creates cross
+    correlations.  The matrix reference of the construct sampler, whose
+    states' parameters are those of M+ V M in closed form."""
+    ch, sh, u = math.cosh(r), math.sinh(r), cmath.exp(-1j * gamma)
+    return np.array([
+        [ch, 0, 0, u * sh],
+        [0, ch, u.conjugate() * sh, 0],
+        [0, u * sh, ch, 0],
+        [u.conjugate() * sh, 0, 0, ch],
+    ], dtype=complex)
 
 
 def local_angles(rng: np.random.Generator, theta_max: float = 1.5) -> tuple:

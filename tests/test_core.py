@@ -113,7 +113,7 @@ BROKEN_RELATIONS = [
 
 def stack_failure(*matrices):
     """``first_error`` of the parameters read off a stack of ``matrices``."""
-    q, residual, ok, _ = core._ParamArrays.read_stack(np.stack(matrices))
+    q, residual, ok = core._ParamArrays.read_stack(np.stack(matrices))
     return q.first_error(ok, residual)
 
 
@@ -148,7 +148,7 @@ class TestStructuralRule:
         for ij, dv in edits.items():
             bad[ij] += dv
         assert_fails_as_alone(stack_failure(good, bad, bad), 1, bad)
-        q, residual, ok, _ = core._ParamArrays.read_stack(np.stack([good, build_covariance(REF)]))
+        q, residual, ok = core._ParamArrays.read_stack(np.stack([good, build_covariance(REF)]))
         assert q.first_error(ok, residual) is None
         assert q.params() == [GENERIC, REF] == [params_from_covariance(good), REF]
 
@@ -619,6 +619,16 @@ class TestClassify:
         with pytest.raises(InvalidParameterError, match=re.escape(message)):
             core.classify_batch([], method=method, tol_psd=tol)  # no state is read
         assert classify(REF, method=method, tol_psd=0.0).physical
+
+    @pytest.mark.parametrize("method", [core.METHOD_CLOSED, core.METHOD_EIG])
+    def test_zero_margin_holds_at_zero_tolerance(self, method):
+        """The vacuum's three margins are exactly 0.0 on both routes (the
+        closed route falls back to the oracle at d = d' = 0), and at
+        tol_psd = 0 a margin of 0 is on the boundary, not past it: the
+        vacuum is physical, separable and P-representable."""
+        v = classify(VACUUM, method, tol_psd=0.0)
+        assert (v.physical, v.separable, v.p_representable) == (True, True, True)
+        assert (v.margin_physical, v.margin_separable, v.margin_prep) == (0.0, 0.0, 0.0)
 
     def test_methods_agree_on_reference(self):
         vc = classify(REF)

@@ -308,6 +308,28 @@ def test_sweep_separability_column_is_the_mirrors_physicality_column(ps):
     assert degenerate.tolist() == m_degenerate.tolist()
 
 
+@st.composite
+def band_states(draw):
+    """States at d = 0 from dyadic values, n1 = 1/2 with m1 = 0 or n1 = 3/2
+    with m1 = 1 + i, with m2 drawn and the cross block zero (finite folds)
+    or drawn (``inf`` folds unless it is zero)."""
+    n1, m1 = draw(st.sampled_from([(0.5, 0j), (1.5, 1 + 1j)]))
+    ms, mc = (0j, 0j) if draw(st.booleans()) else (draw(eighths()), draw(eighths()))
+    return GaussianParams(n1, 1.0, m1=m1, m2=draw(eighths()), ms=ms, mc=mc)
+
+
+@given(st.lists(band_states(), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_band_separability_fold_is_the_physicality_fold(ps):
+    """Where d = 0 (|a| <= TOL_SING), rows 0 and 1 of ``_exact_folds``, the
+    physicality and separability exact folds, are equal bit for bit: mode 1
+    is pure there, so a physical state is a product state, and separable."""
+    batch = core._Batch.of(ps)
+    assert (np.abs(batch.families.a[:2]) <= core.TOL_SING).all()
+    folds = core._exact_folds(batch)
+    assert folds[0].tobytes() == folds[1].tobytes()
+
+
 # d' = 0 in floats (n1 - 1/2 = |m1| = 2^-40) with the cross block split off
 # (slope 0): its exact P-fold, (t cross - s) / t^2 with t = 2^-39 and
 # cross = 2^1001, overflows, while its physicality folds are inf.

@@ -22,7 +22,6 @@ from gausssep.symplectic import (
     make_local_symplectic,
     random_physical_states,
     reduce_to_invariant_form,
-    two_mode_mixer,
 )
 
 
@@ -421,7 +420,7 @@ class TestRandomGeneration:
     def test_mixer_symplectic(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            M = two_mode_mixer(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
+            M = literal.two_mode_mixer(rng.uniform(0, 1.5), rng.uniform(0, 2 * math.pi))
             assert symplectic_defect(M) < 1e-12
 
     def test_construct_zero_mixing_is_product(self, monkeypatch):
@@ -491,7 +490,8 @@ class TestBatchSampling:
             nu1, nu2 = b.uniform(0.5, symplectic.NU_MAX, size=2)
             S = random_local_symplectic(b, theta_max=symplectic.THETA_MAX)
             V = apply_local(S, np.diag([nu1, nu1, nu2, nu2]).astype(complex))
-            M = two_mode_mixer(b.uniform(0.0, symplectic.R_MAX), b.uniform(0.0, 2 * math.pi))
+            M = literal.two_mode_mixer(b.uniform(0.0, symplectic.R_MAX),
+                                       b.uniform(0.0, 2 * math.pi))
             ref = build_covariance(params_from_covariance(M.conj().T @ V @ M))
             assert np.abs(build_covariance(p) - ref).max() <= 1e-12 * np.abs(ref).max()
         assert a.bit_generator.state == b.bit_generator.state
@@ -524,6 +524,25 @@ class TestBatchSampling:
         ref.random(10 * 10)  # ten draws of ten uniforms
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("margin, accepted", [(-5e-11, True), (-2e-10, False)])
+    def test_reject_accepts_within_tol_psd(self, margin, accepted, monkeypatch):
+        """A candidate is accepted where its oracle margin is at least
+        -TOL_PSD, as ``classify`` calls it physical, and only there: with
+        one candidate of eight at ``margin`` and the rest at -1, the state
+        drawn is that candidate, or the budget runs out."""
+        monkeypatch.setattr(symplectic, "MAX_DRAWS", 8)
+        monkeypatch.setattr(core, "_physical_margin_eig",
+                            lambda V: np.where(np.arange(len(V)) == 3, margin, -1.0))
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        if accepted:
+            states = random_physical_states(rng, 1, "reject")
+            draws = [one_at_a_time_box(ref, *symplectic.REJECT_BOX) for _ in range(4)]
+            assert bits(states) == bits(draws[3:])
+            assert rng.bit_generator.state == ref.bit_generator.state
+        else:
+            with pytest.raises(SamplingBudgetError, match="no physical state found in 8 draws"):
+                random_physical_states(rng, 1, "reject")
+
     def test_budget_is_per_accepted_state(self, monkeypatch):
         """Where the one-at-a-time stream runs out of budget on a later state,
         so does the batch, at the same draw."""
@@ -551,10 +570,11 @@ class TestBatchSampling:
     @pytest.mark.parametrize("block", [symplectic.REJECT_BLOCK, 5, 3])
     @pytest.mark.parametrize("mode", ["construct", "reject"])
     def test_batch_holds_the_samplers_stack(self, mode, block, monkeypatch):
-        """The batch ``_random_states`` returns holds the sampler's
-        covariance stack, read-only and bit for bit ``q.covariance()``, and
-        in reject mode the physicality oracle margins of its accepted
-        candidates, the oracle over that stack, bit for bit."""
+        """The batch ``_random_states`` returns has one covariance stack,
+        read-only and bit for bit ``q.covariance()`` (in reject mode the
+        sampler's own, in construct mode built at first use), and in reject
+        mode the physicality oracle margins of its accepted candidates, the
+        oracle over that stack, bit for bit."""
         monkeypatch.setattr(symplectic, "REJECT_BLOCK", block)
         batch = symplectic._random_states(np.random.default_rng(13), 23, mode)
         V = batch.covariance
@@ -571,15 +591,22 @@ class TestBatchSampling:
     @pytest.mark.parametrize("mode", ["construct", "reject"])
     def test_invalid_draw_raises_its_error(self, mode, monkeypatch):
         """A drawn row that ``GaussianParams`` rejects raises its error:
-        ``_construct`` checks the rows it reads off its matrices, and
-        ``_reject`` the candidates of ``_random_box`` that it accepts."""
+        ``_construct`` checks the parameters it computes from its draws
+        (here row 1 draws negative thermal occupations nu1 and nu2, so its
+        n1 is negative), and ``_reject`` the candidates of ``_random_box``
+        that it accepts."""
         def with_negative_n1(q):
             return q._replace(n1=np.where(np.arange(len(q.n1)) == 1, -1.0, q.n1))
 
         if mode == "construct":
-            read = core._ParamArrays.read_stack
-            monkeypatch.setattr(core._ParamArrays, "read_stack",
-                                lambda V: (with_negative_n1(read(V)[0]), *read(V)[1:]))
+            draw = symplectic._uniform_columns
+
+            def with_negative_nu(*args):
+                columns = draw(*args)
+                columns[:2, 1] = -1.0  # nu1, nu2 of row 1
+                return columns
+
+            monkeypatch.setattr(symplectic, "_uniform_columns", with_negative_nu)
         else:  # the eigen-oracle accepts every candidate
             box = symplectic._random_box
             monkeypatch.setattr(symplectic, "_random_box",
