@@ -54,10 +54,10 @@ of one record's checks: the transform, the read of its parameters, the
 reduction.  The transform pass returns the first record whose transformed
 matrix fails, with its error; the records before it are reduced first, so
 that their errors come first.  ``sample`` draws (one
-``symplectic._random_states`` call, whose ``core._Batch`` it classifies:
-in construct mode the parameters the sampler computed from its draws, in
-reject mode with the covariance stack and the physicality oracle margins
-the sampler built), classifies (both routes on that batch) and
+``symplectic._random_states`` call, whose ``core._Batch`` it classifies,
+which builds its covariance stack at first use and in reject mode holds
+the physicality oracle margins the sampler accepted its states by),
+classifies (both routes on that batch) and
 formats its states per batch of ``SAMPLE_BATCH`` (1024), one output string
 each, the summary line at the end of the last, so its memory does not grow
 with ``--count``.

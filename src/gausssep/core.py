@@ -41,12 +41,15 @@ literal published P-fold, which has no per-state view) in one masked
 read each, the physicality column state by state, through
 ``physicality_bound_n2`` and ``bisect_n2_threshold``, whose calls the
 benchmark's tracer counts.  ``n2_folds`` is its one-element view.  A
-batch builds its (N, 4, 4) covariance stack once, read-only, at its
-first use, unless its maker (the reject sampler) hands it the stack it
-built; the oracle rows of all three criteria and the invariant-form
-reduction of ``symplectic`` index that one stack.  The eigen-oracle
-route and the reduction read physicality from one oracle pass over it
-(``_physical_oracle``), which the reject sampler hands its batch too.
+batch builds its (N, 4, 4) covariance stack from its own parameters,
+once, read-only, at its first use; the oracle rows of all three criteria
+and the invariant-form reduction of ``symplectic`` index that one stack.
+Both classify routes fill one margin table along one path
+(``_verdicts``), the closed route's starting from its closed margins.
+Where every state needs the physicality oracle, they read it from one
+oracle pass over the stack (``_physical_oracle``), as the reduction
+does; the reject sampler hands its batch that pass, the margins it
+accepted its states by.
 Every operation is elementwise or per matrix, so a state's result does
 not depend on the other states in its batch, bit for bit.
 
@@ -410,18 +413,15 @@ class _Batch:
     of ``families`` at once.  The per-state functions read a state of the
     batch (a ``_Row``) out of these passes.
 
-    A maker that already holds the states' covariance stack (the reject
-    sampler) passes it as ``covariance``, and their physicality oracle
-    margins as ``physical``, the ``(_physical_oracle,)`` pass: each must be
-    what the batch would compute, bit for bit.  Both are kept read-only."""
+    Every batch builds its covariance stack from its own parameters, at
+    its first use.  A maker that already holds the states' physicality
+    oracle margins (the reject sampler, which accepted its states by them)
+    passes them as ``physical``, the ``(_physical_oracle,)`` pass, kept
+    read-only."""
 
-    def __init__(self, q: _ParamArrays, covariance: np.ndarray | None = None,
-                 physical: np.ndarray | None = None):
+    def __init__(self, q: _ParamArrays, physical: np.ndarray | None = None):
         self.q = q
         self._values: dict = {}
-        if covariance is not None:
-            covariance.flags.writeable = False
-            self.covariance = covariance  # a cached property's value, as if it had run
         if physical is not None:
             physical.flags.writeable = False
             self._values[(_physical_oracle,)] = physical
@@ -622,7 +622,9 @@ def _physical_oracle(batch: _Batch) -> np.ndarray:
     """The physicality oracle margin of every state of ``batch``, one call
     over its covariance stack.  Not checked: each reader checks the margins
     it reads (``_verdicts``, ``symplectic._reductions``).  Read through
-    ``evaluated``, once per batch, or given by the batch's maker."""
+    ``evaluated``, once per batch, or given by the batch's maker (the
+    reject sampler, which runs this pass on each block of candidates and
+    keeps the accepted rows)."""
     return _physical_margin_eig(batch.covariance)
 
 
@@ -661,24 +663,28 @@ def _verdicts(batch: _Batch, method: str, tol_psd: float) -> list[Verdict]:
     arguments pass ``_check_route``.  An ``OverflowError`` from any state's
     closed form or oracle margin is raised for the whole batch.
 
+    Both routes fill one (3, N) margin table along one path: the closed
+    route starts from its closed margins (``_closed_margins``), NaN where
+    they are degenerate, and the eigen-oracle route from a table of NaN.
+    The eigen-oracle fills every NaN margin that is needed, on rows of the
+    batch's covariance stack: physicality first, from the batch's one
+    oracle pass (``_physical_oracle``) where every state needs it, else on
+    the masked rows; then separability and P-representability on the
+    physical rows.  The route is read only for ``method`` and
+    ``fallbacks``.
+
     The records are built in one pass over the result columns, each by
     ``tuple.__new__`` as in ``_Batch.rows``: ``physical`` and the margins
     as Python values by ``tolist``, each answer by ``_ANSWERS`` from an
     int8 code column (2 where the state is unphysical), and ``method`` and
     ``fallbacks`` by the fallback code."""
     _check_route(method, tol_psd)
-    # The eigen-oracle decides the rows where the closed form is degenerate
-    # or not used, on rows of the batch's covariance stack; the eigen-oracle
-    # route reads physicality from the batch's one oracle pass.
-    if method == METHOD_CLOSED:
-        phys, sep, prep = _closed_margins(batch)
-        need_phys = np.isnan(phys)
-        if need_phys.any():
-            phys[need_phys] = _checked(_physical_margin_eig(batch.covariance[need_phys]), ...,
-                                       _ORACLE)
-    else:
-        phys = _checked(batch.evaluated((_physical_oracle,)), ..., _ORACLE)
-        sep, prep = np.full(len(phys), np.nan), np.full(len(phys), np.nan)
+    phys, sep, prep = (_closed_margins(batch) if method == METHOD_CLOSED
+                       else np.full((3, len(batch.q.n1)), np.nan))
+    need_phys = np.isnan(phys)
+    if need_phys.any():
+        phys[need_phys] = _checked(batch.evaluated((_physical_oracle,)) if need_phys.all() else
+                                   _physical_margin_eig(batch.covariance[need_phys]), ..., _ORACLE)
     physical = phys >= -tol_psd
     need_sep = np.isnan(sep) & physical
     need_prep = np.isnan(prep) & physical

@@ -34,13 +34,14 @@ generator call.  The construct sampler computes each state's ten
 parameters in closed form from its own ten uniforms, elementwise over the
 columns: no matrix is built or read back, and the batch builds its
 covariance stack from the parameters at its first use.  The reject sampler
-builds its candidates' (N, 4, 4) covariance stack and eigen-oracle margins,
-and its batch holds the accepted rows of both, read-only, so that no stack
-is built and no physicality eigensolve is run twice between draw and
-verdict.  The states and the generator's end state are those of N
-one-at-a-time draws, bit for bit, so they do not depend on how the draws
-are split into calls; one state is ``random_physical_states(rng, 1,
-mode)[0]``.
+checks each block of candidates by the physicality oracle pass
+(``core._physical_oracle``) of a candidate batch, and its batch holds the
+accepted rows' margins, read-only, so that no physicality eigensolve is
+run twice between draw and verdict; it builds its own covariance stack
+from the accepted parameters at its first use.  The states and the
+generator's end state are those of N one-at-a-time draws, bit for bit, so
+they do not depend on how the draws are split into calls; one state is
+``random_physical_states(rng, 1, mode)[0]``.
 """
 
 from __future__ import annotations
@@ -431,16 +432,19 @@ def _construct(rng: np.random.Generator, n: int) -> core._Batch:
 
 def _reject(rng: np.random.Generator, n: int) -> core._Batch:
     """The first n draws from ``REJECT_BOX`` that the eigen-oracle calls
-    physical, as a batch that holds their covariance stack and physicality
-    oracle margins: the accepted rows of each block's.
+    physical, as a batch that holds their physicality oracle margins, the
+    accepted rows of each block's.
 
-    Candidates are drawn and checked in blocks of at most ``REJECT_BLOCK``
-    (one eigen-oracle call each), never past the ``MAX_DRAWS`` budget of
-    the state being drawn.  A block that holds the n-th accept is drawn
-    again up to it from the generator state saved before it, so the
-    generator ends where one-at-a-time draws leave it.
+    Candidates are drawn and checked in blocks of at most ``REJECT_BLOCK``,
+    each block by the ``core._physical_oracle`` pass of a candidate batch
+    (one eigen-oracle call over its stack), never past the ``MAX_DRAWS``
+    budget of the state being drawn.  A block that holds the n-th accept
+    is drawn again up to it from the generator state saved before it, so
+    the generator ends where one-at-a-time draws leave it.  The batch
+    returned builds its covariance stack from the accepted parameters at
+    its first use.
     """
-    blocks = [(core._ParamArrays.from_rows([]), np.empty((0, 4, 4), complex), np.empty(0))]
+    blocks = [(core._ParamArrays.from_rows([]), np.empty(0))]
     accepted = 0
     since = 0  # draws since the last accepted one
     while accepted < n:
@@ -451,25 +455,24 @@ def _reject(rng: np.random.Generator, n: int) -> core._Batch:
             raise SamplingBudgetError(f"no physical state found in {MAX_DRAWS} draws")
         start = rng.bit_generator.state
         q = _random_box(rng, size, *REJECT_BOX)
-        V = q.covariance()
-        margins = core._physical_margin_eig(V)
+        margins = core._Batch(q).evaluated((core._physical_oracle,))
         hits = np.flatnonzero(margins >= -core.TOL_PSD)
         if hits.size >= need:
             hits = hits[:need]
             rng.bit_generator.state = start
             _random_box(rng, hits[-1] + 1, *REJECT_BOX)
         since = size - 1 - hits[-1] if hits.size else since + size
-        blocks.append((q.take(hits).validated(), V[hits], margins[hits]))
+        blocks.append((q.take(hits).validated(), margins[hits]))
         accepted += hits.size
-    qs, Vs, margins = zip(*blocks)
-    return core._Batch(core._ParamArrays.concatenate(qs), covariance=np.concatenate(Vs),
-                       physical=np.concatenate(margins))
+    qs, margins = zip(*blocks)
+    return core._Batch(core._ParamArrays.concatenate(qs), physical=np.concatenate(margins))
 
 
 def _random_states(rng: np.random.Generator, n: int, mode: str) -> core._Batch:
     """``random_physical_states`` as the ``core._Batch`` that ``gausssep
-    sample`` classifies, which in reject mode holds the sampler's covariance
-    stack and physicality oracle margins."""
+    sample`` classifies, which in reject mode holds the physicality oracle
+    margins the sampler accepted its states by; in either mode the batch
+    builds its covariance stack at first use."""
     if n < 0:
         raise ValueError(f"cannot draw {n} states")
     if mode == "construct":

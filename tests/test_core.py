@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import re
 import weakref
@@ -156,6 +157,11 @@ class TestStructuralRule:
         V = build_covariance(GENERIC)
         V[1, 2] += TOL_PATTERN / 2
         assert params_from_covariance(V) == GENERIC
+        # below unit scale the max(1, ...) floor keeps the tolerance at TOL_PATTERN
+        small = GaussianParams(0.01, 0.01)
+        V = build_covariance(small)
+        V[1, 0] += TOL_PATTERN / 2
+        assert params_from_covariance(V) == small
 
     def test_tolerance_scales_with_the_matrix(self):
         """At the scale of 1e12 an ulp-sized deviation is rounding, not a
@@ -468,6 +474,9 @@ class TestPRepresentability:
         assert not core.prep_below_sep(1.0, 1.0 + 1e-13)
         assert not core.prep_below_sep(1.0, 1.0)
         assert core.prep_below_sep(5.0, math.inf)
+        # below an S-fold of 1 the gap is FOLD_GAP_RTOL itself, not relative to the S-fold
+        assert not core.prep_below_sep(0.5 - 8e-13, 0.5)
+        assert core.prep_below_sep(0.5 - 2e-12, 0.5)
 
     def test_squeezed_vacuum_never_prep(self):
         for r in (0.1, 0.5, 1.5):
@@ -536,6 +545,26 @@ class TestClassify:
         built.clear()
         classify(GaussianParams(0.4, 1.0), method=core.METHOD_EIG)  # unphysical: one oracle
         assert len(built) == 1
+
+    def test_both_routes_solve_physicality_once(self, monkeypatch):
+        """Where every state of a batch falls back on physicality, the
+        closed route fills physicality from the batch's one oracle pass,
+        which the eigen-oracle route then reads: one physicality solve over
+        the stack, then one separability solve per route, on the physical
+        state."""
+        calls = []
+        margin = core._physical_margin_eig
+        monkeypatch.setattr(core, "_physical_margin_eig",
+                            lambda V: calls.append(len(V)) or margin(V))
+        states = [GaussianParams(0.5, 1.0), GaussianParams(0.5, 0.1)]  # d = 0; unphysical
+        batch = core._Batch.of(states)
+        closed = core._classified(batch, core.METHOD_CLOSED, core.TOL_PSD)
+        eig = core._classified(batch, core.METHOD_EIG, core.TOL_PSD)
+        assert calls == [2, 1, 1]
+        assert [v.fallbacks for v in closed] == [core._CRITERIA, ("physical",)]
+        assert [v.physical for v in eig] == [True, False]
+        assert repr(closed) == repr(core.classify_batch(states))  # NaN margins
+        assert repr(eig) == repr(core.classify_batch(states, core.METHOD_EIG))
 
     def test_batch_evaluates_once(self, monkeypatch):
         """The batch entry points read every state out of one array pass:
@@ -735,6 +764,22 @@ class TestFolds:
             V = build_covariance(GaussianParams(p.n1, n2, p.m1, p.m2, p.ms, p.mc))
             assert core._prep_margin_eig(V[None])[0] < -core.TOL_PSD
 
+    def test_prep_fold_for_a_block_indefinite_within_tol_psd(self):
+        """n1 = 1/2 - 5e-11: V1 - I/2 is indefinite by 5e-11 only, within
+        TOL_PSD, so the P-fold is that of the block split off, 1/2 + |m2|."""
+        p = GaussianParams(0.5 - 5e-11, 1.0, m2=0.3)
+        assert abs(core._families(core._ParamArrays.of([p])).a[2, 0]) <= core.TOL_SING
+        assert core.n2_folds(p)[2] == 0.5 + 0.3
+
+    def test_band_includes_its_edge(self):
+        """|m1| = 1e-6 gives a = -TOL_SING exactly on every criterion row
+        (1e-6 * 1e-6 == 1e-12 in binary64), which is inside the band
+        |a| <= TOL_SING: exact folds, with P's inf, as its V1 - I/2 has the
+        eigenvalue -1e-6."""
+        p = GaussianParams(0.5, 1.0, m1=1e-6)
+        assert core._families(core._ParamArrays.of([p])).a[:, 0].tolist() == [-core.TOL_SING] * 3
+        assert core.n2_folds(p) == (0.5, 0.5, math.inf, True)
+
     def test_folds_call_no_oracle(self, monkeypatch):
         """The exact folds are closed arithmetic: no eigenvalue call and no
         covariance matrix, on d = 0, d' = 0 and mode-1-failing states."""
@@ -821,3 +866,5 @@ def test_public_surface():
     for module in (gausssep, core, symplectic, errors):
         assert [name for name in removed if hasattr(module, name)] == []
     assert not hasattr(core._Batch, "mirror") and "parent" not in vars(core._Batch.of([]))
+    # a batch builds its own covariance stack: no maker hands it one
+    assert list(inspect.signature(core._Batch).parameters) == ["q", "physical"]

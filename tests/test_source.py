@@ -1,11 +1,13 @@
 """Checks on the package's source, read with the standard library's ``ast``."""
 
 import ast
+import importlib.util
 import pathlib
 
 import gausssep
 
 PACKAGE = pathlib.Path(gausssep.__file__).parent
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _defined(node: ast.stmt) -> list[str]:
@@ -34,3 +36,15 @@ def test_every_private_name_is_referenced():
               if name.startswith("_") and not name.startswith("__")
               and not any(name in names for other, names in reads if other is not node)]
     assert unread == []
+
+
+def test_every_mutant_text_occurs_once():
+    """Each mutant of ``scripts/mutants.py`` names an old text that occurs
+    exactly once in its file, and changes it, so that the list cannot
+    silently stop mutating the code it was written for."""
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.misplaced() == []
+    assert all(m.old != m.new for m in mutants.MUTANTS)
+    assert len({m.label for m in mutants.MUTANTS}) == len(mutants.MUTANTS)

@@ -338,6 +338,13 @@ class TestReduceToInvariantForm:
         with pytest.raises(DomainError):
             reduce_to_invariant_form(GaussianParams(0.4, 1.0))
 
+    def test_physical_within_tol_psd_reduced(self):
+        """A state whose physicality margin is about -5e-11, within
+        TOL_PSD, is physical, and reduced."""
+        p = GaussianParams(0.5 - 5e-11, 0.5 - 5e-11)
+        assert -core.TOL_PSD < core._physical_margin_eig(build_covariance(p)[None])[0] < 0.0
+        assert reduce_to_invariant_form(p).form == FORM1
+
     def test_one_physicality_pass_for_reduction_and_oracle_route(self, monkeypatch):
         """The reduction and the eigen-oracle route read physicality from
         the batch's one oracle pass: one oracle call over its whole stack."""
@@ -571,10 +578,9 @@ class TestBatchSampling:
     @pytest.mark.parametrize("mode", ["construct", "reject"])
     def test_batch_holds_the_samplers_stack(self, mode, block, monkeypatch):
         """The batch ``_random_states`` returns has one covariance stack,
-        read-only and bit for bit ``q.covariance()`` (in reject mode the
-        sampler's own, in construct mode built at first use), and in reject
-        mode the physicality oracle margins of its accepted candidates, the
-        oracle over that stack, bit for bit."""
+        read-only and bit for bit ``q.covariance()``, built at first use in
+        either mode, and in reject mode the physicality oracle margins of
+        its accepted candidates, the oracle over that stack, bit for bit."""
         monkeypatch.setattr(symplectic, "REJECT_BLOCK", block)
         batch = symplectic._random_states(np.random.default_rng(13), 23, mode)
         V = batch.covariance
